@@ -1,6 +1,8 @@
 """Deviation tree driver: frozen example, prune rules, differentials."""
 from __future__ import annotations
 
+from pathlib import Path as FilePath
+
 import pytest
 
 from kssp.engine import (
@@ -16,6 +18,7 @@ from kssp.engine import (
     queue_max_cap,
     queue_min_ready,
 )
+from kssp.dimacs import load_dimacs
 from kssp.graph import Graph
 from kssp.oracles import enumerate_simple_paths
 
@@ -48,6 +51,29 @@ def test_five_node_example_is_frozen(five_node_graph, guided):
     assert st.queries_succeeded == 3
     assert st.labels_extracted == (19 if guided else 20)
     assert st.wall_time_s > 0.0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        SolveOptions(),
+        SolveOptions(guided=False),
+        SolveOptions(prune_queue_min=False),
+        SolveOptions(prune_queue_max=False, prune_queue_min=False),
+    ],
+)
+def test_equal_cost_paths_keep_their_frozen_order(options):
+    # four paths of cost 9.0: the order among them is the candidates' push order
+    with open(FilePath(__file__).parent / "data" / "mini10.gr") as f:
+        g = load_dimacs(f)
+    report = k_shortest_paths(g, 0, 9, 4, options)
+    assert report.costs == [9.0] * 4
+    assert [(r.path.arcs, r.parent_index) for r in report.records] == [
+        ((1, 4, 7, 10, 12), None),
+        ((0, 2, 5, 8, 11), 0),
+        ((1, 3, 5, 8, 11), 0),
+        ((1, 4, 6, 8, 11), 0),
+    ]
 
 
 def test_report_properties(five_node_graph):
