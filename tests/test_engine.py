@@ -53,6 +53,27 @@ def test_five_node_example_is_frozen(five_node_graph, guided):
     assert st.wall_time_s > 0.0
 
 
+MINI_RANKING = [  # (arcs, parent_index) of all 16 simple 0-9 paths of mini10.gr
+    ((1, 4, 7, 10, 12), None),  # cost 9
+    ((0, 2, 5, 8, 11), 0),
+    ((1, 3, 5, 8, 11), 0),
+    ((1, 4, 6, 8, 11), 0),
+    ((1, 4, 7, 9, 11), 0),
+    ((0, 2, 5, 15, 12), 1),  # cost 11
+    ((1, 3, 5, 15, 12), 2),
+    ((1, 4, 6, 15, 12), 3),
+    ((0, 2, 14, 10, 12), 1),  # cost 12
+    ((1, 3, 14, 10, 12), 2),
+    ((0, 2, 14, 9, 11), 8),
+    ((1, 3, 14, 9, 11), 9),
+    ((0, 13, 7, 10, 12), 1),  # cost 14
+    ((0, 13, 6, 8, 11), 12),
+    ((0, 13, 7, 9, 11), 12),
+    ((0, 13, 6, 15, 12), 13),  # cost 16
+]
+
+
+@pytest.mark.parametrize("k", [4, 16])
 @pytest.mark.parametrize(
     "options",
     [
@@ -62,18 +83,13 @@ def test_five_node_example_is_frozen(five_node_graph, guided):
         SolveOptions(prune_queue_max=False, prune_queue_min=False),
     ],
 )
-def test_equal_cost_paths_keep_their_frozen_order(options):
-    # four paths of cost 9.0: the order among them is the candidates' push order
+def test_equal_cost_paths_keep_their_frozen_order(options, k):
+    # equal-cost candidates leave the queue in the order they were pushed
     with open(FilePath(__file__).parent / "data" / "mini10.gr") as f:
         g = load_dimacs(f)
-    report = k_shortest_paths(g, 0, 9, 4, options)
-    assert report.costs == [9.0] * 4
-    assert [(r.path.arcs, r.parent_index) for r in report.records] == [
-        ((1, 4, 7, 10, 12), None),
-        ((0, 2, 5, 8, 11), 0),
-        ((1, 3, 5, 8, 11), 0),
-        ((1, 4, 6, 8, 11), 0),
-    ]
+    report = k_shortest_paths(g, 0, 9, k, options)
+    assert report.status == COMPLETE
+    assert [(r.path.arcs, r.parent_index) for r in report.records] == MINI_RANKING[:k]
 
 
 def test_report_properties(five_node_graph):
