@@ -32,7 +32,6 @@ from .engine import (
     COMPLETE,
     EXHAUSTED,
     PathRecord,
-    PruneContext,
     SolveLimitExceeded,
     SolveOptions,
     SolveReport,
@@ -69,7 +68,6 @@ __all__ = [
     "COMPLETE",
     "EXHAUSTED",
     "PathRecord",
-    "PruneContext",
     "SolveLimitExceeded",
     "SolveOptions",
     "SolveReport",

@@ -1,8 +1,7 @@
 """Benchmark runs over seeded instances, with CSV output and summaries.
 
-Instance generation is fully determined by the master seed: the grid
-cost seeds are drawn first, then one pair seed per grid, so adding more
-query pairs never changes which grids are built. Rows identify their
+Grid instances come from :func:`kssp.gridgen.seeded_grids`, so adding
+more query pairs never changes which grids are built. Rows identify their
 instance as ``grid<R>x<C>-c<i>-p<j>`` (cost draw i, pair draw j) or
 ``<name>-p<j>`` for a fixed input graph.
 """
@@ -15,7 +14,7 @@ from typing import IO, Iterable, Sequence
 
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, SolveReport, k_shortest_paths
 from .graph import Graph
-from .gridgen import gen_grid, sample_pairs
+from .gridgen import sample_pairs, seeded_grids
 from .oracles import yen_k_shortest
 from .rng import SplitMix64
 
@@ -78,6 +77,21 @@ def row_from_report(instance: str, algorithm: str, k: int, report: SolveReport) 
     )
 
 
+def _bench_pairs(
+    g: Graph, name: str, pair_rng: SplitMix64, pairs: int, k: int,
+    algorithms: Sequence[str], timeout_s: float | None, label_budget: int | None,
+) -> list[ResultRow]:
+    """Rows for ``pairs`` s-t pairs drawn from ``pair_rng``, ids ``<name>-p<j>``."""
+    rows: list[ResultRow] = []
+    for pi, (s, t) in enumerate(sample_pairs(pair_rng, g.node_count, pairs)):
+        for algorithm in algorithms:
+            report = run_algorithm(
+                g, s, t, k, algorithm, timeout_s=timeout_s, label_budget=label_budget
+            )
+            rows.append(row_from_report(f"{name}-p{pi}", algorithm, k, report))
+    return rows
+
+
 def bench_graph(
     g: Graph,
     name: str,
@@ -90,14 +104,7 @@ def bench_graph(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     rng = SplitMix64(seed)
-    rows: list[ResultRow] = []
-    for pi, (s, t) in enumerate(sample_pairs(rng, g.node_count, pairs)):
-        for algorithm in algorithms:
-            report = run_algorithm(
-                g, s, t, k, algorithm, timeout_s=timeout_s, label_budget=label_budget
-            )
-            rows.append(row_from_report(f"{name}-p{pi}", algorithm, k, report))
-    return rows
+    return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
 
 
 def bench_grid(
@@ -112,23 +119,10 @@ def bench_grid(
     timeout_s: float | None = None,
     label_budget: int | None = None,
 ) -> list[ResultRow]:
-    master = SplitMix64(seed)
-    cost_seeds = [master.next_u64() for _ in range(costs)]
-    pair_seeds = [master.next_u64() for _ in range(costs)]
     out: list[ResultRow] = []
-    for ci in range(costs):
-        g = gen_grid(rows_n, cols_n, seed=cost_seeds[ci])
-        pair_rng = SplitMix64(pair_seeds[ci])
-        for pi, (s, t) in enumerate(sample_pairs(pair_rng, g.node_count, pairs)):
-            for algorithm in algorithms:
-                report = run_algorithm(
-                    g, s, t, k, algorithm, timeout_s=timeout_s, label_budget=label_budget
-                )
-                out.append(
-                    row_from_report(
-                        f"grid{rows_n}x{cols_n}-c{ci}-p{pi}", algorithm, k, report
-                    )
-                )
+    for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):
+        name = f"grid{rows_n}x{cols_n}-c{ci}"
+        out += _bench_pairs(g, name, pair_rng, pairs, k, algorithms, timeout_s, label_budget)
     return out
 
 

@@ -203,24 +203,6 @@ def build_query(
     return DeviationQuery(g, ws, source, target, tuple(ref_arcs), prefix_cost, potential)
 
 
-def arc_bicost(query: DeviationQuery, a: int) -> BiCost:
-    """Scalar cost of the arc plus 1 overlap if it lies on the reference."""
-    ws = query.workspace
-    overlap = 1 if ws.ref_stamp[a] == ws.ref_epoch else 0
-    return BiCost(query.graph.arc_cost[a], overlap)
-
-
-def is_dominated(frontier: list[Label] | None, cand: BiCost | Label) -> bool:
-    """Weak dominance against a node's permanent list.
-
-    Valid only under the search's extraction order, where every permanent
-    label costs no more than the candidate; then the candidate is
-    dominated iff its overlap does not improve on the frontier's minimum,
-    which is always the overlap of the last permanent label.
-    """
-    return bool(frontier) and cand[1] >= frontier[-1][1]
-
-
 def reconstruct(
     g: Graph, label: tuple, frontiers: list[list[tuple]] | dict[int, list[tuple]]
 ) -> Path:
@@ -280,7 +262,6 @@ class QueryStats(NamedTuple):
     iterations: int
     target_extractions: int
     outcome: str  # "found" | "exhausted" | "cost-capped"
-    reference_extracted: bool
 
 
 class SearchLimit(RuntimeError):
@@ -318,7 +299,7 @@ class SearchDebug:
 
 def find_best_deviation(
     query: DeviationQuery,
-    prune=None,
+    cost_cap: float | None = None,
     *,
     debug: SearchDebug | None = None,
     deadline: float | None = None,
@@ -326,13 +307,13 @@ def find_best_deviation(
 ) -> tuple[Deviation | None, QueryStats]:
     """Run the search; returns (deviation or None, stats).
 
-    ``prune`` may carry a ``cost_cap``: once the extracted scalar cost
-    plus the query's prefix cost reaches the cap, the query aborts. That
-    is sound in both queue orders, because every completion still ahead
-    costs at least the current extraction's scalar cost: in plain order
-    extraction is cost-monotone, and in guided order the key is a lower
-    bound on completion cost and never falls below the scalar cost. A
-    capped or exhausted query returns None.
+    Once the extracted scalar cost plus the query's prefix cost reaches
+    ``cost_cap`` (None: no cap), the query aborts. That is sound in both
+    queue orders, because every completion still ahead costs at least
+    the current extraction's scalar cost: in plain order extraction is
+    cost-monotone, and in guided order the key is a lower bound on
+    completion cost and never falls below the scalar cost. A capped or
+    exhausted query returns None.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -354,7 +335,6 @@ def find_best_deviation(
         if ws.zero_potential is None:
             ws.zero_potential = [0.0] * g.node_count
         pot = ws.zero_potential
-    cap = getattr(prune, "cost_cap", None) if prune is not None else None
     unreachable = float("inf")
 
     ws.serial += 1
@@ -370,13 +350,12 @@ def find_best_deviation(
     counter = 0
     iterations = 0
     t_hits = 0
-    ref_seen = False
     outcome = "exhausted"
     result: Deviation | None = None
 
     root_key = pot[query.source]
     if root_key == unreachable:
-        return None, QueryStats(0, 0, outcome, ref_seen)
+        return None, QueryStats(0, 0, outcome)
     entry = (root_key, 0, query.source, 0, (0.0, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
@@ -399,7 +378,7 @@ def find_best_deviation(
         lab = e[4]
         ecost = lab[0]
         eover = e[1]
-        if cap is not None and prefix_cost + ecost >= cap:
+        if cost_cap is not None and prefix_cost + ecost >= cost_cap:
             outcome = "cost-capped"
             break
         if f_stamp[node] == serial:
@@ -429,7 +408,6 @@ def find_best_deviation(
                 )
                 outcome = "found"
                 break
-            ref_seen = True
             # the reference itself; record it, never propagate target labels
         else:
             last_idx = len(f) - 1
@@ -526,5 +504,4 @@ def find_best_deviation(
             for v in range(g.node_count)
             if f_stamp[v] == serial
         }
-    stats = QueryStats(iterations, t_hits, outcome, ref_seen)
-    return result, stats
+    return result, QueryStats(iterations, t_hits, outcome)

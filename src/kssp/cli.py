@@ -8,7 +8,7 @@ one).
 
 Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit,
 2 bad usage or input, 3 fewer than k paths exist, 4 cross-check
-mismatch.
+mismatch or failed ``--validate`` self-check.
 """
 from __future__ import annotations
 
@@ -21,9 +21,8 @@ from .bench import ALGORITHMS, bench_graph, bench_grid, read_rows, summarize, wr
 from .dimacs import DimacsError, dump_dimacs, format_path_line, load_dimacs
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
 from .graph import Graph, GraphError
-from .gridgen import gen_grid, sample_pairs
+from .gridgen import gen_grid, sample_pairs, seeded_grids
 from .oracles import enumerate_simple_paths, yen_k_shortest
-from .rng import SplitMix64
 
 BRUTE_NODE_LIMIT = 14
 
@@ -56,21 +55,17 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
 def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
     os.makedirs(args.out, exist_ok=True)
-    master = SplitMix64(args.seed)
-    cost_seeds = [master.next_u64() for _ in range(args.costs)]
-    pair_seeds = [master.next_u64() for _ in range(args.costs)]
+    grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
     entries = []
-    for ci in range(args.costs):
-        g = gen_grid(rows, cols, args.cost_low, args.cost_high, seed=cost_seeds[ci])
+    for ci, (cost_seed, g, pair_rng) in enumerate(grids):
         filename = f"grid{rows}x{cols}-c{ci}.gr"
         with open(os.path.join(args.out, filename), "w") as f:
             dump_dimacs(g, f)
-        pair_rng = SplitMix64(pair_seeds[ci])
         pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
         entries.append(
             {
                 "file": filename,
-                "cost_seed": cost_seeds[ci],
+                "cost_seed": cost_seed,
                 "pairs": [[s, t] for s, t in pairs],
             }
         )
@@ -138,6 +133,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _print_paths(g, exc.report)
         _note(f"aborted ({exc.kind}): {len(exc.report.records)} of {k} paths found")
         return 1
+    except AssertionError as exc:
+        if not args.validate:
+            raise
+        _note(f"validation failed: {exc}")
+        return 4
 
     if args.check:
         if g.node_count > BRUTE_NODE_LIMIT:

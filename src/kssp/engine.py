@@ -24,6 +24,12 @@ the queue already holds enough paths (cost cap), and the run ends early
 when the cheapest queued cost tier alone suffices to fill the remaining
 output slots.
 
+Queued candidates sit in one list of ``(cost, push counter, record)``
+tuples kept sorted with ``insort``. The driver pops the cheapest from
+the front, so equal costs leave in push order. The same list serves
+both prune rules: its last entry is the most expensive candidate, and
+one bisection counts the tier that ties with the cheapest.
+
 By default the driver computes exact distances to the target once, with
 a single reverse scalar search over the unmasked graph, and hands them
 to every biobjective query as a potential. Queries then expand only
@@ -34,9 +40,8 @@ switches the queries to plain lexicographic order.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from time import perf_counter
 
 from .biobjective import Deviation, SearchLimit, Workspace, build_query, find_best_deviation
@@ -65,15 +70,6 @@ class SolveOptions:
     timeout_s: float | None = None
     label_budget: int | None = None
     validate: bool = False
-
-
-@dataclass(frozen=True)
-class PruneContext:
-    """Prune switches for one query; ``cost_cap`` is None when inactive."""
-
-    queue_max: bool
-    queue_min: bool
-    cost_cap: float | None = None
 
 
 @dataclass
@@ -149,72 +145,28 @@ class SolveLimitExceeded(RuntimeError):
         self.report = report
 
 
-class _CostBag:
-    """Multiset of queued candidate costs.
-
-    O(1) min, max and min-tier count; costs compare exactly, so the
-    sorted unique list plus a count map is all that is needed.
-    """
-
-    __slots__ = ("_counts", "_uniques", "_total")
-
-    def __init__(self) -> None:
-        self._counts: dict[float, int] = {}
-        self._uniques: list[float] = []
-        self._total = 0
-
-    def __len__(self) -> int:
-        return self._total
-
-    def add(self, cost: float) -> None:
-        n = self._counts.get(cost)
-        if n is None:
-            self._counts[cost] = 1
-            insort(self._uniques, cost)
-        else:
-            self._counts[cost] = n + 1
-        self._total += 1
-
-    def remove(self, cost: float) -> None:
-        n = self._counts[cost]
-        if n == 1:
-            del self._counts[cost]
-            del self._uniques[bisect_left(self._uniques, cost)]
-        else:
-            self._counts[cost] = n - 1
-        self._total -= 1
-
-    @property
-    def min_cost(self) -> float:
-        return self._uniques[0]
-
-    @property
-    def max_cost(self) -> float:
-        return self._uniques[-1]
-
-    def min_tier(self) -> int:
-        return self._counts[self._uniques[0]]
-
-
-def queue_max_cap(solution_count: int, candidates: _CostBag, k: int) -> float | None:
+def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float | None:
     """Cost cap for in-query pruning, or None while it would be unsound.
 
-    Only once queued candidates plus accepted paths already cover k can a
-    query whose results all cost at least the worst queued candidate be
-    aborted.
+    ``candidates`` is the driver's sorted candidate list. Only once queued
+    candidates plus accepted paths already cover k can a query whose
+    results all cost at least the worst queued candidate be aborted.
     """
-    if len(candidates) > 0 and solution_count + len(candidates) >= k:
-        return candidates.max_cost
+    if candidates and solution_count + len(candidates) >= k:
+        return candidates[-1][0]
     return None
 
 
-def queue_min_ready(solution_count: int, candidates: _CostBag, k: int) -> bool:
+def queue_min_ready(solution_count: int, candidates: list[tuple], k: int) -> bool:
     """True when the cheapest cost tier alone fills the remaining slots.
 
     Every future candidate costs at least the current cheapest queued
-    cost, so the run may stop and drain the queue.
+    cost, so the run may stop and drain the queue. Push counters are
+    finite, so ``(cheapest, inf)`` sorts right after the cheapest tier.
     """
-    return len(candidates) > 0 and solution_count + candidates.min_tier() >= k
+    if not candidates:
+        return False
+    return solution_count + bisect_right(candidates, (candidates[0][0], float("inf"))) >= k
 
 
 def k_shortest_paths(
@@ -259,8 +211,7 @@ def k_shortest_paths(
 
     ws = Workspace(g)
     potential = reverse_distances(g, t) if opts.guided else None
-    heap: list[tuple[float, int, PathRecord]] = []
-    bag = _CostBag()
+    cands: list[tuple[float, int, PathRecord]] = []
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
     arc_cost = g.arc_cost
@@ -283,8 +234,7 @@ def k_shortest_paths(
         query = build_query(
             g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, potential
         )
-        cap = queue_max_cap(len(records), bag, k) if opts.prune_queue_max else None
-        prune = PruneContext(opts.prune_queue_max, opts.prune_queue_min, cap)
+        cap = queue_max_cap(len(records), cands, k) if opts.prune_queue_max else None
         budget = None
         if opts.label_budget is not None:
             budget = opts.label_budget - stats.labels_extracted
@@ -292,7 +242,7 @@ def k_shortest_paths(
                 raise limit("label-budget")
         try:
             dev, qstats = find_best_deviation(
-                query, prune, deadline=deadline, iteration_budget=budget
+                query, cap, deadline=deadline, iteration_budget=budget
             )
         except SearchLimit as exc:
             raise limit(exc.kind) from exc
@@ -337,8 +287,7 @@ def k_shortest_paths(
         )
         origin.blocked.append(dev.arc)
         push_counter += 1
-        heappush(heap, (cost, push_counter, rec))
-        bag.add(cost)
+        insort(cands, (cost, push_counter, rec))
 
     stats.init_queries = 1
     dev = run_query(0, use_blocked=False)
@@ -348,16 +297,12 @@ def k_shortest_paths(
     while len(records) < k:
         if deadline is not None and perf_counter() > deadline:
             raise limit("deadline")
-        if opts.prune_queue_min and queue_min_ready(len(records), bag, k):
-            for _ in range(k - len(records)):
-                cost, _, rec = heappop(heap)
-                bag.remove(cost)
-                records.append(rec)
+        if opts.prune_queue_min and queue_min_ready(len(records), cands, k):
+            records.extend(entry[2] for entry in cands[: k - len(records)])
             return finish(COMPLETE)
-        if not heap:
+        if not cands:
             return finish(EXHAUSTED)
-        cost, _, rec = heappop(heap)
-        bag.remove(cost)
+        rec = cands.pop(0)[2]
         records.append(rec)
         if len(records) == k:
             return finish(COMPLETE)

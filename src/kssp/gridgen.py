@@ -13,6 +13,8 @@ cost bounds, seed) alone.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .graph import Graph, GraphError
 from .rng import SplitMix64
 
@@ -47,6 +49,22 @@ def gen_grid(
                 arcs.append((u, v, rng.uniform(cost_low, cost_high)))
                 arcs.append((v, u, rng.uniform(cost_low, cost_high)))
     return Graph(rows * cols, arcs)
+
+
+def seeded_grids(
+    rows: int, cols: int, count: int, seed: int, cost_low: float = 0.0, cost_high: float = 10.0
+) -> Iterator[tuple[int, Graph, SplitMix64]]:
+    """Yield ``(cost seed, grid, pair stream)`` for ``count`` seeded grids.
+
+    The master ``seed`` draws every cost seed first, then one pair seed
+    per grid, so drawing more pairs from a grid's stream never changes
+    which grids are built. This order is part of the format too.
+    """
+    master = SplitMix64(seed)
+    cost_seeds = [master.next_u64() for _ in range(count)]
+    pair_seeds = [master.next_u64() for _ in range(count)]
+    for cost_seed, pair_seed in zip(cost_seeds, pair_seeds):
+        yield cost_seed, gen_grid(rows, cols, cost_low, cost_high, cost_seed), SplitMix64(pair_seed)
 
 
 def sample_pairs(rng: SplitMix64, node_count: int, count: int) -> list[tuple[int, int]]:

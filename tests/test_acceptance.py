@@ -22,7 +22,7 @@ from kssp.dijkstra import reverse_distances, shortest_path
 from kssp.dimacs import dumps_dimacs, load_dimacs
 from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths
 from kssp.graph import is_simple, path_cost
-from kssp.gridgen import gen_grid, sample_pairs
+from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
@@ -37,12 +37,8 @@ GRID_SOLVES = 3  # timed solves per instance; the best one is held to the bound
 
 def grid_instances(count: int = GRID_COUNT):
     """The seeded grid benchmark: (graph, source, target) per instance."""
-    master = SplitMix64(GRID_MASTER_SEED)
-    cost_seeds = [master.next_u64() for _ in range(count)]
-    pair_seeds = [master.next_u64() for _ in range(count)]
-    for ci in range(count):
-        g = gen_grid(GRID_SIDE, GRID_SIDE, seed=cost_seeds[ci])
-        s, t = sample_pairs(SplitMix64(pair_seeds[ci]), g.node_count, 1)[0]
+    for _, g, pair_rng in seeded_grids(GRID_SIDE, GRID_SIDE, count, GRID_MASTER_SEED):
+        s, t = sample_pairs(pair_rng, g.node_count, 1)[0]
         yield g, s, t
 
 

@@ -132,6 +132,23 @@ def test_solve_aborted_exit_code(capsys):
     assert "aborted" in err
 
 
+def test_solve_failed_validation_exit_code(capsys, monkeypatch):
+    def failing_check(g, report):
+        raise AssertionError("path 15 breaks cost order")
+
+    monkeypatch.setattr("kssp.engine._validate_report", failing_check)
+    code, out, err = run(
+        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--validate"
+    )
+    assert code == 4
+    assert out == []
+    assert err == "validation failed: path 15 breaks cost order\n"
+    # without --validate the self-check never runs
+    code, out, _ = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4")
+    assert code == 0
+    assert out == MINI_LINES
+
+
 @pytest.mark.parametrize(
     "argv",
     [

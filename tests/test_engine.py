@@ -12,7 +12,6 @@ from kssp.engine import (
     SolveLimitExceeded,
     SolveOptions,
     SolveReport,
-    _CostBag,
     _validate_report,
     k_shortest_paths,
     queue_max_cap,
@@ -146,49 +145,34 @@ def test_zero_timeout_aborts(five_node_graph):
     assert exc.value.report.status == ABORTED
 
 
-def test_cost_bag():
-    bag = _CostBag()
-    assert len(bag) == 0
-    for c in (2.0, 5.0, 2.0, 3.5, 2.0):
-        bag.add(c)
-    assert len(bag) == 5
-    assert bag.min_cost == 2.0
-    assert bag.max_cost == 5.0
-    assert bag.min_tier() == 3
-    bag.remove(2.0)
-    assert bag.min_tier() == 2
-    bag.remove(5.0)
-    assert bag.max_cost == 3.5
-    bag.remove(2.0)
-    bag.remove(2.0)
-    assert bag.min_cost == 3.5
-    assert len(bag) == 1
+def candidates(*costs):
+    """A sorted candidate list as the driver keeps it: (cost, push counter, record)."""
+    return sorted((c, i, None) for i, c in enumerate(costs))
 
 
 def test_queue_max_cap():
-    bag = _CostBag()
-    for c in (3.5, 4.0, 5.25):
-        bag.add(c)
-    assert queue_max_cap(4, bag, 6) == 5.25
-    assert queue_max_cap(2, bag, 6) is None
-    small = _CostBag()
-    small.add(3.5)
-    small.add(4.0)
-    assert queue_max_cap(3, small, 6) is None
-    assert queue_max_cap(0, _CostBag(), 0) is None
+    three = candidates(4.0, 3.5, 5.25)
+    assert queue_max_cap(4, three, 6) == 5.25
+    assert queue_max_cap(3, three, 6) == 5.25
+    assert queue_max_cap(2, three, 6) is None
+    tied = candidates(3.5, 4.0, 4.0)
+    assert queue_max_cap(3, tied, 6) == 4.0
+    assert queue_max_cap(3, candidates(3.5, 4.0), 6) is None
+    assert queue_max_cap(0, [], 0) is None
 
 
 def test_queue_min_ready():
-    bag = _CostBag()
-    for c in (2.0, 2.0, 2.0, 5.0):
-        bag.add(c)
-    assert queue_min_ready(7, bag, 10)
-    assert not queue_min_ready(6, bag, 10)
-    two = _CostBag()
-    two.add(2.0)
-    two.add(3.0)
+    tied_head = candidates(2.0, 5.0, 2.0, 2.0)
+    assert queue_min_ready(7, tied_head, 10)
+    assert not queue_min_ready(6, tied_head, 10)
+    two = candidates(3.0, 2.0)
     assert not queue_min_ready(7, two, 10)
-    assert not queue_min_ready(7, _CostBag(), 7)
+    assert queue_min_ready(9, two, 10)
+    # a tie elsewhere does not count toward the cheapest tier
+    tied_tail = candidates(1.0, 4.0, 4.0)
+    assert not queue_min_ready(8, tied_tail, 10)
+    assert queue_min_ready(9, tied_tail, 10)
+    assert not queue_min_ready(7, [], 7)
 
 
 def test_differential_against_enumeration():

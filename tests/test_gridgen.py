@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from kssp.graph import GraphError
-from kssp.gridgen import gen_grid, sample_pairs
+from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
 
@@ -79,3 +79,14 @@ def test_sample_pairs_deterministic():
     b = sample_pairs(SplitMix64(77), 100, 50)
     assert a == b
     assert all(0 <= s < 100 and 0 <= t < 100 and s != t for s, t in a)
+
+
+def test_seeded_grids_draw_every_cost_seed_before_the_pair_seeds():
+    master = SplitMix64(5)
+    draws = [master.next_u64() for _ in range(6)]
+    grids = list(seeded_grids(2, 3, 3, 5, cost_low=1.0, cost_high=2.0))
+    assert [cost_seed for cost_seed, _, _ in grids] == draws[:3]
+    for (cost_seed, g, pair_rng), pair_seed in zip(grids, draws[3:]):
+        assert list(g.arcs()) == list(gen_grid(2, 3, 1.0, 2.0, cost_seed).arcs())
+        assert pair_rng.next_u64() == SplitMix64(pair_seed).next_u64()
+    assert list(seeded_grids(2, 3, 0, 5)) == []
