@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import heapq
+from dataclasses import astuple, replace
 from statistics import harmonic_mean
 from time import perf_counter
 
@@ -71,6 +73,30 @@ def make_digraph(seed: int, min_nodes: int = 4, max_nodes: int = 10, density: fl
 @pytest.fixture
 def digraph_factory():
     return make_digraph
+
+
+def report_digest(report) -> str:
+    """sha256 over every record, the status and the stats up to ``wall_time_s``.
+
+    Costs enter as float hex, so two reports share a digest only when
+    they are bit-identical, down to tie order and the deviation tree.
+    """
+    rows = [
+        (
+            r.path.arcs,
+            r.path.cost.hex(),
+            r.prefix_cost.hex(),
+            r.parent_index,
+            r.dev_node,
+            r.dev_pos,
+            r.source_node,
+            r.source_pos,
+            tuple(r.blocked),
+        )
+        for r in report.records
+    ]
+    stats = astuple(replace(report.stats, wall_time_s=0.0))
+    return hashlib.sha256(repr((rows, report.status, stats)).encode()).hexdigest()
 
 
 # Reference-kernel time taken as the nominal host speed: about its time on

@@ -26,7 +26,7 @@ from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import make_digraph
+from conftest import make_digraph, report_digest
 
 GRID_MASTER_SEED = 7
 GRID_COUNT = 20
@@ -182,6 +182,23 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
         f"{GRID_SOLVES} solve {worst[0]:.3f} s at nominal speed (raw {worst[1]:.3f} s, "
         f"host factor {worst[2]:.3f}), iteration geomeans {succ:.1f}/{fail:.1f}"
     )
+
+
+# report_digest of gate instances 0 and 4 at GRID_K with default options
+FROZEN_GRID_DIGESTS = {
+    0: "24d85a8d53699f830b73ee3b49e7745d8e8a89d154c8155fc38da55a35d27dc8",
+    4: "e29eecc18a730b6a23715f1865805cb38ffecd3eea14de01283697e5c888aeab",
+}
+
+
+def test_gate_grids_keep_their_frozen_records():
+    """Speed-ups must leave every record, the status and the counters bit-identical."""
+    for i, (g, s, t) in enumerate(grid_instances()):
+        if i in FROZEN_GRID_DIGESTS:
+            report = k_shortest_paths(g, s, t, GRID_K)
+            assert report_digest(report) == FROZEN_GRID_DIGESTS[i], f"grid instance {i}"
+        if i == max(FROZEN_GRID_DIGESTS):
+            break
 
 
 def test_query_budget_never_exceeded():
