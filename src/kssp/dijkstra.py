@@ -20,6 +20,7 @@ def shortest_path(
     mask: Mask | None = None,
     potential: list[float] | None = None,
     bound: float | None = None,
+    prune: list[float] | None = None,
 ) -> tuple[Path | None, int]:
     """Cheapest simple path from source to target, with the pop count.
 
@@ -27,9 +28,38 @@ def shortest_path(
     nodes and arcs. ``potential`` turns the search into A*; entries must
     never overestimate the remaining cost to the target (exact reverse
     distances from an unmasked graph qualify, infinity marks nodes that
-    cannot reach it). ``bound`` abandons any label whose lower bound
-    meets it, so a return of None then means no path cheaper than the
-    bound, not necessarily no path at all.
+    cannot reach it). When costs are not exact in float, rounding makes
+    such a potential slightly inconsistent, so A* may close a node early
+    and return a path one rounding error above the cheapest. ``bound``
+    abandons any label whose lower bound meets it, so a return of None
+    then means no path cheaper than the bound, not necessarily no path
+    at all.
+
+    ``prune`` takes :func:`reverse_distances` of the same unmasked graph
+    toward ``target``. The search then returns exactly the plain
+    search's path, cost and tie choice while popping little more than
+    that path: the pop order stays (cost, node id), and the only change
+    is that a node v is never pushed with a label d for which
+    ``d + prune[v] > limit``, where ``limit = h + h * (2n + 4) * 2**-52``,
+    ``h = prune[source]`` and n is the node count.
+
+    Why this is exact: with nonnegative costs the rounded sum x + c is
+    monotone in x and never below x, so the plain search labels every
+    node with the least left-to-right fold over all paths to it, and the
+    pruned search, whose labels are folds too, can only tie or exceed
+    that. Let P be the plain search's path. d and ``prune[v]`` are folds
+    of at most n - 1 nonnegative terms, each within a factor
+    ``1 +- (n - 1) * 2**-53`` of its exact sum, and h is no less than
+    the exact cheapest cost shrunk by that factor. So for every node v
+    of P, ``d + prune[v]`` exceeds h by at most ``(4n - 3) * 2**-53 * h``
+    plus second-order terms, within the slack of ``(4n + 8) * 2**-53 * h``
+    for graphs below 2**26 nodes. The nodes of P are therefore pushed
+    with their plain labels and pop in the same order relative to each
+    other and to the target. The ``via`` arc of a node of P comes from
+    its predecessor on P; any other predecessor that ties for that label
+    pops later in the plain search and no earlier in the pruned one, so
+    it cannot take the ``via`` arc over. Masks make true distances grow,
+    so ``prune`` must not be combined with one.
     """
     node_stamp = arc_stamp = None
     epoch = 0
@@ -46,6 +76,12 @@ def shortest_path(
             return None, 0
     if bound is not None and h0 >= bound:
         return None, 0
+    limit = inf
+    if prune is not None:
+        h = prune[source]
+        if h == inf:
+            return None, 0
+        limit = h + h * (2 * g.node_count + 4) * 2.0**-52
 
     dist: dict[int, float] = {source: 0.0}
     via: dict[int, int] = {}
@@ -85,6 +121,8 @@ def shortest_path(
             dv = du + arc_cost[a]
             old = dist.get(v)
             if old is not None and old <= dv:
+                continue
+            if prune is not None and dv + prune[v] > limit:
                 continue
             hv = potential[v] if potential is not None else 0.0
             if hv == inf:

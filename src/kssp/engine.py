@@ -31,12 +31,16 @@ both prune rules: its last entry is the most expensive candidate, and
 one bisection counts the tier that ties with the cheapest.
 
 By default the driver computes exact distances to the target once, with
-a single reverse scalar search over the unmasked graph, and hands them
-to every biobjective query as a potential. Queries then expand only
-nodes that can still lead to the target cheaply instead of flooding a
-cost ball around their source, which changes iteration counts and
-extraction order but provably never the returned paths. ``guided=False``
-switches the queries to plain lexicographic order.
+a single reverse scalar search over the unmasked graph. That one sweep
+also bounds the first-path search, which then pops little more than the
+path itself yet returns exactly the plain search's path (see
+:func:`kssp.dijkstra.shortest_path`). The distances then go to every
+biobjective query as a potential. Queries expand only nodes that can
+still lead to the target cheaply instead of flooding a cost ball around
+their source, which changes iteration counts and extraction order but
+provably never the returned paths. ``guided=False`` switches the
+queries to plain lexicographic order. Unguided solves and k=1 run no
+reverse sweep and keep the plain first-path search.
 """
 from __future__ import annotations
 
@@ -202,7 +206,9 @@ def k_shortest_paths(
     def limit(kind: str) -> SolveLimitExceeded:
         return SolveLimitExceeded(kind, finish(ABORTED))
 
-    p1, _ = shortest_path(g, s, t)
+    # a full reverse sweep costs more than the plain search it would prune
+    potential = reverse_distances(g, t) if opts.guided and k > 1 else None
+    p1, _ = shortest_path(g, s, t, prune=potential)
     if p1 is None:
         return finish(EXHAUSTED)
     records.append(PathRecord(p1, None, s, 0, s, 0, 0.0))
@@ -210,7 +216,6 @@ def k_shortest_paths(
         return finish(COMPLETE)
 
     ws = Workspace(g)
-    potential = reverse_distances(g, t) if opts.guided else None
     cands: list[tuple[float, int, PathRecord]] = []
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None

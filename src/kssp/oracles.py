@@ -47,12 +47,13 @@ def yen_k_shortest(
     The candidate list is trimmed to the number of still missing paths;
     anything at least as expensive as its worst kept entry can never be
     needed, because replacements only ever cost more. With
-    ``accelerated`` the spur searches run as A* on exact
-    reverse-distance potentials and give up early against the worst kept
-    candidate. Neither device changes the returned cost sequence. In the
-    stats, spur searches count as queries and their pop counts as
-    iterations; a failed search that ran with a cost bound counts as
-    capped even if it would also have failed without the bound.
+    ``accelerated`` exact reverse distances prune the first search and
+    serve the spur searches as an A* potential, and the spur searches
+    give up early against the worst kept candidate. Neither device
+    changes the returned cost sequence. In the stats, spur searches
+    count as queries and their pop counts as iterations; a failed search
+    that ran with a cost bound counts as capped even if it would also
+    have failed without the bound.
     """
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
@@ -72,7 +73,8 @@ def yen_k_shortest(
         return SolveReport(records, status, stats)
 
     potential = reverse_distances(g, t) if accelerated else None
-    p1, pops = shortest_path(g, s, t, potential=potential)
+    # A* on a rounded potential can close a node early; pruning cannot
+    p1, pops = shortest_path(g, s, t, prune=potential)
     stats.queries_attempted = 1
     stats.init_queries = 1
     stats.labels_extracted = pops

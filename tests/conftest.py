@@ -70,6 +70,24 @@ def make_digraph(seed: int, min_nodes: int = 4, max_nodes: int = 10, density: fl
     return Graph(n, arcs)
 
 
+COST_FAMILIES = ("integers", "tenths", "huge")
+
+
+def cost_family(g: Graph, family: str) -> Graph:
+    """``g`` with integer costs as they are, times 0.1, or plus 2^53 on arcs into the last node.
+
+    Tenths are not exact in float and 2^53 leaves no room for odd
+    integers, so the last two families exercise rounding in every fold.
+    """
+    last = g.node_count - 1
+    arcs = [(g.arc_tail[a], g.arc_head[a], g.arc_cost[a]) for a in range(g.arc_count)]
+    if family == "tenths":
+        arcs = [(u, v, c * 0.1) for u, v, c in arcs]
+    elif family == "huge":
+        arcs = [(u, v, c + 2.0**53 if v == last else c) for u, v, c in arcs]
+    return Graph(g.node_count, arcs)
+
+
 @pytest.fixture
 def digraph_factory():
     return make_digraph

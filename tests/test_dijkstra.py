@@ -1,11 +1,15 @@
-"""Scalar shortest path search: masks, bounds, and A* potentials."""
+"""Scalar shortest path search: masks, bounds, A* potentials and pruning."""
 from __future__ import annotations
 
 from math import inf
 
+import pytest
+
 from kssp.dijkstra import reverse_distances, shortest_path
 from kssp.graph import Graph, Mask
 from kssp.gridgen import gen_grid
+
+from conftest import COST_FAMILIES, cost_family, make_digraph
 
 
 def test_shortest_path_on_example(five_node_graph):
@@ -116,3 +120,37 @@ def test_bound_combines_with_potential(five_node_graph):
     assert path is None
     path, _ = shortest_path(five_node_graph, 0, 4, potential=rev, bound=2.5)
     assert path.cost == 2.0
+
+
+def test_pruned_first_path_equals_the_plain_one():
+    # every ordered pair of a fixed seed range, with rounding in two families
+    pairs = 0
+    for seed in range(1000):
+        base = make_digraph(seed)
+        n = base.node_count
+        for family in COST_FAMILIES:
+            g = cost_family(base, family)
+            for t in range(n):
+                rev = reverse_distances(g, t)
+                for s in range(n):
+                    if s != t:
+                        pruned = shortest_path(g, s, t, prune=rev)[0]
+                        assert pruned == shortest_path(g, s, t)[0], (seed, family, s, t)
+                        pairs += 1
+    assert pairs > 100_000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pruned_search_pops_only_the_path_on_grids(seed):
+    g = gen_grid(30, 30, seed=seed)
+    t = g.node_count - 1
+    plain, plain_pops = shortest_path(g, 0, t)
+    pruned, pops = shortest_path(g, 0, t, prune=reverse_distances(g, t))
+    assert pruned == plain
+    assert pops == len(plain.arcs) + 1
+    assert plain_pops > 10 * pops
+
+
+def test_prune_rejects_an_unreachable_target_at_once():
+    g = Graph(3, [(1, 0, 1.0), (1, 2, 1.0)])
+    assert shortest_path(g, 0, 2, prune=reverse_distances(g, 2)) == (None, 0)

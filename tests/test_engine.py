@@ -104,6 +104,24 @@ def test_k_equal_one_skips_the_query_machinery(five_node_graph):
     assert report.stats.init_queries == 0
 
 
+@pytest.mark.parametrize("k, options", [(1, SolveOptions()), (4, SolveOptions(guided=False))])
+def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k, options):
+    def refuse(g, t):
+        raise AssertionError("reverse sweep on a solve that cannot use it")
+
+    monkeypatch.setattr("kssp.engine.reverse_distances", refuse)
+    report = k_shortest_paths(five_node_graph, 0, 4, k, options)
+    assert report.costs == [2.0, 3.0, 4.0, 5.0][:k]
+
+
+def test_unreachable_target_ends_before_any_query():
+    g = Graph(4, [(0, 1, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
+    report = k_shortest_paths(g, 0, 3, 5)
+    assert report.status == EXHAUSTED
+    assert report.records == []
+    assert report.stats.queries_attempted == 0
+
+
 def test_no_path_is_exhausted():
     g = Graph(3, [(0, 1, 1.0)])
     report = k_shortest_paths(g, 0, 2, 3)

@@ -8,7 +8,7 @@ from kssp.graph import Graph
 from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
-from conftest import make_digraph
+from conftest import cost_family, make_digraph
 
 
 def test_yen_five_node_example_is_frozen(five_node_graph):
@@ -31,6 +31,17 @@ def test_yen_accelerated_matches_plain(five_node_graph):
     fast = yen_k_shortest(five_node_graph, 0, 4, 4, accelerated=True)
     assert [r.path.arcs for r in fast.records] == [r.path.arcs for r in plain.records]
     assert fast.costs == plain.costs
+
+
+@pytest.mark.parametrize("seed, family, s, t", [(118, "tenths", 0, 2), (132, "huge", 1, 0)])
+def test_yen_accelerated_first_path_is_the_cheapest_under_rounding(seed, family, s, t):
+    # A* on a rounded potential closed a node early here and ranked a
+    # path one rounding error too expensive first
+    g = cost_family(make_digraph(seed), family)
+    want = [p.cost for p in enumerate_simple_paths(g, s, t)[:3]]
+    assert want == sorted(want) and want[0] < want[1]
+    assert yen_k_shortest(g, s, t, 3).costs == want
+    assert yen_k_shortest(g, s, t, 3, accelerated=True).costs == want
 
 
 def test_yen_exhausts_small_instances(five_node_graph):
