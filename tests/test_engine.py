@@ -1,6 +1,7 @@
 """Deviation tree driver: frozen example, prune rules, differentials."""
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path as FilePath
 
 import pytest
@@ -19,9 +20,11 @@ from kssp.engine import (
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph
+from kssp.gridgen import gen_grid, sample_pairs
 from kssp.oracles import enumerate_simple_paths
+from kssp.rng import SplitMix64
 
-from conftest import make_digraph
+from conftest import COST_FAMILIES, cost_family, make_digraph, report_digest
 
 
 @pytest.mark.parametrize("guided", [True, False])
@@ -112,6 +115,29 @@ def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k
     monkeypatch.setattr("kssp.engine.reverse_distances", refuse)
     report = k_shortest_paths(five_node_graph, 0, 4, k, options)
     assert report.costs == [2.0, 3.0, 4.0, 5.0][:k]
+
+
+# report_digest over FROZEN_SOLVES, taken before the reverse sweep became resumable
+FROZEN_SOLVES_DIGEST = "9e0ab3079f37572ddda9a8fb0b1e88d6deb68eb0b7ecd42bc2c54f4e0bc9a1c6"
+
+
+def frozen_solves():
+    """Seeded 64x64 grid pairs at k=50, then every cost family of 300 digraphs at k=2 and 5."""
+    g = gen_grid(64, 64, seed=11)
+    for s, t in sample_pairs(SplitMix64(12), g.node_count, 5):
+        yield g, s, t, 50
+    for seed in range(300):
+        base = make_digraph(seed)
+        for family in COST_FAMILIES:
+            for k in (2, 5):
+                yield cost_family(base, family), 0, base.node_count - 1, k
+
+
+def test_solves_keep_their_frozen_records():
+    """Records, status and counters stay bit-identical wherever the potential is settled lazily."""
+    digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in frozen_solves()]
+    assert len(digests) == 5 + 300 * 3 * 2
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
 
 
 def test_unreachable_target_ends_before_any_query():
