@@ -57,7 +57,9 @@ verbatim, and it is zero at the target, so target extractions still
 arrive in plain (cost, overlap) order. Nodes that cannot reach the
 target at all are never enqueued. Without a potential the order is
 plain lex (cost, overlap); the search runs it as an all-zero potential,
-which keeps one code path and adds exactly 0.0 to every key.
+which keeps one code path and adds exactly 0.0 to every key. The
+reverse run may also be settled only part of the way, with a horizon
+below which the search stays exact (see :func:`find_best_deviation`).
 """
 from __future__ import annotations
 
@@ -261,7 +263,7 @@ class Deviation:
 class QueryStats(NamedTuple):
     iterations: int
     target_extractions: int
-    outcome: str  # "found" | "exhausted" | "cost-capped"
+    outcome: str  # "found" | "exhausted" | "cost-capped" | "beyond-horizon"
 
 
 class SearchLimit(RuntimeError):
@@ -304,6 +306,7 @@ def find_best_deviation(
     debug: SearchDebug | None = None,
     deadline: float | None = None,
     iteration_budget: int | None = None,
+    horizon: float = float("inf"),
 ) -> tuple[Deviation | None, QueryStats]:
     """Run the search; returns (deviation or None, stats).
 
@@ -314,6 +317,31 @@ def find_best_deviation(
     cost-monotone, and in guided order the key is a lower bound on
     completion cost and never falls below the scalar cost. A capped or
     exhausted query returns None.
+
+    ``horizon`` lets the potential be a partly settled
+    :class:`kssp.dijkstra.ReverseSweep`: exact distances at settled
+    nodes, infinity elsewhere, and every unsettled node at least
+    ``horizon`` from the target. The search then either returns exactly
+    what the full distances would give, or gives up with outcome
+    ``beyond-horizon`` and no deviation, so the caller can settle
+    further and ask again. It gives up when it would extract a label
+    keyed at or above the horizon, when the root is unsettled, and when
+    the queue runs dry after an extension to an unsettled node was
+    skipped.
+
+    Why a search that does not give up is exact: a label at an unsettled
+    node w would be keyed ``c + pot(w) >= pot(w) >= horizon`` under the
+    full distances, and here it is skipped as unreachable nodes are.
+    Call the full-distance run F. As long as every extraction keys below
+    the horizon, F's queue holds the same live entries plus entries at
+    unsettled nodes keyed at or above the horizon, so both extract the
+    same label next. The skipped extensions only touch the queue slots
+    and dropped overlaps of unsettled nodes, which neither run extracts
+    yet; the shifted push counters only break ties within one node, in
+    the same order. So a run that ends on a target, the cost cap or an
+    empty queue with nothing skipped ends exactly as F does. The labels
+    extracted before giving up are a prefix of F's, so an attempt that
+    gives up never trips the iteration budget where F would not.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -352,9 +380,12 @@ def find_best_deviation(
     t_hits = 0
     outcome = "exhausted"
     result: Deviation | None = None
+    skipped = False  # an extension to a node without potential was dropped
 
     root_key = pot[query.source]
     if root_key == unreachable:
+        if horizon != unreachable:
+            outcome = "beyond-horizon"
         return None, QueryStats(0, 0, outcome)
     entry = (root_key, 0, query.source, 0, (0.0, 0, -1, -1))
     queued[query.source] = entry
@@ -369,6 +400,9 @@ def find_best_deviation(
         node = e[2]
         if q_stamp[node] != serial or queued[node] is not e:
             continue  # superseded by a cheaper candidate for this node
+        if e[0] >= horizon:
+            outcome = "beyond-horizon"
+            break
         queued[node] = None
         iterations += 1
         if iteration_budget is not None and iterations > iteration_budget:
@@ -418,6 +452,7 @@ def find_best_deviation(
                 if node_stamp[w] == epoch:
                     continue
                 if pot[w] == unreachable:
+                    skipped = True
                     continue
                 no = eover + 1 if ref_stamp[a] == ref_epoch else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
@@ -497,6 +532,9 @@ def find_best_deviation(
             )
             if sum(live.values()) != slots:
                 debug.queue_consistent = False
+    else:  # the queue ran dry
+        if skipped and horizon != unreachable:
+            outcome = "beyond-horizon"
 
     if debug is not None:
         debug.frontiers = {

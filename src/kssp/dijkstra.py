@@ -12,6 +12,15 @@ from math import inf
 from .graph import Graph, Mask, Path
 
 
+def prune_limit(g: Graph, h: float) -> float:
+    """Largest label plus distance to the target that :func:`shortest_path` keeps under ``prune``.
+
+    That is ``h + h * (2n + 4) * 2**-52`` for a first path of cost ``h``
+    on n nodes; the slack covers rounding (see :func:`shortest_path`).
+    """
+    return h + h * (2 * g.node_count + 4) * 2.0**-52
+
+
 def shortest_path(
     g: Graph,
     source: int,
@@ -40,8 +49,12 @@ def shortest_path(
     search's path, cost and tie choice while popping little more than
     that path: the pop order stays (cost, node id), and the only change
     is that a node v is never pushed with a label d for which
-    ``d + prune[v] > limit``, where ``limit = h + h * (2n + 4) * 2**-52``,
-    ``h = prune[source]`` and n is the node count.
+    ``d + prune[v] > limit``, where ``limit = prune_limit(g, h)``,
+    ``h = prune[source]`` and n is the node count. The ``dist`` of a
+    :class:`ReverseSweep` settled up to that limit serves as well: its
+    settled entries are the full distances, and every other entry
+    exceeds the limit in both lists, so ``d + prune[v] > limit`` holds
+    for it whatever d is.
 
     Why this is exact: with nonnegative costs the rounded sum x + c is
     monotone in x and never below x, so the plain search labels every
@@ -81,7 +94,7 @@ def shortest_path(
         h = prune[source]
         if h == inf:
             return None, 0
-        limit = h + h * (2 * g.node_count + 4) * 2.0**-52
+        limit = prune_limit(g, h)
 
     dist: dict[int, float] = {source: 0.0}
     via: dict[int, int] = {}
@@ -136,6 +149,70 @@ def shortest_path(
     return None, pops
 
 
+class ReverseSweep:
+    """Dijkstra from the target over reversed arcs, settled only as far as asked.
+
+    ``dist`` holds the exact cost to the target of every settled node and
+    infinity for all others, so it can go straight to a search as a
+    potential or as ``prune``. :meth:`settle` resumes the same heap loop
+    where the last call stopped. ``horizon`` is a lower bound on the cost
+    to the target of every node not yet settled: the heap top, or
+    infinity once the sweep is done.
+
+    Why settled values are exact: stopping early only truncates the pop
+    sequence of the sweep run to completion, and a node's distance is
+    fixed when it pops, so every settled value is bit-identical to
+    :func:`reverse_distances`. Why the horizon bounds the rest: with
+    nonnegative costs the rounded sum d + c is monotone in d and never
+    below d, so no push is keyed below the pop that made it and pop keys
+    never decrease. An unsettled node will pop at or above the current
+    heap top; stale entries of settled nodes only lower that top.
+    """
+
+    __slots__ = ("graph", "target", "dist", "horizon", "_tentative", "_heap")
+
+    def __init__(self, g: Graph, target: int) -> None:
+        self.graph = g
+        self.target = target
+        self.dist = [inf] * g.node_count
+        self.horizon = 0.0
+        self._tentative = [inf] * g.node_count
+        self._tentative[target] = 0.0
+        self._heap: list[tuple[float, int]] = [(0.0, target)]
+
+    def settle(self, key: float, node: int | None = None) -> None:
+        """Settle every node at most ``key`` from the target, and go on until ``node`` is settled.
+
+        ``node`` stays unsettled only when it cannot reach the target,
+        and the sweep is then done.
+        """
+        dist = self.dist
+        tentative = self._tentative
+        heap = self._heap
+        g = self.graph
+        arc_cost = g.arc_cost
+        arc_tail = g.arc_tail
+        in_arcs = g.in_arcs
+        # the target settles on the first pop, so without a node only the key stops
+        stop = self.target if node is None else node
+        while heap:
+            if heap[0][0] > key and dist[stop] != inf:
+                break
+            d, v = heappop(heap)
+            if dist[v] != inf:
+                continue
+            dist[v] = d
+            for a in in_arcs[v]:
+                u = arc_tail[a]
+                if dist[u] != inf:
+                    continue
+                du = d + arc_cost[a]
+                if du < tentative[u]:
+                    tentative[u] = du
+                    heappush(heap, (du, u))
+        self.horizon = heap[0][0] if heap else inf
+
+
 def reverse_distances(g: Graph, target: int) -> list[float]:
     """Exact cost from every node to the target, infinity if unreachable.
 
@@ -143,24 +220,6 @@ def reverse_distances(g: Graph, target: int) -> list[float]:
     target, including searches that additionally mask nodes or arcs,
     since removals only make true distances larger.
     """
-    dist = [inf] * g.node_count
-    dist[target] = 0.0
-    done = [False] * g.node_count
-    heap: list[tuple[float, int]] = [(0.0, target)]
-    arc_cost = g.arc_cost
-    arc_tail = g.arc_tail
-    in_arcs = g.in_arcs
-    while heap:
-        d, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for a in in_arcs[v]:
-            u = arc_tail[a]
-            if done[u]:
-                continue
-            du = d + arc_cost[a]
-            if du < dist[u]:
-                dist[u] = du
-                heappush(heap, (du, u))
-    return dist
+    sweep = ReverseSweep(g, target)
+    sweep.settle(inf)
+    return sweep.dist

@@ -30,26 +30,37 @@ the front, so equal costs leave in push order. The same list serves
 both prune rules: its last entry is the most expensive candidate, and
 one bisection counts the tier that ties with the cheapest.
 
-By default the driver computes exact distances to the target once, with
-a single reverse scalar search over the unmasked graph. That one sweep
-also bounds the first-path search, which then pops little more than the
-path itself yet returns exactly the plain search's path (see
-:func:`kssp.dijkstra.shortest_path`). The distances then go to every
-biobjective query as a potential. Queries expand only nodes that can
-still lead to the target cheaply instead of flooding a cost ball around
-their source, which changes iteration counts and extraction order but
-provably never the returned paths. ``guided=False`` switches the
-queries to plain lexicographic order. Unguided solves and k=1 run no
-reverse sweep and keep the plain first-path search.
+By default the driver computes exact distances to the target with one
+reverse scalar search over the unmasked graph, a
+:class:`kssp.dijkstra.ReverseSweep` settled only as far as the solve
+looks. It first settles until the source is settled and then up to the
+first path's prune limit, which bounds the first-path search: it pops
+little more than the path itself yet returns exactly the plain search's
+path (see :func:`kssp.dijkstra.shortest_path`). The distances then go
+to every biobjective query as a potential. Queries expand only nodes
+that can still lead to the target cheaply instead of flooding a cost
+ball around their source, which changes iteration counts and extraction
+order but provably never the returned paths. A query that would look
+past the sweep's horizon gives up (see
+:func:`kssp.biobjective.find_best_deviation`); the driver then settles
+on, with the margin above the source's distance h at least doubling
+each time, and asks the query again from scratch. Settled distances
+never change, so the kept attempt returns exactly what the fully
+settled potential gives, and its labels are the only ones counted in
+the stats and against the label budget. ``guided=False`` switches the
+queries to plain lexicographic order. Unguided solves and k=1 build no
+sweep and keep the plain first-path search.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from math import inf
 from time import perf_counter
 
 from .biobjective import Deviation, SearchLimit, Workspace, build_query, find_best_deviation
-from .dijkstra import reverse_distances, shortest_path
+# reverse_distances is not called here, but perfbench/spans.py traces this name
+from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
 from .graph import Graph, Path, is_simple
 
 COMPLETE = "complete"
@@ -61,11 +72,11 @@ ABORTED = "aborted"
 class SolveOptions:
     """Knobs for one solve.
 
-    ``guided`` feeds every query exact reverse distances as a potential
-    (same results, far fewer iterations); the prune flags toggle the two
-    cost-sequence-neutral prune rules; ``label_budget`` caps the total
-    labels extracted across all queries; ``validate`` runs structural
-    checks on the finished report.
+    ``guided`` feeds every query exact reverse distances as a potential,
+    settled on demand (same results, far fewer iterations); the prune
+    flags toggle the two cost-sequence-neutral prune rules;
+    ``label_budget`` caps the total labels extracted across all queries;
+    ``validate`` runs structural checks on the finished report.
     """
 
     guided: bool = True
@@ -206,8 +217,17 @@ def k_shortest_paths(
     def limit(kind: str) -> SolveLimitExceeded:
         return SolveLimitExceeded(kind, finish(ABORTED))
 
-    # a full reverse sweep costs more than the plain search it would prune
-    potential = reverse_distances(g, t) if opts.guided and k > 1 else None
+    # k=1 and unguided solves read no potential, and settling a sweep as far
+    # as s costs about as much as the plain search it would prune
+    sweep = None
+    potential = None
+    h = 0.0
+    if opts.guided and k > 1:
+        sweep = ReverseSweep(g, t)
+        sweep.settle(0.0, s)
+        h = sweep.dist[s]
+        sweep.settle(prune_limit(g, h))
+        potential = sweep.dist
     p1, _ = shortest_path(g, s, t, prune=potential)
     if p1 is None:
         return finish(EXHAUSTED)
@@ -245,12 +265,23 @@ def k_shortest_paths(
             budget = opts.label_budget - stats.labels_extracted
             if budget <= 0:
                 raise limit("label-budget")
-        try:
-            dev, qstats = find_best_deviation(
-                query, cap, deadline=deadline, iteration_budget=budget
-            )
-        except SearchLimit as exc:
-            raise limit(exc.kind) from exc
+        while True:
+            try:
+                dev, qstats = find_best_deviation(
+                    query,
+                    cap,
+                    deadline=deadline,
+                    iteration_budget=budget,
+                    horizon=sweep.horizon if sweep is not None else inf,
+                )
+            except SearchLimit as exc:
+                raise limit(exc.kind) from exc
+            if qstats.outcome != "beyond-horizon":
+                break
+            # settle on with twice the margin above h, then ask again from
+            # scratch; the new key is at least the horizon, so each round
+            # settles something
+            sweep.settle(h + 2 * (sweep.horizon - h))
         stats.queries_attempted += 1
         stats.labels_extracted += qstats.iterations
         if dev is None:

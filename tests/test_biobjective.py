@@ -16,7 +16,7 @@ from kssp.biobjective import (
     first_deviation,
     reconstruct,
 )
-from kssp.dijkstra import reverse_distances, shortest_path
+from kssp.dijkstra import ReverseSweep, reverse_distances, shortest_path
 from kssp.graph import Graph, Path, is_simple, path_cost
 from kssp.oracles import enumerate_simple_paths
 
@@ -88,6 +88,53 @@ def test_guided_never_enqueues_nodes_that_cannot_reach_the_target(six_node_graph
     assert any(node == 6 for _, _, node in plain.enqueued)
     assert all(node != 6 for _, _, node in guided.enqueued)
     assert dev_p.bicost == dev_g.bicost == BiCost(2.0, 2)
+
+
+def test_search_gives_up_at_the_horizon(six_node_graph):
+    g = six_node_graph
+    sweep = ReverseSweep(g, 5)
+    sweep.settle(0.0)
+    inf = float("inf")
+    assert sweep.dist == [0.0, 0.0, 0.0, 0.0, inf, 0.0]
+    assert sweep.horizon == 2.0
+    query = build_query(g, 0, 5, SPINE, potential=sweep.dist)
+    # the answer keys at 2.0; every label before it keys at 0.0
+    dev, stats = find_best_deviation(query, horizon=sweep.horizon)
+    assert dev is None
+    assert stats == (5, 1, "beyond-horizon")
+    dev, stats = find_best_deviation(query, horizon=2.5)
+    assert dev.bicost == BiCost(2.0, 2)
+    assert stats == (6, 2, "found")
+    dev, stats = find_best_deviation(build_query(g, 0, 5, SPINE, potential=reverse_distances(g, 5)))
+    assert dev.suffix == Path((7,), 2.0)
+    assert stats == (6, 2, "found")
+
+
+def test_search_gives_up_on_an_unsettled_root(six_node_graph):
+    sweep = ReverseSweep(six_node_graph, 5)
+    sweep.settle(0.0)
+    query = build_query(six_node_graph, 4, 5, (6, 7), potential=sweep.dist)
+    assert find_best_deviation(query, horizon=sweep.horizon) == (None, (0, 0, "beyond-horizon"))
+
+
+@pytest.mark.parametrize(
+    "arcs, outcome, full_iterations",
+    [
+        ([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 10.0)], "beyond-horizon", 3),  # 0->2 skipped at unsettled 2
+        ([(0, 1, 1.0), (2, 0, 10.0)], "exhausted", 2),  # nothing skipped: exact
+    ],
+)
+def test_empty_queue_gives_up_only_after_skipping_an_unsettled_node(arcs, outcome, full_iterations):
+    g = Graph(3, arcs)
+    sweep = ReverseSweep(g, 1)
+    sweep.settle(1.0)
+    assert sweep.horizon == 11.0
+    query = build_query(g, 0, 1, (0,), potential=sweep.dist)
+    dev, stats = find_best_deviation(query, horizon=sweep.horizon)
+    assert dev is None
+    assert stats == (2, 1, outcome)
+    sweep.settle(float("inf"))
+    assert find_best_deviation(query, horizon=sweep.horizon) == (None, (full_iterations, 1, "exhausted"))
 
 
 def test_single_arc_reference_with_no_rival_exhausts():

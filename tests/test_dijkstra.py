@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from kssp.dijkstra import reverse_distances, shortest_path
+from kssp.dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
 from kssp.graph import Graph, Mask
 from kssp.gridgen import gen_grid
 
@@ -154,3 +154,60 @@ def test_pruned_search_pops_only_the_path_on_grids(seed):
 def test_prune_rejects_an_unreachable_target_at_once():
     g = Graph(3, [(1, 0, 1.0), (1, 2, 1.0)])
     assert shortest_path(g, 0, 2, prune=reverse_distances(g, 2)) == (None, 0)
+
+
+def check_sweep_prefixes(g, t, keys):
+    """Settle one sweep through increasing ``keys`` and compare each stop with the full run."""
+    full = reverse_distances(g, t)
+    sweep = ReverseSweep(g, t)
+    for x in keys:
+        sweep.settle(x)
+        settled = {v for v, d in enumerate(sweep.dist) if d != inf}
+        assert settled == {v for v, d in enumerate(full) if d <= x}, x
+        assert all(sweep.dist[v].hex() == full[v].hex() for v in settled), x
+        assert sweep.horizon > x
+        assert all(full[v] >= sweep.horizon for v in range(g.node_count) if v not in settled), x
+    sweep.settle(inf)
+    assert sweep.horizon == inf
+    assert [d.hex() for d in sweep.dist] == [d.hex() for d in full]
+
+
+def test_sweep_settles_exactly_the_full_sweeps_prefix():
+    for seed in range(1000):
+        base = make_digraph(seed)
+        for family in COST_FAMILIES:
+            g = cost_family(base, family)
+            t = g.node_count - 1
+            finite = sorted({d for d in reverse_distances(g, t) if d != inf})
+            midpoints = [(a + b) / 2 for a, b in zip(finite, finite[1:])]
+            check_sweep_prefixes(g, t, sorted(finite + midpoints))
+
+
+def test_sweep_prefixes_on_a_grid():
+    g = gen_grid(30, 30, seed=5)
+    t = 17
+    finite = sorted(reverse_distances(g, t))
+    check_sweep_prefixes(g, t, finite[::23] + [finite[-1]])
+
+
+def test_sweep_settles_a_node_on_request():
+    g = gen_grid(30, 30, seed=6)
+    t = 0
+    full = reverse_distances(g, t)
+    for v in (899, 450, 31, 0):
+        sweep = ReverseSweep(g, t)
+        sweep.settle(0.0, v)
+        assert sweep.dist[v] == full[v]
+        assert all(sweep.dist[u] == d for u, d in enumerate(full) if d < full[v])
+        assert sweep.horizon >= full[v]
+
+
+def test_first_path_from_a_sweep_settled_to_the_prune_limit():
+    for seed in (1, 2, 3):
+        g = gen_grid(30, 30, seed=seed)
+        s, t = 40, 870
+        sweep = ReverseSweep(g, t)
+        sweep.settle(0.0, s)
+        sweep.settle(prune_limit(g, sweep.dist[s]))
+        assert sum(d != inf for d in sweep.dist) < g.node_count
+        assert shortest_path(g, s, t, prune=sweep.dist) == shortest_path(g, s, t, prune=reverse_distances(g, t))

@@ -6,6 +6,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import kssp.engine
 from kssp.engine import (
     ABORTED,
     COMPLETE,
@@ -112,7 +113,7 @@ def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k
     def refuse(g, t):
         raise AssertionError("reverse sweep on a solve that cannot use it")
 
-    monkeypatch.setattr("kssp.engine.reverse_distances", refuse)
+    monkeypatch.setattr("kssp.engine.ReverseSweep", refuse)
     report = k_shortest_paths(five_node_graph, 0, 4, k, options)
     assert report.costs == [2.0, 3.0, 4.0, 5.0][:k]
 
@@ -138,6 +139,29 @@ def test_solves_keep_their_frozen_records():
     digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in frozen_solves()]
     assert len(digests) == 5 + 300 * 3 * 2
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
+
+
+def test_label_budget_counts_only_the_kept_attempts(monkeypatch):
+    g, s, t, k = next(frozen_solves())
+    attempts = []
+    search = kssp.engine.find_best_deviation
+
+    def traced(*args, **kwargs):
+        result = search(*args, **kwargs)
+        attempts.append(result[1])
+        return result
+
+    monkeypatch.setattr("kssp.engine.find_best_deviation", traced)
+    full = k_shortest_paths(g, s, t, k)
+    budget = full.stats.labels_extracted
+    # some queries gave up at the horizon and were asked again; counting
+    # those abandoned attempts would overrun the budget
+    assert any(q.outcome == "beyond-horizon" and q.iterations > 0 for q in attempts)
+    assert sum(q.iterations for q in attempts) > budget
+    exact = k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget))
+    assert report_digest(exact) == report_digest(full)
+    with pytest.raises(SolveLimitExceeded):
+        k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget - 1))
 
 
 def test_unreachable_target_ends_before_any_query():

@@ -10,3 +10,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in kssp.__all__ if name not in namespace]
     assert missing == []
     assert len(set(kssp.__all__)) == len(kssp.__all__)
+
+
+def test_engine_keeps_the_names_the_benchmark_traces():
+    # perfbench/spans.py swaps these names of kssp.engine for timing wrappers
+    import kssp.engine
+
+    for name in (
+        "k_shortest_paths",
+        "find_best_deviation",
+        "shortest_path",
+        "reverse_distances",
+        "Workspace",
+        "build_query",
+    ):
+        assert callable(getattr(kssp.engine, name, None)), name
