@@ -58,8 +58,9 @@ arrive in plain (cost, overlap) order. Nodes that cannot reach the
 target at all are never enqueued. Without a potential the order is
 plain lex (cost, overlap); the search runs it as an all-zero potential,
 which keeps one code path and adds exactly 0.0 to every key. The
-reverse run may also be settled only part of the way, with a horizon
-below which the search stays exact (see :func:`find_best_deviation`).
+reverse run may also be settled only part of the way; the search then
+settles it further whenever it needs a distance it lacks (see
+:func:`find_best_deviation`).
 """
 from __future__ import annotations
 
@@ -68,6 +69,7 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
+from .dijkstra import ReverseSweep
 from .graph import Graph, Mask, Path
 
 
@@ -263,7 +265,7 @@ class Deviation:
 class QueryStats(NamedTuple):
     iterations: int
     target_extractions: int
-    outcome: str  # "found" | "exhausted" | "cost-capped" | "beyond-horizon"
+    outcome: str  # "found" | "exhausted" | "cost-capped"
 
 
 class SearchLimit(RuntimeError):
@@ -306,7 +308,7 @@ def find_best_deviation(
     debug: SearchDebug | None = None,
     deadline: float | None = None,
     iteration_budget: int | None = None,
-    horizon: float = float("inf"),
+    sweep: ReverseSweep | None = None,
 ) -> tuple[Deviation | None, QueryStats]:
     """Run the search; returns (deviation or None, stats).
 
@@ -318,30 +320,17 @@ def find_best_deviation(
     completion cost and never falls below the scalar cost. A capped or
     exhausted query returns None.
 
-    ``horizon`` lets the potential be a partly settled
-    :class:`kssp.dijkstra.ReverseSweep`: exact distances at settled
-    nodes, infinity elsewhere, and every unsettled node at least
-    ``horizon`` from the target. The search then either returns exactly
-    what the full distances would give, or gives up with outcome
-    ``beyond-horizon`` and no deviation, so the caller can settle
-    further and ask again. It gives up when it would extract a label
-    keyed at or above the horizon, when the root is unsettled, and when
-    the queue runs dry after an extension to an unsettled node was
-    skipped.
-
-    Why a search that does not give up is exact: a label at an unsettled
-    node w would be keyed ``c + pot(w) >= pot(w) >= horizon`` under the
-    full distances, and here it is skipped as unreachable nodes are.
-    Call the full-distance run F. As long as every extraction keys below
-    the horizon, F's queue holds the same live entries plus entries at
-    unsettled nodes keyed at or above the horizon, so both extract the
-    same label next. The skipped extensions only touch the queue slots
-    and dropped overlaps of unsettled nodes, which neither run extracts
-    yet; the shifted push counters only break ties within one node, in
-    the same order. So a run that ends on a target, the cost cap or an
-    empty queue with nothing skipped ends exactly as F does. The labels
-    extracted before giving up are a prefix of F's, so an attempt that
-    gives up never trips the iteration budget where F would not.
+    ``sweep`` lets the potential be a partly settled
+    :class:`kssp.dijkstra.ReverseSweep` whose ``dist`` is the query's
+    potential: exact distances at settled nodes, infinity elsewhere.
+    Before the search reads the potential of a node without one, it
+    settles the sweep until that node is settled, or to the end if the
+    node cannot reach the target. Settled values are bit-identical to
+    the fully settled sweep's (see :class:`kssp.dijkstra.ReverseSweep`),
+    so every potential the search reads is final and the search runs
+    exactly as under :func:`kssp.dijkstra.reverse_distances`. It reads
+    the potential of the root and of each node it extends a label to;
+    a node it extracts or rebuilds was enqueued, so it was read before.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -380,12 +369,14 @@ def find_best_deviation(
     t_hits = 0
     outcome = "exhausted"
     result: Deviation | None = None
-    skipped = False  # an extension to a node without potential was dropped
+    if sweep is not None:
+        if sweep.dist is not pot:
+            raise ValueError("the sweep must hold the query's potential")
+        if pot[query.source] == unreachable:
+            sweep.settle(0.0, query.source)
 
     root_key = pot[query.source]
     if root_key == unreachable:
-        if horizon != unreachable:
-            outcome = "beyond-horizon"
         return None, QueryStats(0, 0, outcome)
     entry = (root_key, 0, query.source, 0, (0.0, 0, -1, -1))
     queued[query.source] = entry
@@ -400,9 +391,6 @@ def find_best_deviation(
         node = e[2]
         if q_stamp[node] != serial or queued[node] is not e:
             continue  # superseded by a cheaper candidate for this node
-        if e[0] >= horizon:
-            outcome = "beyond-horizon"
-            break
         queued[node] = None
         iterations += 1
         if iteration_budget is not None and iterations > iteration_budget:
@@ -452,8 +440,11 @@ def find_best_deviation(
                 if node_stamp[w] == epoch:
                     continue
                 if pot[w] == unreachable:
-                    skipped = True
-                    continue
+                    if sweep is None or sweep.horizon == unreachable:
+                        continue
+                    sweep.settle(0.0, w)
+                    if pot[w] == unreachable:
+                        continue
                 no = eover + 1 if ref_stamp[a] == ref_epoch else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
                     if debug is not None:
@@ -532,9 +523,6 @@ def find_best_deviation(
             )
             if sum(live.values()) != slots:
                 debug.queue_consistent = False
-    else:  # the queue ran dry
-        if skipped and horizon != unreachable:
-            outcome = "beyond-horizon"
 
     if debug is not None:
         debug.frontiers = {

@@ -40,26 +40,24 @@ path (see :func:`kssp.dijkstra.shortest_path`). The distances then go
 to every biobjective query as a potential. Queries expand only nodes
 that can still lead to the target cheaply instead of flooding a cost
 ball around their source, which changes iteration counts and extraction
-order but provably never the returned paths. A query that would look
-past the sweep's horizon gives up (see
-:func:`kssp.biobjective.find_best_deviation`); the driver then settles
-on, with the margin above the source's distance h at least doubling
-each time, and asks the query again from scratch. Settled distances
-never change, so the kept attempt returns exactly what the fully
-settled potential gives, and its labels are the only ones counted in
-the stats and against the label budget. ``guided=False`` switches the
-queries to plain lexicographic order. Unguided solves and k=1 build no
-sweep and keep the plain first-path search.
+order but provably never the returned paths. A query that needs the
+distance of a node the sweep has not settled yet settles the sweep on
+up to that node (see :func:`kssp.biobjective.find_best_deviation`).
+Settled distances never change, so every query reads exactly the fully
+settled distances, while a solve settles only the nodes its queries
+touch. ``guided=False`` switches the queries to plain lexicographic
+order. Unguided solves and k=1 build no sweep and keep the plain
+first-path search.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from math import inf
 from time import perf_counter
 
 from .biobjective import Deviation, SearchLimit, Workspace, build_query, find_best_deviation
-# reverse_distances is not called here, but perfbench/spans.py traces this name
+# reverse_distances is not called here, but perfbench/spans.py looks this name
+# up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
 from .graph import Graph, Path, is_simple
 
@@ -221,12 +219,10 @@ def k_shortest_paths(
     # as s costs about as much as the plain search it would prune
     sweep = None
     potential = None
-    h = 0.0
     if opts.guided and k > 1:
         sweep = ReverseSweep(g, t)
         sweep.settle(0.0, s)
-        h = sweep.dist[s]
-        sweep.settle(prune_limit(g, h))
+        sweep.settle(prune_limit(g, sweep.dist[s]))
         potential = sweep.dist
     p1, _ = shortest_path(g, s, t, prune=potential)
     if p1 is None:
@@ -265,23 +261,12 @@ def k_shortest_paths(
             budget = opts.label_budget - stats.labels_extracted
             if budget <= 0:
                 raise limit("label-budget")
-        while True:
-            try:
-                dev, qstats = find_best_deviation(
-                    query,
-                    cap,
-                    deadline=deadline,
-                    iteration_budget=budget,
-                    horizon=sweep.horizon if sweep is not None else inf,
-                )
-            except SearchLimit as exc:
-                raise limit(exc.kind) from exc
-            if qstats.outcome != "beyond-horizon":
-                break
-            # settle on with twice the margin above h, then ask again from
-            # scratch; the new key is at least the horizon, so each round
-            # settles something
-            sweep.settle(h + 2 * (sweep.horizon - h))
+        try:
+            dev, qstats = find_best_deviation(
+                query, cap, deadline=deadline, iteration_budget=budget, sweep=sweep
+            )
+        except SearchLimit as exc:
+            raise limit(exc.kind) from exc
         stats.queries_attempted += 1
         stats.labels_extracted += qstats.iterations
         if dev is None:

@@ -20,7 +20,7 @@ from kssp.dijkstra import ReverseSweep, reverse_distances, shortest_path
 from kssp.graph import Graph, Path, is_simple, path_cost
 from kssp.oracles import enumerate_simple_paths
 
-from conftest import make_digraph
+from conftest import COST_FAMILIES, cost_family, make_digraph
 
 SPINE = (0, 1, 2, 3)  # reference arcs of the six node example
 
@@ -90,51 +90,74 @@ def test_guided_never_enqueues_nodes_that_cannot_reach_the_target(six_node_graph
     assert dev_p.bicost == dev_g.bicost == BiCost(2.0, 2)
 
 
-def test_search_gives_up_at_the_horizon(six_node_graph):
+def test_search_settles_the_sweep_on_demand(six_node_graph):
     g = six_node_graph
+    inf = float("inf")
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
-    inf = float("inf")
     assert sweep.dist == [0.0, 0.0, 0.0, 0.0, inf, 0.0]
-    assert sweep.horizon == 2.0
     query = build_query(g, 0, 5, SPINE, potential=sweep.dist)
-    # the answer keys at 2.0; every label before it keys at 0.0
-    dev, stats = find_best_deviation(query, horizon=sweep.horizon)
-    assert dev is None
-    assert stats == (5, 1, "beyond-horizon")
-    dev, stats = find_best_deviation(query, horizon=2.5)
+    dev, stats = find_best_deviation(query, sweep=sweep)
+    # the detour through node 4 needs its distance, so the search settled it
+    assert sweep.dist == reverse_distances(g, 5)
     assert dev.bicost == BiCost(2.0, 2)
-    assert stats == (6, 2, "found")
-    dev, stats = find_best_deviation(build_query(g, 0, 5, SPINE, potential=reverse_distances(g, 5)))
     assert dev.suffix == Path((7,), 2.0)
     assert stats == (6, 2, "found")
 
 
-def test_search_gives_up_on_an_unsettled_root(six_node_graph):
-    sweep = ReverseSweep(six_node_graph, 5)
+def test_search_settles_an_unsettled_root(six_node_graph):
+    g = six_node_graph
+    sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
-    query = build_query(six_node_graph, 4, 5, (6, 7), potential=sweep.dist)
-    assert find_best_deviation(query, horizon=sweep.horizon) == (None, (0, 0, "beyond-horizon"))
+    query = build_query(g, 4, 5, (6, 7), potential=sweep.dist)
+    full = find_best_deviation(build_query(g, 4, 5, (6, 7), potential=reverse_distances(g, 5)))
+    assert find_best_deviation(query, sweep=sweep) == full
+    assert sweep.dist[4] == 2.0
 
 
-@pytest.mark.parametrize(
-    "arcs, outcome, full_iterations",
-    [
-        ([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 10.0)], "beyond-horizon", 3),  # 0->2 skipped at unsettled 2
-        ([(0, 1, 1.0), (2, 0, 10.0)], "exhausted", 2),  # nothing skipped: exact
-    ],
-)
-def test_empty_queue_gives_up_only_after_skipping_an_unsettled_node(arcs, outcome, full_iterations):
-    g = Graph(3, arcs)
+def test_a_dead_end_finishes_the_sweep():
+    # node 2 cannot reach the target 1; node 3 reaches it only at cost 10
+    g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (3, 1, 10.0)])
     sweep = ReverseSweep(g, 1)
     sweep.settle(1.0)
-    assert sweep.horizon == 11.0
+    assert sweep.horizon == 10.0
     query = build_query(g, 0, 1, (0,), potential=sweep.dist)
-    dev, stats = find_best_deviation(query, horizon=sweep.horizon)
-    assert dev is None
-    assert stats == (2, 1, outcome)
-    sweep.settle(float("inf"))
-    assert find_best_deviation(query, horizon=sweep.horizon) == (None, (full_iterations, 1, "exhausted"))
+    assert find_best_deviation(query, sweep=sweep) == (None, (2, 1, "exhausted"))
+    assert sweep.horizon == float("inf")
+    assert sweep.dist == reverse_distances(g, 1)
+
+
+def test_the_sweep_must_hold_the_potential(six_node_graph):
+    sweep = ReverseSweep(six_node_graph, 5)
+    query = build_query(six_node_graph, 0, 5, SPINE, potential=reverse_distances(six_node_graph, 5))
+    with pytest.raises(ValueError, match="potential"):
+        find_best_deviation(query, sweep=sweep)
+
+
+@pytest.mark.parametrize("family", COST_FAMILIES)
+def test_partly_settled_sweeps_search_as_the_full_potential(family):
+    """Whatever the sweep starts from, the search extracts exactly what the full distances give."""
+    searched = 0
+    for seed in range(200):
+        g = cost_family(make_digraph(seed), family)
+        s, t = 0, g.node_count - 1
+        ref, _ = shortest_path(g, s, t)
+        if ref is None or not ref.arcs:
+            continue
+        full = reverse_distances(g, t)
+        want = SearchDebug()
+        expected = find_best_deviation(build_query(g, s, t, ref.arcs, potential=full), debug=want)
+        for key in (0.0, full[s] / 2, full[s]):
+            sweep = ReverseSweep(g, t)
+            sweep.settle(key)
+            got = SearchDebug()
+            query = build_query(g, s, t, ref.arcs, potential=sweep.dist)
+            assert find_best_deviation(query, debug=got, sweep=sweep) == expected, (seed, key)
+            assert got.extracted == want.extracted
+            assert got.extracted_keys == want.extracted_keys
+            assert all(d == full[v] for v, d in enumerate(sweep.dist) if d != float("inf"))
+        searched += 1
+    assert searched >= 100
 
 
 def test_single_arc_reference_with_no_rival_exhausts():

@@ -141,27 +141,42 @@ def test_solves_keep_their_frozen_records():
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
 
 
-def test_label_budget_counts_only_the_kept_attempts(monkeypatch):
+def test_label_budget_is_exact_under_a_lazily_settled_sweep(monkeypatch):
     g, s, t, k = next(frozen_solves())
-    attempts = []
-    search = kssp.engine.find_best_deviation
+    sweeps = []
 
-    def traced(*args, **kwargs):
-        result = search(*args, **kwargs)
-        attempts.append(result[1])
-        return result
+    class Recorded(kssp.engine.ReverseSweep):
+        __slots__ = ("calls",)
 
-    monkeypatch.setattr("kssp.engine.find_best_deviation", traced)
+        def __init__(self, g, t):
+            super().__init__(g, t)
+            self.calls = 0
+            sweeps.append(self)
+
+        def settle(self, key, node=None):
+            self.calls += 1
+            super().settle(key, node)
+
+    monkeypatch.setattr("kssp.engine.ReverseSweep", Recorded)
     full = k_shortest_paths(g, s, t, k)
+    # the queries settled the sweep further, and the solve never finished it
+    (sweep,) = sweeps
+    assert sweep.calls > 2
+    assert sweep.horizon < float("inf")
     budget = full.stats.labels_extracted
-    # some queries gave up at the horizon and were asked again; counting
-    # those abandoned attempts would overrun the budget
-    assert any(q.outcome == "beyond-horizon" and q.iterations > 0 for q in attempts)
-    assert sum(q.iterations for q in attempts) > budget
     exact = k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget))
     assert report_digest(exact) == report_digest(full)
     with pytest.raises(SolveLimitExceeded):
         k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget - 1))
+
+
+def test_costs_that_overflow_to_infinity_solve_as_unguided():
+    # the label at node 1 is keyed 1e308 + 1e308, which overflows to inf
+    g = Graph(3, [(0, 2, 0.0), (0, 1, 1e308), (1, 2, 1e308)])
+    guided = k_shortest_paths(g, 0, 2, 2, SolveOptions(validate=True))
+    plain = k_shortest_paths(g, 0, 2, 2, SolveOptions(guided=False, validate=True))
+    assert guided.costs == [0.0, float("inf")]
+    assert report_digest(guided) == report_digest(plain)
 
 
 def test_unreachable_target_ends_before_any_query():
