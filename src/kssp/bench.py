@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, SolveReport, k_shortest_paths
 from .graph import Graph
 from .gridgen import sample_pairs, seeded_grids
-from .oracles import yen_k_shortest
+from .oracles import YenReport, yen_k_shortest
 from .rng import SplitMix64
 
 ALGORITHMS = ("deviation", "yen", "yen-accelerated")
@@ -45,7 +45,7 @@ def run_algorithm(
     *,
     timeout_s: float | None = None,
     label_budget: int | None = None,
-) -> SolveReport:
+) -> SolveReport | YenReport:
     """Run one solver; limit violations come back as an aborted report."""
     try:
         if algorithm == "deviation":
@@ -60,15 +60,18 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm: {algorithm!r}")
 
 
-def row_from_report(instance: str, algorithm: str, k: int, report: SolveReport) -> ResultRow:
+def row_from_report(
+    instance: str, algorithm: str, k: int, report: SolveReport | YenReport
+) -> ResultRow:
     st = report.stats
+    paths = report.paths
     return ResultRow(
         instance=instance,
         algorithm=algorithm,
         k=k,
         solved=report.status == COMPLETE,
-        paths=len(report.records),
-        kth_cost=report.records[-1].path.cost if report.records else None,
+        paths=len(paths),
+        kth_cost=paths[-1].cost if paths else None,
         queries=st.queries_attempted,
         queries_failed=st.queries_failed,
         iter_success_mean=st.mean_success_iterations,
@@ -187,8 +190,12 @@ def read_rows(src: str | IO[str]) -> list[ResultRow]:
     if isinstance(src, str):
         with open(src, newline="") as f:
             return read_rows(f)
+    reader = csv.DictReader(src)
+    missing = [f.name for f in fields(ResultRow) if f.name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"not a bench CSV: missing columns {', '.join(missing)}")
     out = []
-    for raw in csv.DictReader(src):
+    for raw in reader:
         out.append(
             ResultRow(
                 instance=raw["instance"],

@@ -46,21 +46,21 @@ arc count; every other path reaching the target scores a smaller
 overlap. The search therefore stops at the second target extraction at
 the latest, and earlier if a cost-equal rival is extracted first.
 
-Guided mode. The caller may supply a potential: exact distances to the
-target in the unmasked graph, from one reverse run shared by all
-queries of a solve. The queue then orders labels by cost plus potential
-at the label's node instead of plain cost. Masking only removes routes,
-so the potential never overestimates the remaining cost and the answer
-is unchanged; the search just spreads far less. The potential is a
-per-node constant, so every per-node property above carries over
-verbatim, and it is zero at the target, so target extractions still
-arrive in plain (cost, overlap) order. Nodes that cannot reach the
-target at all are never enqueued. Without a potential the order is
-plain lex (cost, overlap); the search runs it as an all-zero potential,
-which keeps one code path and adds exactly 0.0 to every key. The
-reverse run may also be settled only part of the way; the search then
-settles it further whenever it needs a distance it lacks (see
-:func:`find_best_deviation`).
+Guided mode. The caller may supply a :class:`kssp.dijkstra.ReverseSweep`
+toward the target over the unmasked graph, shared by all queries of a
+solve; its ``dist`` holds exact distances to the target. The queue then
+orders labels by cost plus that distance at the label's node instead of
+plain cost. Masking only removes routes, so the potential never
+overestimates the remaining cost and the answer is unchanged; the
+search just spreads far less. The potential is a per-node constant, so
+every per-node property above carries over verbatim, and it is zero at
+the target, so target extractions still arrive in plain (cost, overlap)
+order. Nodes that cannot reach the target at all are never enqueued.
+Without a sweep the order is plain lex (cost, overlap); the search runs
+it as an all-zero potential, which keeps one code path and adds exactly
+0.0 to every key. The sweep may be settled only part of the way; the
+search then settles it further whenever it needs a distance it lacks
+(see :func:`find_best_deviation`).
 """
 from __future__ import annotations
 
@@ -76,25 +76,6 @@ from .graph import Graph, Mask, Path
 class BiCost(NamedTuple):
     cost: float
     overlap: int
-
-
-class Label(NamedTuple):
-    """A permanent or queued partial path at some node.
-
-    ``via_arc`` is the arc that reached the node (-1 for the root at the
-    query source) and ``via_index`` the position of the predecessor label
-    in the permanent list of that arc's tail.
-
-    The search itself stores plain ``(cost, overlap, via_arc, via_index)``
-    tuples in this field order, which are cheaper to build in the hot
-    loop; :attr:`SearchDebug.frontiers` still hands back ``Label``
-    instances.
-    """
-
-    cost: float
-    overlap: int
-    via_arc: int
-    via_index: int
 
 
 class Workspace:
@@ -147,9 +128,9 @@ class DeviationQuery:
 
     ``prefix_cost`` is the cost of the solver-side prefix in front of
     ``source``; the search itself never adds it to labels, it only feeds
-    the optional cost cap check. ``potential`` optionally holds exact
-    distances to the target in the unmasked graph, one per node, and
-    switches the queue to guided order (see the module docstring).
+    the optional cost cap check. ``sweep``, a reverse sweep toward
+    ``target`` over the unmasked graph, switches the queue to guided
+    order (see the module docstring).
     """
 
     graph: Graph
@@ -158,7 +139,7 @@ class DeviationQuery:
     target: int
     ref_arcs: tuple[int, ...]
     prefix_cost: float = 0.0
-    potential: list[float] | None = None
+    sweep: ReverseSweep | None = None
 
     @property
     def ref_len(self) -> int:
@@ -172,16 +153,17 @@ def build_query(
     ref_arcs: tuple[int, ...] | list[int],
     workspace: Workspace | None = None,
     prefix_cost: float = 0.0,
-    potential: list[float] | None = None,
+    sweep: ReverseSweep | None = None,
 ) -> DeviationQuery:
     """Stamp the reference arcs and validate the instance.
 
     The reference path must run from source to target through the masked
     graph; a masked reference would make the search answer a different
-    question than the caller asked.
+    question than the caller asked. So would a sweep over another graph
+    or toward another target.
     """
-    if potential is not None and len(potential) != g.node_count:
-        raise ValueError("potential must hold one distance per node")
+    if sweep is not None and (sweep.graph is not g or sweep.target != target):
+        raise ValueError("the sweep must run over the query's graph toward its target")
     ws = workspace if workspace is not None else Workspace(g)
     ws.ref_epoch += 1
     epoch = ws.ref_epoch
@@ -204,7 +186,7 @@ def build_query(
             raise ValueError(f"reference arc {i} is masked")
     if node != target:
         raise ValueError("reference path does not end at the target")
-    return DeviationQuery(g, ws, source, target, tuple(ref_arcs), prefix_cost, potential)
+    return DeviationQuery(g, ws, source, target, tuple(ref_arcs), prefix_cost, sweep)
 
 
 def reconstruct(
@@ -213,11 +195,9 @@ def reconstruct(
     """Follow predecessor links back to the query source.
 
     ``frontiers`` maps node to permanent labels, as the search's array or
-    an equivalent mapping. Labels are indexed in :class:`Label` field
-    order, so the search's plain tuples and ``Label`` instances both
-    work. The label's cost was accumulated front to back along the walk,
-    so it equals the left-to-right cost fold of the returned path
-    exactly.
+    an equivalent mapping. The label's cost was accumulated front to
+    back along the walk, so it equals the left-to-right cost fold of the
+    returned path exactly.
     """
     arcs: list[int] = []
     cur = label
@@ -282,13 +262,15 @@ class SearchDebug:
 
     ``extracted`` records (cost, overlap, node) per extraction in order;
     ``extracted_keys`` the matching queue keys, equal to the costs when
-    no potential is set; ``dominated`` the extensions skipped at
+    the query has no sweep; ``dominated`` the extensions skipped at
     propagation time; ``enqueued`` every entry pushed into the queue.
     With ``verify_queue`` set, each iteration recounts the live queue
     entries per node and checks their total against the nodes whose
     workspace slot holds a candidate. ``frontiers`` holds the permanent
-    labels per node as :class:`Label` instances once the search
-    returns.
+    labels per node once the search returns, as the search's plain
+    ``(cost, overlap, via_arc, via_index)`` tuples: ``via_arc`` reached
+    the node (-1 at the query source) and ``via_index`` indexes the
+    predecessor label in the permanent list of that arc's tail.
     """
 
     verify_queue: bool = True
@@ -298,7 +280,7 @@ class SearchDebug:
     enqueued: list[tuple[float, int, int]] = field(default_factory=list)
     max_live_per_node: int = 0
     queue_consistent: bool = True
-    frontiers: dict[int, list[Label]] | None = None
+    frontiers: dict[int, list[tuple]] | None = None
 
 
 def find_best_deviation(
@@ -308,7 +290,6 @@ def find_best_deviation(
     debug: SearchDebug | None = None,
     deadline: float | None = None,
     iteration_budget: int | None = None,
-    sweep: ReverseSweep | None = None,
 ) -> tuple[Deviation | None, QueryStats]:
     """Run the search; returns (deviation or None, stats).
 
@@ -320,17 +301,16 @@ def find_best_deviation(
     completion cost and never falls below the scalar cost. A capped or
     exhausted query returns None.
 
-    ``sweep`` lets the potential be a partly settled
-    :class:`kssp.dijkstra.ReverseSweep` whose ``dist`` is the query's
-    potential: exact distances at settled nodes, infinity elsewhere.
-    Before the search reads the potential of a node without one, it
-    settles the sweep until that node is settled, or to the end if the
-    node cannot reach the target. Settled values are bit-identical to
-    the fully settled sweep's (see :class:`kssp.dijkstra.ReverseSweep`),
-    so every potential the search reads is final and the search runs
-    exactly as under :func:`kssp.dijkstra.reverse_distances`. It reads
-    the potential of the root and of each node it extends a label to;
-    a node it extracts or rebuilds was enqueued, so it was read before.
+    The query's sweep may be partly settled: its ``dist``, the potential,
+    holds exact distances at settled nodes and infinity elsewhere. Before
+    the search reads the potential of a node without one, it settles the
+    sweep until that node is settled, or to the end if the node cannot
+    reach the target. Settled values are bit-identical to the fully
+    settled sweep's (see :class:`kssp.dijkstra.ReverseSweep`), so every
+    potential the search reads is final and the search runs exactly as
+    under a sweep settled to the end. It reads the potential of the root
+    and of each node it extends a label to; a node it extracts or
+    rebuilds was enqueued, so it was read before.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -347,8 +327,10 @@ def find_best_deviation(
     target = query.target
     ref_len = query.ref_len
     prefix_cost = query.prefix_cost
-    pot = query.potential
-    if pot is None:
+    sweep = query.sweep
+    if sweep is not None:
+        pot = sweep.dist
+    else:
         if ws.zero_potential is None:
             ws.zero_potential = [0.0] * g.node_count
         pot = ws.zero_potential
@@ -369,11 +351,8 @@ def find_best_deviation(
     t_hits = 0
     outcome = "exhausted"
     result: Deviation | None = None
-    if sweep is not None:
-        if sweep.dist is not pot:
-            raise ValueError("the sweep must hold the query's potential")
-        if pot[query.source] == unreachable:
-            sweep.settle(0.0, query.source)
+    if sweep is not None and pot[query.source] == unreachable:
+        sweep.settle(0.0, query.source)
 
     root_key = pot[query.source]
     if root_key == unreachable:
@@ -525,9 +504,5 @@ def find_best_deviation(
                 debug.queue_consistent = False
 
     if debug is not None:
-        debug.frontiers = {
-            v: [Label._make(lab) for lab in frontiers[v]]
-            for v in range(g.node_count)
-            if f_stamp[v] == serial
-        }
+        debug.frontiers = {v: frontiers[v] for v in range(g.node_count) if f_stamp[v] == serial}
     return result, QueryStats(iterations, t_hits, outcome)

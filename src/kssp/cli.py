@@ -87,8 +87,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _print_paths(g: Graph, report) -> None:
-    for rec in report.records:
-        print(format_path_line(g, rec.path))
+    for path in report.paths:
+        print(format_path_line(g, path))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -131,7 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _note("cross-check: yen agrees")
     except SolveLimitExceeded as exc:
         _print_paths(g, exc.report)
-        _note(f"aborted ({exc.kind}): {len(exc.report.records)} of {k} paths found")
+        _note(f"aborted ({exc.kind}): {len(exc.report.paths)} of {k} paths found")
         return 1
     except AssertionError as exc:
         if not args.validate:
@@ -155,7 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _print_paths(g, report)
     st = report.stats
     _note(
-        f"{len(report.records)} of {k} paths, status {report.status}, "
+        f"{len(report.paths)} of {k} paths, status {report.status}, "
         f"{st.queries_attempted} queries ({st.queries_failed} failed), "
         f"{st.wall_time_s:.6f}s"
     )

@@ -35,6 +35,8 @@ class DimacsError(ValueError):
 def _parse_cost(token: str, line_no: int) -> float:
     try:
         value = float(int(token))
+    except OverflowError:
+        value = float("inf")  # an integer beyond the float range
     except ValueError:
         try:
             value = float(token)

@@ -36,30 +36,34 @@ reverse scalar search over the unmasked graph, a
 looks. It first settles until the source is settled and then up to the
 first path's prune limit, which bounds the first-path search: it pops
 little more than the path itself yet returns exactly the plain search's
-path (see :func:`kssp.dijkstra.shortest_path`). The distances then go
-to every biobjective query as a potential. Queries expand only nodes
-that can still lead to the target cheaply instead of flooding a cost
-ball around their source, which changes iteration counts and extraction
-order but provably never the returned paths. A query that needs the
-distance of a node the sweep has not settled yet settles the sweep on
-up to that node (see :func:`kssp.biobjective.find_best_deviation`).
-Settled distances never change, so every query reads exactly the fully
-settled distances, while a solve settles only the nodes its queries
-touch. ``guided=False`` switches the queries to plain lexicographic
-order. Unguided solves and k=1 build no sweep and keep the plain
-first-path search.
+path (see :func:`kssp.dijkstra.shortest_path`). The sweep then goes to
+every biobjective query, whose potential is its ``dist``. Queries
+expand only nodes that can still lead to the target cheaply instead of
+flooding a cost ball around their source, which changes iteration
+counts and extraction order but provably never the returned paths. A
+query that needs the distance of a node the sweep has not settled yet
+settles the sweep on up to that node (see
+:func:`kssp.biobjective.find_best_deviation`). Settled distances never
+change, so every query reads exactly the fully settled distances, while
+a solve settles only the nodes its queries touch. ``guided=False``
+switches the queries to plain lexicographic order. Unguided solves and
+k=1 build no sweep and keep the plain first-path search.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from .biobjective import Deviation, SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
-from .graph import Graph, Path, is_simple
+from .graph import Graph, Path, check_endpoints, is_simple
+
+if TYPE_CHECKING:
+    from .oracles import YenReport
 
 COMPLETE = "complete"
 EXHAUSTED = "exhausted-early"
@@ -70,7 +74,7 @@ ABORTED = "aborted"
 class SolveOptions:
     """Knobs for one solve.
 
-    ``guided`` feeds every query exact reverse distances as a potential,
+    ``guided`` gives every query a reverse sweep as its potential,
     settled on demand (same results, far fewer iterations); the prune
     flags toggle the two cost-sequence-neutral prune rules;
     ``label_budget`` caps the total labels extracted across all queries;
@@ -150,9 +154,9 @@ class SolveReport:
 
 
 class SolveLimitExceeded(RuntimeError):
-    """Timeout or label budget hit; carries the partial report."""
+    """Timeout or label budget hit; carries the partial report of the raising solver."""
 
-    def __init__(self, kind: str, report: SolveReport) -> None:
+    def __init__(self, kind: str, report: SolveReport | YenReport) -> None:
         super().__init__(f"solve aborted: {kind}")
         self.kind = kind
         self.report = report
@@ -192,11 +196,7 @@ def k_shortest_paths(
     :class:`SolveLimitExceeded` when a timeout or label budget strikes.
     """
     opts = options or SolveOptions()
-    n = g.node_count
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"endpoint out of range: s={s}, t={t}, nodes={n}")
-    if s == t:
-        raise ValueError("source and target must differ")
+    check_endpoints(g, s, t)
     if k < 1:
         raise ValueError("k must be at least 1")
 
@@ -218,13 +218,11 @@ def k_shortest_paths(
     # k=1 and unguided solves read no potential, and settling a sweep as far
     # as s costs about as much as the plain search it would prune
     sweep = None
-    potential = None
     if opts.guided and k > 1:
         sweep = ReverseSweep(g, t)
         sweep.settle(0.0, s)
         sweep.settle(prune_limit(g, sweep.dist[s]))
-        potential = sweep.dist
-    p1, _ = shortest_path(g, s, t, prune=potential)
+    p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
     if p1 is None:
         return finish(EXHAUSTED)
     records.append(PathRecord(p1, None, s, 0, s, 0, 0.0))
@@ -252,9 +250,7 @@ def k_shortest_paths(
         if use_blocked:
             for a in origin.blocked:
                 mask.delete_arc(a)
-        query = build_query(
-            g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, potential
-        )
+        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
         cap = queue_max_cap(len(records), cands, k) if opts.prune_queue_max else None
         budget = None
         if opts.label_budget is not None:
@@ -262,9 +258,7 @@ def k_shortest_paths(
             if budget <= 0:
                 raise limit("label-budget")
         try:
-            dev, qstats = find_best_deviation(
-                query, cap, deadline=deadline, iteration_budget=budget, sweep=sweep
-            )
+            dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
         except SearchLimit as exc:
             raise limit(exc.kind) from exc
         stats.queries_attempted += 1

@@ -53,7 +53,10 @@ class Graph:
         for a, (u, v, w) in enumerate(arcs):
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:
+                w = math.inf  # an int beyond the float range
             if not math.isfinite(w) or w < 0.0:
                 raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
             tail.append(u)
@@ -142,6 +145,15 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.arcs)
+
+
+def check_endpoints(g: Graph, s: int, t: int) -> None:
+    """Raise ValueError unless s and t are two distinct nodes of g."""
+    n = g.node_count
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"endpoint out of range: s={s}, t={t}, nodes={n}")
+    if s == t:
+        raise ValueError("source and target must differ")
 
 
 def path_cost(g: Graph, path: Path | Sequence[int]) -> float:

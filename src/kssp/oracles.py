@@ -10,38 +10,30 @@ tests; the main driver must reproduce them exactly.
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass
 from time import perf_counter
 
 from .dijkstra import reverse_distances, shortest_path
-from .engine import (
-    ABORTED,
-    COMPLETE,
-    EXHAUSTED,
-    PathRecord,
-    SolveLimitExceeded,
-    SolveReport,
-    SolveStats,
-)
-from .graph import Graph, Mask, Path
+from .engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, SolveStats
+from .graph import Graph, Mask, Path, check_endpoints
 
 
-def _record(g: Graph, s: int, arcs: tuple[int, ...], cost: float) -> PathRecord:
-    # Yen keeps no deviation tree, so the tree fields stay at the root
-    # values and only the path itself is meaningful.
-    return PathRecord(
-        path=Path(arcs, cost),
-        parent_index=None,
-        dev_node=s,
-        dev_pos=0,
-        source_node=s,
-        source_pos=0,
-        prefix_cost=0.0,
-    )
+@dataclass
+class YenReport:
+    """The paths :func:`yen_k_shortest` found, in output order, with status and stats."""
+
+    paths: list[Path]
+    status: str
+    stats: SolveStats
+
+    @property
+    def costs(self) -> list[float]:
+        return [p.cost for p in self.paths]
 
 
 def yen_k_shortest(
     g: Graph, s: int, t: int, k: int, *, accelerated: bool = False, timeout_s: float | None = None
-) -> SolveReport:
+) -> YenReport:
     """k cheapest simple s-t paths by repeated spur searches.
 
     The candidate list is trimmed to the number of still missing paths;
@@ -53,24 +45,22 @@ def yen_k_shortest(
     changes the returned cost sequence. In the stats, spur searches
     count as queries and their pop counts as iterations; a failed search
     that ran with a cost bound counts as capped even if it would also
-    have failed without the bound.
+    have failed without the bound. Yen keeps no deviation tree, so the
+    report holds bare paths; a timeout raises
+    :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
-    n = g.node_count
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"endpoint out of range: s={s}, t={t}, nodes={n}")
-    if s == t:
-        raise ValueError("source and target must differ")
+    check_endpoints(g, s, t)
     if k < 1:
         raise ValueError("k must be at least 1")
 
     t_start = perf_counter()
     deadline = t_start + timeout_s if timeout_s is not None else None
     stats = SolveStats()
-    records: list[PathRecord] = []
+    paths: list[Path] = []
 
-    def finish(status: str) -> SolveReport:
+    def finish(status: str) -> YenReport:
         stats.wall_time_s = perf_counter() - t_start
-        return SolveReport(records, status, stats)
+        return YenReport(paths, status, stats)
 
     potential = reverse_distances(g, t) if accelerated else None
     # A* on a rounded potential can close a node early; pruning cannot
@@ -83,7 +73,7 @@ def yen_k_shortest(
         stats.failed_iterations = pops
         return finish(EXHAUSTED)
     stats.success_iterations = pops
-    records.append(_record(g, s, p1.arcs, p1.cost))
+    paths.append(p1)
 
     trie: dict[int, dict] = {}
     seen: set[tuple[int, ...]] = set()
@@ -100,11 +90,10 @@ def yen_k_shortest(
 
     admit(p1.arcs)
 
-    while len(records) < k:
-        path = records[-1].path
-        arcs = path.arcs
-        nodes = path.nodes(g)
-        room = k - len(records)
+    while len(paths) < k:
+        arcs = paths[-1].arcs
+        nodes = paths[-1].nodes(g)
+        room = k - len(paths)
         mask.reset()
         cursor = trie
         root_cost = 0.0
@@ -155,7 +144,7 @@ def yen_k_shortest(
         if not cands:
             return finish(EXHAUSTED)
         cost, _, cand_arcs = cands.pop(0)
-        records.append(_record(g, s, cand_arcs, cost))
+        paths.append(Path(cand_arcs, cost))
         admit(cand_arcs)
     return finish(COMPLETE)
 
@@ -169,11 +158,7 @@ def enumerate_simple_paths(
     checks. When more than ``max_paths`` paths exist only the cheapest
     ``max_paths`` are returned (ties resolved toward smaller arc ids).
     """
-    n = g.node_count
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"endpoint out of range: s={s}, t={t}, nodes={n}")
-    if s == t:
-        raise ValueError("source and target must differ")
+    check_endpoints(g, s, t)
     if max_paths < 1:
         raise ValueError("max_paths must be at least 1")
 

@@ -18,7 +18,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from kssp.biobjective import BiCost, SearchDebug, build_query, find_best_deviation, Workspace
-from kssp.dijkstra import reverse_distances, shortest_path
+from kssp.dijkstra import ReverseSweep, shortest_path
 from kssp.dimacs import dumps_dimacs, load_dimacs
 from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths
 from kssp.graph import is_simple, path_cost
@@ -81,10 +81,10 @@ def test_deviation_query_example_trace_exact(six_node_graph):
     dev, stats = find_best_deviation(build_query(g, 0, 5, (0, 1, 2, 3)), debug=debug)
 
     # both detour labels at node 4 become permanent
-    assert [(lab.cost, lab.overlap) for lab in debug.frontiers[4]] == [(1.0, 3), (2.0, 1)]
+    assert [lab[:2] for lab in debug.frontiers[4]] == [(1.0, 3), (2.0, 1)]
     # the (3, 3) extension into node 2 dies against the frontier minimum 2
     assert (3.0, 3, 2) in debug.dominated
-    assert debug.frontiers[2][-1].overlap == 2
+    assert debug.frontiers[2][-1][1] == 2
     # the (4, 1) extension into node 2 is kept
     assert (4.0, 1, 2) in debug.enqueued
     # the second path is returned with cost 2 and overlap 2
@@ -259,15 +259,15 @@ def test_search_structural_invariants():
         checked += 1
         ws = Workspace(g)
         ell = len(ref.arcs)
-        for pot in (None, reverse_distances(g, t)):
+        for sweep in (None, ReverseSweep(g, t)):
             debug = SearchDebug()
-            query = build_query(g, s, t, ref.arcs, ws, potential=pot)
+            query = build_query(g, s, t, ref.arcs, ws, sweep=sweep)
             dev, stats = find_best_deviation(query, debug=debug)
 
             # extraction order is nondecreasing in the queue key, and in
             # plain mode that key is the (cost, overlap) lex order
             assert debug.extracted_keys == sorted(debug.extracted_keys)
-            if pot is None:
+            if sweep is None:
                 pairs = [(c, o) for c, o, _ in debug.extracted]
                 assert pairs == sorted(pairs)
             # at most one queued label per node, at most two target pops
@@ -277,10 +277,10 @@ def test_search_structural_invariants():
             # permanent labels per node: a Pareto frontier of size <= l
             # away from the target (<= 2 at the target)
             for node, labels in debug.frontiers.items():
-                overlaps = [lab.overlap for lab in labels]
+                overlaps = [lab[1] for lab in labels]
                 assert all(a > b for a, b in zip(overlaps, overlaps[1:]))
                 assert len(labels) <= (2 if node == t else ell)
-                costs = [lab.cost for lab in labels]
+                costs = [lab[0] for lab in labels]
                 assert costs == sorted(costs)
             # any found deviation reconstructs to a simple distinct path
             if dev is not None:

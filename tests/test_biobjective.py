@@ -7,7 +7,6 @@ import pytest
 
 from kssp.biobjective import (
     BiCost,
-    Label,
     SearchDebug,
     SearchLimit,
     Workspace,
@@ -23,6 +22,13 @@ from kssp.oracles import enumerate_simple_paths
 from conftest import COST_FAMILIES, cost_family, make_digraph
 
 SPINE = (0, 1, 2, 3)  # reference arcs of the six node example
+
+
+def settled_sweep(g, t):
+    """A reverse sweep toward t settled to the end: the full distances."""
+    sweep = ReverseSweep(g, t)
+    sweep.settle(float("inf"))
+    return sweep
 
 
 def test_six_node_plain_trace_is_frozen(six_node_graph):
@@ -48,9 +54,9 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     assert debug.max_live_per_node == 1
     assert debug.queue_consistent
 
-    assert debug.frontiers[4] == [Label(1.0, 3, 5, 0), Label(2.0, 1, 4, 0)]
-    assert debug.frontiers[2] == [Label(0.0, 2, 1, 0)]
-    assert debug.frontiers[5] == [Label(0.0, 4, 3, 0), Label(2.0, 2, 7, 0)]
+    assert debug.frontiers[4] == [(1.0, 3, 5, 0), (2.0, 1, 4, 0)]
+    assert debug.frontiers[2] == [(0.0, 2, 1, 0)]
+    assert debug.frontiers[5] == [(0.0, 4, 3, 0), (2.0, 2, 7, 0)]
 
     assert dev.bicost == BiCost(2.0, 2)
     assert dev.node == 2
@@ -61,9 +67,8 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
 
 def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
     g = six_node_graph
-    pot = reverse_distances(g, 5)
-    assert pot == [0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
-    query = build_query(g, 0, 5, SPINE, potential=pot)
+    assert reverse_distances(g, 5) == [0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
+    query = build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5))
     debug = SearchDebug()
     dev, stats = find_best_deviation(query, debug=debug)
     assert dev.bicost == BiCost(2.0, 2)
@@ -77,13 +82,13 @@ def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
 def test_guided_never_enqueues_nodes_that_cannot_reach_the_target(six_node_graph):
     arcs = list(six_node_graph.arcs()) + [(2, 6, 0.5)]
     g = Graph(7, arcs)
-    pot = reverse_distances(g, 5)
-    assert pot[6] == float("inf")
+    assert reverse_distances(g, 5)[6] == float("inf")
 
     plain = SearchDebug()
     dev_p, _ = find_best_deviation(build_query(g, 0, 5, SPINE), debug=plain)
     guided = SearchDebug()
-    dev_g, _ = find_best_deviation(build_query(g, 0, 5, SPINE, potential=pot), debug=guided)
+    query = build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5))
+    dev_g, _ = find_best_deviation(query, debug=guided)
 
     assert any(node == 6 for _, _, node in plain.enqueued)
     assert all(node != 6 for _, _, node in guided.enqueued)
@@ -96,8 +101,8 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
     assert sweep.dist == [0.0, 0.0, 0.0, 0.0, inf, 0.0]
-    query = build_query(g, 0, 5, SPINE, potential=sweep.dist)
-    dev, stats = find_best_deviation(query, sweep=sweep)
+    query = build_query(g, 0, 5, SPINE, sweep=sweep)
+    dev, stats = find_best_deviation(query)
     # the detour through node 4 needs its distance, so the search settled it
     assert sweep.dist == reverse_distances(g, 5)
     assert dev.bicost == BiCost(2.0, 2)
@@ -109,9 +114,9 @@ def test_search_settles_an_unsettled_root(six_node_graph):
     g = six_node_graph
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
-    query = build_query(g, 4, 5, (6, 7), potential=sweep.dist)
-    full = find_best_deviation(build_query(g, 4, 5, (6, 7), potential=reverse_distances(g, 5)))
-    assert find_best_deviation(query, sweep=sweep) == full
+    query = build_query(g, 4, 5, (6, 7), sweep=sweep)
+    full = find_best_deviation(build_query(g, 4, 5, (6, 7), sweep=settled_sweep(g, 5)))
+    assert find_best_deviation(query) == full
     assert sweep.dist[4] == 2.0
 
 
@@ -121,17 +126,20 @@ def test_a_dead_end_finishes_the_sweep():
     sweep = ReverseSweep(g, 1)
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
-    query = build_query(g, 0, 1, (0,), potential=sweep.dist)
-    assert find_best_deviation(query, sweep=sweep) == (None, (2, 1, "exhausted"))
+    query = build_query(g, 0, 1, (0,), sweep=sweep)
+    assert find_best_deviation(query) == (None, (2, 1, "exhausted"))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
 
 
-def test_the_sweep_must_hold_the_potential(six_node_graph):
-    sweep = ReverseSweep(six_node_graph, 5)
-    query = build_query(six_node_graph, 0, 5, SPINE, potential=reverse_distances(six_node_graph, 5))
-    with pytest.raises(ValueError, match="potential"):
-        find_best_deviation(query, sweep=sweep)
+def test_build_query_rejects_a_sweep_of_another_instance(six_node_graph):
+    g = six_node_graph
+    with pytest.raises(ValueError, match="sweep"):
+        build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 4))
+    twin = Graph(g.node_count, g.arcs())
+    with pytest.raises(ValueError, match="sweep"):
+        build_query(g, 0, 5, SPINE, sweep=ReverseSweep(twin, 5))
+    assert build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5)).sweep.target == 5
 
 
 @pytest.mark.parametrize("family", COST_FAMILIES)
@@ -146,13 +154,14 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
             continue
         full = reverse_distances(g, t)
         want = SearchDebug()
-        expected = find_best_deviation(build_query(g, s, t, ref.arcs, potential=full), debug=want)
+        query = build_query(g, s, t, ref.arcs, sweep=settled_sweep(g, t))
+        expected = find_best_deviation(query, debug=want)
         for key in (0.0, full[s] / 2, full[s]):
             sweep = ReverseSweep(g, t)
             sweep.settle(key)
             got = SearchDebug()
-            query = build_query(g, s, t, ref.arcs, potential=sweep.dist)
-            assert find_best_deviation(query, debug=got, sweep=sweep) == expected, (seed, key)
+            query = build_query(g, s, t, ref.arcs, sweep=sweep)
+            assert find_best_deviation(query, debug=got) == expected, (seed, key)
             assert got.extracted == want.extracted
             assert got.extracted_keys == want.extracted_keys
             assert all(d == full[v] for v, d in enumerate(sweep.dist) if d != float("inf"))
@@ -226,8 +235,6 @@ def test_build_query_rejects_bad_instances(six_node_graph):
         build_query(g, 0, 5, (0, 3))
     with pytest.raises(ValueError, match="end at the target"):
         build_query(g, 0, 5, (0,))
-    with pytest.raises(ValueError, match="potential"):
-        build_query(g, 0, 5, SPINE, potential=[0.0, 0.0])
 
     ws = Workspace(g)
     ws.mask.delete_node(0)
@@ -320,8 +327,8 @@ def test_structural_invariants_on_seeded_instances():
 
         # per node the permanent labels are a Pareto frontier
         for labels in debug.frontiers.values():
-            costs = [lab.cost for lab in labels]
-            overlaps = [lab.overlap for lab in labels]
+            costs = [lab[0] for lab in labels]
+            overlaps = [lab[1] for lab in labels]
             assert costs == sorted(costs)
             assert all(a > b for a, b in zip(overlaps, overlaps[1:]))
 
@@ -341,10 +348,9 @@ def test_structural_invariants_on_seeded_instances():
             assert ref.arcs[dev.ref_index] != dev.arc
 
         # guided mode answers with the same cost and a valid path
-        pot = reverse_distances(g, t)
         gdebug = SearchDebug()
         gdev, gstats = find_best_deviation(
-            build_query(g, s, t, ref.arcs, ws, potential=pot), debug=gdebug
+            build_query(g, s, t, ref.arcs, ws, sweep=ReverseSweep(g, t)), debug=gdebug
         )
         assert gdebug.extracted_keys == sorted(gdebug.extracted_keys)
         assert gstats.target_extractions <= 2

@@ -166,6 +166,26 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in err
 
 
+def test_a_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
+    graph = tmp_path / "huge.gr"
+    graph.write_text("p sp 2 1\na 1 2 " + "9" * 400 + "\n")
+    code, out, err = run(capsys, "solve", "--graph", str(graph), "-s", "0", "-t", "1")
+    assert code == 2
+    assert out == []
+    assert err.startswith("error: line 2: arc cost must be finite")
+    assert err.count("\n") == 1
+
+
+def test_report_on_a_csv_without_bench_columns_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "other.csv"
+    csv_path.write_text("a,b\n1,2\n")
+    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    assert code == 2
+    assert out == []
+    assert err.startswith("error: not a bench CSV: missing columns instance, algorithm, k,")
+    assert err.count("\n") == 1
+
+
 def test_bad_subcommand_usage_is_an_argparse_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

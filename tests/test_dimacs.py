@@ -62,6 +62,7 @@ def test_fixture_file_loads():
         ("p sp 2 1\na 1 2 -4\n", 2),
         ("p sp 2 1\na 1 2 inf\n", 2),
         ("p sp 2 1\na 1 2 nan\n", 2),
+        pytest.param("p sp 2 1\na 1 2 " + "9" * 400 + "\n", 2, id="int-beyond-float-range"),
         ("p sp 2 1\na 1 2 1\na 2 1 1\n", 3),
         ("p sp 2 1\nq foo\n", 2),
         ("p sp 2 2\na 1 2 1\n", 2),

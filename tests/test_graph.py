@@ -49,6 +49,8 @@ def test_rejects_bad_construction():
         Graph(2, [(0, 1, float("inf"))])
     with pytest.raises(GraphError):
         Graph(2, [(0, 1, float("nan"))])
+    with pytest.raises(GraphError, match="finite"):
+        Graph(2, [(0, 1, 10**400)])  # beyond the float range
 
 
 def test_mask_delete_and_reset(five_node_graph):

@@ -15,21 +15,19 @@ def test_yen_five_node_example_is_frozen(five_node_graph):
     report = yen_k_shortest(five_node_graph, 0, 4, 4)
     assert report.status == COMPLETE
     assert report.costs == [2.0, 3.0, 4.0, 5.0]
-    assert [r.path.arcs for r in report.records] == [(1, 5), (0, 4), (2, 6), (0, 3, 5)]
+    assert [p.arcs for p in report.paths] == [(1, 5), (0, 4), (2, 6), (0, 3, 5)]
     st = report.stats
     assert st.queries_attempted == 7
     assert st.init_queries == 1
     assert st.queries_failed == 3
     assert st.capped_queries == 2
     assert st.labels_extracted > 0
-    # Yen keeps no deviation tree; records carry root placeholders
-    assert all(r.parent_index is None and r.source_pos == 0 for r in report.records)
 
 
 def test_yen_accelerated_matches_plain(five_node_graph):
     plain = yen_k_shortest(five_node_graph, 0, 4, 4)
     fast = yen_k_shortest(five_node_graph, 0, 4, 4, accelerated=True)
-    assert [r.path.arcs for r in fast.records] == [r.path.arcs for r in plain.records]
+    assert [p.arcs for p in fast.paths] == [p.arcs for p in plain.paths]
     assert fast.costs == plain.costs
 
 
@@ -54,7 +52,7 @@ def test_yen_no_path():
     g = Graph(3, [(0, 1, 1.0)])
     report = yen_k_shortest(g, 0, 2, 2)
     assert report.status == EXHAUSTED
-    assert report.records == []
+    assert report.paths == []
     assert report.stats.queries_failed == 1
 
 
@@ -73,7 +71,7 @@ def test_yen_zero_timeout_aborts():
         yen_k_shortest(g, 0, 99, 50, timeout_s=0.0)
     assert exc.value.kind == "deadline"
     assert exc.value.report.status == ABORTED
-    assert len(exc.value.report.records) >= 1
+    assert len(exc.value.report.paths) >= 1
 
 
 def test_yen_against_enumeration():
@@ -98,7 +96,7 @@ def test_yen_modes_agree_on_a_grid():
     fast = yen_k_shortest(g, 0, 63, 40, accelerated=True)
     assert plain.status == fast.status == COMPLETE
     assert fast.costs == plain.costs
-    assert [r.path.arcs for r in fast.records] == [r.path.arcs for r in plain.records]
+    assert [p.arcs for p in fast.paths] == [p.arcs for p in plain.paths]
     assert fast.stats.labels_extracted < plain.stats.labels_extracted
     assert fast.stats.capped_queries > 0
 

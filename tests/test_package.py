@@ -12,6 +12,18 @@ def test_every_exported_name_resolves():
     assert len(set(kssp.__all__)) == len(kssp.__all__)
 
 
+def test_the_root_exports_only_the_solver():
+    assert kssp.__all__ == [
+        "Graph",
+        "Path",
+        "k_shortest_paths",
+        "SolveOptions",
+        "SolveReport",
+        "SolveLimitExceeded",
+        "__version__",
+    ]
+
+
 def test_engine_keeps_the_names_the_benchmark_traces():
     # perfbench/spans.py looks these names of kssp.engine up on import, traced
     # or not; drop this test with the engine's unused reverse_distances import
