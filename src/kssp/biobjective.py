@@ -264,16 +264,15 @@ class SearchDebug:
     ``extracted_keys`` the matching queue keys, equal to the costs when
     the query has no sweep; ``dominated`` the extensions skipped at
     propagation time; ``enqueued`` every entry pushed into the queue.
-    With ``verify_queue`` set, each iteration recounts the live queue
-    entries per node and checks their total against the nodes whose
-    workspace slot holds a candidate. ``frontiers`` holds the permanent
-    labels per node once the search returns, as the search's plain
-    ``(cost, overlap, via_arc, via_index)`` tuples: ``via_arc`` reached
-    the node (-1 at the query source) and ``via_index`` indexes the
-    predecessor label in the permanent list of that arc's tail.
+    Each iteration recounts the live queue entries per node and checks
+    their total against the nodes whose workspace slot holds a
+    candidate. ``frontiers`` holds the permanent labels per node once
+    the search returns, as the search's plain ``(cost, overlap,
+    via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
+    the query source) and ``via_index`` indexes the predecessor label
+    in the permanent list of that arc's tail.
     """
 
-    verify_queue: bool = True
     extracted: list[tuple[float, int, int]] = field(default_factory=list)
     extracted_keys: list[float] = field(default_factory=list)
     dominated: list[tuple[float, int, int]] = field(default_factory=list)
@@ -489,7 +488,7 @@ def find_best_deviation(
                 heappush(heap, ne)
                 if debug is not None:
                     debug.enqueued.append((best_c, best_o, node))
-        if debug is not None and debug.verify_queue:
+        if debug is not None:
             live: dict[int, int] = {}
             for other in heap:
                 w = other[2]

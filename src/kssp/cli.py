@@ -18,7 +18,7 @@ import os
 import sys
 
 from .bench import ALGORITHMS, bench_graph, bench_grid, read_rows, summarize, write_rows, write_summary
-from .dimacs import DimacsError, dump_dimacs, format_path_line, load_dimacs
+from .dimacs import DimacsError, dump_dimacs, load_dimacs, write_paths
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
 from .graph import Graph, GraphError
 from .gridgen import gen_grid, sample_pairs, seeded_grids
@@ -86,11 +86,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_paths(g: Graph, report) -> None:
-    for path in report.paths:
-        print(format_path_line(g, path))
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args)
     s, t, k = args.source, args.target, args.k
@@ -101,8 +96,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"brute force is limited to {BRUTE_NODE_LIMIT} nodes, graph has {g.node_count}"
             )
         paths = enumerate_simple_paths(g, s, t, max_paths=k)
-        for p in paths:
-            print(format_path_line(g, p))
+        write_paths(g, paths, sys.stdout)
         _note(f"brute force: {len(paths)} of {k} requested paths")
         return 0 if len(paths) == k else 3
 
@@ -121,16 +115,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             report = yen_k_shortest(
                 g, s, t, k, accelerated=args.algo == "yen-accelerated", timeout_s=args.timeout_s
             )
-        if args.algo == "both":
-            reference = yen_k_shortest(g, s, t, k, timeout_s=args.timeout_s)
-            if report.costs != reference.costs:
-                _note("cross-check mismatch between solvers:")
-                _note(f"  deviation: {report.costs}")
-                _note(f"  yen:       {reference.costs}")
-                return 4
-            _note("cross-check: yen agrees")
     except SolveLimitExceeded as exc:
-        _print_paths(g, exc.report)
+        write_paths(g, exc.report.paths, sys.stdout)
         _note(f"aborted ({exc.kind}): {len(exc.report.paths)} of {k} paths found")
         return 1
     except AssertionError as exc:
@@ -139,20 +125,35 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _note(f"validation failed: {exc}")
         return 4
 
+    if args.algo == "both":
+        try:
+            reference = yen_k_shortest(g, s, t, k, timeout_s=args.timeout_s)
+        except SolveLimitExceeded as exc:
+            write_paths(g, report.paths, sys.stdout)
+            found = len(exc.report.paths)
+            _note(f"cross-check aborted ({exc.kind}): yen found {found} of {k} paths")
+            return 1
+        if report.costs != reference.costs:
+            _note("cross-check mismatch between solvers:")
+            _note(f"  deviation: {report.costs}")
+            _note(f"  yen:       {reference.costs}")
+            return 4
+        _note("cross-check: yen agrees")
+
     if args.check:
         if g.node_count > BRUTE_NODE_LIMIT:
             _note(f"check skipped: graph has more than {BRUTE_NODE_LIMIT} nodes")
         else:
             expected = [p.cost for p in enumerate_simple_paths(g, s, t, max_paths=k)]
             if report.costs != expected:
-                _print_paths(g, report)
+                write_paths(g, report.paths, sys.stdout)
                 _note("cross-check mismatch against exhaustive enumeration:")
                 _note(f"  solver:     {report.costs}")
                 _note(f"  exhaustive: {expected}")
                 return 4
             _note("cross-check: exhaustive enumeration agrees")
 
-    _print_paths(g, report)
+    write_paths(g, report.paths, sys.stdout)
     st = report.stats
     _note(
         f"{len(report.paths)} of {k} paths, status {report.status}, "

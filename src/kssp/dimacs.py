@@ -8,8 +8,10 @@ Graph files follow the 9th DIMACS Implementation Challenge ``.gr`` layout:
 
 The challenge files carry nonnegative integer costs. This reader also
 accepts nonnegative decimal reals so generated grid instances, whose
-costs are uniform doubles, travel through the same format; integers
-survive the round trip exactly either way.
+costs are uniform doubles, travel through the same format. Each cost
+token is read with one ``float()``, so integers are exact up to 2^53
+and correctly rounded beyond; the costs the writer prints survive the
+round trip exactly.
 
 Path dumps are one line per path:
 
@@ -19,6 +21,7 @@ with 0-based node ids, matching the in-memory graph.
 """
 from __future__ import annotations
 
+import math
 from typing import IO, Iterable
 
 from .graph import Graph, Path
@@ -34,15 +37,10 @@ class DimacsError(ValueError):
 
 def _parse_cost(token: str, line_no: int) -> float:
     try:
-        value = float(int(token))
-    except OverflowError:
-        value = float("inf")  # an integer beyond the float range
+        value = float(token)
     except ValueError:
-        try:
-            value = float(token)
-        except ValueError:
-            raise DimacsError(line_no, f"bad arc cost {token!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+        raise DimacsError(line_no, f"bad arc cost {token!r}") from None
+    if not math.isfinite(value):
         raise DimacsError(line_no, f"arc cost must be finite, got {token!r}")
     if value < 0.0:
         raise DimacsError(line_no, f"arc cost must be nonnegative, got {token!r}")
@@ -59,9 +57,7 @@ def load_dimacs(source: str | IO[str]) -> Graph:
     node_count = -1
     arc_count = -1
     arcs: list[tuple[int, int, float]] = []
-    last_line = 0
     for line_no, raw in enumerate(lines, start=1):
-        last_line = line_no
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -97,9 +93,9 @@ def load_dimacs(source: str | IO[str]) -> Graph:
         else:
             raise DimacsError(line_no, f"unrecognized line {line!r}")
     if node_count < 0:
-        raise DimacsError(last_line or 1, "missing problem line")
+        raise DimacsError(len(lines) or 1, "missing problem line")
     if len(arcs) != arc_count:
-        raise DimacsError(last_line or 1, f"expected {arc_count} arc lines, found {len(arcs)}")
+        raise DimacsError(len(lines) or 1, f"expected {arc_count} arc lines, found {len(arcs)}")
     return Graph(node_count, arcs)
 
 

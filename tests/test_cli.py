@@ -8,7 +8,8 @@ import pytest
 
 from kssp.cli import main
 from kssp.dimacs import load_dimacs
-from kssp.oracles import enumerate_simple_paths
+from kssp.engine import SolveLimitExceeded
+from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 MINI = str(FilePath(__file__).parent / "data" / "mini10.gr")
 
@@ -83,6 +84,19 @@ def test_solve_both_cross_checks(capsys):
     assert code == 0
     assert out == MINI_LINES
     assert "yen agrees" in err
+
+
+def test_solve_both_prints_the_deviation_paths_when_yen_aborts(capsys, monkeypatch):
+    def timed_out_yen(g, s, t, k, **kwargs):
+        raise SolveLimitExceeded("deadline", yen_k_shortest(g, s, t, 1))
+
+    monkeypatch.setattr("kssp.cli.yen_k_shortest", timed_out_yen)
+    code, out, err = run(
+        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--algo", "both"
+    )
+    assert code == 1
+    assert out == MINI_LINES
+    assert err == "cross-check aborted (deadline): yen found 1 of 4 paths\n"
 
 
 def test_solve_yen_modes(capsys):

@@ -6,6 +6,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from kssp.cli import main
 from kssp.dimacs import (
     DimacsError,
     dump_dimacs,
@@ -63,6 +64,7 @@ def test_fixture_file_loads():
         ("p sp 2 1\na 1 2 inf\n", 2),
         ("p sp 2 1\na 1 2 nan\n", 2),
         pytest.param("p sp 2 1\na 1 2 " + "9" * 400 + "\n", 2, id="int-beyond-float-range"),
+        pytest.param("p sp 2 1\na 1 2 -" + "9" * 400 + "\n", 2, id="negative-int-beyond-range"),
         ("p sp 2 1\na 1 2 1\na 2 1 1\n", 3),
         ("p sp 2 1\nq foo\n", 2),
         ("p sp 2 2\na 1 2 1\n", 2),
@@ -75,6 +77,45 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
         load_dimacs(text)
     assert exc.value.line_no == bad_line
     assert f"line {bad_line}:" in str(exc.value)
+
+
+INTEGER_TOKENS = [
+    str(2**53 - 1),
+    str(2**53),
+    str(2**53 + 1),
+    str(2**53 + 3),
+    str(2**64 + 1),
+    str(2**1024 - 2**970 - 1),  # the largest integer that rounds to a finite float
+    "9" * 300,
+    "007",
+    "+7",
+    "1_000",
+]
+DECIMAL_TOKENS = ["0.1", "8.833108082136427", "2.5e3", "5e-324", "1e-400"]
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [(tok, float(int(tok))) for tok in INTEGER_TOKENS]
+    + [(tok, float(tok)) for tok in DECIMAL_TOKENS],
+)
+def test_cost_tokens_load_correctly_rounded(token, expected):
+    g = load_dimacs(f"p sp 2 1\na 1 2 {token}\n")
+    assert g.arc_cost[0].hex() == expected.hex()
+
+
+def test_negative_zero_cost_loads_and_solves_as_zero(tmp_path, capsys):
+    assert load_dimacs("p sp 2 1\na 1 2 -0\n").arc_cost[0].hex() == "-0x0.0p+0"
+    text = MINI.read_text()
+    outputs = []
+    for zero in ("0", "-0"):
+        graph = tmp_path / f"zero{zero}.gr"
+        graph.write_text(text.replace("a 1 3 1\n", f"a 1 3 {zero}\n"))
+        argv = ["solve", "--graph", str(graph), "-s", "0", "-t", "9", "-k", "16"]
+        assert main(argv + ["--algo", "both", "--validate"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("cost 8 nodes 0 2 4 6 8 9\n")
 
 
 def test_format_cost():
