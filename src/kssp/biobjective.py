@@ -70,7 +70,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .dijkstra import ReverseSweep
-from .graph import Graph, Mask, Path
+from .graph import Graph, Mask
 
 
 class BiCost(NamedTuple):
@@ -126,9 +126,10 @@ class Workspace:
 class DeviationQuery:
     """One search instance: masked graph, reference path, cost context.
 
-    ``prefix_cost`` is the cost of the solver-side prefix in front of
-    ``source``; the search itself never adds it to labels, it only feeds
-    the optional cost cap check. ``sweep``, a reverse sweep toward
+    ``prefix_cost`` is the left-to-right cost fold of the solver-side
+    prefix in front of ``source``. It is the root label's cost, so every
+    label cost continues that fold and is the fold of the whole walk from
+    the solver's origin. ``sweep``, a reverse sweep toward
     ``target`` over the unmasked graph, switches the queue to guided
     order (see the module docstring).
     """
@@ -191,13 +192,12 @@ def build_query(
 
 def reconstruct(
     g: Graph, label: tuple, frontiers: list[list[tuple]] | dict[int, list[tuple]]
-) -> Path:
-    """Follow predecessor links back to the query source.
+) -> tuple[int, ...]:
+    """The arcs of the walk from the query source to ``label``, by predecessor links.
 
     ``frontiers`` maps node to permanent labels, as the search's array or
-    an equivalent mapping. The label's cost was accumulated front to
-    back along the walk, so it equals the left-to-right cost fold of the
-    returned path exactly.
+    an equivalent mapping. The walk's cost is the label's own: it was
+    folded front to back along these arcs from the root's prefix cost.
     """
     arcs: list[int] = []
     cur = label
@@ -205,7 +205,7 @@ def reconstruct(
         arcs.append(cur[2])
         cur = frontiers[g.arc_tail[cur[2]]][cur[3]]
     arcs.reverse()
-    return Path(tuple(arcs), label[0])
+    return tuple(arcs)
 
 
 def first_deviation(
@@ -229,16 +229,18 @@ def first_deviation(
 class Deviation:
     """Result of a successful query.
 
-    ``suffix`` starts at the deviation node with the deviation arc and
-    ends at the target; ``bicost`` scores the full source-to-target path
-    the search found (prefix cost in front of the source not included).
-    ``ref_index`` counts the reference arcs shared before the deviation.
+    ``suffix`` holds the arcs from the deviation node, starting with the
+    deviation arc, to the target. ``bicost`` scores the path the search
+    found: its cost is the left-to-right fold from the solver's origin,
+    prefix included, which is the cost the caller reports for the whole
+    path. ``ref_index`` counts the reference arcs shared before the
+    deviation.
     """
 
     node: int
     arc: int
     ref_index: int
-    suffix: Path
+    suffix: tuple[int, ...]
     bicost: BiCost
 
 
@@ -292,13 +294,14 @@ def find_best_deviation(
 ) -> tuple[Deviation | None, QueryStats]:
     """Run the search; returns (deviation or None, stats).
 
-    Once the extracted scalar cost plus the query's prefix cost reaches
-    ``cost_cap`` (None: no cap), the query aborts. That is sound in both
-    queue orders, because every completion still ahead costs at least
-    the current extraction's scalar cost: in plain order extraction is
-    cost-monotone, and in guided order the key is a lower bound on
-    completion cost and never falls below the scalar cost. A capped or
-    exhausted query returns None.
+    Once an extracted label's cost, which includes the query's prefix
+    cost, reaches ``cost_cap`` (None: no cap), the query aborts. The cap
+    thus compares the very fold the caller ranks candidates by. That is
+    sound in both queue orders, because every completion still ahead
+    costs at least the current extraction's scalar cost: in plain order
+    extraction is cost-monotone, and in guided order the key is a lower
+    bound on completion cost and never falls below the scalar cost. A
+    capped or exhausted query returns None.
 
     The query's sweep may be partly settled: its ``dist``, the potential,
     holds exact distances at settled nodes and infinity elsewhere. Before
@@ -356,13 +359,13 @@ def find_best_deviation(
     root_key = pot[query.source]
     if root_key == unreachable:
         return None, QueryStats(0, 0, outcome)
-    entry = (root_key, 0, query.source, 0, (0.0, 0, -1, -1))
+    entry = (prefix_cost + root_key, 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
     dropped[query.source] = unreachable
     heap.append(entry)
     if debug is not None:
-        debug.enqueued.append((0.0, 0, query.source))
+        debug.enqueued.append((prefix_cost, 0, query.source))
 
     while heap:
         e = heappop(heap)
@@ -378,7 +381,7 @@ def find_best_deviation(
         lab = e[4]
         ecost = lab[0]
         eover = e[1]
-        if cost_cap is not None and prefix_cost + ecost >= cost_cap:
+        if cost_cap is not None and ecost >= cost_cap:
             outcome = "cost-capped"
             break
         if f_stamp[node] == serial:
@@ -394,18 +397,8 @@ def find_best_deviation(
             t_hits += 1
             if eover < ref_len:
                 found = reconstruct(g, lab, frontiers)
-                dev_node, dev_arc, idx = first_deviation(g, query.source, query.ref_arcs, found.arcs)
-                suffix_arcs = found.arcs[idx:]
-                suffix_cost = 0.0
-                for a in suffix_arcs:
-                    suffix_cost += arc_cost[a]
-                result = Deviation(
-                    node=dev_node,
-                    arc=dev_arc,
-                    ref_index=idx,
-                    suffix=Path(suffix_arcs, suffix_cost),
-                    bicost=BiCost(ecost, eover),
-                )
+                dev_node, dev_arc, idx = first_deviation(g, query.source, query.ref_arcs, found)
+                result = Deviation(dev_node, dev_arc, idx, found[idx:], BiCost(ecost, eover))
                 outcome = "found"
                 break
             # the reference itself; record it, never propagate target labels

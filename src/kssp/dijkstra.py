@@ -30,6 +30,7 @@ def shortest_path(
     potential: list[float] | None = None,
     bound: float | None = None,
     prune: list[float] | None = None,
+    start: float = 0.0,
 ) -> tuple[Path | None, int]:
     """Cheapest simple path from source to target, with the pop count.
 
@@ -43,6 +44,11 @@ def shortest_path(
     abandons any label whose lower bound meets it, so a return of None
     then means no path cheaper than the bound, not necessarily no path
     at all.
+
+    ``start`` is the cost already folded in front of ``source``, such as
+    the root of a spur path. Every label continues that fold, so the
+    returned cost is the left-to-right fold of the whole walk from the
+    start of that prefix, and ``bound`` applies to it.
 
     ``prune`` takes :func:`reverse_distances` of the same unmasked graph
     toward ``target``. The search then returns exactly the plain
@@ -72,7 +78,7 @@ def shortest_path(
     its predecessor on P; any other predecessor that ties for that label
     pops later in the plain search and no earlier in the pruned one, so
     it cannot take the ``via`` arc over. Masks make true distances grow,
-    so ``prune`` must not be combined with one.
+    so ``prune`` must not be combined with one, nor with a ``start``.
     """
     node_stamp = arc_stamp = None
     epoch = 0
@@ -87,7 +93,7 @@ def shortest_path(
         h0 = potential[source]
         if h0 == inf:
             return None, 0
-    if bound is not None and h0 >= bound:
+    if bound is not None and start + h0 >= bound:
         return None, 0
     limit = inf
     if prune is not None:
@@ -96,10 +102,10 @@ def shortest_path(
             return None, 0
         limit = prune_limit(g, h)
 
-    dist: dict[int, float] = {source: 0.0}
+    dist: dict[int, float] = {source: start}
     via: dict[int, int] = {}
     done: set[int] = set()
-    heap: list[tuple[float, int]] = [(h0, source)]
+    heap: list[tuple[float, int]] = [(start + h0, source)]
     pops = 0
     arc_cost = g.arc_cost
     arc_head = g.arc_head

@@ -98,8 +98,10 @@ class PathRecord:
     ``source_pos`` the index of the first suffix node, which is
     ``dev_pos + 1`` everywhere except the root record where both are 0.
     ``prefix_cost`` caches the left-to-right cost fold of
-    ``path.arcs[:source_pos]``. ``blocked`` collects the deviation arcs
-    of this record's generated children.
+    ``path.arcs[:source_pos]``; the record's queries start their root
+    label at it, so a found deviation already carries its whole path's
+    cost. ``blocked`` collects the deviation arcs of this record's
+    generated children.
     """
 
     path: Path
@@ -279,14 +281,13 @@ def k_shortest_paths(
             raise RuntimeError("deviation arc regenerated for the same parent")
         dev_pos = origin.source_pos + dev.ref_index
         source_pos = dev_pos + 1
-        arcs = origin.path.arcs[:dev_pos] + dev.suffix.arcs
-        # the fold up to the origin's source is cached; continue it from there
-        cost = origin.prefix_cost
-        prefix_cost = 0.0
-        for i in range(origin.source_pos, len(arcs)):
-            cost += arc_cost[arcs[i]]
-            if i + 1 == source_pos:
-                prefix_cost = cost
+        arcs = origin.path.arcs[:dev_pos] + dev.suffix
+        # the search folded the whole path from the origin's prefix cost;
+        # continue that prefix fold up to the new source
+        cost = dev.bicost.cost
+        prefix_cost = origin.prefix_cost
+        for a in arcs[origin.source_pos : source_pos]:
+            prefix_cost += arc_cost[a]
         if seen_candidates is not None:
             if arcs in seen_candidates:
                 raise RuntimeError("duplicate candidate generated")

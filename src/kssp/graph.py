@@ -14,6 +14,9 @@ Costs are IEEE float64 and compared exactly. Whenever a cost of a path is
 computed it is folded left to right over the arc sequence, so any two
 components that compute the cost of the same arc sequence obtain the
 identical float and "equal cost" is well defined across the code base.
+Searches that start part way along a path begin at the fold of the prefix
+in front of them, so every label in every search is a left fold from the
+path's first node, and the cost a search finds is the cost reported.
 """
 from __future__ import annotations
 

@@ -111,30 +111,28 @@ def yen_k_shortest(
             bnd = None
             if len(cands) >= room:
                 cap = cands[-1][0]
-                # Candidate costs are folded over the whole arc list,
-                # while the search adds suffix cost to the root subtotal;
-                # the slack keeps rounding from pruning a borderline
-                # candidate the exact fold would have kept.
-                bnd = cap - root_cost + 1e-9 * (1.0 + abs(cap))
-            suffix, pops = shortest_path(
-                g, nodes[j], t, mask=mask, potential=potential, bound=bnd
+                # Labels are left folds from s, but an A* key adds the
+                # potential, a right fold from t, and the sum can round
+                # above every completion's own fold; the slack keeps it
+                # from pruning a candidate cheaper than the cap.
+                bnd = cap + 1e-9 * (1.0 + abs(cap))
+            spur, pops = shortest_path(
+                g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
             )
             stats.queries_attempted += 1
             stats.labels_extracted += pops
-            if suffix is None:
+            if spur is None:
                 stats.queries_failed += 1
                 stats.failed_iterations += pops
                 if bnd is not None:
                     stats.capped_queries += 1
                 continue
             stats.success_iterations += pops
-            cand_arcs = arcs[:j] + suffix.arcs
+            cand_arcs = arcs[:j] + spur.arcs
             if cand_arcs in seen:
                 continue
             seen.add(cand_arcs)
-            cost = 0.0
-            for a in cand_arcs:
-                cost += arc_cost[a]
+            cost = spur.cost
             if len(cands) >= room and cost >= cands[-1][0]:
                 continue
             push_counter += 1

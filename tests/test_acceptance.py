@@ -284,7 +284,7 @@ def test_search_structural_invariants():
                 assert costs == sorted(costs)
             # any found deviation reconstructs to a simple distinct path
             if dev is not None:
-                full = ref.arcs[: dev.ref_index] + dev.suffix.arcs
+                full = ref.arcs[: dev.ref_index] + dev.suffix
                 assert is_simple(g, full)
                 assert full != ref.arcs
                 assert path_cost(g, full) == dev.bicost.cost

@@ -62,7 +62,7 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     assert dev.node == 2
     assert dev.arc == 7
     assert dev.ref_index == 2
-    assert dev.suffix == Path((7,), 2.0)
+    assert dev.suffix == (7,)
 
 
 def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
@@ -72,7 +72,7 @@ def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
     debug = SearchDebug()
     dev, stats = find_best_deviation(query, debug=debug)
     assert dev.bicost == BiCost(2.0, 2)
-    assert dev.suffix == Path((7,), 2.0)
+    assert dev.suffix == (7,)
     assert stats.iterations == 6
     assert stats.target_extractions == 2
     keys = debug.extracted_keys
@@ -106,7 +106,7 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     # the detour through node 4 needs its distance, so the search settled it
     assert sweep.dist == reverse_distances(g, 5)
     assert dev.bicost == BiCost(2.0, 2)
-    assert dev.suffix == Path((7,), 2.0)
+    assert dev.suffix == (7,)
     assert stats == (6, 2, "found")
 
 
@@ -263,7 +263,7 @@ def test_ref_epochs_isolate_consecutive_queries(six_node_graph):
 
     dev, _ = find_best_deviation(qb)
     assert dev.bicost == BiCost(2.0, 0)
-    assert dev.suffix == Path((7,), 2.0)
+    assert dev.suffix == (7,)
 
 
 def test_workspace_is_reusable_across_many_queries(six_node_graph):
@@ -289,9 +289,9 @@ def test_reconstruct_follows_predecessor_links(six_node_graph):
     g = six_node_graph
     debug = SearchDebug()
     find_best_deviation(build_query(g, 0, 5, SPINE), debug=debug)
-    found = reconstruct(g, debug.frontiers[5][1], debug.frontiers)
-    assert found.arcs == (0, 1, 7)
-    assert found.cost == 2.0
+    label = debug.frontiers[5][1]
+    assert reconstruct(g, label, debug.frontiers) == (0, 1, 7)
+    assert label[0] == 2.0
 
 
 def _best_distinct(g: Graph, s: int, t: int, ref_arcs: tuple[int, ...]) -> Path | None:
@@ -340,11 +340,11 @@ def test_structural_invariants_on_seeded_instances():
             assert dev is not None
             assert stats.outcome == "found"
             assert dev.bicost.cost == expected.cost
-            full = ref.arcs[: dev.ref_index] + dev.suffix.arcs
+            full = ref.arcs[: dev.ref_index] + dev.suffix
             assert full != ref.arcs
             assert is_simple(g, full)
             assert path_cost(g, full) == dev.bicost.cost
-            assert dev.suffix.arcs[0] == dev.arc
+            assert dev.suffix[0] == dev.arc
             assert ref.arcs[dev.ref_index] != dev.arc
 
         # guided mode answers with the same cost and a valid path
@@ -357,7 +357,7 @@ def test_structural_invariants_on_seeded_instances():
         assert (gdev is None) == (dev is None)
         if gdev is not None:
             assert gdev.bicost.cost == dev.bicost.cost
-            gfull = ref.arcs[: gdev.ref_index] + gdev.suffix.arcs
+            gfull = ref.arcs[: gdev.ref_index] + gdev.suffix
             assert is_simple(g, gfull)
             assert gfull != ref.arcs
             assert path_cost(g, gfull) == gdev.bicost.cost

@@ -280,22 +280,40 @@ def test_differential_against_enumeration():
     assert checked >= 40
 
 
-ROUNDING_DEFECT = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP Open item 1: float folds rank decimal and 2^53-offset costs out of order",
-)
+RANKERS = {
+    "deviation": k_shortest_paths,
+    "deviation-unguided": lambda g, s, t, k: k_shortest_paths(g, s, t, k, SolveOptions(guided=False)),
+    "yen": yen_k_shortest,
+    "yen-accelerated": lambda g, s, t, k: yen_k_shortest(g, s, t, k, accelerated=True),
+}
+# Cases that still misrank some seed of 0-499, with the count and the cause.
+# Every label is a left fold from s, so the rest is ROADMAP Open item 1:
+# float folds are not exact, and only exact costs remove these marks.
+GUIDED_KEYS = "a guided key adds a potential folded from t, which can round a cost gap away"
+STILL_MISRANKED = {
+    ("deviation", "tenths"): f"1 seed: {GUIDED_KEYS}",
+    ("deviation", "huge"): f"14 seeds: {GUIDED_KEYS}",
+    ("deviation-unguided", "huge"): "1 seed: behind 2^53, which of two suffixes is cheaper depends on the prefix",
+    ("yen-accelerated", "huge"): "8 seeds: A* on a rounded potential can close a node early",
+}
 
 
 @pytest.mark.parametrize(
-    "family",
+    "solver, family",
     [
-        pytest.param(family, marks=() if family == "integers" else ROUNDING_DEFECT)
+        pytest.param(
+            solver,
+            family,
+            marks=[pytest.mark.xfail(strict=True, reason=f"ROADMAP Open item 1, {STILL_MISRANKED[solver, family]}")]
+            if (solver, family) in STILL_MISRANKED
+            else [],
+        )
+        for solver in RANKERS
         for family in COST_FAMILIES
     ],
 )
-@pytest.mark.parametrize("solver", ["deviation", "yen"])
 def test_every_simple_path_ranks_as_enumeration_does(solver, family):
-    solve = k_shortest_paths if solver == "deviation" else yen_k_shortest
+    solve = RANKERS[solver]
     mismatches = []
     for seed in range(500):
         g = cost_family(make_digraph(seed, 5, 9, 0.4), family)
