@@ -7,9 +7,11 @@ from pathlib import Path as FilePath
 import pytest
 
 from kssp.cli import main
-from kssp.dimacs import load_dimacs
+from kssp.dimacs import dumps_dimacs, load_dimacs, parse_path_line
 from kssp.engine import SolveLimitExceeded
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
+
+from conftest import cost_family, make_digraph
 
 MINI = str(FilePath(__file__).parent / "data" / "mini10.gr")
 
@@ -188,6 +190,25 @@ def test_a_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert out == []
     assert err.startswith("error: line 2: arc cost must be finite")
     assert err.count("\n") == 1
+
+
+def test_decimal_costs_solve_in_cost_order(tmp_path, capsys):
+    # seed 70 once printed 1.2000000000000002 before 1.2, and --validate exited 4
+    g = cost_family(make_digraph(70, 5, 9, 0.4), "tenths")
+    graph = tmp_path / "tenths.gr"
+    graph.write_text(dumps_dimacs(g))
+    code, out, _ = run(capsys, "solve", "--graph", str(graph), "-s", "0", "-t", "8", "-k", "20", "--validate")
+    assert code == 0
+    want = [p.cost for p in enumerate_simple_paths(g, 0, 8)[:20]]
+    assert [parse_path_line(line)[0] for line in out] == want
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: a cost fold can overflow to inf")
+def test_a_path_cost_beyond_the_float_range_is_not_printed_as_inf(tmp_path, capsys):
+    graph = tmp_path / "overflow.gr"
+    graph.write_text("p sp 3 3\na 1 3 0\na 1 2 1e308\na 2 3 1e308\n")
+    _, out, _ = run(capsys, "solve", "--graph", str(graph), "-s", "0", "-t", "2", "-k", "3")
+    assert not any(line.startswith("cost inf ") for line in out)
 
 
 def test_report_on_a_csv_without_bench_columns_exits_2(tmp_path, capsys):
