@@ -231,10 +231,9 @@ class Deviation:
 
     ``suffix`` holds the arcs from the deviation node, starting with the
     deviation arc, to the target. ``bicost`` scores the path the search
-    found: its cost is the left-to-right fold from the solver's origin,
-    prefix included, which is the cost the caller reports for the whole
-    path. ``ref_index`` counts the reference arcs shared before the
-    deviation.
+    found; its cost is the left-to-right fold of the whole path, prefix
+    included, the cost the caller reports. ``ref_index`` counts the
+    reference arcs shared before the deviation.
     """
 
     node: int

@@ -1,7 +1,8 @@
 """Scalar shortest-path searches on arc-weighted digraphs.
 
-Costs of returned paths are left-to-right folds of their arc costs, the
-same convention used everywhere else in the package, so equal paths
+Costs of returned paths are left-to-right folds of their arc costs,
+continued from the prefix's fold where a search starts part way along a
+path: the convention used everywhere else in the package, so equal paths
 always carry bit-identical costs.
 """
 from __future__ import annotations
@@ -45,10 +46,9 @@ def shortest_path(
     then means no path cheaper than the bound, not necessarily no path
     at all.
 
-    ``start`` is the cost already folded in front of ``source``, such as
-    the root of a spur path. Every label continues that fold, so the
-    returned cost is the left-to-right fold of the whole walk from the
-    start of that prefix, and ``bound`` applies to it.
+    ``start`` is the cost folded in front of ``source``, such as a spur
+    path's root. Labels continue that fold, so the returned cost and
+    ``bound`` refer to the whole walk from the prefix's first node.
 
     ``prune`` takes :func:`reverse_distances` of the same unmasked graph
     toward ``target``. The search then returns exactly the plain

@@ -98,10 +98,8 @@ class PathRecord:
     ``source_pos`` the index of the first suffix node, which is
     ``dev_pos + 1`` everywhere except the root record where both are 0.
     ``prefix_cost`` caches the left-to-right cost fold of
-    ``path.arcs[:source_pos]``; the record's queries start their root
-    label at it, so a found deviation already carries its whole path's
-    cost. ``blocked`` collects the deviation arcs of this record's
-    generated children.
+    ``path.arcs[:source_pos]``, the root label cost of the record's
+    queries. ``blocked`` collects the deviation arcs of its children.
     """
 
     path: Path
@@ -282,8 +280,7 @@ def k_shortest_paths(
         dev_pos = origin.source_pos + dev.ref_index
         source_pos = dev_pos + 1
         arcs = origin.path.arcs[:dev_pos] + dev.suffix
-        # the search folded the whole path from the origin's prefix cost;
-        # continue that prefix fold up to the new source
+        # the search's cost is the whole path's fold; extend the prefix fold to the new source
         cost = dev.bicost.cost
         prefix_cost = origin.prefix_cost
         for a in arcs[origin.source_pos : source_pos]:

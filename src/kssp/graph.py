@@ -14,9 +14,8 @@ Costs are IEEE float64 and compared exactly. Whenever a cost of a path is
 computed it is folded left to right over the arc sequence, so any two
 components that compute the cost of the same arc sequence obtain the
 identical float and "equal cost" is well defined across the code base.
-Searches that start part way along a path begin at the fold of the prefix
-in front of them, so every label in every search is a left fold from the
-path's first node, and the cost a search finds is the cost reported.
+Searches that start part way along a path begin at its prefix's fold, so
+every label in every search is a left fold from s and is the cost reported.
 """
 from __future__ import annotations
 
@@ -127,8 +126,9 @@ class Mask:
 class Path:
     """A walk stored as a tuple of arc ids with its cached cost.
 
-    The cached cost is always the left-to-right fold over the arc costs;
-    use :meth:`build` to construct a validated instance.
+    The cached cost is the left-to-right fold over the arc costs, or for
+    a search given a ``start``, that fold continued from the prefix's
+    cost; use :meth:`build` to construct a validated instance.
     """
 
     arcs: tuple[int, ...]

@@ -295,8 +295,8 @@ RANKERS = {
     "yen-accelerated": lambda g, s, t, k: yen_k_shortest(g, s, t, k, accelerated=True),
 }
 # Cases that still misrank some seed of 0-499, with the count and the cause.
-# Every label is a left fold from s, so the rest is ROADMAP Open item 1:
-# float folds are not exact, and only exact costs remove these marks.
+# Every search label is a left fold from s; what remains is ROADMAP Open
+# item 1: float folds are not exact, and only exact costs remove these marks.
 GUIDED_KEYS = "a guided key adds a potential folded from t, which can round a cost gap away"
 STILL_MISRANKED = {
     ("deviation", "tenths"): f"1 seed: {GUIDED_KEYS}",
