@@ -21,7 +21,7 @@ from kssp.engine import (
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph
-from kssp.gridgen import gen_grid, sample_pairs
+from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
@@ -147,6 +147,23 @@ def test_solves_keep_their_frozen_records():
     digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in frozen_solves()]
     assert len(digests) == 5 + 300 * 3 * 2
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
+
+
+# report_digest over road_solves()
+FROZEN_ROAD_DIGEST = "fbf413e01918ae7201390afc3cd4c5e0cbf8ebb12e8264c82a96c9684010cf32"
+
+
+def road_solves():
+    """The first 3 pairs of the benchmark's 256x256 road grid (master seed 512) at k=100."""
+    ((_, g, pair_rng),) = seeded_grids(256, 256, 1, 512)
+    for s, t in sample_pairs(pair_rng, g.node_count, 3):
+        yield g, s, t, 100
+
+
+def test_road_scale_solves_keep_their_frozen_records():
+    """Records, status and counters stay bit-identical where queries settle the sweep on demand."""
+    digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in road_solves()]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_ROAD_DIGEST
 
 
 def test_label_budget_is_exact_under_a_lazily_settled_sweep(monkeypatch):
