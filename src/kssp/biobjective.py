@@ -142,10 +142,6 @@ class DeviationQuery:
     prefix_cost: float = 0.0
     sweep: ReverseSweep | None = None
 
-    @property
-    def ref_len(self) -> int:
-        return len(self.ref_arcs)
-
 
 def build_query(
     g: Graph,
@@ -192,37 +188,20 @@ def build_query(
 
 def reconstruct(
     g: Graph, label: tuple, frontiers: list[list[tuple]] | dict[int, list[tuple]]
-) -> tuple[int, ...]:
-    """The arcs of the walk from the query source to ``label``, by predecessor links.
+) -> list[tuple]:
+    """The label chain to ``label`` by predecessor links: entry i came over arc i.
 
-    ``frontiers`` maps node to permanent labels, as the search's array or
-    an equivalent mapping. The walk's cost is the label's own: it was
-    folded front to back along these arcs from the root's prefix cost.
+    The root is left out, so ``entry[2]`` is the walk's arc i and its
+    cost the fold up to that arc's head. ``frontiers`` maps node to
+    permanent labels, as the search's array or an equivalent mapping.
     """
-    arcs: list[int] = []
+    chain: list[tuple] = []
     cur = label
     while cur[2] != -1:
-        arcs.append(cur[2])
+        chain.append(cur)
         cur = frontiers[g.arc_tail[cur[2]]][cur[3]]
-    arcs.reverse()
-    return tuple(arcs)
-
-
-def first_deviation(
-    g: Graph, source: int, ref_arcs: tuple[int, ...], found_arcs: tuple[int, ...]
-) -> tuple[int, int, int]:
-    """Locate where ``found_arcs`` first leaves the reference.
-
-    Returns ``(deviation node, deviation arc, index)`` where index is the
-    number of shared leading arcs; the suffix from the deviation node is
-    ``found_arcs[index:]``. Identical sequences, or one being a prefix of
-    the other, violate the contract.
-    """
-    for i, (ra, fa) in enumerate(zip(ref_arcs, found_arcs)):
-        if ra != fa:
-            node = source if i == 0 else g.arc_head[ref_arcs[i - 1]]
-            return node, fa, i
-    raise ValueError("paths do not deviate: one is a prefix of the other")
+    chain.reverse()
+    return chain
 
 
 @dataclass(frozen=True)
@@ -232,8 +211,9 @@ class Deviation:
     ``suffix`` holds the arcs from the deviation node, starting with the
     deviation arc, to the target. ``bicost`` scores the path the search
     found; its cost is the left-to-right fold of the whole path, prefix
-    included, the cost the caller reports. ``ref_index`` counts the
-    reference arcs shared before the deviation.
+    included, the cost the caller reports, and ``source_cost`` that fold
+    up to the deviation arc's head. ``ref_index`` counts the reference
+    arcs shared before the deviation.
     """
 
     node: int
@@ -241,6 +221,7 @@ class Deviation:
     ref_index: int
     suffix: tuple[int, ...]
     bicost: BiCost
+    source_cost: float
 
 
 class QueryStats(NamedTuple):
@@ -302,6 +283,12 @@ def find_best_deviation(
     bound on completion cost and never falls below the scalar cost. A
     capped or exhausted query returns None.
 
+    The deviation is read off the found label's chain: its label over
+    arc i has overlap i + 1 exactly when arcs 0..i are the reference's,
+    as the simple reference leaves its node i only by arc i. So the first
+    chain label with another overlap came over the deviation arc; the
+    found path's smaller overlap guarantees one.
+
     The query's sweep may be partly settled: its ``dist``, the potential,
     holds exact distances at settled nodes and infinity elsewhere. Before
     the search reads the potential of a node without one, it settles the
@@ -311,7 +298,8 @@ def find_best_deviation(
     potential the search reads is final and the search runs exactly as
     under a sweep settled to the end. It reads the potential of the root
     and of each node it extends a label to; a node it extracts or
-    rebuilds was enqueued, so it was read before.
+    rebuilds was enqueued, so it was read before. The zero potential of
+    a query without a sweep has no infinite entry, so it never asks.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -326,7 +314,7 @@ def find_best_deviation(
     ref_stamp = ws.ref_stamp
     ref_epoch = ws.ref_epoch
     target = query.target
-    ref_len = query.ref_len
+    ref_len = len(query.ref_arcs)
     prefix_cost = query.prefix_cost
     sweep = query.sweep
     if sweep is not None:
@@ -395,9 +383,13 @@ def find_best_deviation(
         if node == target:
             t_hits += 1
             if eover < ref_len:
-                found = reconstruct(g, lab, frontiers)
-                dev_node, dev_arc, idx = first_deviation(g, query.source, query.ref_arcs, found)
-                result = Deviation(dev_node, dev_arc, idx, found[idx:], BiCost(ecost, eover))
+                chain = reconstruct(g, lab, frontiers)
+                i = 0
+                while chain[i][1] == i + 1:
+                    i += 1
+                via = chain[i]
+                suffix = tuple(step[2] for step in chain[i:])
+                result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(ecost, eover), via[0])
                 outcome = "found"
                 break
             # the reference itself; record it, never propagate target labels
@@ -410,7 +402,7 @@ def find_best_deviation(
                 if node_stamp[w] == epoch:
                     continue
                 if pot[w] == unreachable:
-                    if sweep is None or sweep.horizon == unreachable:
+                    if sweep.horizon == unreachable:
                         continue
                     sweep.settle(0.0, w)
                     if pot[w] == unreachable:

@@ -5,16 +5,16 @@ path is the cheapest deviation from an already accepted path, found by
 the biobjective search in :mod:`kssp.biobjective`. Accepted paths and
 pending candidates form a tree: each candidate remembers its parent, the
 node where it leaves the parent (deviation node, at some position along
-the path) and the first node of its own new suffix (source node). After
-extracting a path from the candidate queue the driver asks at most two
-queries:
+the path) and the first node of its own new suffix (source node).
 
-* a child of the extracted path: search restarted at its source node,
-  with every node strictly before the source on the path masked away so
-  the fixed prefix cannot be re-entered;
-* the next sibling: the same kind of query against the parent, with the
-  deviation arcs of the parent's previously generated children blocked
-  so the search must find a new one.
+Every query is of one kind, Roditty's second-shortest-path question
+asked of one record: its cheapest deviation not generated before. The
+search restarts at the record's source node with every node strictly
+before it on the path masked away, so the fixed prefix cannot be
+re-entered, and with the deviation arcs of the record's earlier
+children blocked, so it must find a new one. After extracting a path
+from the candidate queue the driver asks it of two records: the
+extracted path, which has no children yet, and its parent.
 
 Generated deviation arcs are recorded per parent (``blocked``), which
 keeps all candidates structurally distinct. Two optional prune rules cut
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from .biobjective import Deviation, SearchLimit, Workspace, build_query, find_best_deviation
+from .biobjective import SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
@@ -233,10 +233,11 @@ def k_shortest_paths(
     cands: list[tuple[float, int, PathRecord]] = []
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
-    arc_cost = g.arc_cost
     arc_tail = g.arc_tail
 
-    def run_query(origin_index: int, use_blocked: bool) -> Deviation | None:
+    def ask(origin_index: int) -> None:
+        """Queue the cheapest deviation from record ``origin_index`` not generated before."""
+        nonlocal push_counter
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
@@ -247,16 +248,11 @@ def k_shortest_paths(
         epoch = mask.epoch
         for a in arcs[:sp]:
             node_stamp[arc_tail[a]] = epoch
-        if use_blocked:
-            for a in origin.blocked:
-                mask.delete_arc(a)
+        for a in origin.blocked:
+            mask.delete_arc(a)
         query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
         cap = queue_max_cap(len(records), cands, k) if opts.prune_queue_max else None
-        budget = None
-        if opts.label_budget is not None:
-            budget = opts.label_budget - stats.labels_extracted
-            if budget <= 0:
-                raise limit("label-budget")
+        budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
         except SearchLimit as exc:
@@ -268,44 +264,32 @@ def k_shortest_paths(
             stats.failed_iterations += qstats.iterations
             if qstats.outcome == "cost-capped":
                 stats.capped_queries += 1
-        else:
-            stats.success_iterations += qstats.iterations
-        return dev
-
-    def add_candidate(origin_index: int, dev: Deviation) -> None:
-        nonlocal push_counter
-        origin = records[origin_index]
+            return
+        stats.success_iterations += qstats.iterations
         if dev.arc in origin.blocked:
             raise RuntimeError("deviation arc regenerated for the same parent")
-        dev_pos = origin.source_pos + dev.ref_index
-        source_pos = dev_pos + 1
-        arcs = origin.path.arcs[:dev_pos] + dev.suffix
-        # the search's cost is the whole path's fold; extend the prefix fold to the new source
-        cost = dev.bicost.cost
-        prefix_cost = origin.prefix_cost
-        for a in arcs[origin.source_pos : source_pos]:
-            prefix_cost += arc_cost[a]
+        dev_pos = sp + dev.ref_index
+        arcs = arcs[:dev_pos] + dev.suffix
         if seen_candidates is not None:
             if arcs in seen_candidates:
                 raise RuntimeError("duplicate candidate generated")
             seen_candidates.add(arcs)
+        cost = dev.bicost.cost
         rec = PathRecord(
             path=Path(arcs, cost),
             parent_index=origin_index,
             dev_node=dev.node,
             dev_pos=dev_pos,
             source_node=g.arc_head[dev.arc],
-            source_pos=source_pos,
-            prefix_cost=prefix_cost,
+            source_pos=dev_pos + 1,
+            prefix_cost=dev.source_cost,
         )
         origin.blocked.append(dev.arc)
         push_counter += 1
         insort(cands, (cost, push_counter, rec))
 
     stats.init_queries = 1
-    dev = run_query(0, use_blocked=False)
-    if dev is not None:
-        add_candidate(0, dev)
+    ask(0)
 
     while len(records) < k:
         if deadline is not None and perf_counter() > deadline:
@@ -319,15 +303,8 @@ def k_shortest_paths(
         records.append(rec)
         if len(records) == k:
             return finish(COMPLETE)
-        extracted_index = len(records) - 1
-        dev = run_query(extracted_index, use_blocked=False)
-        if dev is not None:
-            add_candidate(extracted_index, dev)
-        parent_index = rec.parent_index
-        assert parent_index is not None
-        dev = run_query(parent_index, use_blocked=True)
-        if dev is not None:
-            add_candidate(parent_index, dev)
+        ask(len(records) - 1)
+        ask(rec.parent_index)
     return finish(COMPLETE)
 
 

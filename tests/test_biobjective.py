@@ -12,7 +12,6 @@ from kssp.biobjective import (
     Workspace,
     build_query,
     find_best_deviation,
-    first_deviation,
     reconstruct,
 )
 from kssp.dijkstra import ReverseSweep, reverse_distances, shortest_path
@@ -275,22 +274,12 @@ def test_workspace_is_reusable_across_many_queries(six_node_graph):
         assert stats.iterations == 8
 
 
-def test_first_deviation(six_node_graph):
-    g = six_node_graph
-    assert first_deviation(g, 0, SPINE, (0, 1, 7)) == (2, 7, 2)
-    assert first_deviation(g, 0, SPINE, (4, 6, 7)) == (0, 4, 0)
-    with pytest.raises(ValueError, match="do not deviate"):
-        first_deviation(g, 0, SPINE, SPINE)
-    with pytest.raises(ValueError, match="do not deviate"):
-        first_deviation(g, 0, SPINE, SPINE[:2])
-
-
 def test_reconstruct_follows_predecessor_links(six_node_graph):
     g = six_node_graph
     debug = SearchDebug()
     find_best_deviation(build_query(g, 0, 5, SPINE), debug=debug)
     label = debug.frontiers[5][1]
-    assert reconstruct(g, label, debug.frontiers) == (0, 1, 7)
+    assert [lab[2] for lab in reconstruct(g, label, debug.frontiers)] == [0, 1, 7]
     assert label[0] == 2.0
 
 
