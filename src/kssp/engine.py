@@ -60,7 +60,7 @@ from .biobjective import SearchLimit, Workspace, build_query, find_best_deviatio
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
-from .graph import Graph, Path, check_endpoints, is_simple
+from .graph import Graph, Path, PathError, check_endpoints, path_cost
 
 if TYPE_CHECKING:
     from .oracles import YenReport
@@ -78,7 +78,7 @@ class SolveOptions:
     settled on demand (same results, far fewer iterations); the prune
     flags toggle the two cost-sequence-neutral prune rules;
     ``label_budget`` caps the total labels extracted across all queries;
-    ``validate`` runs structural checks on the finished report.
+    ``validate`` checks the finished report against the contract.
     """
 
     guided: bool = True
@@ -209,7 +209,7 @@ def k_shortest_paths(
         stats.wall_time_s = perf_counter() - t_start
         report = SolveReport(records, status, stats)
         if opts.validate and status != ABORTED:
-            _validate_report(g, report)
+            _validate_report(g, s, t, report)
         return report
 
     def limit(kind: str) -> SolveLimitExceeded:
@@ -308,13 +308,30 @@ def k_shortest_paths(
     return finish(COMPLETE)
 
 
-def _validate_report(g: Graph, report: SolveReport) -> None:
-    """Structural checks used by tests and ``--check`` style runs."""
+def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
+    """Check the report against the contract; raise AssertionError at the first breach.
+
+    Every record must be a simple s-t walk whose cost is exactly the left
+    fold of its arc costs, distinct from the ones before it and no
+    cheaper, and must sit in the deviation tree as its fields claim.
+    """
     records = report.records
     last_cost = None
     seen_paths: set[tuple[int, ...]] = set()
     for idx, rec in enumerate(records):
-        if not is_simple(g, rec.path):
+        try:
+            fold = path_cost(g, rec.path)
+        except PathError as exc:
+            raise AssertionError(f"path {idx} is not a walk: {exc}") from None
+        nodes = rec.path.nodes(g)
+        if not nodes or nodes[0] != s:
+            raise AssertionError(f"path {idx} does not start at {s}")
+        if nodes[-1] != t:
+            raise AssertionError(f"path {idx} does not end at {t}")
+        if rec.path.cost != fold:
+            raise AssertionError(f"path {idx} costs {rec.path.cost!r}, its arcs fold to {fold!r}")
+        node_set = set(nodes)
+        if len(node_set) != len(nodes):
             raise AssertionError(f"path {idx} is not simple")
         if rec.path.arcs in seen_paths:
             raise AssertionError(f"path {idx} duplicates an earlier path")
@@ -323,16 +340,15 @@ def _validate_report(g: Graph, report: SolveReport) -> None:
             raise AssertionError(f"path {idx} breaks cost order")
         last_cost = rec.path.cost
         if rec.parent_index is not None:
-            parent = records[rec.parent_index]
             if rec.parent_index >= idx:
                 raise AssertionError(f"path {idx} has a later parent")
+            parent = records[rec.parent_index]
             if rec.dev_pos < parent.source_pos:
                 raise AssertionError(f"path {idx} deviates inside its parent's prefix")
             if rec.path.arcs[: rec.dev_pos] != parent.path.arcs[: rec.dev_pos]:
                 raise AssertionError(f"path {idx} does not share its parent's prefix")
         if len(set(rec.blocked)) != len(rec.blocked):
             raise AssertionError(f"record {idx} has duplicate blocked arcs")
-        path_nodes = set(rec.path.nodes(g))
         for a in rec.blocked:
-            if g.arc_tail[a] not in path_nodes:
+            if g.arc_tail[a] not in node_set:
                 raise AssertionError(f"record {idx} blocks an arc off the path")

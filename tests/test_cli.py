@@ -149,7 +149,7 @@ def test_solve_aborted_exit_code(capsys):
 
 
 def test_solve_failed_validation_exit_code(capsys, monkeypatch):
-    def failing_check(g, report):
+    def failing_check(g, s, t, report):
         raise AssertionError("path 15 breaks cost order")
 
     monkeypatch.setattr("kssp.engine._validate_report", failing_check)
@@ -163,6 +163,30 @@ def test_solve_failed_validation_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4")
     assert code == 0
     assert out == MINI_LINES
+
+
+@pytest.mark.parametrize("algo", ["yen", "yen-accelerated", "brute"])
+@pytest.mark.parametrize(
+    "extra",
+    [["--label-budget", "1"], ["--validate"], ["--unguided"], ["--no-prune-max"], ["--no-prune-min"]],
+)
+def test_solve_rejects_deviation_options_for_other_solvers(capsys, algo, extra):
+    code, out, err = run(
+        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--algo", algo, *extra
+    )
+    assert code == 2
+    assert out == []
+    assert err == f"error: {extra[0]} applies only to the deviation solver, not --algo {algo}\n"
+
+
+def test_bench_rejects_a_label_budget_for_yen(capsys):
+    code, out, err = run(
+        capsys, "bench", "--grid", "6x6", "-k", "5", "--algo", "deviation", "--algo", "yen",
+        "--label-budget", "1",
+    )
+    assert code == 2
+    assert out == []
+    assert err == "error: --label-budget applies only to the deviation solver, not --algo yen\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path as FilePath
 
 import pytest
@@ -20,7 +21,7 @@ from kssp.engine import (
     queue_min_ready,
 )
 from kssp.dimacs import load_dimacs
-from kssp.graph import Graph
+from kssp.graph import Graph, Path
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
@@ -379,11 +380,27 @@ def test_query_budget_holds_on_small_instances():
 def test_validate_report_catches_corruption(five_node_graph):
     report = k_shortest_paths(five_node_graph, 0, 4, 4)
     good = SolveReport(list(report.records), report.status, report.stats)
-    _validate_report(five_node_graph, good)
+    _validate_report(five_node_graph, 0, 4, good)
     bad = SolveReport(list(report.records), report.status, report.stats)
     bad.records[1], bad.records[2] = bad.records[2], bad.records[1]
     with pytest.raises(AssertionError, match="cost order|prefix"):
-        _validate_report(five_node_graph, bad)
+        _validate_report(five_node_graph, 0, 4, bad)
     dup = SolveReport([report.records[0], report.records[0]], report.status, report.stats)
     with pytest.raises(AssertionError, match="duplicates"):
-        _validate_report(five_node_graph, dup)
+        _validate_report(five_node_graph, 0, 4, dup)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (Path((1, 4), 0.5), "not a walk"),  # 0->2 then 1->4
+        (Path((5,), 1.0), "does not start at 0"),
+        (Path((1,), 1.0), "does not end at 4"),
+        (Path((1, 5), 2.5), "fold to 2.0"),
+    ],
+)
+def test_validate_report_checks_each_record_against_the_graph(five_node_graph, path, message):
+    report = k_shortest_paths(five_node_graph, 0, 4, 1)
+    bad = SolveReport([replace(report.records[0], path=path)], report.status, report.stats)
+    with pytest.raises(AssertionError, match=message):
+        _validate_report(five_node_graph, 0, 4, bad)
