@@ -25,6 +25,8 @@ from .gridgen import gen_grid, sample_pairs, seeded_grids
 from .oracles import enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
+# options only the deviation solver reads
+DEVIATION_FLAGS = ("--unguided", "--no-prune-max", "--no-prune-min", "--label-budget", "--validate")
 
 
 def _note(message: str) -> None:
@@ -36,6 +38,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if not sep or not rows.isdigit() or not cols.isdigit():
         raise ValueError(f"grid must look like ROWSxCOLS, got {text!r}")
     return int(rows), int(cols)
+
+
+def _reject_deviation_flags(args: argparse.Namespace, flags: tuple[str, ...], algo: str) -> None:
+    """Raise ValueError for the first of ``flags`` given to a solver that would ignore it."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise ValueError(f"{flag} applies only to the deviation solver, not --algo {algo}")
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
@@ -87,6 +97,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.algo not in ("deviation", "both"):
+        _reject_deviation_flags(args, DEVIATION_FLAGS, args.algo)
     g, _ = _load_graph(args)
     s, t, k = args.source, args.target, args.k
 
@@ -165,6 +177,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = args.algo or ["deviation"]
+    for algo in algorithms:
+        if algo != "deviation":
+            _reject_deviation_flags(args, ("--label-budget",), algo)
     if args.grid is not None and args.graph is None:
         rows_n, cols_n = _parse_grid(args.grid)
         rows = bench_grid(
