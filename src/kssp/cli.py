@@ -180,31 +180,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algo in algorithms:
         if algo != "deviation":
             _reject_deviation_flags(args, ("--label-budget",), algo)
+    limits = {"timeout_s": args.timeout_s, "label_budget": args.label_budget}
     if args.grid is not None and args.graph is None:
         rows_n, cols_n = _parse_grid(args.grid)
         rows = bench_grid(
-            rows_n,
-            cols_n,
-            args.costs,
-            args.pairs,
-            args.k,
-            args.seed,
-            algorithms,
-            timeout_s=args.timeout_s,
-            label_budget=args.label_budget,
+            rows_n, cols_n, args.costs, args.pairs, args.k, args.seed, algorithms, **limits
         )
     else:
         g, name = _load_graph(args)
-        rows = bench_graph(
-            g,
-            name,
-            args.pairs,
-            args.k,
-            args.seed,
-            algorithms,
-            timeout_s=args.timeout_s,
-            label_budget=args.label_budget,
-        )
+        rows = bench_graph(g, name, args.pairs, args.k, args.seed, algorithms, **limits)
     if args.csv is not None:
         write_rows(args.csv, rows)
         _note(f"wrote {len(rows)} row(s) to {args.csv}")

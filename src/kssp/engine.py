@@ -324,10 +324,8 @@ def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
         except PathError as exc:
             raise AssertionError(f"path {idx} is not a walk: {exc}") from None
         nodes = rec.path.nodes(g)
-        if not nodes or nodes[0] != s:
-            raise AssertionError(f"path {idx} does not start at {s}")
-        if nodes[-1] != t:
-            raise AssertionError(f"path {idx} does not end at {t}")
+        if not nodes or (nodes[0], nodes[-1]) != (s, t):
+            raise AssertionError(f"path {idx} does not run from {s} to {t}")
         if rec.path.cost != fold:
             raise AssertionError(f"path {idx} costs {rec.path.cost!r}, its arcs fold to {fold!r}")
         node_set = set(nodes)

@@ -168,7 +168,10 @@ def test_solve_failed_validation_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("algo", ["yen", "yen-accelerated", "brute"])
 @pytest.mark.parametrize(
     "extra",
-    [["--label-budget", "1"], ["--validate"], ["--unguided"], ["--no-prune-max"], ["--no-prune-min"]],
+    [
+        ["--label-budget", "1"], ["--validate"], ["--unguided"], ["--no-prune-max"],
+        ["--no-prune-min"],
+    ],
 )
 def test_solve_rejects_deviation_options_for_other_solvers(capsys, algo, extra):
     code, out, err = run(

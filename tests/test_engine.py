@@ -394,8 +394,8 @@ def test_validate_report_catches_corruption(five_node_graph):
     "path, message",
     [
         (Path((1, 4), 0.5), "not a walk"),  # 0->2 then 1->4
-        (Path((5,), 1.0), "does not start at 0"),
-        (Path((1,), 1.0), "does not end at 4"),
+        (Path((5,), 1.0), "does not run from 0 to 4"),
+        (Path((1,), 1.0), "does not run from 0 to 4"),
         (Path((1, 5), 2.5), "fold to 2.0"),
     ],
 )
