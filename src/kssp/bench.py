@@ -36,6 +36,17 @@ class ResultRow:
     time_s: float
 
 
+def check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> None:
+    """Raise ValueError for an unknown algorithm, or a label budget beside Yen, which has none."""
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algorithm!r}")
+        if label_budget is not None and algorithm != "deviation":
+            raise ValueError(
+                f"a label budget applies only to the deviation solver, not {algorithm!r}"
+            )
+
+
 def run_algorithm(
     g: Graph,
     s: int,
@@ -47,17 +58,15 @@ def run_algorithm(
     label_budget: int | None = None,
 ) -> SolveReport | YenReport:
     """Run one solver; limit violations come back as an aborted report."""
+    check_algorithms((algorithm,), label_budget)
     try:
         if algorithm == "deviation":
             opts = SolveOptions(timeout_s=timeout_s, label_budget=label_budget)
             return k_shortest_paths(g, s, t, k, opts)
-        if algorithm == "yen":
-            return yen_k_shortest(g, s, t, k, timeout_s=timeout_s)
-        if algorithm == "yen-accelerated":
-            return yen_k_shortest(g, s, t, k, accelerated=True, timeout_s=timeout_s)
+        accelerated = algorithm == "yen-accelerated"
+        return yen_k_shortest(g, s, t, k, accelerated=accelerated, timeout_s=timeout_s)
     except SolveLimitExceeded as exc:
         return exc.report
-    raise ValueError(f"unknown algorithm: {algorithm!r}")
 
 
 def row_from_report(
@@ -106,6 +115,7 @@ def bench_graph(
     timeout_s: float | None = None,
     label_budget: int | None = None,
 ) -> list[ResultRow]:
+    check_algorithms(algorithms, label_budget)
     rng = SplitMix64(seed)
     return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
 
@@ -122,6 +132,7 @@ def bench_grid(
     timeout_s: float | None = None,
     label_budget: int | None = None,
 ) -> list[ResultRow]:
+    check_algorithms(algorithms, label_budget)
     out: list[ResultRow] = []
     for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):
         name = f"grid{rows_n}x{cols_n}-c{ci}"

@@ -61,6 +61,25 @@ it as an all-zero potential, which keeps one code path and adds exactly
 0.0 to every key. The sweep may be settled only part of the way; the
 search then settles it further whenever it needs a distance it lacks
 (see :func:`find_best_deviation`).
+
+Fast lane. A new queue entry that sorts below every entry in the heap
+is held outside it and taken next, which saves its heap push and pop.
+The held entry is always the least of all entries, so extraction order
+is exactly the heap's. Along the reference walk nearly every push is
+such an entry.
+
+Tree answers. A guided query's sweep keeps a shortest-path tree toward
+the target (``ReverseSweep.tree``). Once a label has left the reference
+(Feng's "yellow" node, a sidetrack in Eppstein's terms), the loop often
+just walks that tree to the target, one extraction per arc, and stops
+there with the answer. When a label that came over a non-reference arc
+is extracted, the search checks the tree walk from its node against
+guards under which the loop provably extracts exactly those labels
+next. If they hold, it makes the labels permanent at once and returns;
+otherwise it runs the loop, having changed nothing. Results, iteration
+counts and target extractions are identical either way (see
+:func:`find_best_deviation`); ``QueryStats.tree_steps`` counts the
+labels answered so, about a third of all labels on grids.
 """
 from __future__ import annotations
 
@@ -71,6 +90,9 @@ from typing import NamedTuple
 
 from .dijkstra import ReverseSweep
 from .graph import Graph, Mask
+
+# scales a lower bound down past the roundings of guard (f) in find_best_deviation
+_SHRINK = 1.0 - 2.0**-50
 
 
 class BiCost(NamedTuple):
@@ -228,6 +250,7 @@ class QueryStats(NamedTuple):
     iterations: int
     target_extractions: int
     outcome: str  # "found" | "exhausted" | "cost-capped"
+    tree_steps: int  # of the iterations, labels answered off the sweep's tree
 
 
 class SearchLimit(RuntimeError):
@@ -245,10 +268,11 @@ class SearchDebug:
     ``extracted`` records (cost, overlap, node) per extraction in order;
     ``extracted_keys`` the matching queue keys, equal to the costs when
     the query has no sweep; ``dominated`` the extensions skipped at
-    propagation time; ``enqueued`` every entry pushed into the queue.
-    Each iteration recounts the live queue entries per node and checks
-    their total against the nodes whose workspace slot holds a
-    candidate. ``frontiers`` holds the permanent labels per node once
+    propagation time; ``enqueued`` every entry pushed into the queue,
+    which leaves out labels answered off the sweep's tree, as they never
+    enter it. Each iteration recounts the live queue entries per node,
+    the held entry included, and checks their total against the nodes
+    whose workspace slot holds a candidate. ``frontiers`` holds the permanent labels per node once
     the search returns, as the search's plain ``(cost, overlap,
     via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
     the query source) and ``via_index`` indexes the predecessor label
@@ -300,6 +324,47 @@ def find_best_deviation(
     and of each node it extends a label to; a node it extracts or
     rebuilds was enqueued, so it was read before. The zero potential of
     a query without a sweep has no infinite entry, so it never asks.
+
+    Tree answers. Let the extracted label L0 = (c0, o0) at v0 have come
+    over a non-reference arc, and let the sweep's tree arcs a1..am lead
+    from v0 through v1.. to vm, the target. The loop would fold
+    c_i = c_(i-1) + cost(a_i) and o_i, and key L_i at
+    k_i = c_i + dist[v_i]. The search returns L_m at once, counting m
+    iterations and one target extraction, when:
+
+    (a) no tree arc and no v_i is masked;
+    (b) no v_i has a frontier whose least overlap is at most o_i;
+    (c) no rebuild is pending at v0: its least dropped overlap is at
+        least o0;
+    (d) c_m is below the cost cap, and m more iterations stay within
+        the budget (when they pass a deadline check, the search makes
+        it, as the loop would);
+    (e) K, the largest k_i, is below the heap's top key;
+    (f) K is below (c_j + s_j)(1 - 2^-50) for every j < m, where s_j,
+        memoized per node in ``sweep.sidetrack``, is the least
+        cost(b) + dist[head] over v_j's out-arcs b other than a_(j+1),
+        with the sweep's horizon standing in for an unsettled head.
+
+    Then after extracting L_(i-1) the loop's least entry is its push of
+    L_i. Older heap entries key at or above the top, so above K. A push
+    from v_j over another arc b keys at fl(fl(c_j + cost(b)) + dist),
+    which is at least (c_j + cost(b) + dist)(1 - u)^2 for u = 2^-53,
+    while s_j is at most (1 + u) times the least exact sum, as masks
+    only remove arcs and the horizon never decreases; the scale by
+    1 - 2^-50 covers these roundings and its own (sums that fall below
+    the normal range are exact), so by (f) every such push keys above
+    K. A node's queued candidate is always its least nondominated
+    extension, and without one there is none. So a rebuild at v_i,
+    i >= 1, queues an extension pushed before the walk, which keys at or
+    above the queued candidate and so above K, or one pushed from the
+    walk, above K by (f). At v0 the candidate was just taken, and (c)
+    rules the rebuild out. The push of L_i is not dominated, by (b),
+    and replaces any candidate at v_i: that keys above K >= k_i, and as
+    fl(x + p) is monotone in x, it costs more than c_i. The walk is
+    simple, since (b) fails at any node of L0's own chain, whose label
+    there has overlap at most o0; with L0's arc off the reference, the
+    walk is not the reference, so o_m is below its arc count and L_m is
+    an answer.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -337,25 +402,33 @@ def find_best_deviation(
     heap: list[tuple] = []
     counter = 0
     iterations = 0
+    tree_steps = 0
     t_hits = 0
     outcome = "exhausted"
-    result: Deviation | None = None
+    found = None
     if sweep is not None and pot[query.source] == unreachable:
         sweep.settle(0.0, query.source)
+    tree = sweep.tree if sweep is not None else None
+    sidetrack = sweep.sidetrack if sweep is not None else None
+    shrink = _SHRINK
 
     root_key = pot[query.source]
     if root_key == unreachable:
-        return None, QueryStats(0, 0, outcome)
+        return None, QueryStats(0, 0, outcome, 0)
     entry = (prefix_cost + root_key, 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
     dropped[query.source] = unreachable
-    heap.append(entry)
+    held = entry  # the fast lane: an entry below every heap entry, taken next
     if debug is not None:
         debug.enqueued.append((prefix_cost, 0, query.source))
 
-    while heap:
-        e = heappop(heap)
+    while heap or held is not None:
+        if held is None:
+            e = heappop(heap)
+        else:
+            e = held
+            held = None
         node = e[2]
         if q_stamp[node] != serial or queued[node] is not e:
             continue  # superseded by a cheaper candidate for this node
@@ -383,18 +456,101 @@ def find_best_deviation(
         if node == target:
             t_hits += 1
             if eover < ref_len:
-                chain = reconstruct(g, lab, frontiers)
-                i = 0
-                while chain[i][1] == i + 1:
-                    i += 1
-                via = chain[i]
-                suffix = tuple(step[2] for step in chain[i:])
-                result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(ecost, eover), via[0])
-                outcome = "found"
+                found = lab
                 break
             # the reference itself; record it, never propagate target labels
         else:
             last_idx = len(f) - 1
+            via = lab[2]
+            if (
+                tree is not None
+                and via >= 0
+                and ref_stamp[via] != ref_epoch
+                and dropped[node] >= eover
+            ):
+                # a tree answer: check the walk against guards (a) to (f) of
+                # the docstring, reading state only
+                c = ecost
+                o = eover
+                v = node
+                a = tree[v]
+                kmax = 0.0  # largest chain key; keys are never negative
+                # the heap top and the least lower bound of an off-tree push key
+                limit = heap[0][0] if heap else unreachable
+                steps = 0
+                while a >= 0:
+                    side = sidetrack[v]
+                    if side < 0.0:
+                        side = unreachable
+                        for b in out_arcs[v]:
+                            if b != a:
+                                d = pot[arc_head[b]]
+                                if d == unreachable:
+                                    d = sweep.horizon
+                                d += arc_cost[b]
+                                if d < side:
+                                    side = d
+                        sidetrack[v] = side
+                    side = (c + side) * shrink
+                    if side < limit:
+                        limit = side
+                    if arc_stamp[a] == epoch:
+                        break
+                    v = arc_head[a]
+                    if node_stamp[v] == epoch:
+                        break
+                    if ref_stamp[a] == ref_epoch:
+                        o += 1
+                    if f_stamp[v] == serial and o >= frontiers[v][-1][1]:
+                        break
+                    c += arc_cost[a]
+                    k = c + pot[v]
+                    if k > kmax:
+                        kmax = k
+                    if kmax >= limit:
+                        break
+                    steps += 1
+                    a = tree[v]
+                else:
+                    if (
+                        v == target
+                        and (cost_cap is None or c < cost_cap)
+                        and (iteration_budget is None or iterations + steps <= iteration_budget)
+                    ):
+                        if (
+                            deadline is not None
+                            and (iterations + steps) >> 8 != iterations >> 8
+                            and perf_counter() > deadline
+                        ):
+                            raise SearchLimit("deadline")
+                        iterations += steps
+                        tree_steps += steps
+                        t_hits += 1
+                        # make the chain permanent as the loop would have
+                        c = ecost
+                        o = eover
+                        v = node
+                        idx = last_idx
+                        while v != target:
+                            a = tree[v]
+                            v = arc_head[a]
+                            c += arc_cost[a]
+                            if ref_stamp[a] == ref_epoch:
+                                o += 1
+                            lab = (c, o, a, idx)
+                            if f_stamp[v] == serial:
+                                f = frontiers[v]
+                                idx = len(f)
+                                f.append(lab)
+                            else:
+                                f_stamp[v] = serial
+                                frontiers[v] = [lab]
+                                idx = 0
+                            if debug is not None:
+                                debug.extracted.append((c, o, v))
+                                debug.extracted_keys.append(c + pot[v])
+                        found = lab
+                        break
             for a in out_arcs[node]:
                 if arc_stamp[a] == epoch:
                     continue
@@ -423,10 +579,16 @@ def find_best_deviation(
                     if cur is not None and cur[1] < dropped[w]:
                         dropped[w] = cur[1]  # the replaced candidate
                     counter += 1
-                    key = nc + pot[w]
-                    ne = (key, no, w, counter, (nc, no, a, last_idx))
+                    ne = (nc + pot[w], no, w, counter, (nc, no, a, last_idx))
                     queued[w] = ne
-                    heappush(heap, ne)
+                    if held is not None:
+                        if ne < held:
+                            ne, held = held, ne
+                        heappush(heap, ne)
+                    elif heap and heap[0] < ne:
+                        heappush(heap, ne)
+                    else:
+                        held = ne
                     if debug is not None:
                         debug.enqueued.append((nc, no, w))
                 elif no < dropped[w]:
@@ -469,12 +631,19 @@ def find_best_deviation(
                 ne = (key, best_o, node, counter, (best_c, best_o, best_arc, best_idx))
                 queued[node] = ne
                 q_stamp[node] = serial
-                heappush(heap, ne)
+                if held is not None:
+                    if ne < held:
+                        ne, held = held, ne
+                    heappush(heap, ne)
+                elif heap and heap[0] < ne:
+                    heappush(heap, ne)
+                else:
+                    held = ne
                 if debug is not None:
                     debug.enqueued.append((best_c, best_o, node))
         if debug is not None:
             live: dict[int, int] = {}
-            for other in heap:
+            for other in heap if held is None else heap + [held]:
                 w = other[2]
                 if q_stamp[w] == serial and queued[w] is other:
                     live[w] = live.get(w, 0) + 1
@@ -488,4 +657,13 @@ def find_best_deviation(
 
     if debug is not None:
         debug.frontiers = {v: frontiers[v] for v in range(g.node_count) if f_stamp[v] == serial}
-    return result, QueryStats(iterations, t_hits, outcome)
+    if found is None:
+        return None, QueryStats(iterations, t_hits, outcome, tree_steps)
+    chain = reconstruct(g, found, frontiers)
+    i = 0
+    while chain[i][1] == i + 1:
+        i += 1
+    via = chain[i]
+    suffix = tuple(step[2] for step in chain[i:])
+    result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(found[0], found[1]), via[0])
+    return result, QueryStats(iterations, t_hits, "found", tree_steps)

@@ -40,12 +40,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
-def _reject_deviation_flags(args: argparse.Namespace, flags: tuple[str, ...], algo: str) -> None:
-    """Raise ValueError for the first of ``flags`` given to a solver that would ignore it."""
+def _reject_flags(
+    args: argparse.Namespace,
+    flags: tuple[str, ...],
+    algo: str,
+    solvers: str = "the deviation solver",
+) -> None:
+    """Raise ValueError for the first of ``flags`` given to a solver that would ignore it.
+
+    ``solvers`` names the solvers that do read them, for the message.
+    """
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value is not False:
-            raise ValueError(f"{flag} applies only to the deviation solver, not --algo {algo}")
+            raise ValueError(f"{flag} applies only to {solvers}, not --algo {algo}")
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
@@ -98,7 +106,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo not in ("deviation", "both"):
-        _reject_deviation_flags(args, DEVIATION_FLAGS, args.algo)
+        _reject_flags(args, DEVIATION_FLAGS, args.algo)
+    if args.algo == "brute":  # exhaustive enumeration has no deadline
+        _reject_flags(args, ("--timeout-s",), args.algo, "the deviation and Yen solvers")
     g, _ = _load_graph(args)
     s, t, k = args.source, args.target, args.k
 
@@ -179,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = args.algo or ["deviation"]
     for algo in algorithms:
         if algo != "deviation":
-            _reject_deviation_flags(args, ("--label-budget",), algo)
+            _reject_flags(args, ("--label-budget",), algo)
     limits = {"timeout_s": args.timeout_s, "label_budget": args.label_budget}
     if args.grid is not None and args.graph is None:
         rows_n, cols_n = _parse_grid(args.grid)

@@ -165,6 +165,17 @@ class ReverseSweep:
     to the target of every node not yet settled: the heap top, or
     infinity once the sweep is done.
 
+    ``tree`` holds one arc per node, the last arc that lowered its
+    tentative distance, and -1 where none did (the target, and nodes not
+    reached). A settled node u other than the target popped at the value
+    that arc gave it, so ``dist[u] == arc_cost[a] + dist[head]`` bit for
+    bit, with the head settled before u; the tree arcs of settled nodes
+    therefore lead to the target along a shortest path whose right fold
+    is ``dist``. ``sidetrack`` is scratch the biobjective search fills in
+    per node: a lower bound on ``arc_cost[b] + dist[head]`` over the
+    node's other out-arcs b, -1.0 until computed (see
+    :func:`kssp.biobjective.find_best_deviation`).
+
     Why settled values are exact: stopping early only truncates the pop
     sequence of the sweep run to completion, and a node's distance is
     fixed when it pops, so every settled value is bit-identical to
@@ -175,13 +186,15 @@ class ReverseSweep:
     heap top; stale entries of settled nodes only lower that top.
     """
 
-    __slots__ = ("graph", "target", "dist", "horizon", "_tentative", "_heap")
+    __slots__ = ("graph", "target", "dist", "horizon", "tree", "sidetrack", "_tentative", "_heap")
 
     def __init__(self, g: Graph, target: int) -> None:
         self.graph = g
         self.target = target
         self.dist = [inf] * g.node_count
         self.horizon = 0.0
+        self.tree = [-1] * g.node_count
+        self.sidetrack = [-1.0] * g.node_count
         self._tentative = [inf] * g.node_count
         self._tentative[target] = 0.0
         self._heap: list[tuple[float, int]] = [(0.0, target)]
@@ -193,6 +206,7 @@ class ReverseSweep:
         and the sweep is then done.
         """
         dist = self.dist
+        tree = self.tree
         tentative = self._tentative
         heap = self._heap
         g = self.graph
@@ -215,6 +229,7 @@ class ReverseSweep:
                 du = d + arc_cost[a]
                 if du < tentative[u]:
                     tentative[u] = du
+                    tree[u] = a
                     heappush(heap, (du, u))
         self.horizon = heap[0][0] if heap else inf
 

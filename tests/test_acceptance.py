@@ -201,6 +201,22 @@ def test_gate_grids_keep_their_frozen_records():
             break
 
 
+def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
+    """The search's fast path must keep firing; it read 35% of grid 0's labels off the tree."""
+    totals = {"iterations": 0, "tree_steps": 0}
+
+    def counted(query, cost_cap=None, **limits):
+        dev, stats = find_best_deviation(query, cost_cap, **limits)
+        totals["iterations"] += stats.iterations
+        totals["tree_steps"] += stats.tree_steps
+        return dev, stats
+
+    monkeypatch.setattr("kssp.engine.find_best_deviation", counted)
+    g, s, t = next(grid_instances(1))
+    k_shortest_paths(g, s, t, GRID_K)
+    assert totals["tree_steps"] >= totals["iterations"] / 5, totals
+
+
 def test_query_budget_never_exceeded():
     checked = 0
     for seed in range(150):

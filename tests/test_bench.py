@@ -38,6 +38,23 @@ def test_run_algorithm_turns_limits_into_aborted_reports():
     assert row.paths >= 1
 
 
+@pytest.mark.parametrize("algorithm", ["yen", "yen-accelerated"])
+def test_a_label_budget_beside_yen_is_rejected_before_any_solve(monkeypatch, algorithm):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr("kssp.bench.k_shortest_paths", no_solve)
+    monkeypatch.setattr("kssp.bench.yen_k_shortest", no_solve)
+    g = gen_grid(6, 6, seed=0)
+    message = f"label budget applies only to the deviation solver, not '{algorithm}'"
+    with pytest.raises(ValueError, match=message):
+        run_algorithm(g, 0, 35, 50, algorithm, label_budget=1)
+    with pytest.raises(ValueError, match=message):
+        bench_graph(g, "g", 1, 5, 0, ("deviation", algorithm), label_budget=1)
+    with pytest.raises(ValueError, match=message):
+        bench_grid(4, 4, 1, 1, 5, 0, ("deviation", algorithm), label_budget=1)
+
+
 def test_row_from_report(five_node_graph):
     report = run_algorithm(five_node_graph, 0, 4, 4, "deviation")
     row = row_from_report("five-p0", "deviation", 4, report)

@@ -1,6 +1,7 @@
 """Biobjective deviation search: frozen traces and structural invariants."""
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -15,7 +16,9 @@ from kssp.biobjective import (
     reconstruct,
 )
 from kssp.dijkstra import ReverseSweep, reverse_distances, shortest_path
+from kssp.engine import k_shortest_paths
 from kssp.graph import Graph, Path, is_simple, path_cost
+from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths
 
 from conftest import COST_FAMILIES, cost_family, make_digraph
@@ -36,7 +39,7 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     debug = SearchDebug()
     dev, stats = find_best_deviation(query, debug=debug)
 
-    assert stats == (8, 2, "found")
+    assert stats == (8, 2, "found", 0)
     assert debug.extracted == [
         (0.0, 0, 0),
         (0.0, 1, 1),
@@ -106,7 +109,7 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     assert sweep.dist == reverse_distances(g, 5)
     assert dev.bicost == BiCost(2.0, 2)
     assert dev.suffix == (7,)
-    assert stats == (6, 2, "found")
+    assert stats == (6, 2, "found", 0)
 
 
 def test_search_settles_an_unsettled_root(six_node_graph):
@@ -126,7 +129,7 @@ def test_a_dead_end_finishes_the_sweep():
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
     query = build_query(g, 0, 1, (0,), sweep=sweep)
-    assert find_best_deviation(query) == (None, (2, 1, "exhausted"))
+    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 0))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
 
@@ -184,7 +187,7 @@ def test_parallel_arc_rival_is_found_through_rebuild():
     assert dev.node == 0
     assert dev.arc == 1
     assert dev.ref_index == 0
-    assert stats == (3, 2, "found")
+    assert stats == (3, 2, "found", 0)
 
 
 def test_cost_cap_aborts_the_query(six_node_graph):
@@ -223,6 +226,20 @@ def test_past_deadline_raises_on_a_long_search():
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 1e6)]
     g = Graph(n + 1, arcs)
     query = build_query(g, 0, n, tuple(range(n)))
+    with pytest.raises(SearchLimit) as exc:
+        find_best_deviation(query, deadline=perf_counter() - 1.0)
+    assert exc.value.kind == "deadline"
+
+
+def test_past_deadline_raises_inside_a_tree_answer():
+    # the rival of the one-arc reference is a 400-arc walk the tree answers
+    n = 400
+    arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 0.5)]
+    g = Graph(n + 1, arcs)
+    dev, stats = find_best_deviation(build_query(g, 0, n, (n,), sweep=settled_sweep(g, n)))
+    assert dev.suffix == tuple(range(n))
+    assert stats == (402, 2, "found", 399)
+    query = build_query(g, 0, n, (n,), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
     assert exc.value.kind == "deadline"
@@ -351,3 +368,92 @@ def test_structural_invariants_on_seeded_instances():
             assert gfull != ref.arcs
             assert path_cost(g, gfull) == gdev.bicost.cost
     assert checked >= 80
+
+
+def compare_with_a_blind_tree(monkeypatch) -> list[int]:
+    """Run every query of the engine's solves again on a sweep whose tree is blank.
+
+    A blank tree (all -1) turns the fast path off, so the second run is
+    the plain loop; its deviation and stats must equal the first run's.
+    Returns the list that collects each query's ``tree_steps``.
+    """
+    blind: dict[ReverseSweep, ReverseSweep] = {}
+    tree_steps: list[int] = []
+
+    def both(query, cost_cap=None, **limits):
+        got = find_best_deviation(query, cost_cap, **limits)
+        twin = blind.get(query.sweep)
+        if twin is None:
+            twin = blind[query.sweep] = ReverseSweep(query.graph, query.target)
+            twin.settle(float("inf"))
+            twin.tree = [-1] * query.graph.node_count
+        want = find_best_deviation(replace(query, sweep=twin), cost_cap, **limits)
+        assert want[1].tree_steps == 0
+        assert got[0] == want[0]
+        assert got[1][:3] == want[1][:3]
+        tree_steps.append(got[1].tree_steps)
+        return got
+
+    monkeypatch.setattr("kssp.engine.find_best_deviation", both)
+    return tree_steps
+
+
+@pytest.mark.parametrize("family", COST_FAMILIES)
+def test_tree_answers_change_no_query_on_digraphs(monkeypatch, family):
+    tree_steps = compare_with_a_blind_tree(monkeypatch)
+    for seed in range(300):
+        g = cost_family(make_digraph(seed), family)
+        k_shortest_paths(g, 0, g.node_count - 1, 40)
+    assert sum(tree_steps) > 0
+
+
+def test_tree_answers_change_no_query_on_a_grid(monkeypatch):
+    tree_steps = compare_with_a_blind_tree(monkeypatch)
+    g = gen_grid(30, 30, seed=3)
+    k_shortest_paths(g, 31, 868, 300)
+    assert sum(tree_steps) > 0
+
+
+def test_a_tree_completion_losing_a_tie_on_overlap_falls_back():
+    # reference 0-1-2-3; both ways on from node 4 cost 2, but the tree
+    # arc 4->2 rejoins the reference for its last arc, 4->5->3 does not
+    g = Graph(
+        6,
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 2.0), (4, 2, 1.0), (4, 5, 1.0), (5, 3, 1.0)],
+    )
+    sweep = ReverseSweep(g, 3)
+    sweep.settle(float("inf"))
+    assert sweep.tree[4] == 4
+    dev, stats = find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep))
+    assert dev.bicost == BiCost(4.0, 0)
+    assert dev.suffix == (3, 5, 6)
+    assert stats.tree_steps == 0
+    sweep.tree = [-1] * g.node_count
+    assert find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep)) == (dev, stats)
+
+
+@pytest.mark.parametrize("masked", ["arc", "node"])
+def test_a_masked_tree_walk_falls_back(masked):
+    # reference 0-1-2; node 3's tree path 3-5-2 is masked, so the answer
+    # leaves through 3 but goes on by 3-4-2
+    g = Graph(
+        6,
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 2.0), (3, 5, 0.5), (3, 4, 1.0), (4, 2, 1.0), (5, 2, 0.5)],
+    )
+    sweep = ReverseSweep(g, 2)
+    sweep.settle(float("inf"))
+    assert sweep.tree[3] == 3
+    ws = Workspace(g)
+    if masked == "arc":
+        ws.mask.delete_arc(3)
+    else:
+        ws.mask.delete_node(5)
+    dev, stats = find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep))
+    assert dev.bicost == BiCost(4.0, 0)
+    assert dev.suffix == (2, 4, 5)
+    assert stats.tree_steps == 1  # the walk from node 4 holds
+    sweep.tree = [-1] * g.node_count
+    assert find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep)) == (
+        dev,
+        stats._replace(tree_steps=0),
+    )

@@ -182,6 +182,18 @@ def test_solve_rejects_deviation_options_for_other_solvers(capsys, algo, extra):
     assert err == f"error: {extra[0]} applies only to the deviation solver, not --algo {algo}\n"
 
 
+def test_solve_rejects_a_timeout_for_brute_force(capsys):
+    code, out, err = run(
+        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "16", "--algo", "brute",
+        "--timeout-s", "0.000001",
+    )
+    assert code == 2
+    assert out == []
+    assert err == (
+        "error: --timeout-s applies only to the deviation and Yen solvers, not --algo brute\n"
+    )
+
+
 def test_bench_rejects_a_label_budget_for_yen(capsys):
     code, out, err = run(
         capsys, "bench", "--grid", "6x6", "-k", "5", "--algo", "deviation", "--algo", "yen",

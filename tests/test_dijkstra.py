@@ -156,6 +156,25 @@ def test_prune_rejects_an_unreachable_target_at_once():
     assert shortest_path(g, 0, 2, prune=reverse_distances(g, 2)) == (None, 0)
 
 
+def check_tree(g, sweep):
+    """Each settled node's tree arc folds to its ``dist`` bit for bit, and tree arcs reach t."""
+    dist = sweep.dist
+    t = sweep.target
+    assert sweep.tree[t] == -1
+    for u, d in enumerate(dist):
+        if d == inf or u == t:
+            continue
+        a = sweep.tree[u]
+        assert g.arc_tail[a] == u
+        assert d.hex() == (g.arc_cost[a] + dist[g.arc_head[a]]).hex()
+        v = u
+        for _ in range(g.node_count):
+            if v == t:
+                break
+            v = g.arc_head[sweep.tree[v]]
+        assert v == t
+
+
 def check_sweep_prefixes(g, t, keys):
     """Settle one sweep through increasing ``keys`` and compare each stop with the full run."""
     full = reverse_distances(g, t)
@@ -167,9 +186,11 @@ def check_sweep_prefixes(g, t, keys):
         assert all(sweep.dist[v].hex() == full[v].hex() for v in settled), x
         assert sweep.horizon > x
         assert all(full[v] >= sweep.horizon for v in range(g.node_count) if v not in settled), x
+        check_tree(g, sweep)
     sweep.settle(inf)
     assert sweep.horizon == inf
     assert [d.hex() for d in sweep.dist] == [d.hex() for d in full]
+    check_tree(g, sweep)
 
 
 def test_sweep_settles_exactly_the_full_sweeps_prefix():
