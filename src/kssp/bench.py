@@ -36,7 +36,7 @@ class ResultRow:
     time_s: float
 
 
-def check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> None:
+def _check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> None:
     """Raise ValueError for an unknown algorithm, or a label budget beside Yen, which has none."""
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -58,7 +58,7 @@ def run_algorithm(
     label_budget: int | None = None,
 ) -> SolveReport | YenReport:
     """Run one solver; limit violations come back as an aborted report."""
-    check_algorithms((algorithm,), label_budget)
+    _check_algorithms((algorithm,), label_budget)
     try:
         if algorithm == "deviation":
             opts = SolveOptions(timeout_s=timeout_s, label_budget=label_budget)
@@ -115,7 +115,7 @@ def bench_graph(
     timeout_s: float | None = None,
     label_budget: int | None = None,
 ) -> list[ResultRow]:
-    check_algorithms(algorithms, label_budget)
+    _check_algorithms(algorithms, label_budget)
     rng = SplitMix64(seed)
     return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
 
@@ -132,7 +132,7 @@ def bench_grid(
     timeout_s: float | None = None,
     label_budget: int | None = None,
 ) -> list[ResultRow]:
-    check_algorithms(algorithms, label_budget)
+    _check_algorithms(algorithms, label_budget)
     out: list[ResultRow] = []
     for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):
         name = f"grid{rows_n}x{cols_n}-c{ci}"

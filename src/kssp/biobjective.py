@@ -272,9 +272,9 @@ class SearchDebug:
     which leaves out labels answered off the sweep's tree, as they never
     enter it. Each iteration recounts the live queue entries per node,
     the held entry included, and checks their total against the nodes
-    whose workspace slot holds a candidate. ``frontiers`` holds the permanent labels per node once
-    the search returns, as the search's plain ``(cost, overlap,
-    via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
+    whose workspace slot holds a candidate. ``frontiers`` holds the
+    permanent labels per node once the search returns, as the search's
+    plain ``(cost, overlap, via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
     the query source) and ``via_index`` indexes the predecessor label
     in the permanent list of that arc's tail.
     """
@@ -461,11 +461,11 @@ def find_best_deviation(
             # the reference itself; record it, never propagate target labels
         else:
             last_idx = len(f) - 1
-            via = lab[2]
+            via_arc = lab[2]
             if (
                 tree is not None
-                and via >= 0
-                and ref_stamp[via] != ref_epoch
+                and via_arc >= 0
+                and ref_stamp[via_arc] != ref_epoch
                 and dropped[node] >= eover
             ):
                 # a tree answer: check the walk against guards (a) to (f) of
@@ -579,7 +579,8 @@ def find_best_deviation(
                     if cur is not None and cur[1] < dropped[w]:
                         dropped[w] = cur[1]  # the replaced candidate
                     counter += 1
-                    ne = (nc + pot[w], no, w, counter, (nc, no, a, last_idx))
+                    key = nc + pot[w]
+                    ne = (key, no, w, counter, (nc, no, a, last_idx))
                     queued[w] = ne
                     if held is not None:
                         if ne < held:
