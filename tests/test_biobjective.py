@@ -374,23 +374,28 @@ def compare_with_a_blind_tree(monkeypatch) -> list[int]:
     """Run every query of the engine's solves again on a sweep whose tree is blank.
 
     A blank tree (all -1) turns the fast path off, so the second run is
-    the plain loop; its deviation and stats must equal the first run's.
-    Returns the list that collects each query's ``tree_steps``.
+    the plain loop; its deviation, its stats and the labels it extracts,
+    in order and with their keys, must equal the first run's. Returns the
+    list that collects each query's ``tree_steps``.
     """
     blind: dict[ReverseSweep, ReverseSweep] = {}
     tree_steps: list[int] = []
 
     def both(query, cost_cap=None, **limits):
-        got = find_best_deviation(query, cost_cap, **limits)
+        seen = SearchDebug()
+        got = find_best_deviation(query, cost_cap, debug=seen, **limits)
         twin = blind.get(query.sweep)
         if twin is None:
             twin = blind[query.sweep] = ReverseSweep(query.graph, query.target)
             twin.settle(float("inf"))
             twin.tree = [-1] * query.graph.node_count
-        want = find_best_deviation(replace(query, sweep=twin), cost_cap, **limits)
+        plain = SearchDebug()
+        want = find_best_deviation(replace(query, sweep=twin), cost_cap, debug=plain, **limits)
         assert want[1].tree_steps == 0
         assert got[0] == want[0]
         assert got[1][:3] == want[1][:3]
+        assert seen.extracted == plain.extracted
+        assert seen.extracted_keys == plain.extracted_keys
         tree_steps.append(got[1].tree_steps)
         return got
 
