@@ -65,8 +65,21 @@ search then settles it further whenever it needs a distance it lacks
 Fast lane. A new queue entry that sorts below every entry in the heap
 is held outside it and taken next, which saves its heap push and pop.
 The held entry is always the least of all entries, so extraction order
-is exactly the heap's. Along the reference walk nearly every push is
-such an entry.
+is exactly the heap's.
+
+Reference prelude. Walking the reference is most of a guided query:
+each reference label is extracted in turn and pushes every sidetrack of
+its node, and few of those pushes are ever popped. So while the
+reference follows the sweep's tree, the search first settles its labels
+in a prelude, each as the loop would, and puts one bound per node into
+the heap in place of the node's sidetrack pushes: a key no such push
+falls below, sorting before any entry of equal key. It stops at the
+first reference label that does not key strictly below every bound.
+When the loop pops a bound, it makes the node's sidetrack pushes then,
+through its usual push code. Extraction order, results, iteration
+counts and target extractions are those of the plain loop (see
+:func:`find_best_deviation`); ``QueryStats.ref_steps`` counts the
+labels settled so, more than half of all labels on grids.
 
 Tree answers. A guided query's sweep keeps a shortest-path tree toward
 the target (``ReverseSweep.tree``). Once a label has left the reference
@@ -79,12 +92,14 @@ next. If they hold, it makes the labels permanent at once and returns;
 otherwise it runs the loop, having changed nothing. Results, iteration
 counts and target extractions are identical either way (see
 :func:`find_best_deviation`); ``QueryStats.tree_steps`` counts the
-labels answered so, about a third of all labels on grids.
+labels answered so, about three in ten on grids. A bound of the prelude
+at the heap top makes a tree answer fall back more often than the
+pushes it stands for would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
@@ -251,6 +266,7 @@ class QueryStats(NamedTuple):
     target_extractions: int
     outcome: str  # "found" | "exhausted" | "cost-capped"
     tree_steps: int  # of the iterations, labels answered off the sweep's tree
+    ref_steps: int  # of the iterations, reference labels the prelude settled
 
 
 class SearchLimit(RuntimeError):
@@ -270,9 +286,12 @@ class SearchDebug:
     the query has no sweep; ``dominated`` the extensions skipped at
     propagation time; ``enqueued`` every entry pushed into the queue,
     which leaves out labels answered off the sweep's tree, as they never
-    enter it. Each iteration recounts the live queue entries per node,
-    the held entry included, and checks their total against the nodes
-    whose workspace slot holds a candidate. ``frontiers`` holds the
+    enter it. The sidetracks the reference prelude defers enter
+    ``enqueued`` or ``dominated`` only when their bound pops, if ever.
+    Each iteration of the loop (not of the prelude) recounts the live
+    queue entries per node, the held entry included, and checks their
+    total against the nodes whose workspace slot holds a candidate.
+    ``frontiers`` holds the
     permanent labels per node once the search returns, as the search's
     plain ``(cost, overlap, via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
     the query source) and ``via_index`` indexes the predecessor label
@@ -341,12 +360,13 @@ def find_best_deviation(
         it, as the loop would);
     (e) K, the largest k_i, is below the heap's top key;
     (f) K is below (c_j + s_j)(1 - 2^-50) for every j < m, where s_j,
-        memoized per node in ``sweep.sidetrack``, is the least
+        memoized per node by ``sweep.sidetrack_of``, is the least
         cost(b) + dist[head] over v_j's out-arcs b other than a_(j+1),
         with the sweep's horizon standing in for an unsettled head.
 
     Then after extracting L_(i-1) the loop's least entry is its push of
-    L_i. Older heap entries key at or above the top, so above K. A push
+    L_i. Older heap entries key at or above the top, so above K, and so
+    do the pushes a bound of the reference prelude stands for. A push
     from v_j over another arc b keys at fl(fl(c_j + cost(b)) + dist),
     which is at least (c_j + cost(b) + dist)(1 - u)^2 for u = 2^-53,
     while s_j is at most (1 + u) times the least exact sum, as masks
@@ -365,6 +385,45 @@ def find_best_deviation(
     there has overlap at most o0; with L0's arc off the reference, the
     walk is not the reference, so o_m is below its arc count and L_m is
     an answer.
+
+    Reference prelude. Let the held label L_i = (c_i, i) sit at node v_i
+    of the reference, whose tree arc is the reference arc to v_(i+1),
+    and let c_i be below the cost cap. The prelude settles L_i as the
+    loop would: it counts it, makes the deadline check and makes it
+    permanent. In place of the pushes from L_i over v_i's other
+    out-arcs it puts the bound B_i = (c_i + s_i)(1 - 2^-50), s_i as in
+    guard (f), into the heap as ``(B_i, -1, v_i, 0, reference arc)``;
+    by guard (f)'s rounding argument each of those pushes keys at or
+    above B_i, and the overlap -1 sorts the bound first among equal
+    keys. It then holds L_(i+1), the push of L_i over the reference
+    arc, and goes on with it while its key is below every bound so
+    far; otherwise L_(i+1) goes into the heap. It hands L_i to the loop
+    unsettled at the target, where the tree leaves the reference, and
+    at the cap. It skips the budget check: past the budget, the loop
+    raises at its first extraction. When the loop pops a bound, it runs
+    its push block from L_i over v_i's out-arcs but the reference arc.
+
+    The plain loop extracts, at each step, the least entry over all
+    nodes of each node's least nondominated extension of the permanent
+    labels, and at one node key order is (cost, overlap) order. With
+    the prelude, the extensions behind a bound still in the heap are
+    left out until it pops; dropped overlaps and rebuilds cover all
+    others as before, and a rebuild that finds a deferred one only
+    brings it in early. So if the plain loop's next label E is deferred,
+    its bound B sits in the heap at or below E, and every queued
+    candidate is no less than its node's least extension, so no less
+    than E: B pops, pushing E, before anything is extracted. Otherwise E
+    is its node's candidate and is extracted next. In the prelude the
+    heap holds only bounds, all keyed above L_(i+1), so L_(i+1) is the
+    least entry of the plain loop too. Extraction order, the answer,
+    ``iterations``, ``target_extractions`` and ``outcome`` are therefore
+    the plain loop's; ``tree_steps`` is not, as the bounds lower the
+    heap top that guard (e) reads. One choice the argument leaves open:
+    of two extensions equal in cost and overlap at one node, the loop
+    keeps the one offered first, and a deferred push comes later than in
+    the plain loop. The differential tests compare answers, and the
+    hand-built ones every permanent label, to catch a twin kept
+    differently.
     """
     g = query.graph
     out_arcs = g.out_arcs
@@ -403,6 +462,7 @@ def find_best_deviation(
     counter = 0
     iterations = 0
     tree_steps = 0
+    ref_steps = 0
     t_hits = 0
     outcome = "exhausted"
     found = None
@@ -414,7 +474,7 @@ def find_best_deviation(
 
     root_key = pot[query.source]
     if root_key == unreachable:
-        return None, QueryStats(0, 0, outcome, 0)
+        return None, QueryStats(0, 0, outcome, 0, 0)
     entry = (prefix_cost + root_key, 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
@@ -422,6 +482,54 @@ def find_best_deviation(
     held = entry  # the fast lane: an entry below every heap entry, taken next
     if debug is not None:
         debug.enqueued.append((prefix_cost, 0, query.source))
+
+    if tree is not None:
+        # the reference prelude: settle the held reference label as the loop
+        # would, defer its sidetracks behind one bound and hold its successor,
+        # while the reference follows the tree and each next key is below
+        # every bound
+        ref_arcs = query.ref_arcs
+        lowest = unreachable
+        while True:
+            v = held[2]
+            a = tree[v]
+            lab = held[4]
+            c = lab[0]
+            if a < 0 or a != ref_arcs[lab[1]] or (cost_cap is not None and c >= cost_cap):
+                break  # the loop takes this label
+            side = sidetrack[v]
+            if side < 0.0:
+                side = sweep.sidetrack_of(v)
+            side = (c + side) * shrink
+            if side < lowest:
+                lowest = side
+            queued[v] = None
+            iterations += 1
+            if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
+                raise SearchLimit("deadline")
+            f_stamp[v] = serial
+            frontiers[v] = [lab]
+            if debug is not None:
+                debug.extracted.append((c, lab[1], v))
+                debug.extracted_keys.append(held[0])
+            heap.append((side, -1, v, 0, a))  # bounds differ in node, so 0 is never compared
+            w = arc_head[a]
+            c += arc_cost[a]
+            o = lab[1] + 1
+            counter += 1
+            held = (c + pot[w], o, w, counter, (c, o, a, 0))
+            queued[w] = held
+            q_stamp[w] = serial
+            dropped[w] = unreachable
+            if debug is not None:
+                debug.enqueued.append((c, o, w))
+            if not held[0] < lowest:
+                break
+        ref_steps = iterations
+        heapify(heap)
+        if heap and heap[0] < held:
+            heappush(heap, held)
+            held = None
 
     while heap or held is not None:
         if held is None:
@@ -431,173 +539,176 @@ def find_best_deviation(
             held = None
         node = e[2]
         if q_stamp[node] != serial or queued[node] is not e:
-            continue  # superseded by a cheaper candidate for this node
-        queued[node] = None
-        iterations += 1
-        if iteration_budget is not None and iterations > iteration_budget:
-            raise SearchLimit("iterations")
-        if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
-            raise SearchLimit("deadline")
-        lab = e[4]
-        ecost = lab[0]
-        eover = e[1]
-        if cost_cap is not None and ecost >= cost_cap:
-            outcome = "cost-capped"
-            break
-        if f_stamp[node] == serial:
-            f = frontiers[node]
-            f.append(lab)
+            if e[1] >= 0:
+                continue  # superseded by a cheaper candidate for this node
+            # a bound of the prelude: push the sidetracks it deferred at node,
+            # from the node's first permanent label
+            lab = frontiers[node][0]
+            ecost = lab[0]
+            eover = lab[1]
+            last_idx = 0
+            f = None
+            arcs = [a for a in out_arcs[node] if a != e[4]]
         else:
-            f_stamp[node] = serial
-            frontiers[node] = f = [lab]
-        if debug is not None:
-            debug.extracted.append((ecost, eover, node))
-            debug.extracted_keys.append(e[0])
-        if node == target:
-            t_hits += 1
-            if eover < ref_len:
-                found = lab
+            queued[node] = None
+            iterations += 1
+            if iteration_budget is not None and iterations > iteration_budget:
+                raise SearchLimit("iterations")
+            if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
+                raise SearchLimit("deadline")
+            lab = e[4]
+            ecost = lab[0]
+            eover = e[1]
+            if cost_cap is not None and ecost >= cost_cap:
+                outcome = "cost-capped"
                 break
-            # the reference itself; record it, never propagate target labels
-        else:
-            last_idx = len(f) - 1
-            via_arc = lab[2]
-            if (
-                tree is not None
-                and via_arc >= 0
-                and ref_stamp[via_arc] != ref_epoch
-                and dropped[node] >= eover
-            ):
-                # a tree answer: check the walk against guards (a) to (f) of
-                # the docstring, reading state only
-                c = ecost
-                o = eover
-                v = node
-                a = tree[v]
-                kmax = 0.0  # largest chain key; keys are never negative
-                # the heap top and the least lower bound of an off-tree push key
-                limit = heap[0][0] if heap else unreachable
-                steps = 0
-                while a >= 0:
-                    side = sidetrack[v]
-                    if side < 0.0:
-                        side = unreachable
-                        for b in out_arcs[v]:
-                            if b != a:
-                                d = pot[arc_head[b]]
-                                if d == unreachable:
-                                    d = sweep.horizon
-                                d += arc_cost[b]
-                                if d < side:
-                                    side = d
-                        sidetrack[v] = side
-                    side = (c + side) * shrink
-                    if side < limit:
-                        limit = side
-                    if arc_stamp[a] == epoch:
-                        break
-                    v = arc_head[a]
-                    if node_stamp[v] == epoch:
-                        break
-                    if ref_stamp[a] == ref_epoch:
-                        o += 1
-                    if f_stamp[v] == serial and o >= frontiers[v][-1][1]:
-                        break
-                    c += arc_cost[a]
-                    k = c + pot[v]
-                    if k > kmax:
-                        kmax = k
-                    if kmax >= limit:
-                        break
-                    steps += 1
+            if f_stamp[node] == serial:
+                f = frontiers[node]
+                f.append(lab)
+            else:
+                f_stamp[node] = serial
+                frontiers[node] = f = [lab]
+            if debug is not None:
+                debug.extracted.append((ecost, eover, node))
+                debug.extracted_keys.append(e[0])
+            if node == target:
+                t_hits += 1
+                if eover < ref_len:
+                    found = lab
+                    break
+                # the reference itself; record it, never propagate target labels
+                arcs = ()
+            else:
+                last_idx = len(f) - 1
+                via_arc = lab[2]
+                if (
+                    tree is not None
+                    and via_arc >= 0
+                    and ref_stamp[via_arc] != ref_epoch
+                    and dropped[node] >= eover
+                ):
+                    # a tree answer: check the walk against guards (a) to (f) of
+                    # the docstring, reading state only
+                    c = ecost
+                    o = eover
+                    v = node
                     a = tree[v]
-                else:
-                    if (
-                        v == target
-                        and (cost_cap is None or c < cost_cap)
-                        and (iteration_budget is None or iterations + steps <= iteration_budget)
-                    ):
-                        if (
-                            deadline is not None
-                            and (iterations + steps) >> 8 != iterations >> 8
-                            and perf_counter() > deadline
-                        ):
-                            raise SearchLimit("deadline")
-                        iterations += steps
-                        tree_steps += steps
-                        t_hits += 1
-                        # make the chain permanent as the loop would have
-                        c = ecost
-                        o = eover
-                        v = node
-                        idx = last_idx
-                        while v != target:
-                            a = tree[v]
-                            v = arc_head[a]
-                            c += arc_cost[a]
-                            if ref_stamp[a] == ref_epoch:
-                                o += 1
-                            lab = (c, o, a, idx)
-                            if f_stamp[v] == serial:
-                                f = frontiers[v]
-                                idx = len(f)
-                                f.append(lab)
-                            else:
-                                f_stamp[v] = serial
-                                frontiers[v] = [lab]
-                                idx = 0
-                            if debug is not None:
-                                debug.extracted.append((c, o, v))
-                                debug.extracted_keys.append(c + pot[v])
-                        found = lab
-                        break
-            for a in out_arcs[node]:
-                if arc_stamp[a] == epoch:
-                    continue
-                w = arc_head[a]
-                if node_stamp[w] == epoch:
-                    continue
-                if pot[w] == unreachable:
-                    if sweep.horizon == unreachable:
-                        continue
-                    sweep.settle(0.0, w)
-                    if pot[w] == unreachable:
-                        continue
-                no = eover + 1 if ref_stamp[a] == ref_epoch else eover
-                if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
-                    if debug is not None:
-                        debug.dominated.append((ecost + arc_cost[a], no, w))
-                    continue
-                nc = ecost + arc_cost[a]
-                if q_stamp[w] == serial:
-                    cur = queued[w]
-                else:
-                    cur = None
-                    q_stamp[w] = serial
-                    dropped[w] = unreachable  # nothing dropped at w yet
-                if cur is None or nc < cur[4][0] or (nc == cur[4][0] and no < cur[1]):
-                    if cur is not None and cur[1] < dropped[w]:
-                        dropped[w] = cur[1]  # the replaced candidate
-                    counter += 1
-                    key = nc + pot[w]
-                    ne = (key, no, w, counter, (nc, no, a, last_idx))
-                    queued[w] = ne
-                    if held is not None:
-                        if ne < held:
-                            ne, held = held, ne
-                        heappush(heap, ne)
-                    elif heap and heap[0] < ne:
-                        heappush(heap, ne)
+                    kmax = 0.0  # largest chain key; keys are never negative
+                    # the heap top and the least lower bound of an off-tree push key
+                    limit = heap[0][0] if heap else unreachable
+                    steps = 0
+                    while a >= 0:
+                        side = sidetrack[v]
+                        if side < 0.0:
+                            side = sweep.sidetrack_of(v)
+                        side = (c + side) * shrink
+                        if side < limit:
+                            limit = side
+                        if arc_stamp[a] == epoch:
+                            break
+                        v = arc_head[a]
+                        if node_stamp[v] == epoch:
+                            break
+                        if ref_stamp[a] == ref_epoch:
+                            o += 1
+                        if f_stamp[v] == serial and o >= frontiers[v][-1][1]:
+                            break
+                        c += arc_cost[a]
+                        k = c + pot[v]
+                        if k > kmax:
+                            kmax = k
+                        if kmax >= limit:
+                            break
+                        steps += 1
+                        a = tree[v]
                     else:
-                        held = ne
-                    if debug is not None:
-                        debug.enqueued.append((nc, no, w))
-                elif no < dropped[w]:
-                    dropped[w] = no  # this push lost to the queued candidate
+                        if (
+                            v == target
+                            and (cost_cap is None or c < cost_cap)
+                            and (iteration_budget is None or iterations + steps <= iteration_budget)
+                        ):
+                            if (
+                                deadline is not None
+                                and (iterations + steps) >> 8 != iterations >> 8
+                                and perf_counter() > deadline
+                            ):
+                                raise SearchLimit("deadline")
+                            iterations += steps
+                            tree_steps += steps
+                            t_hits += 1
+                            # make the chain permanent as the loop would have
+                            c = ecost
+                            o = eover
+                            v = node
+                            idx = last_idx
+                            while v != target:
+                                a = tree[v]
+                                v = arc_head[a]
+                                c += arc_cost[a]
+                                if ref_stamp[a] == ref_epoch:
+                                    o += 1
+                                lab = (c, o, a, idx)
+                                if f_stamp[v] == serial:
+                                    f = frontiers[v]
+                                    idx = len(f)
+                                    f.append(lab)
+                                else:
+                                    f_stamp[v] = serial
+                                    frontiers[v] = [lab]
+                                    idx = 0
+                                if debug is not None:
+                                    debug.extracted.append((c, o, v))
+                                    debug.extracted_keys.append(c + pot[v])
+                            found = lab
+                            break
+                arcs = out_arcs[node]
+        for a in arcs:
+            if arc_stamp[a] == epoch:
+                continue
+            w = arc_head[a]
+            if node_stamp[w] == epoch:
+                continue
+            if pot[w] == unreachable:
+                if sweep.horizon == unreachable:
+                    continue
+                sweep.settle(0.0, w)
+                if pot[w] == unreachable:
+                    continue
+            no = eover + 1 if ref_stamp[a] == ref_epoch else eover
+            if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
+                if debug is not None:
+                    debug.dominated.append((ecost + arc_cost[a], no, w))
+                continue
+            nc = ecost + arc_cost[a]
+            if q_stamp[w] == serial:
+                cur = queued[w]
+            else:
+                cur = None
+                q_stamp[w] = serial
+                dropped[w] = unreachable  # nothing dropped at w yet
+            if cur is None or nc < cur[4][0] or (nc == cur[4][0] and no < cur[1]):
+                if cur is not None and cur[1] < dropped[w]:
+                    dropped[w] = cur[1]  # the replaced candidate
+                counter += 1
+                key = nc + pot[w]
+                ne = (key, no, w, counter, (nc, no, a, last_idx))
+                queued[w] = ne
+                if held is not None:
+                    if ne < held:
+                        ne, held = held, ne
+                    heappush(heap, ne)
+                elif heap and heap[0] < ne:
+                    heappush(heap, ne)
+                else:
+                    held = ne
+                if debug is not None:
+                    debug.enqueued.append((nc, no, w))
+            elif no < dropped[w]:
+                dropped[w] = no  # this push lost to the queued candidate
         # rebuild this node's next queued candidate from incoming cursors;
         # only an extension dropped from its queue slot can beat vmin
-        vmin = f[-1][1]
-        if dropped[node] < vmin:
+        if f is not None and dropped[node] < f[-1][1]:
+            vmin = f[-1][1]
             best_c = 0.0
             best_o = 0
             best_arc = -1
@@ -659,7 +770,7 @@ def find_best_deviation(
     if debug is not None:
         debug.frontiers = {v: frontiers[v] for v in range(g.node_count) if f_stamp[v] == serial}
     if found is None:
-        return None, QueryStats(iterations, t_hits, outcome, tree_steps)
+        return None, QueryStats(iterations, t_hits, outcome, tree_steps, ref_steps)
     chain = reconstruct(g, found, frontiers)
     i = 0
     while chain[i][1] == i + 1:
@@ -667,4 +778,4 @@ def find_best_deviation(
     via = chain[i]
     suffix = tuple(step[2] for step in chain[i:])
     result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(found[0], found[1]), via[0])
-    return result, QueryStats(iterations, t_hits, "found", tree_steps)
+    return result, QueryStats(iterations, t_hits, "found", tree_steps, ref_steps)

@@ -171,9 +171,8 @@ class ReverseSweep:
     that arc gave it, so ``dist[u] == arc_cost[a] + dist[head]`` bit for
     bit, with the head settled before u; the tree arcs of settled nodes
     therefore lead to the target along a shortest path whose right fold
-    is ``dist``. ``sidetrack`` is scratch the biobjective search fills in
-    per node: a lower bound on ``arc_cost[b] + dist[head]`` over the
-    node's other out-arcs b, -1.0 until computed (see
+    is ``dist``. ``sidetrack`` memoizes :meth:`sidetrack_of` per node for
+    the biobjective search, -1.0 until computed (see
     :func:`kssp.biobjective.find_best_deviation`).
 
     Why settled values are exact: stopping early only truncates the pop
@@ -232,6 +231,32 @@ class ReverseSweep:
                     tree[u] = a
                     heappush(heap, (du, u))
         self.horizon = heap[0][0] if heap else inf
+
+    def sidetrack_of(self, v: int) -> float:
+        """Compute, memoize in ``sidetrack`` and return the sidetrack bound of settled node v.
+
+        That is the least ``arc_cost[b] + dist[head]`` over v's out-arcs b
+        other than ``tree[v]``, with the horizon standing in for an
+        unsettled head, and infinity if there is none. As the horizon never
+        decreases, the value stays a lower bound on the same sum for the
+        distances settled later.
+        """
+        g = self.graph
+        arc_head = g.arc_head
+        arc_cost = g.arc_cost
+        dist = self.dist
+        a = self.tree[v]
+        side = inf
+        for b in g.out_arcs[v]:
+            if b != a:
+                d = dist[arc_head[b]]
+                if d == inf:
+                    d = self.horizon
+                d += arc_cost[b]
+                if d < side:
+                    side = d
+        self.sidetrack[v] = side
+        return side
 
 
 def reverse_distances(g: Graph, target: int) -> list[float]:

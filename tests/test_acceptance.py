@@ -201,20 +201,32 @@ def test_gate_grids_keep_their_frozen_records():
             break
 
 
-def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
-    """The search's fast path must keep firing; it read 35% of grid 0's labels off the tree."""
-    totals = {"iterations": 0, "tree_steps": 0}
+def gate_grid_label_counts(monkeypatch) -> dict[str, int]:
+    """Solve gate grid 0 at GRID_K and sum the iteration counters of its queries."""
+    totals = {"iterations": 0, "tree_steps": 0, "ref_steps": 0}
 
     def counted(query, cost_cap=None, **limits):
         dev, stats = find_best_deviation(query, cost_cap, **limits)
-        totals["iterations"] += stats.iterations
-        totals["tree_steps"] += stats.tree_steps
+        for name in totals:
+            totals[name] += getattr(stats, name)
         return dev, stats
 
     monkeypatch.setattr("kssp.engine.find_best_deviation", counted)
     g, s, t = next(grid_instances(1))
     k_shortest_paths(g, s, t, GRID_K)
+    return totals
+
+
+def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
+    """The search's fast path must keep firing; it read 30% of grid 0's labels off the tree."""
+    totals = gate_grid_label_counts(monkeypatch)
     assert totals["tree_steps"] >= totals["iterations"] / 5, totals
+
+
+def test_the_prelude_settles_half_of_the_labels_on_a_gate_grid(monkeypatch):
+    """A prelude that always hands over keeps every answer but loses the speed; it settles 58%."""
+    totals = gate_grid_label_counts(monkeypatch)
+    assert totals["ref_steps"] >= totals["iterations"] / 2, totals
 
 
 def test_query_budget_never_exceeded():

@@ -39,7 +39,7 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     debug = SearchDebug()
     dev, stats = find_best_deviation(query, debug=debug)
 
-    assert stats == (8, 2, "found", 0)
+    assert stats == (8, 2, "found", 0, 0)
     assert debug.extracted == [
         (0.0, 0, 0),
         (0.0, 1, 1),
@@ -103,13 +103,15 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
     assert sweep.dist == [0.0, 0.0, 0.0, 0.0, inf, 0.0]
-    query = build_query(g, 0, 5, SPINE, sweep=sweep)
-    dev, stats = find_best_deviation(query)
-    # the detour through node 4 needs its distance, so the search settled it
+    ws = Workspace(g)
+    ws.mask.delete_arc(7)  # with 2->5 gone, the answer detours through node 4
+    dev, stats = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=sweep))
+    assert dev.bicost == BiCost(4.0, 3)
+    assert dev.suffix == (4, 6, 2, 3)
+    # the answer needs node 4's distance, so the search settled it
     assert sweep.dist == reverse_distances(g, 5)
-    assert dev.bicost == BiCost(2.0, 2)
-    assert dev.suffix == (7,)
-    assert stats == (6, 2, "found", 0)
+    full = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=settled_sweep(g, 5)))
+    assert (dev, stats[:3]) == (full[0], full[1][:3])
 
 
 def test_search_settles_an_unsettled_root(six_node_graph):
@@ -129,7 +131,7 @@ def test_a_dead_end_finishes_the_sweep():
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
     query = build_query(g, 0, 1, (0,), sweep=sweep)
-    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 0))
+    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 0, 1))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
 
@@ -163,7 +165,10 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
             sweep.settle(key)
             got = SearchDebug()
             query = build_query(g, s, t, ref.arcs, sweep=sweep)
-            assert find_best_deviation(query, debug=got) == expected, (seed, key)
+            dev, stats = find_best_deviation(query, debug=got)
+            # sidetrack bounds read the horizon, so how many labels the
+            # prelude and the tree answer take depends on how far it got
+            assert (dev, stats[:3]) == (expected[0], expected[1][:3]), (seed, key)
             assert got.extracted == want.extracted
             assert got.extracted_keys == want.extracted_keys
             assert all(d == full[v] for v, d in enumerate(sweep.dist) if d != float("inf"))
@@ -187,7 +192,7 @@ def test_parallel_arc_rival_is_found_through_rebuild():
     assert dev.node == 0
     assert dev.arc == 1
     assert dev.ref_index == 0
-    assert stats == (3, 2, "found", 0)
+    assert stats == (3, 2, "found", 0, 0)
 
 
 def test_cost_cap_aborts_the_query(six_node_graph):
@@ -238,7 +243,7 @@ def test_past_deadline_raises_inside_a_tree_answer():
     g = Graph(n + 1, arcs)
     dev, stats = find_best_deviation(build_query(g, 0, n, (n,), sweep=settled_sweep(g, n)))
     assert dev.suffix == tuple(range(n))
-    assert stats == (402, 2, "found", 399)
+    assert stats == (402, 2, "found", 399, 1)
     query = build_query(g, 0, n, (n,), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
@@ -434,7 +439,10 @@ def test_a_tree_completion_losing_a_tie_on_overlap_falls_back():
     assert dev.suffix == (3, 5, 6)
     assert stats.tree_steps == 0
     sweep.tree = [-1] * g.node_count
-    assert find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep)) == (dev, stats)
+    assert find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep)) == (
+        dev,
+        stats._replace(ref_steps=0),
+    )
 
 
 @pytest.mark.parametrize("masked", ["arc", "node"])
@@ -460,5 +468,120 @@ def test_a_masked_tree_walk_falls_back(masked):
     sweep.tree = [-1] * g.node_count
     assert find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep)) == (
         dev,
-        stats._replace(tree_steps=0),
+        stats._replace(tree_steps=0, ref_steps=0),
     )
+
+
+def search_both_ways(g, s, t, ref_arcs, ws=None, prefix_cost=0.0, **limits):
+    """Run a query on a settled sweep, then again with the sweep's tree blank.
+
+    A blank tree turns the prelude and tree answers off. Both runs must
+    return the same deviation and first three stats, extract the same
+    labels in the same order and make the same labels permanent; returns
+    the first run's result.
+    """
+    runs = []
+    for blank in (False, True):
+        sweep = settled_sweep(g, t)
+        if blank:
+            sweep.tree = [-1] * g.node_count
+        debug = SearchDebug()
+        query = build_query(g, s, t, ref_arcs, ws, prefix_cost, sweep)
+        runs.append((find_best_deviation(query, debug=debug, **limits), debug))
+    (got, seen), (want, plain) = runs
+    assert got[0] == want[0]
+    assert got[1][:3] == want[1][:3]
+    assert seen.extracted == plain.extracted
+    assert seen.extracted_keys == plain.extracted_keys
+    assert seen.frontiers == plain.frontiers
+    return got
+
+
+def test_a_chord_tying_a_later_reference_label_is_extracted_first():
+    # reference 0-1-2-3 behind a prefix of 2^53, where the chord 0->2 folds to
+    # the reference label's cost at 2 with overlap 0, yet the tree keeps 0->1
+    g = Graph(4, [(0, 1, 0.25), (1, 2, 0.25), (0, 2, 1.0), (2, 3, 1.0)])
+    assert settled_sweep(g, 3).tree[:3] == [0, 1, 3]
+    dev, stats = search_both_ways(g, 0, 3, (0, 1, 3), prefix_cost=2.0**53)
+    assert dev.suffix == (2, 3)
+    assert dev.bicost.overlap == 1
+    # the reference label at 1 keys above the chord's bound: only the root is settled early
+    assert stats.ref_steps == 1
+
+
+def test_a_sidetrack_keyed_at_the_next_reference_key_stops_the_prelude():
+    # all arcs cost 0: the sidetrack 0->3->2 keys 0 like the reference label
+    # at 1, and is taken first for its lower overlap
+    g = Graph(4, [(0, 1, 0.0), (1, 2, 0.0), (0, 3, 0.0), (3, 2, 0.0)])
+    assert settled_sweep(g, 2).tree[:2] == [0, 1]
+    dev, stats = search_both_ways(g, 0, 2, (0, 1))
+    assert dev.suffix == (2, 3)
+    assert stats == (3, 1, "found", 0, 1)
+
+
+def test_a_blocked_cheapest_sidetrack_is_skipped_when_its_bound_pops():
+    # reference 0-1-2-3; the cheapest sidetrack 1->4 is blocked in the first
+    # query and open in the second, on one sweep and its sidetrack memo
+    g = Graph(
+        6,
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.5), (4, 3, 1.0), (2, 5, 1.5), (5, 3, 1.5)],
+    )
+    ws = Workspace(g)
+    ws.mask.delete_arc(3)
+    dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
+    assert dev.suffix == (5, 6)
+    assert stats.ref_steps == 3
+    ws.mask.reset()
+    dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
+    assert dev.suffix == (3, 4)
+    assert stats.ref_steps == 3
+
+
+def test_a_reference_that_leaves_the_tree_hands_over_there():
+    # the tree leaves the reference 0-1-2-3 at node 1 for 1->4->3, whose last
+    # arc is masked; the sidetrack 0->5 keys between that detour and the reference
+    g = Graph(
+        6,
+        [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (1, 4, 0.5),
+            (4, 3, 0.5),
+            (4, 2, 1.0),
+            (0, 5, 1.5),
+            (5, 3, 1.0),
+            (5, 2, 1.5),
+        ],
+    )
+    assert settled_sweep(g, 3).tree[:2] == [0, 3]
+    ws = Workspace(g)
+    ws.mask.delete_arc(4)
+    ws.mask.delete_arc(7)
+    dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
+    assert dev.suffix == (3, 5, 2)
+    assert stats.ref_steps == 1
+
+
+@pytest.mark.parametrize("cap, iterations, ref_steps", [(3.0, 4, 3), (5.0, 6, 5)])
+def test_the_cost_cap_strikes_inside_the_prelude_and_at_its_target_label(cap, iterations, ref_steps):
+    # the reference 0-1-2-3-4-5 follows the tree; the rival arc 0->5 costs 10
+    g = Graph(6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 10.0)])
+    dev, stats = search_both_ways(g, 0, 5, tuple(range(5)), cost_cap=cap)
+    assert dev is None
+    assert stats == (iterations, 0, "cost-capped", 0, ref_steps)
+
+
+def test_past_deadline_raises_inside_the_prelude():
+    # 300 reference labels are settled early; the loop then ends at label 302,
+    # before its own next deadline check
+    n = 300
+    arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 1000.0)]
+    g = Graph(n + 1, arcs)
+    dev, stats = search_both_ways(g, 0, n, tuple(range(n)))
+    assert dev.suffix == (n,)
+    assert stats == (302, 2, "found", 0, 300)
+    query = build_query(g, 0, n, tuple(range(n)), sweep=settled_sweep(g, n))
+    with pytest.raises(SearchLimit) as exc:
+        find_best_deviation(query, deadline=perf_counter() - 1.0)
+    assert exc.value.kind == "deadline"
