@@ -67,34 +67,24 @@ is held outside it and taken next, which saves its heap push and pop.
 The held entry is always the least of all entries, so extraction order
 is exactly the heap's.
 
-Reference prelude. Walking the reference is most of a guided query:
-each reference label is extracted in turn and pushes every sidetrack of
-its node, and few of those pushes are ever popped. So while the
-reference follows the sweep's tree, the search first settles its labels
-in a prelude, each as the loop would, and puts one bound per node into
-the heap in place of the node's sidetrack pushes: a key no such push
-falls below, sorting before any entry of equal key. It stops at the
-first reference label that does not key strictly below every bound.
-When the loop pops a bound, it makes the node's sidetrack pushes then,
+Tree walk. A guided query's sweep keeps a shortest-path tree toward
+the target (``ReverseSweep.tree``), and most of a query's labels just
+follow it: the labels of the reference while it follows the tree, and,
+once a label has left the reference (Feng's "yellow" node, a sidetrack
+in Eppstein's terms), the labels of the tree path from there to the
+target. Each such label would push every out-arc of its node, and few
+of those pushes are ever popped. So right after the loop makes a label
+permanent, the search walks the tree from its node and settles the
+labels along it, each as the loop would, for as long as the loop would
+take them next. For every node it leaves it sets aside one bound in
+place of the node's other pushes: a key no such push falls below,
+sorting before any entry of equal key. Once the walk stops, the bounds
+go into the heap and the loop pushes from the last label settled; when
+the loop pops a bound, it makes that node's deferred pushes then,
 through its usual push code. Extraction order, results, iteration
 counts and target extractions are those of the plain loop (see
-:func:`find_best_deviation`); ``QueryStats.ref_steps`` counts the
-labels settled so, more than half of all labels on grids.
-
-Tree answers. A guided query's sweep keeps a shortest-path tree toward
-the target (``ReverseSweep.tree``). Once a label has left the reference
-(Feng's "yellow" node, a sidetrack in Eppstein's terms), the loop often
-just walks that tree to the target, one extraction per arc, and stops
-there with the answer. When a label that came over a non-reference arc
-is extracted, the search checks the tree walk from its node against
-guards under which the loop provably extracts exactly those labels
-next. If they hold, it makes the labels permanent at once and returns;
-otherwise it runs the loop, having changed nothing. Results, iteration
-counts and target extractions are identical either way (see
 :func:`find_best_deviation`); ``QueryStats.tree_steps`` counts the
-labels answered so, about three in ten on grids. A bound of the prelude
-at the heap top makes a tree answer fall back more often than the
-pushes it stands for would.
+labels the walk settled, more than four in five on grids.
 """
 from __future__ import annotations
 
@@ -106,7 +96,7 @@ from typing import NamedTuple
 from .dijkstra import ReverseSweep
 from .graph import Graph, Mask
 
-# scales a lower bound down past the roundings of guard (f) in find_best_deviation
+# scales a tree walk's bound down past the roundings argued in find_best_deviation
 _SHRINK = 1.0 - 2.0**-50
 
 
@@ -265,8 +255,7 @@ class QueryStats(NamedTuple):
     iterations: int
     target_extractions: int
     outcome: str  # "found" | "exhausted" | "cost-capped"
-    tree_steps: int  # of the iterations, labels answered off the sweep's tree
-    ref_steps: int  # of the iterations, reference labels the prelude settled
+    tree_steps: int  # of the iterations, labels the tree walk settled
 
 
 class SearchLimit(RuntimeError):
@@ -284,16 +273,16 @@ class SearchDebug:
     ``extracted`` records (cost, overlap, node) per extraction in order;
     ``extracted_keys`` the matching queue keys, equal to the costs when
     the query has no sweep; ``dominated`` the extensions skipped at
-    propagation time; ``enqueued`` every entry pushed into the queue,
-    which leaves out labels answered off the sweep's tree, as they never
-    enter it. The sidetracks the reference prelude defers enter
-    ``enqueued`` or ``dominated`` only when their bound pops, if ever.
-    Each iteration of the loop (not of the prelude) recounts the live
-    queue entries per node, the held entry included, and checks their
-    total against the nodes whose workspace slot holds a candidate.
-    ``frontiers`` holds the
-    permanent labels per node once the search returns, as the search's
-    plain ``(cost, overlap, via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
+    propagation time; ``enqueued`` every label offered to the queue. A
+    label the tree walk settles enters ``enqueued`` and ``extracted``
+    without ever being a heap entry, and the pushes the walk defers
+    enter ``enqueued`` or ``dominated`` only when their bound pops, if
+    ever. Each iteration of the loop (not each step of the walk)
+    recounts the live queue entries per node, the held entry included,
+    and checks their total against the nodes whose workspace slot holds
+    a candidate. ``frontiers`` holds the permanent labels per node once
+    the search returns, as the search's plain ``(cost, overlap,
+    via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
     the query source) and ``via_index`` indexes the predecessor label
     in the permanent list of that arc's tail.
     """
@@ -344,84 +333,66 @@ def find_best_deviation(
     rebuilds was enqueued, so it was read before. The zero potential of
     a query without a sweep has no infinite entry, so it never asks.
 
-    Tree answers. Let the extracted label L0 = (c0, o0) at v0 have come
-    over a non-reference arc, and let the sweep's tree arcs a1..am lead
-    from v0 through v1.. to vm, the target. The loop would fold
-    c_i = c_(i-1) + cost(a_i) and o_i, and key L_i at
-    k_i = c_i + dist[v_i]. The search returns L_m at once, counting m
-    iterations and one target extraction, when:
+    Tree walk. Let the loop have just made the label L = (c, o) at node
+    v permanent, with its cost below the cap, and let no rebuild be
+    pending at v: its least dropped overlap is at least o. (The target's
+    tree arc is -1, so no walk starts there.) The plain loop would now
+    push L over each of v's out-arcs. A step of the walk from v defers
+    all of these pushes but the one over the tree arc a = tree[v], and
+    sets aside in their place the bound B = (c + s)(1 - 2^-50) as the
+    entry ``(B, -1, v, i, a)``, where i indexes L in v's frontier and
+    s, memoized per node by
+    ``sweep.sidetrack_of``, is the least cost(b) + dist[head] over v's
+    out-arcs b other than a, with the sweep's horizon standing in for an
+    unsettled head. No deferred push keys below B: a push over b keys at
+    fl(fl(c + cost(b)) + dist), which is at least
+    (c + cost(b) + dist)(1 - u)^2 for u = 2^-53, while s is at most
+    (1 + u) times the least exact sum, as masks only remove arcs and the
+    horizon never decreases; the scale by 1 - 2^-50 covers these
+    roundings and its own (sums that fall below the normal range are
+    exact). The overlap -1 sorts a bound before any entry of equal key.
+    When the loop pops a bound, it runs its push block from label i of v
+    over v's out-arcs but a.
 
-    (a) no tree arc and no v_i is masked;
-    (b) no v_i has a frontier whose least overlap is at most o_i;
-    (c) no rebuild is pending at v0: its least dropped overlap is at
-        least o0;
-    (d) c_m is below the cost cap, and m more iterations stay within
-        the budget (when they pass a deadline check, the search makes
-        it, as the loop would);
-    (e) K, the largest k_i, is below the heap's top key;
-    (f) K is below (c_j + s_j)(1 - 2^-50) for every j < m, where s_j,
-        memoized per node by ``sweep.sidetrack_of``, is the least
-        cost(b) + dist[head] over v_j's out-arcs b other than a_(j+1),
-        with the sweep's horizon standing in for an unsettled head.
+    The walk then settles L' = (c', o'), the push of L over a to w, as
+    the loop would extract it: it counts it, makes the budget and
+    deadline checks and makes it permanent at w, and goes on from L'.
+    It does so only while L' keys strictly below the heap's top key and
+    every bound set aside so far; neither a nor w is masked; L' is not
+    dominated at w; c' is below the cost cap, so that the loop, not the
+    walk, stops on a capped label; and no rebuild would be pending at w:
+    the least overlap dropped at w, with that of the queued candidate L'
+    replaces, is at least o'. At the first step that fails, and at the
+    target, the walk stops: the bounds set aside go into the heap, and
+    the loop's push block and rebuild check run from the last label
+    settled. A found answer ends the query there.
 
-    Then after extracting L_(i-1) the loop's least entry is its push of
-    L_i. Older heap entries key at or above the top, so above K, and so
-    do the pushes a bound of the reference prelude stands for. A push
-    from v_j over another arc b keys at fl(fl(c_j + cost(b)) + dist),
-    which is at least (c_j + cost(b) + dist)(1 - u)^2 for u = 2^-53,
-    while s_j is at most (1 + u) times the least exact sum, as masks
-    only remove arcs and the horizon never decreases; the scale by
-    1 - 2^-50 covers these roundings and its own (sums that fall below
-    the normal range are exact), so by (f) every such push keys above
-    K. A node's queued candidate is always its least nondominated
-    extension, and without one there is none. So a rebuild at v_i,
-    i >= 1, queues an extension pushed before the walk, which keys at or
-    above the queued candidate and so above K, or one pushed from the
-    walk, above K by (f). At v0 the candidate was just taken, and (c)
-    rules the rebuild out. The push of L_i is not dominated, by (b),
-    and replaces any candidate at v_i: that keys above K >= k_i, and as
-    fl(x + p) is monotone in x, it costs more than c_i. The walk is
-    simple, since (b) fails at any node of L0's own chain, whose label
-    there has overlap at most o0; with L0's arc off the reference, the
-    walk is not the reference, so o_m is below its arc count and L_m is
-    an answer.
-
-    Reference prelude. Let the held label L_i = (c_i, i) sit at node v_i
-    of the reference, whose tree arc is the reference arc to v_(i+1),
-    and let c_i be below the cost cap. The prelude settles L_i as the
-    loop would: it counts it, makes the deadline check and makes it
-    permanent. In place of the pushes from L_i over v_i's other
-    out-arcs it puts the bound B_i = (c_i + s_i)(1 - 2^-50), s_i as in
-    guard (f), into the heap as ``(B_i, -1, v_i, 0, reference arc)``;
-    by guard (f)'s rounding argument each of those pushes keys at or
-    above B_i, and the overlap -1 sorts the bound first among equal
-    keys. It then holds L_(i+1), the push of L_i over the reference
-    arc, and goes on with it while its key is below every bound so
-    far; otherwise L_(i+1) goes into the heap. It hands L_i to the loop
-    unsettled at the target, where the tree leaves the reference, and
-    at the cap. It skips the budget check: past the budget, the loop
-    raises at its first extraction. When the loop pops a bound, it runs
-    its push block from L_i over v_i's out-arcs but the reference arc.
-
-    The plain loop extracts, at each step, the least entry over all
-    nodes of each node's least nondominated extension of the permanent
-    labels, and at one node key order is (cost, overlap) order. With
-    the prelude, the extensions behind a bound still in the heap are
-    left out until it pops; dropped overlaps and rebuilds cover all
-    others as before, and a rebuild that finds a deferred one only
-    brings it in early. So if the plain loop's next label E is deferred,
-    its bound B sits in the heap at or below E, and every queued
-    candidate is no less than its node's least extension, so no less
-    than E: B pops, pushing E, before anything is extracted. Otherwise E
-    is its node's candidate and is extracted next. In the prelude the
-    heap holds only bounds, all keyed above L_(i+1), so L_(i+1) is the
-    least entry of the plain loop too. Extraction order, the answer,
-    ``iterations``, ``target_extractions`` and ``outcome`` are therefore
-    the plain loop's; ``tree_steps`` is not, as the bounds lower the
-    heap top that guard (e) reads. One choice the argument leaves open:
-    of two extensions equal in cost and overlap at one node, the loop
-    keeps the one offered first, and a deferred push comes later than in
-    the plain loop. The differential tests compare answers, and the
+    Why the order is the plain loop's. The plain loop extracts, at each
+    step, the least entry over all nodes of each node's least
+    nondominated extension of the permanent labels, and at one node key
+    order is (cost, overlap) order. With deferral, the extensions behind
+    a bound still in the heap are left out until it pops; dropped
+    overlaps and rebuilds cover all others as before, and a rebuild
+    that finds a deferred one only brings it in early. So if the plain
+    loop's next label E is deferred, its bound B sits in the heap at or
+    below E, and every queued candidate is no less than its node's least
+    extension, so no less than E: B pops, pushing E, before anything is
+    extracted. Otherwise E is its node's candidate and is extracted
+    next. None of this asks which label a bound stands for. A step of
+    the walk is such an extraction: L' keys below every heap entry and
+    every bound, so it is the least entry the loop's fast lane would
+    hold; it is not dominated, and it replaces any queued candidate at
+    w, which keys at or above the heap top, so above L', and, as
+    fl(x + p) is monotone in x, costs more than c'. No rebuild runs at
+    the node left: at v it was ruled out on entry, at each later node
+    before settling, and the pushes from a node change no dropped
+    overlap of its own, as a push to itself is dominated. Extraction
+    order, the answer, ``iterations``, ``target_extractions`` and
+    ``outcome`` are therefore the plain loop's; ``tree_steps`` counts
+    the labels the walk settled. One choice the argument leaves open: of
+    two extensions equal in cost and overlap at one node, the loop
+    keeps the one offered first, and a deferred push comes later than
+    in the plain loop. The differential tests compare answers, and the
     hand-built ones every permanent label, to catch a twin kept
     differently.
     """
@@ -462,7 +433,6 @@ def find_best_deviation(
     counter = 0
     iterations = 0
     tree_steps = 0
-    ref_steps = 0
     t_hits = 0
     outcome = "exhausted"
     found = None
@@ -474,7 +444,7 @@ def find_best_deviation(
 
     root_key = pot[query.source]
     if root_key == unreachable:
-        return None, QueryStats(0, 0, outcome, 0, 0)
+        return None, QueryStats(0, 0, outcome, 0)
     entry = (prefix_cost + root_key, 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
@@ -483,54 +453,7 @@ def find_best_deviation(
     if debug is not None:
         debug.enqueued.append((prefix_cost, 0, query.source))
 
-    if tree is not None:
-        # the reference prelude: settle the held reference label as the loop
-        # would, defer its sidetracks behind one bound and hold its successor,
-        # while the reference follows the tree and each next key is below
-        # every bound
-        ref_arcs = query.ref_arcs
-        lowest = unreachable
-        while True:
-            v = held[2]
-            a = tree[v]
-            lab = held[4]
-            c = lab[0]
-            if a < 0 or a != ref_arcs[lab[1]] or (cost_cap is not None and c >= cost_cap):
-                break  # the loop takes this label
-            side = sidetrack[v]
-            if side < 0.0:
-                side = sweep.sidetrack_of(v)
-            side = (c + side) * shrink
-            if side < lowest:
-                lowest = side
-            queued[v] = None
-            iterations += 1
-            if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
-                raise SearchLimit("deadline")
-            f_stamp[v] = serial
-            frontiers[v] = [lab]
-            if debug is not None:
-                debug.extracted.append((c, lab[1], v))
-                debug.extracted_keys.append(held[0])
-            heap.append((side, -1, v, 0, a))  # bounds differ in node, so 0 is never compared
-            w = arc_head[a]
-            c += arc_cost[a]
-            o = lab[1] + 1
-            counter += 1
-            held = (c + pot[w], o, w, counter, (c, o, a, 0))
-            queued[w] = held
-            q_stamp[w] = serial
-            dropped[w] = unreachable
-            if debug is not None:
-                debug.enqueued.append((c, o, w))
-            if not held[0] < lowest:
-                break
-        ref_steps = iterations
-        heapify(heap)
-        if heap and heap[0] < held:
-            heappush(heap, held)
-            held = None
-
+    aside: list[tuple] = []  # the bounds a tree walk sets aside, until it stops
     while heap or held is not None:
         if held is None:
             e = heappop(heap)
@@ -541,12 +464,12 @@ def find_best_deviation(
         if q_stamp[node] != serial or queued[node] is not e:
             if e[1] >= 0:
                 continue  # superseded by a cheaper candidate for this node
-            # a bound of the prelude: push the sidetracks it deferred at node,
-            # from the node's first permanent label
-            lab = frontiers[node][0]
+            # a bound of a tree walk: push from the label it names over the arcs
+            # it stands for
+            last_idx = e[3]
+            lab = frontiers[node][last_idx]
             ecost = lab[0]
             eover = lab[1]
-            last_idx = 0
             f = None
             arcs = [a for a in out_arcs[node] if a != e[4]]
         else:
@@ -568,9 +491,68 @@ def find_best_deviation(
             else:
                 f_stamp[node] = serial
                 frontiers[node] = f = [lab]
+            last_idx = len(f) - 1
             if debug is not None:
                 debug.extracted.append((ecost, eover, node))
                 debug.extracted_keys.append(e[0])
+            if tree is not None and dropped[node] >= eover:
+                # the tree walk of the docstring: settle the tree extension of the
+                # last label settled while the loop would take it next, setting
+                # aside one bound for the other pushes of each node left
+                limit = heap[0][0] if heap else unreachable
+                a = tree[node]
+                while a >= 0 and arc_stamp[a] != epoch:
+                    w = arc_head[a]
+                    if node_stamp[w] == epoch:
+                        break
+                    side = sidetrack[node]
+                    if side < 0.0:
+                        side = sweep.sidetrack_of(node)
+                    side = (ecost + side) * shrink
+                    if side < limit:
+                        limit = side
+                    nc = ecost + arc_cost[a]
+                    key = nc + pot[w]
+                    if not key < limit or (cost_cap is not None and nc >= cost_cap):
+                        break
+                    no = eover + 1 if ref_stamp[a] == ref_epoch else eover
+                    if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
+                        break
+                    if q_stamp[w] == serial:
+                        least = dropped[w]
+                        cur = queued[w]
+                        if cur is not None and cur[1] < least:
+                            least = cur[1]  # the candidate the label replaces
+                        if least < no:
+                            break  # w would need a rebuild
+                    else:
+                        least = unreachable
+                        q_stamp[w] = serial
+                    queued[w] = None
+                    dropped[w] = least
+                    aside.append((side, -1, node, last_idx, a))
+                    iterations += 1
+                    tree_steps += 1
+                    if iteration_budget is not None and iterations > iteration_budget:
+                        raise SearchLimit("iterations")
+                    if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
+                        raise SearchLimit("deadline")
+                    lab = (nc, no, a, last_idx)
+                    if f_stamp[w] == serial:
+                        f = frontiers[w]
+                        f.append(lab)
+                    else:
+                        f_stamp[w] = serial
+                        frontiers[w] = f = [lab]
+                    last_idx = len(f) - 1
+                    if debug is not None:
+                        debug.enqueued.append((nc, no, w))
+                        debug.extracted.append((nc, no, w))
+                        debug.extracted_keys.append(key)
+                    node = w
+                    ecost = nc
+                    eover = no
+                    a = tree[w]
             if node == target:
                 t_hits += 1
                 if eover < ref_len:
@@ -579,89 +561,15 @@ def find_best_deviation(
                 # the reference itself; record it, never propagate target labels
                 arcs = ()
             else:
-                last_idx = len(f) - 1
-                via_arc = lab[2]
-                if (
-                    tree is not None
-                    and via_arc >= 0
-                    and ref_stamp[via_arc] != ref_epoch
-                    and dropped[node] >= eover
-                ):
-                    # a tree answer: check the walk against guards (a) to (f) of
-                    # the docstring, reading state only
-                    c = ecost
-                    o = eover
-                    v = node
-                    a = tree[v]
-                    kmax = 0.0  # largest chain key; keys are never negative
-                    # the heap top and the least lower bound of an off-tree push key
-                    limit = heap[0][0] if heap else unreachable
-                    steps = 0
-                    while a >= 0:
-                        side = sidetrack[v]
-                        if side < 0.0:
-                            side = sweep.sidetrack_of(v)
-                        side = (c + side) * shrink
-                        if side < limit:
-                            limit = side
-                        if arc_stamp[a] == epoch:
-                            break
-                        v = arc_head[a]
-                        if node_stamp[v] == epoch:
-                            break
-                        if ref_stamp[a] == ref_epoch:
-                            o += 1
-                        if f_stamp[v] == serial and o >= frontiers[v][-1][1]:
-                            break
-                        c += arc_cost[a]
-                        k = c + pot[v]
-                        if k > kmax:
-                            kmax = k
-                        if kmax >= limit:
-                            break
-                        steps += 1
-                        a = tree[v]
-                    else:
-                        if (
-                            v == target
-                            and (cost_cap is None or c < cost_cap)
-                            and (iteration_budget is None or iterations + steps <= iteration_budget)
-                        ):
-                            if (
-                                deadline is not None
-                                and (iterations + steps) >> 8 != iterations >> 8
-                                and perf_counter() > deadline
-                            ):
-                                raise SearchLimit("deadline")
-                            iterations += steps
-                            tree_steps += steps
-                            t_hits += 1
-                            # make the chain permanent as the loop would have
-                            c = ecost
-                            o = eover
-                            v = node
-                            idx = last_idx
-                            while v != target:
-                                a = tree[v]
-                                v = arc_head[a]
-                                c += arc_cost[a]
-                                if ref_stamp[a] == ref_epoch:
-                                    o += 1
-                                lab = (c, o, a, idx)
-                                if f_stamp[v] == serial:
-                                    f = frontiers[v]
-                                    idx = len(f)
-                                    f.append(lab)
-                                else:
-                                    f_stamp[v] = serial
-                                    frontiers[v] = [lab]
-                                    idx = 0
-                                if debug is not None:
-                                    debug.extracted.append((c, o, v))
-                                    debug.extracted_keys.append(c + pot[v])
-                            found = lab
-                            break
                 arcs = out_arcs[node]
+            if aside:
+                if heap:
+                    for b in aside:
+                        heappush(heap, b)
+                    aside.clear()
+                else:
+                    heap, aside = aside, heap
+                    heapify(heap)
         for a in arcs:
             if arc_stamp[a] == epoch:
                 continue
@@ -770,7 +678,7 @@ def find_best_deviation(
     if debug is not None:
         debug.frontiers = {v: frontiers[v] for v in range(g.node_count) if f_stamp[v] == serial}
     if found is None:
-        return None, QueryStats(iterations, t_hits, outcome, tree_steps, ref_steps)
+        return None, QueryStats(iterations, t_hits, outcome, tree_steps)
     chain = reconstruct(g, found, frontiers)
     i = 0
     while chain[i][1] == i + 1:
@@ -778,4 +686,4 @@ def find_best_deviation(
     via = chain[i]
     suffix = tuple(step[2] for step in chain[i:])
     result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(found[0], found[1]), via[0])
-    return result, QueryStats(iterations, t_hits, "found", tree_steps, ref_steps)
+    return result, QueryStats(iterations, t_hits, "found", tree_steps)

@@ -39,7 +39,7 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     debug = SearchDebug()
     dev, stats = find_best_deviation(query, debug=debug)
 
-    assert stats == (8, 2, "found", 0, 0)
+    assert stats == (8, 2, "found", 0)
     assert debug.extracted == [
         (0.0, 0, 0),
         (0.0, 1, 1),
@@ -131,7 +131,7 @@ def test_a_dead_end_finishes_the_sweep():
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
     query = build_query(g, 0, 1, (0,), sweep=sweep)
-    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 0, 1))
+    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 1))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
 
@@ -167,7 +167,7 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
             query = build_query(g, s, t, ref.arcs, sweep=sweep)
             dev, stats = find_best_deviation(query, debug=got)
             # sidetrack bounds read the horizon, so how many labels the
-            # prelude and the tree answer take depends on how far it got
+            # tree walk takes depends on how far it got
             assert (dev, stats[:3]) == (expected[0], expected[1][:3]), (seed, key)
             assert got.extracted == want.extracted
             assert got.extracted_keys == want.extracted_keys
@@ -192,7 +192,7 @@ def test_parallel_arc_rival_is_found_through_rebuild():
     assert dev.node == 0
     assert dev.arc == 1
     assert dev.ref_index == 0
-    assert stats == (3, 2, "found", 0, 0)
+    assert stats == (3, 2, "found", 0)
 
 
 def test_cost_cap_aborts_the_query(six_node_graph):
@@ -237,13 +237,13 @@ def test_past_deadline_raises_on_a_long_search():
 
 
 def test_past_deadline_raises_inside_a_tree_answer():
-    # the rival of the one-arc reference is a 400-arc walk the tree answers
+    # the rival of the one-arc reference is a 400-arc walk along the tree
     n = 400
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 0.5)]
     g = Graph(n + 1, arcs)
     dev, stats = find_best_deviation(build_query(g, 0, n, (n,), sweep=settled_sweep(g, n)))
     assert dev.suffix == tuple(range(n))
-    assert stats == (402, 2, "found", 399, 1)
+    assert stats == (402, 2, "found", 400)
     query = build_query(g, 0, n, (n,), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
@@ -437,11 +437,11 @@ def test_a_tree_completion_losing_a_tie_on_overlap_falls_back():
     dev, stats = find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep))
     assert dev.bicost == BiCost(4.0, 0)
     assert dev.suffix == (3, 5, 6)
-    assert stats.tree_steps == 0
+    assert stats.tree_steps == 3  # the root's walk; the walk from node 4 stops at the tie
     sweep.tree = [-1] * g.node_count
     assert find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep)) == (
         dev,
-        stats._replace(ref_steps=0),
+        stats._replace(tree_steps=0),
     )
 
 
@@ -464,18 +464,18 @@ def test_a_masked_tree_walk_falls_back(masked):
     dev, stats = find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep))
     assert dev.bicost == BiCost(4.0, 0)
     assert dev.suffix == (2, 4, 5)
-    assert stats.tree_steps == 1  # the walk from node 4 holds
+    assert stats.tree_steps == 3  # 2 on the root's walk, none from 3, 1 from 4
     sweep.tree = [-1] * g.node_count
     assert find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep)) == (
         dev,
-        stats._replace(tree_steps=0, ref_steps=0),
+        stats._replace(tree_steps=0),
     )
 
 
 def search_both_ways(g, s, t, ref_arcs, ws=None, prefix_cost=0.0, **limits):
     """Run a query on a settled sweep, then again with the sweep's tree blank.
 
-    A blank tree turns the prelude and tree answers off. Both runs must
+    A blank tree turns the tree walk off. Both runs must
     return the same deviation and first three stats, extract the same
     labels in the same order and make the same labels permanent; returns
     the first run's result.
@@ -505,8 +505,9 @@ def test_a_chord_tying_a_later_reference_label_is_extracted_first():
     dev, stats = search_both_ways(g, 0, 3, (0, 1, 3), prefix_cost=2.0**53)
     assert dev.suffix == (2, 3)
     assert dev.bicost.overlap == 1
-    # the reference label at 1 keys above the chord's bound: only the root is settled early
-    assert stats.ref_steps == 1
+    # the reference label at 1 keys above the chord's bound, so the root's walk
+    # stops at once; the chord's label at 2 walks on to the target
+    assert stats.tree_steps == 1
 
 
 def test_a_sidetrack_keyed_at_the_next_reference_key_stops_the_prelude():
@@ -516,7 +517,18 @@ def test_a_sidetrack_keyed_at_the_next_reference_key_stops_the_prelude():
     assert settled_sweep(g, 2).tree[:2] == [0, 1]
     dev, stats = search_both_ways(g, 0, 2, (0, 1))
     assert dev.suffix == (2, 3)
-    assert stats == (3, 1, "found", 0, 1)
+    assert stats == (3, 1, "found", 0)
+
+
+def test_an_earlier_bound_stops_a_walk_whose_keys_drift_up():
+    # behind a prefix of 2^53 each arc of cost 1.5 folds to 2, so the keys of the
+    # reference 0-1-..-40 climb from 2^53 + 60 to 2^53 + 80 along the tree; the
+    # root's bound, 2^53 + 62 for the rival 0->40, must stop every walk past it
+    n = 40
+    g = Graph(n + 1, [(i, i + 1, 1.5) for i in range(n)] + [(0, n, 70.0)])
+    dev, stats = search_both_ways(g, 0, n, tuple(range(n)), prefix_cost=2.0**53)
+    assert dev.suffix == (n,)
+    assert stats == (20, 1, "found", 17)
 
 
 def test_a_blocked_cheapest_sidetrack_is_skipped_when_its_bound_pops():
@@ -530,11 +542,11 @@ def test_a_blocked_cheapest_sidetrack_is_skipped_when_its_bound_pops():
     ws.mask.delete_arc(3)
     dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
     assert dev.suffix == (5, 6)
-    assert stats.ref_steps == 3
+    assert stats.tree_steps == 4  # 3 on the root's walk, 1 from node 5
     ws.mask.reset()
     dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
     assert dev.suffix == (3, 4)
-    assert stats.ref_steps == 3
+    assert stats.tree_steps == 4  # 3 on the root's walk, 1 from node 4
 
 
 def test_a_reference_that_leaves_the_tree_hands_over_there():
@@ -560,27 +572,29 @@ def test_a_reference_that_leaves_the_tree_hands_over_there():
     ws.mask.delete_arc(7)
     dev, stats = search_both_ways(g, 0, 3, (0, 1, 2), ws)
     assert dev.suffix == (3, 5, 2)
-    assert stats.ref_steps == 1
+    # the root's walk follows the tree off the reference to 4 and stops at its masked arc
+    assert stats.tree_steps == 2
 
 
-@pytest.mark.parametrize("cap, iterations, ref_steps", [(3.0, 4, 3), (5.0, 6, 5)])
-def test_the_cost_cap_strikes_inside_the_prelude_and_at_its_target_label(cap, iterations, ref_steps):
+@pytest.mark.parametrize("cap, iterations, capped_node", [(3.0, 4, 3), (5.0, 6, 5)])
+def test_the_cost_cap_strikes_inside_the_prelude_and_at_its_target_label(cap, iterations, capped_node):
     # the reference 0-1-2-3-4-5 follows the tree; the rival arc 0->5 costs 10
     g = Graph(6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 10.0)])
     dev, stats = search_both_ways(g, 0, 5, tuple(range(5)), cost_cap=cap)
     assert dev is None
-    assert stats == (iterations, 0, "cost-capped", 0, ref_steps)
+    # the root's walk settles the labels before the capped one, which the loop extracts
+    assert stats == (iterations, 0, "cost-capped", capped_node - 1)
 
 
 def test_past_deadline_raises_inside_the_prelude():
-    # 300 reference labels are settled early; the loop then ends at label 302,
-    # before its own next deadline check
+    # the root's walk settles the 300 reference labels after the root; the loop
+    # then ends at label 302, before its own next deadline check
     n = 300
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 1000.0)]
     g = Graph(n + 1, arcs)
     dev, stats = search_both_ways(g, 0, n, tuple(range(n)))
     assert dev.suffix == (n,)
-    assert stats == (302, 2, "found", 0, 300)
+    assert stats == (302, 2, "found", 300)
     query = build_query(g, 0, n, tuple(range(n)), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
