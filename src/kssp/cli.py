@@ -72,14 +72,14 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
-    os.makedirs(args.out, exist_ok=True)
     grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
+    os.makedirs(args.out, exist_ok=True)
     entries = []
     for ci, (cost_seed, g, pair_rng) in enumerate(grids):
+        pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
         filename = f"grid{rows}x{cols}-c{ci}.gr"
         with open(os.path.join(args.out, filename), "w") as f:
             dump_dimacs(g, f)
-        pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
         entries.append(
             {
                 "file": filename,

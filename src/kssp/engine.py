@@ -162,6 +162,18 @@ class SolveLimitExceeded(RuntimeError):
         self.report = report
 
 
+def check_limits(timeout_s: float | None, label_budget: int | None = None) -> None:
+    """Raise ValueError for a timeout that is NaN or negative, or a negative label budget.
+
+    A NaN deadline would never strike, and a negative limit would abort
+    a solve as if it had run out.
+    """
+    if timeout_s is not None and not timeout_s >= 0.0:
+        raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
+    if label_budget is not None and label_budget < 0:
+        raise ValueError(f"label budget must be nonnegative, got {label_budget}")
+
+
 def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float | None:
     """Cost cap for in-query pruning, or None while it would be unsound.
 
@@ -199,6 +211,7 @@ def k_shortest_paths(
     check_endpoints(g, s, t)
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_limits(opts.timeout_s, opts.label_budget)
 
     t_start = perf_counter()
     deadline = t_start + opts.timeout_s if opts.timeout_s is not None else None

@@ -58,15 +58,22 @@ def seeded_grids(
 
     The master ``seed`` draws every cost seed first, then one pair seed
     per grid, so drawing more pairs from a grid's stream never changes
-    which grids are built. This order is part of the format too.
+    which grids are built. This order is part of the format too. A
+    negative ``count`` raises ValueError at the call, before any grid.
     """
+    if count < 0:
+        raise ValueError(f"grid count must be at least 0, got {count}")
     master = SplitMix64(seed)
     cost_seeds = [master.next_u64() for _ in range(count)]
     pair_seeds = [master.next_u64() for _ in range(count)]
-    for cost_seed, pair_seed in zip(cost_seeds, pair_seeds):
-        yield cost_seed, gen_grid(rows, cols, cost_low, cost_high, cost_seed), SplitMix64(pair_seed)
+    return (
+        (cost_seed, gen_grid(rows, cols, cost_low, cost_high, cost_seed), SplitMix64(pair_seed))
+        for cost_seed, pair_seed in zip(cost_seeds, pair_seeds)
+    )
 
 
 def sample_pairs(rng: SplitMix64, node_count: int, count: int) -> list[tuple[int, int]]:
     """Draw ``count`` source/target pairs, each two distinct uniform nodes."""
+    if count < 0:
+        raise ValueError(f"pair count must be at least 0, got {count}")
     return [rng.distinct_pair(node_count) for _ in range(count)]

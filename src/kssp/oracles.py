@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .dijkstra import reverse_distances, shortest_path
-from .engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, SolveStats
+from .engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, SolveStats, check_limits
 from .graph import Graph, Mask, Path, check_endpoints
 
 
@@ -52,6 +52,7 @@ def yen_k_shortest(
     check_endpoints(g, s, t)
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_limits(timeout_s)
 
     t_start = perf_counter()
     deadline = t_start + timeout_s if timeout_s is not None else None

@@ -213,9 +213,18 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("solve", "--graph", "/definitely/not/here.gr", "-s", "0", "-t", "1"),
         ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "0"),
         ("solve", "--grid", "3x3", "-s", "0", "-t", "0", "-k", "2"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--timeout-s", "nan"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--timeout-s", "-1"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--algo", "yen",
+         "--timeout-s", "nan"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--label-budget", "-5"),
+        ("gen", "--grid", "3x3", "--costs", "-1", "--out", "out"),
+        ("gen", "--grid", "3x3", "--pairs", "-2", "--out", "out"),
+        ("bench", "--grid", "3x3", "--pairs", "-1"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # gen writes relative to the working directory
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err

@@ -235,6 +235,11 @@ def test_argument_validation(five_node_graph):
         k_shortest_paths(five_node_graph, 0, 9, 1)
     with pytest.raises(ValueError, match="out of range"):
         k_shortest_paths(five_node_graph, -1, 4, 1)
+    for timeout_s in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout"):
+            k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(timeout_s=timeout_s))
+    with pytest.raises(ValueError, match="label budget"):
+        k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=-5))
 
 
 def test_label_budget_aborts_with_partial_report(five_node_graph):

@@ -66,6 +66,10 @@ def test_rejects_bad_arguments():
         gen_grid(3, 0)
     with pytest.raises(GraphError):
         gen_grid(2, 2, 7.0, 3.0)
+    with pytest.raises(ValueError, match="grid count"):
+        seeded_grids(3, 3, -1, 0)
+    with pytest.raises(ValueError, match="pair count"):
+        sample_pairs(SplitMix64(0), 9, -2)
 
 
 def test_sample_pairs_frozen_and_distinct():
