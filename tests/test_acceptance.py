@@ -9,6 +9,7 @@ the file format round trip with an optional road-network smoke run.
 """
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from dataclasses import replace
@@ -201,20 +202,58 @@ def test_gate_grids_keep_their_frozen_records():
             break
 
 
-def test_the_tree_walk_settles_four_fifths_of_the_labels_on_a_gate_grid(monkeypatch):
-    """A walk that always stops keeps every answer but loses the speed; it settles 90% on grid 0."""
-    totals = {"iterations": 0, "tree_steps": 0}
+def gate_grid_label_counts(monkeypatch) -> dict[str, int]:
+    """Solve gate grid 0 at GRID_K and sum the label counts of its queries.
+
+    ``root_steps`` counts the labels settled by the walk from each query's
+    root label. That walk runs while the heap is still empty, so when it
+    stops its bounds become the heap through ``heapify``, the first of them
+    set aside at the query source's only label; when it ends the query
+    instead, every label but the root was the walk's.
+    """
+    totals = {"iterations": 0, "tree_steps": 0, "root_steps": 0}
+    first_heap: list[tuple] = []
+
+    def heapify(heap):
+        if not first_heap:
+            first_heap.append(heap[0])
+            first_heap.append(len(heap))
+        heapq.heapify(heap)
 
     def counted(query, cost_cap=None, **limits):
+        first_heap.clear()
         dev, stats = find_best_deviation(query, cost_cap, **limits)
-        for name in totals:
-            totals[name] += getattr(stats, name)
+        totals["iterations"] += stats.iterations
+        totals["tree_steps"] += stats.tree_steps
+        if first_heap and first_heap[0][1:4] == (-1, query.source, 0):
+            totals["root_steps"] += first_heap[1]
+        elif stats.iterations == stats.tree_steps + 1:
+            totals["root_steps"] += stats.tree_steps
         return dev, stats
 
+    monkeypatch.setattr("kssp.biobjective.heapify", heapify)
     monkeypatch.setattr("kssp.engine.find_best_deviation", counted)
     g, s, t = next(grid_instances(1))
     k_shortest_paths(g, s, t, GRID_K)
+    return totals
+
+
+def test_the_tree_walk_settles_four_fifths_of_the_labels_on_a_gate_grid(monkeypatch):
+    """A walk that always stops keeps every answer but loses the speed; it settles 88% on grid 0."""
+    totals = gate_grid_label_counts(monkeypatch)
     assert totals["tree_steps"] >= totals["iterations"] * 4 / 5, totals
+
+
+def test_the_prelude_settles_half_of_the_labels_on_a_gate_grid(monkeypatch):
+    """The walk from each query's root, which took over the reference prelude, settles 58%."""
+    totals = gate_grid_label_counts(monkeypatch)
+    assert totals["root_steps"] >= totals["iterations"] / 2, totals
+
+
+def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
+    """The walks from later labels, which took over the tree answers, settle 31% of grid 0."""
+    totals = gate_grid_label_counts(monkeypatch)
+    assert totals["tree_steps"] - totals["root_steps"] >= totals["iterations"] / 5, totals
 
 
 def test_query_budget_never_exceeded():
