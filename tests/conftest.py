@@ -11,6 +11,7 @@ from time import perf_counter
 import pytest
 
 from kssp.graph import Graph
+from kssp.gridgen import sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
 
@@ -115,6 +116,13 @@ def report_digest(report) -> str:
     ]
     stats = astuple(replace(report.stats, wall_time_s=0.0))
     return hashlib.sha256(repr((rows, report.status, stats)).encode()).hexdigest()
+
+
+def road_solves():
+    """The first 3 pairs of the benchmark's 256x256 road grid (master seed 512) at k=100."""
+    ((_, g, pair_rng),) = seeded_grids(256, 256, 1, 512)
+    for s, t in sample_pairs(pair_rng, g.node_count, 3):
+        yield g, s, t, 100
 
 
 # Reference-kernel time taken as the nominal host speed: about its time on

@@ -9,6 +9,7 @@ the file format round trip with an optional road-network smoke run.
 """
 from __future__ import annotations
 
+import hashlib
 import heapq
 import os
 import time
@@ -27,7 +28,7 @@ from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import make_digraph, report_digest
+from conftest import make_digraph, report_digest, road_solves
 
 GRID_MASTER_SEED = 7
 GRID_COUNT = 20
@@ -254,6 +255,27 @@ def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
     """The walks from later labels, which took over the tree answers, settle 31% of grid 0."""
     totals = gate_grid_label_counts(monkeypatch)
     assert totals["tree_steps"] - totals["root_steps"] >= totals["iterations"] / 5, totals
+
+
+# sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
+FROZEN_QUERY_STATS_DIGEST = "b42266b2d6331baec6d9ab020461ff2f76c85d2105a61d693a93b49a22738dba"
+
+
+def test_every_query_keeps_its_frozen_stats(monkeypatch):
+    """Per-query counters, ``tree_steps`` included, which ``report_digest`` does not see."""
+    rows = []
+
+    def recorded(query, cost_cap=None, **limits):
+        dev, stats = find_best_deviation(query, cost_cap, **limits)
+        rows.append((stats.iterations, stats.target_extractions, stats.outcome, stats.tree_steps))
+        return dev, stats
+
+    monkeypatch.setattr("kssp.engine.find_best_deviation", recorded)
+    g, s, t = next(grid_instances(1))
+    k_shortest_paths(g, s, t, GRID_K)
+    for g, s, t, k in road_solves():
+        k_shortest_paths(g, s, t, k)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FROZEN_QUERY_STATS_DIGEST, len(rows)
 
 
 def test_query_budget_never_exceeded():

@@ -22,11 +22,11 @@ from kssp.engine import (
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, Path
-from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
+from kssp.gridgen import gen_grid, sample_pairs
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import COST_FAMILIES, cost_family, make_digraph, report_digest
+from conftest import COST_FAMILIES, cost_family, make_digraph, report_digest, road_solves
 
 
 @pytest.mark.parametrize("guided", [True, False])
@@ -152,13 +152,6 @@ def test_solves_keep_their_frozen_records():
 
 # report_digest over road_solves()
 FROZEN_ROAD_DIGEST = "fbf413e01918ae7201390afc3cd4c5e0cbf8ebb12e8264c82a96c9684010cf32"
-
-
-def road_solves():
-    """The first 3 pairs of the benchmark's 256x256 road grid (master seed 512) at k=100."""
-    ((_, g, pair_rng),) = seeded_grids(256, 256, 1, 512)
-    for s, t in sample_pairs(pair_rng, g.node_count, 3):
-        yield g, s, t, 100
 
 
 def test_road_scale_solves_keep_their_frozen_records():
