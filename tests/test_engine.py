@@ -310,31 +310,23 @@ RANKERS = {
     "yen": yen_k_shortest,
     "yen-accelerated": lambda g, s, t, k: yen_k_shortest(g, s, t, k, accelerated=True),
 }
-# Cases that still misrank some seed of 0-499, with the count and the cause.
+# The seeds of 0-499 each case still misranks, with the cause as a comment.
 # Every search label is a left fold from s; what remains is ROADMAP Open
-# item 1: float folds are not exact, and only exact costs remove these marks.
-GUIDED_KEYS = "a guided key adds a potential folded from t, which can round a cost gap away"
+# item 1: float folds are not exact, and only exact costs empty these lists.
+# Pinning the exact seeds makes one more or one fewer misranked seed fail.
 STILL_MISRANKED = {
-    ("deviation", "tenths"): f"1 seed: {GUIDED_KEYS}",
-    ("deviation", "huge"): f"14 seeds: {GUIDED_KEYS}",
-    ("deviation-unguided", "huge"): "1 seed: behind 2^53, which of two suffixes is cheaper depends on the prefix",
-    ("yen-accelerated", "huge"): "8 seeds: A* on a rounded potential can close a node early",
+    # a guided key adds a potential folded from t, which can round a cost gap away
+    ("deviation", "tenths"): [427],
+    ("deviation", "huge"): [34, 94, 116, 148, 238, 258, 309, 350, 389, 413, 427, 432, 450, 490],
+    # behind 2^53, which of two suffixes is cheaper depends on the prefix
+    ("deviation-unguided", "huge"): [432],
+    # A* on a rounded potential can close a node early
+    ("yen-accelerated", "huge"): [116, 148, 238, 350, 389, 427, 450, 490],
 }
 
 
 @pytest.mark.parametrize(
-    "solver, family",
-    [
-        pytest.param(
-            solver,
-            family,
-            marks=[pytest.mark.xfail(strict=True, reason=f"ROADMAP Open item 1, {STILL_MISRANKED[solver, family]}")]
-            if (solver, family) in STILL_MISRANKED
-            else [],
-        )
-        for solver in RANKERS
-        for family in COST_FAMILIES
-    ],
+    "solver, family", [(solver, family) for solver in RANKERS for family in COST_FAMILIES]
 )
 def test_every_simple_path_ranks_as_enumeration_does(solver, family):
     solve = RANKERS[solver]
@@ -345,7 +337,7 @@ def test_every_simple_path_ranks_as_enumeration_does(solver, family):
         want = [p.cost for p in enumerate_simple_paths(g, s, t)]
         if want and solve(g, s, t, len(want)).costs != want:
             mismatches.append(seed)
-    assert mismatches == []
+    assert mismatches == STILL_MISRANKED.get((solver, family), [])
 
 
 def test_prune_rules_never_change_costs():
