@@ -62,11 +62,6 @@ it as an all-zero potential, which keeps one code path and adds exactly
 search then settles it further whenever it needs a distance it lacks
 (see :func:`find_best_deviation`).
 
-Fast lane. A new queue entry that sorts below every entry in the heap
-is held outside it and taken next, which saves its heap push and pop.
-The held entry is always the least of all entries, so extraction order
-is exactly the heap's.
-
 Tree walk. A guided query's sweep keeps a shortest-path tree toward
 the target (``ReverseSweep.tree``), and most of a query's labels just
 follow it: the labels of the reference while it follows the tree, and,
@@ -75,8 +70,8 @@ in Eppstein's terms), the labels of the tree path from there to the
 target. Each such label would push every out-arc of its node, and few
 of those pushes are ever popped. So right after the loop makes a label
 permanent, the search walks the tree from its node and settles the
-labels along it, each as the loop would, for as long as the loop would
-take them next. For every node it leaves it sets aside one bound in
+labels along it in the loop's own settle block, for as long as the loop
+would take them next. For every node it leaves it sets aside one bound in
 place of the node's other pushes: a key no such push falls below,
 sorting before any entry of equal key. Once the walk stops, the bounds
 go into the heap and the loop pushes from the last label settled; when
@@ -278,9 +273,9 @@ class SearchDebug:
     without ever being a heap entry, and the pushes the walk defers
     enter ``enqueued`` or ``dominated`` only when their bound pops, if
     ever. Each iteration of the loop (not each step of the walk)
-    recounts the live queue entries per node, the held entry included,
-    and checks their total against the nodes whose workspace slot holds
-    a candidate. ``frontiers`` holds the permanent labels per node once
+    recounts the live queue entries per node and checks their total
+    against the nodes whose workspace slot holds a candidate.
+    ``frontiers`` holds the permanent labels per node once
     the search returns, as the search's plain ``(cost, overlap,
     via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
     the query source) and ``via_index`` indexes the predecessor label
@@ -354,11 +349,11 @@ def find_best_deviation(
     When the loop pops a bound, it runs its push block from label i of v
     over v's out-arcs but a.
 
-    The walk then settles L' = (c', o'), the push of L over a to w, as
-    the loop would extract it: it counts it, makes the budget and
-    deadline checks and makes it permanent at w, and goes on from L'.
-    It does so only while L' keys strictly below the heap's top key and
-    every bound set aside so far; neither a nor w is masked; L' is not
+    The walk then settles L' = (c', o'), the push of L over a to w, in
+    the block that settles a popped label: it counts it, makes the
+    budget and deadline checks and makes it permanent at w, and goes on
+    from L'. It does so only while L' keys strictly below the heap's top
+    key and every bound set aside so far; neither a nor w is masked; L' is not
     dominated at w; c' is below the cost cap, so that the loop, not the
     walk, stops on a capped label; and no rebuild would be pending at w:
     the least overlap dropped at w, with that of the queued candidate L'
@@ -380,10 +375,10 @@ def find_best_deviation(
     extracted. Otherwise E is its node's candidate and is extracted
     next. None of this asks which label a bound stands for. A step of
     the walk is such an extraction: L' keys below every heap entry and
-    every bound, so it is the least entry the loop's fast lane would
-    hold; it is not dominated, and it replaces any queued candidate at
-    w, which keys at or above the heap top, so above L', and, as
-    fl(x + p) is monotone in x, costs more than c'. No rebuild runs at
+    every bound, so it is the next entry the loop would pop; it is not
+    dominated, and it replaces any queued candidate at w, which keys at
+    or above the heap top, so above L', and, as fl(x + p) is monotone in
+    x, costs more than c'. No rebuild runs at
     the node left: at v it was ruled out on entry, at each later node
     before settling, and the pushes from a node change no dropped
     overlap of its own, as a push to itself is dominated. Extraction
@@ -429,7 +424,6 @@ def find_best_deviation(
     cursors = ws.cursors
     c_stamp = ws.cursor_stamp
     dropped = ws.dropped
-    heap: list[tuple] = []
     counter = 0
     iterations = 0
     tree_steps = 0
@@ -449,17 +443,13 @@ def find_best_deviation(
     queued[query.source] = entry
     q_stamp[query.source] = serial
     dropped[query.source] = unreachable
-    held = entry  # the fast lane: an entry below every heap entry, taken next
+    heap = [entry]
     if debug is not None:
         debug.enqueued.append((prefix_cost, 0, query.source))
 
     aside: list[tuple] = []  # the bounds a tree walk sets aside, until it stops
-    while heap or held is not None:
-        if held is None:
-            e = heappop(heap)
-        else:
-            e = held
-            held = None
+    while heap:
+        e = heappop(heap)
         node = e[2]
         if q_stamp[node] != serial or queued[node] is not e:
             if e[1] >= 0:
@@ -474,85 +464,77 @@ def find_best_deviation(
             arcs = [a for a in out_arcs[node] if a != e[4]]
         else:
             queued[node] = None
-            iterations += 1
-            if iteration_budget is not None and iterations > iteration_budget:
-                raise SearchLimit("iterations")
-            if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
-                raise SearchLimit("deadline")
             lab = e[4]
             ecost = lab[0]
             eover = e[1]
-            if cost_cap is not None and ecost >= cost_cap:
-                outcome = "cost-capped"
+            key = e[0]
+            # the tree walk of the docstring goes on from the popped label only
+            # if no rebuild is pending at its node
+            a = tree[node] if tree is not None and dropped[node] >= eover else -1
+            limit = heap[0][0] if heap else unreachable
+            while True:
+                # settle lab at node: the popped label, then each step of the walk
+                iterations += 1
+                if iteration_budget is not None and iterations > iteration_budget:
+                    raise SearchLimit("iterations")
+                if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
+                    raise SearchLimit("deadline")
+                if cost_cap is not None and ecost >= cost_cap:
+                    outcome = "cost-capped"
+                    break
+                if f_stamp[node] == serial:
+                    f = frontiers[node]
+                    f.append(lab)
+                else:
+                    f_stamp[node] = serial
+                    frontiers[node] = f = [lab]
+                last_idx = len(f) - 1
+                if debug is not None:
+                    debug.extracted.append((ecost, eover, node))
+                    debug.extracted_keys.append(key)
+                # take the tree extension next while the loop would, setting aside
+                # one bound for the other pushes of the node left
+                if a < 0 or arc_stamp[a] == epoch:
+                    break
+                w = arc_head[a]
+                if node_stamp[w] == epoch:
+                    break
+                side = sidetrack[node]
+                if side < 0.0:
+                    side = sweep.sidetrack_of(node)
+                side = (ecost + side) * shrink
+                if side < limit:
+                    limit = side
+                nc = ecost + arc_cost[a]
+                key = nc + pot[w]
+                if not key < limit or (cost_cap is not None and nc >= cost_cap):
+                    break
+                no = eover + 1 if ref_stamp[a] == ref_epoch else eover
+                if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
+                    break
+                if q_stamp[w] == serial:
+                    least = dropped[w]
+                    cur = queued[w]
+                    if cur is not None and cur[1] < least:
+                        least = cur[1]  # the candidate the label replaces
+                    if least < no:
+                        break  # w would need a rebuild
+                else:
+                    least = unreachable
+                    q_stamp[w] = serial
+                queued[w] = None
+                dropped[w] = least
+                aside.append((side, -1, node, last_idx, a))
+                tree_steps += 1
+                if debug is not None:
+                    debug.enqueued.append((nc, no, w))
+                lab = (nc, no, a, last_idx)
+                node = w
+                ecost = nc
+                eover = no
+                a = tree[w]
+            if outcome == "cost-capped":
                 break
-            if f_stamp[node] == serial:
-                f = frontiers[node]
-                f.append(lab)
-            else:
-                f_stamp[node] = serial
-                frontiers[node] = f = [lab]
-            last_idx = len(f) - 1
-            if debug is not None:
-                debug.extracted.append((ecost, eover, node))
-                debug.extracted_keys.append(e[0])
-            if tree is not None and dropped[node] >= eover:
-                # the tree walk of the docstring: settle the tree extension of the
-                # last label settled while the loop would take it next, setting
-                # aside one bound for the other pushes of each node left
-                limit = heap[0][0] if heap else unreachable
-                a = tree[node]
-                while a >= 0 and arc_stamp[a] != epoch:
-                    w = arc_head[a]
-                    if node_stamp[w] == epoch:
-                        break
-                    side = sidetrack[node]
-                    if side < 0.0:
-                        side = sweep.sidetrack_of(node)
-                    side = (ecost + side) * shrink
-                    if side < limit:
-                        limit = side
-                    nc = ecost + arc_cost[a]
-                    key = nc + pot[w]
-                    if not key < limit or (cost_cap is not None and nc >= cost_cap):
-                        break
-                    no = eover + 1 if ref_stamp[a] == ref_epoch else eover
-                    if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
-                        break
-                    if q_stamp[w] == serial:
-                        least = dropped[w]
-                        cur = queued[w]
-                        if cur is not None and cur[1] < least:
-                            least = cur[1]  # the candidate the label replaces
-                        if least < no:
-                            break  # w would need a rebuild
-                    else:
-                        least = unreachable
-                        q_stamp[w] = serial
-                    queued[w] = None
-                    dropped[w] = least
-                    aside.append((side, -1, node, last_idx, a))
-                    iterations += 1
-                    tree_steps += 1
-                    if iteration_budget is not None and iterations > iteration_budget:
-                        raise SearchLimit("iterations")
-                    if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
-                        raise SearchLimit("deadline")
-                    lab = (nc, no, a, last_idx)
-                    if f_stamp[w] == serial:
-                        f = frontiers[w]
-                        f.append(lab)
-                    else:
-                        f_stamp[w] = serial
-                        frontiers[w] = f = [lab]
-                    last_idx = len(f) - 1
-                    if debug is not None:
-                        debug.enqueued.append((nc, no, w))
-                        debug.extracted.append((nc, no, w))
-                        debug.extracted_keys.append(key)
-                    node = w
-                    ecost = nc
-                    eover = no
-                    a = tree[w]
             if node == target:
                 t_hits += 1
                 if eover < ref_len:
@@ -601,14 +583,7 @@ def find_best_deviation(
                 key = nc + pot[w]
                 ne = (key, no, w, counter, (nc, no, a, last_idx))
                 queued[w] = ne
-                if held is not None:
-                    if ne < held:
-                        ne, held = held, ne
-                    heappush(heap, ne)
-                elif heap and heap[0] < ne:
-                    heappush(heap, ne)
-                else:
-                    held = ne
+                heappush(heap, ne)
                 if debug is not None:
                     debug.enqueued.append((nc, no, w))
             elif no < dropped[w]:
@@ -651,19 +626,12 @@ def find_best_deviation(
                 ne = (key, best_o, node, counter, (best_c, best_o, best_arc, best_idx))
                 queued[node] = ne
                 q_stamp[node] = serial
-                if held is not None:
-                    if ne < held:
-                        ne, held = held, ne
-                    heappush(heap, ne)
-                elif heap and heap[0] < ne:
-                    heappush(heap, ne)
-                else:
-                    held = ne
+                heappush(heap, ne)
                 if debug is not None:
                     debug.enqueued.append((best_c, best_o, node))
         if debug is not None:
             live: dict[int, int] = {}
-            for other in heap if held is None else heap + [held]:
+            for other in heap:
                 w = other[2]
                 if q_stamp[w] == serial and queued[w] is other:
                     live[w] = live.get(w, 0) + 1
