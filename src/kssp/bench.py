@@ -12,9 +12,16 @@ from dataclasses import asdict, dataclass, fields
 from math import exp, fsum, log
 from typing import IO, Iterable, Sequence
 
-from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, SolveReport, k_shortest_paths
+from .engine import (
+    COMPLETE,
+    SolveLimitExceeded,
+    SolveOptions,
+    SolveReport,
+    check_limits,
+    k_shortest_paths,
+)
 from .graph import Graph
-from .gridgen import sample_pairs, seeded_grids
+from .gridgen import check_pair_count, sample_pairs, seeded_grids
 from .oracles import YenReport, yen_k_shortest
 from .rng import SplitMix64
 
@@ -45,6 +52,14 @@ def _check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> No
             raise ValueError(
                 f"a label budget applies only to the deviation solver, not {algorithm!r}"
             )
+
+
+def _check_sweep(k: int, pairs: int, timeout_s: float | None, label_budget: int | None) -> None:
+    """Raise ValueError for k below 1, a negative pair count or a bad limit, before any solve."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    check_pair_count(pairs)
+    check_limits(timeout_s, label_budget)
 
 
 def run_algorithm(
@@ -116,6 +131,7 @@ def bench_graph(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
+    _check_sweep(k, pairs, timeout_s, label_budget)
     rng = SplitMix64(seed)
     return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
 
@@ -133,6 +149,7 @@ def bench_grid(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
+    _check_sweep(k, pairs, timeout_s, label_budget)
     out: list[ResultRow] = []
     for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):
         name = f"grid{rows_n}x{cols_n}-c{ci}"

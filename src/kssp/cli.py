@@ -21,7 +21,7 @@ from .bench import ALGORITHMS, bench_graph, bench_grid, read_rows, summarize, wr
 from .dimacs import DimacsError, dump_dimacs, load_dimacs, write_paths
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
 from .graph import Graph, GraphError
-from .gridgen import gen_grid, sample_pairs, seeded_grids
+from .gridgen import check_pair_count, gen_grid, sample_pairs, seeded_grids
 from .oracles import enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
@@ -72,6 +72,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
+    check_pair_count(args.pairs)  # here, as with --costs 0 no grid draws pairs
     grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
     os.makedirs(args.out, exist_ok=True)
     entries = []

@@ -72,8 +72,13 @@ def seeded_grids(
     )
 
 
-def sample_pairs(rng: SplitMix64, node_count: int, count: int) -> list[tuple[int, int]]:
-    """Draw ``count`` source/target pairs, each two distinct uniform nodes."""
+def check_pair_count(count: int) -> None:
+    """Raise ValueError for a negative pair count."""
     if count < 0:
         raise ValueError(f"pair count must be at least 0, got {count}")
+
+
+def sample_pairs(rng: SplitMix64, node_count: int, count: int) -> list[tuple[int, int]]:
+    """Draw ``count`` source/target pairs, each two distinct uniform nodes."""
+    check_pair_count(count)
     return [rng.distinct_pair(node_count) for _ in range(count)]

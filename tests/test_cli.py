@@ -220,14 +220,22 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--label-budget", "-5"),
         ("gen", "--grid", "3x3", "--costs", "-1", "--out", "out"),
         ("gen", "--grid", "3x3", "--pairs", "-2", "--out", "out"),
+        ("gen", "--grid", "3x3", "--costs", "0", "--pairs", "-2", "--out", "out"),
         ("bench", "--grid", "3x3", "--pairs", "-1"),
+        # checked up front, though with no grid or no pair nothing is solved
+        ("bench", "--grid", "3x3", "--costs", "0", "-k", "0", "--csv", "rows.csv"),
+        ("bench", "--grid", "3x3", "--costs", "0", "--pairs", "-2", "--csv", "rows.csv"),
+        ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "-1", "--csv", "rows.csv"),
+        ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "nan", "--csv", "rows.csv"),
+        ("bench", "--graph", MINI, "--pairs", "0", "-k", "0", "--csv", "rows.csv"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)  # gen writes relative to the working directory
+    monkeypatch.chdir(tmp_path)  # gen and bench write relative to the working directory
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+    assert list(tmp_path.iterdir()) == []  # no output directory, manifest or CSV
 
 
 def test_a_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
