@@ -114,6 +114,32 @@ def report_digest(report) -> str:
         )
         for r in report.records
     ]
+    return _digest(rows, report)
+
+
+def cost_free_digest(report) -> str:
+    """sha256 like :func:`report_digest` over everything but ``cost`` and ``prefix_cost``.
+
+    Exact arithmetic may change the bits of a cost but not which paths
+    are found or how the search gets there, so this digest must stay
+    equal across such a change while the cost-hashing ones move.
+    """
+    rows = [
+        (
+            r.path.arcs,
+            r.parent_index,
+            r.dev_node,
+            r.dev_pos,
+            r.source_node,
+            r.source_pos,
+            tuple(r.blocked),
+        )
+        for r in report.records
+    ]
+    return _digest(rows, report)
+
+
+def _digest(rows: list[tuple], report) -> str:
     stats = astuple(replace(report.stats, wall_time_s=0.0))
     return hashlib.sha256(repr((rows, report.status, stats)).encode()).hexdigest()
 

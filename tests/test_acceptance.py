@@ -28,7 +28,7 @@ from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import make_digraph, report_digest, road_solves
+from conftest import cost_free_digest, make_digraph, report_digest, road_solves
 
 GRID_MASTER_SEED = 7
 GRID_COUNT = 20
@@ -191,6 +191,11 @@ FROZEN_GRID_DIGESTS = {
     0: "24d85a8d53699f830b73ee3b49e7745d8e8a89d154c8155fc38da55a35d27dc8",
     4: "e29eecc18a730b6a23715f1865805cb38ffecd3eea14de01283697e5c888aeab",
 }
+# cost_free_digest of the same solves, which exact costs must leave unchanged
+FROZEN_GRID_COST_FREE_DIGESTS = {
+    0: "9e679fa85eba818c93c6e66817dcdc3d4892ddef51bc4d88c34829414e718387",
+    4: "c14d7142b528adbd78f8e11074b1f13569d3f39f0f01ed0947320f614d84d380",
+}
 
 
 def test_gate_grids_keep_their_frozen_records():
@@ -199,6 +204,7 @@ def test_gate_grids_keep_their_frozen_records():
         if i in FROZEN_GRID_DIGESTS:
             report = k_shortest_paths(g, s, t, GRID_K)
             assert report_digest(report) == FROZEN_GRID_DIGESTS[i], f"grid instance {i}"
+            assert cost_free_digest(report) == FROZEN_GRID_COST_FREE_DIGESTS[i], f"grid instance {i}"
         if i == max(FROZEN_GRID_DIGESTS):
             break
 

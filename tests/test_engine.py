@@ -26,7 +26,9 @@ from kssp.gridgen import gen_grid, sample_pairs
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import COST_FAMILIES, cost_family, make_digraph, report_digest, road_solves
+from conftest import (
+    COST_FAMILIES, cost_family, cost_free_digest, make_digraph, report_digest, road_solves,
+)
 
 
 @pytest.mark.parametrize("guided", [True, False])
@@ -150,14 +152,18 @@ def test_solves_keep_their_frozen_records():
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
 
 
-# report_digest over road_solves()
+# report_digest over road_solves(), then cost_free_digest over the same solves
 FROZEN_ROAD_DIGEST = "fbf413e01918ae7201390afc3cd4c5e0cbf8ebb12e8264c82a96c9684010cf32"
+FROZEN_ROAD_COST_FREE_DIGEST = "7484b26316408d38fefefe68abd32bf4856395f026f23c7b6e8b11765c739c83"
 
 
 def test_road_scale_solves_keep_their_frozen_records():
     """Records, status and counters stay bit-identical where queries settle the sweep on demand."""
-    digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in road_solves()]
-    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_ROAD_DIGEST
+    reports = [k_shortest_paths(g, s, t, k) for g, s, t, k in road_solves()]
+    frozen_digests = ((report_digest, FROZEN_ROAD_DIGEST), (cost_free_digest, FROZEN_ROAD_COST_FREE_DIGEST))
+    for digest, frozen in frozen_digests:
+        joined = " ".join(digest(r) for r in reports)
+        assert hashlib.sha256(joined.encode()).hexdigest() == frozen, digest.__name__
 
 
 def test_label_budget_is_exact_under_a_lazily_settled_sweep(monkeypatch):
