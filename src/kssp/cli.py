@@ -26,7 +26,7 @@ from .oracles import enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
 # options only the deviation solver reads
-DEVIATION_FLAGS = ("--unguided", "--no-prune-max", "--no-prune-min", "--label-budget", "--validate")
+DEVIATION_FLAGS = ("--unguided", "--label-budget", "--validate")
 
 
 def _note(message: str) -> None:
@@ -125,8 +125,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     opts = SolveOptions(
         guided=not args.unguided,
-        prune_queue_max=not args.no_prune_max,
-        prune_queue_min=not args.no_prune_min,
         timeout_s=args.timeout_s,
         label_budget=args.label_budget,
         validate=args.validate,
@@ -252,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="order queries by plain cost instead of the reverse-distance potential",
     )
-    p.add_argument("--no-prune-max", action="store_true", help="disable the query cost cap")
-    p.add_argument("--no-prune-min", action="store_true", help="disable early queue drain")
     p.add_argument("--timeout-s", type=float, default=None)
     p.add_argument("--label-budget", type=int, default=None)
     p.add_argument("--validate", action="store_true", help="run structural self-checks")

@@ -17,7 +17,7 @@ from the candidate queue the driver asks it of two records: the
 extracted path, which has no children yet, and its parent.
 
 Generated deviation arcs are recorded per parent (``blocked``), which
-keeps all candidates structurally distinct. Two optional prune rules cut
+keeps all candidates structurally distinct. Two prune rules cut
 work without changing the returned cost sequence: a query aborts early
 once it provably cannot beat the most expensive queued candidate while
 the queue already holds enough paths (cost cap), and the run ends early
@@ -75,15 +75,12 @@ class SolveOptions:
     """Knobs for one solve.
 
     ``guided`` gives every query a reverse sweep as its potential,
-    settled on demand (same results, far fewer iterations); the prune
-    flags toggle the two cost-sequence-neutral prune rules;
+    settled on demand (same results, far fewer iterations);
     ``label_budget`` caps the total labels extracted across all queries;
     ``validate`` checks the finished report against the contract.
     """
 
     guided: bool = True
-    prune_queue_max: bool = True
-    prune_queue_min: bool = True
     timeout_s: float | None = None
     label_budget: int | None = None
     validate: bool = False
@@ -122,6 +119,18 @@ class SolveStats:
     failed_iterations: int = 0
     labels_extracted: int = 0
     wall_time_s: float = 0.0
+
+    def add_query(self, iterations: int, found: bool, capped: bool = False) -> None:
+        """Count one query that extracted ``iterations`` labels; ``capped`` counts only if it failed."""
+        self.queries_attempted += 1
+        self.labels_extracted += iterations
+        if found:
+            self.success_iterations += iterations
+            return
+        self.queries_failed += 1
+        self.failed_iterations += iterations
+        if capped:
+            self.capped_queries += 1
 
     @property
     def queries_succeeded(self) -> int:
@@ -264,21 +273,15 @@ def k_shortest_paths(
         for a in origin.blocked:
             mask.delete_arc(a)
         query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
-        cap = queue_max_cap(len(records), cands, k) if opts.prune_queue_max else None
+        cap = queue_max_cap(len(records), cands, k)
         budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
         except SearchLimit as exc:
             raise limit(exc.kind) from exc
-        stats.queries_attempted += 1
-        stats.labels_extracted += qstats.iterations
+        stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
         if dev is None:
-            stats.queries_failed += 1
-            stats.failed_iterations += qstats.iterations
-            if qstats.outcome == "cost-capped":
-                stats.capped_queries += 1
             return
-        stats.success_iterations += qstats.iterations
         if dev.arc in origin.blocked:
             raise RuntimeError("deviation arc regenerated for the same parent")
         dev_pos = sp + dev.ref_index
@@ -307,7 +310,7 @@ def k_shortest_paths(
     while len(records) < k:
         if deadline is not None and perf_counter() > deadline:
             raise limit("deadline")
-        if opts.prune_queue_min and queue_min_ready(len(records), cands, k):
+        if queue_min_ready(len(records), cands, k):
             records.extend(entry[2] for entry in cands[: k - len(records)])
             return finish(COMPLETE)
         if not cands:

@@ -66,14 +66,10 @@ def yen_k_shortest(
     potential = reverse_distances(g, t) if accelerated else None
     # A* on a rounded potential can close a node early; pruning cannot
     p1, pops = shortest_path(g, s, t, prune=potential)
-    stats.queries_attempted = 1
     stats.init_queries = 1
-    stats.labels_extracted = pops
+    stats.add_query(pops, p1 is not None)
     if p1 is None:
-        stats.queries_failed = 1
-        stats.failed_iterations = pops
         return finish(EXHAUSTED)
-    stats.success_iterations = pops
     paths.append(p1)
 
     trie: dict[int, dict] = {}
@@ -120,15 +116,9 @@ def yen_k_shortest(
             spur, pops = shortest_path(
                 g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
             )
-            stats.queries_attempted += 1
-            stats.labels_extracted += pops
+            stats.add_query(pops, spur is not None, bnd is not None)
             if spur is None:
-                stats.queries_failed += 1
-                stats.failed_iterations += pops
-                if bnd is not None:
-                    stats.capped_queries += 1
                 continue
-            stats.success_iterations += pops
             cand_arcs = arcs[:j] + spur.arcs
             if cand_arcs in seen:
                 continue

@@ -24,7 +24,10 @@ MINI_LINES = [
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on its own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out.splitlines(), captured.err
 
@@ -40,10 +43,8 @@ def test_solve_is_unaffected_by_flag_combinations(capsys):
     base = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4")
     for extra in (
         ["--unguided"],
-        ["--no-prune-max"],
-        ["--no-prune-min"],
-        ["--unguided", "--no-prune-max", "--no-prune-min"],
         ["--validate"],
+        ["--unguided", "--validate"],
     ):
         code, out, _ = run(
             capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", *extra
@@ -168,10 +169,7 @@ def test_solve_failed_validation_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("algo", ["yen", "yen-accelerated", "brute"])
 @pytest.mark.parametrize(
     "extra",
-    [
-        ["--label-budget", "1"], ["--validate"], ["--unguided"], ["--no-prune-max"],
-        ["--no-prune-min"],
-    ],
+    [["--label-budget", "1"], ["--validate"], ["--unguided"]],
 )
 def test_solve_rejects_deviation_options_for_other_solvers(capsys, algo, extra):
     code, out, err = run(
@@ -228,6 +226,8 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "-1", "--csv", "rows.csv"),
         ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "nan", "--csv", "rows.csv"),
         ("bench", "--graph", MINI, "--pairs", "0", "-k", "0", "--csv", "rows.csv"),
+        # the prune rules always run and have no switch
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--no-prune-max"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):

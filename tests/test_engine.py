@@ -85,8 +85,6 @@ MINI_RANKING = [  # (arcs, parent_index) of all 16 simple 0-9 paths of mini10.gr
     [
         SolveOptions(),
         SolveOptions(guided=False),
-        SolveOptions(prune_queue_min=False),
-        SolveOptions(prune_queue_max=False, prune_queue_min=False),
     ],
 )
 def test_equal_cost_paths_keep_their_frozen_order(options, k):
@@ -344,24 +342,6 @@ def test_every_simple_path_ranks_as_enumeration_does(solver, family):
         if want and solve(g, s, t, len(want)).costs != want:
             mismatches.append(seed)
     assert mismatches == STILL_MISRANKED.get((solver, family), [])
-
-
-def test_prune_rules_never_change_costs():
-    for seed in range(30):
-        g = make_digraph(seed)
-        s, t = 0, g.node_count - 1
-        k = 12
-        runs = {}
-        for pmax in (True, False):
-            for pmin in (True, False):
-                opts = SolveOptions(prune_queue_max=pmax, prune_queue_min=pmin)
-                report = k_shortest_paths(g, s, t, k, opts)
-                runs[(pmax, pmin)] = report
-                if not pmax:
-                    assert report.stats.capped_queries == 0
-        baseline = runs[(False, False)].costs
-        for report in runs.values():
-            assert report.costs == baseline
 
 
 def test_query_budget_holds_on_small_instances():
