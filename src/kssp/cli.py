@@ -74,10 +74,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
     check_pair_count(args.pairs)  # here, as with --costs 0 no grid draws pairs
     grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
-    os.makedirs(args.out, exist_ok=True)
     entries = []
     for ci, (cost_seed, g, pair_rng) in enumerate(grids):
         pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
+        os.makedirs(args.out, exist_ok=True)  # once a grid and its pairs exist
         filename = f"grid{rows}x{cols}-c{ci}.gr"
         with open(os.path.join(args.out, filename), "w") as f:
             dump_dimacs(g, f)
@@ -98,6 +98,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         "cost_high": args.cost_high,
         "instances": entries,
     }
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -30,10 +30,7 @@ def gen_grid(
 
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
     """
-    if rows < 1 or cols < 1:
-        raise GraphError("grid needs at least one row and one column")
-    if not cost_low <= cost_high:
-        raise GraphError("cost_low must not exceed cost_high")
+    check_grid(rows, cols, cost_low, cost_high)
     rng = SplitMix64(seed)
     arcs: list[tuple[int, int, float]] = []
     for r in range(rows):
@@ -51,6 +48,14 @@ def gen_grid(
     return Graph(rows * cols, arcs)
 
 
+def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> None:
+    """Raise GraphError for an empty grid shape or cost bounds out of order (or NaN)."""
+    if rows < 1 or cols < 1:
+        raise GraphError("grid needs at least one row and one column")
+    if not cost_low <= cost_high:
+        raise GraphError("cost_low must not exceed cost_high")
+
+
 def seeded_grids(
     rows: int, cols: int, count: int, seed: int, cost_low: float = 0.0, cost_high: float = 10.0
 ) -> Iterator[tuple[int, Graph, SplitMix64]]:
@@ -59,10 +64,12 @@ def seeded_grids(
     The master ``seed`` draws every cost seed first, then one pair seed
     per grid, so drawing more pairs from a grid's stream never changes
     which grids are built. This order is part of the format too. A
-    negative ``count`` raises ValueError at the call, before any grid.
+    negative ``count`` raises ValueError, and an empty shape or bad cost
+    bounds GraphError, at the call, before any grid, even for ``count`` 0.
     """
     if count < 0:
         raise ValueError(f"grid count must be at least 0, got {count}")
+    check_grid(rows, cols, cost_low, cost_high)
     master = SplitMix64(seed)
     cost_seeds = [master.next_u64() for _ in range(count)]
     pair_seeds = [master.next_u64() for _ in range(count)]

@@ -228,6 +228,14 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("bench", "--graph", MINI, "--pairs", "0", "-k", "0", "--csv", "rows.csv"),
         # the prune rules always run and have no switch
         ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--no-prune-max"),
+        # the shape and cost bounds are checked before the directory is made,
+        # and a pair that cannot be drawn is found before it is made
+        ("gen", "--grid", "0x0", "--out", "out"),
+        ("gen", "--grid", "1x1", "--pairs", "1", "--out", "out"),
+        ("gen", "--grid", "2x2", "--cost-low", "5", "--cost-high", "1", "--out", "out"),
+        ("gen", "--grid", "2x2", "--cost-low", "nan", "--out", "out"),
+        ("gen", "--grid", "0x0", "--costs", "0", "--out", "out"),
+        ("bench", "--grid", "0x0", "--costs", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):
