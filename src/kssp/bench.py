@@ -203,15 +203,24 @@ def _cell(value: object) -> str:
 
 
 def write_rows(dest: str | IO[str], rows: Iterable[ResultRow]) -> None:
-    names = [f.name for f in fields(ResultRow)]
     if isinstance(dest, str):
         with open(dest, "w", newline="") as f:
             write_rows(f, rows)
         return
     writer = csv.writer(dest)
-    writer.writerow(names)
+    writer.writerow([f.name for f in fields(ResultRow)])
     for row in rows:
         writer.writerow([_cell(v) for v in asdict(row).values()])
+
+
+# how read_rows parses a cell, by the type its ResultRow field is annotated with
+_CELL_PARSERS = {
+    "str": str,
+    "int": int,
+    "bool": lambda cell: cell == "true",
+    "float": float,
+    "float | None": lambda cell: float(cell) if cell else None,
+}
 
 
 def read_rows(src: str | IO[str]) -> list[ResultRow]:
@@ -219,31 +228,11 @@ def read_rows(src: str | IO[str]) -> list[ResultRow]:
         with open(src, newline="") as f:
             return read_rows(f)
     reader = csv.DictReader(src)
-    missing = [f.name for f in fields(ResultRow) if f.name not in (reader.fieldnames or ())]
+    columns = fields(ResultRow)
+    missing = [f.name for f in columns if f.name not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"not a bench CSV: missing columns {', '.join(missing)}")
-    out = []
-    for raw in reader:
-        out.append(
-            ResultRow(
-                instance=raw["instance"],
-                algorithm=raw["algorithm"],
-                k=int(raw["k"]),
-                solved=raw["solved"] == "true",
-                paths=int(raw["paths"]),
-                kth_cost=float(raw["kth_cost"]) if raw["kth_cost"] else None,
-                queries=int(raw["queries"]),
-                queries_failed=int(raw["queries_failed"]),
-                iter_success_mean=(
-                    float(raw["iter_success_mean"]) if raw["iter_success_mean"] else None
-                ),
-                iter_failed_mean=(
-                    float(raw["iter_failed_mean"]) if raw["iter_failed_mean"] else None
-                ),
-                time_s=float(raw["time_s"]),
-            )
-        )
-    return out
+    return [ResultRow(**{f.name: _CELL_PARSERS[f.type](raw[f.name]) for f in columns}) for raw in reader]
 
 
 def write_summary(dest: str | IO[str], summary: list[dict[str, object]]) -> None:
