@@ -63,9 +63,8 @@ def seeded_grids(
 
     The master ``seed`` draws every cost seed first, then one pair seed
     per grid, so drawing more pairs from a grid's stream never changes
-    which grids are built. This order is part of the format too. A
-    negative ``count`` raises ValueError, and an empty shape or bad cost
-    bounds GraphError, at the call, before any grid, even for ``count`` 0.
+    which grids are built. This order is part of the format too. Bad
+    arguments raise ValueError at the call, before any grid is built.
     """
     if count < 0:
         raise ValueError(f"grid count must be at least 0, got {count}")
