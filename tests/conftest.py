@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import heapq
+import importlib.util
 from dataclasses import astuple, replace
+from pathlib import Path as FilePath
 from statistics import harmonic_mean
 from time import perf_counter
 
@@ -151,67 +152,41 @@ def road_solves():
         yield g, s, t, 100
 
 
+def _load_host_kernel():
+    """``perfbench/hostspeed.py``, loaded by path: the benchmark's host-speed kernel."""
+    path = FilePath(__file__).resolve().parent.parent / "perfbench" / "hostspeed.py"
+    spec = importlib.util.spec_from_file_location("perfbench_hostspeed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # Reference-kernel time taken as the nominal host speed: about its time on
 # a quiet 2-core x86-64 host with Python 3.11.
 HOST_NOMINAL_S = 0.015
-HOST_SIDE = 100
 HOST_KERNEL_TOTAL = 27514660.0  # distance sum the kernel must return
-
-
-def _host_grid() -> list[list[tuple[int, float]]]:
-    """4-neighbour HOST_SIDE x HOST_SIDE grid, arc costs 1..100 from a fixed xorshift."""
-    state = 0x9E3779B97F4A7C15
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(HOST_SIDE * HOST_SIDE)]
-    for v in range(HOST_SIDE * HOST_SIDE):
-        x, y = divmod(v, HOST_SIDE)
-        for a, b in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if 0 <= a < HOST_SIDE and 0 <= b < HOST_SIDE:
-                state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-                state ^= state >> 7
-                state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-                adj[v].append((a * HOST_SIDE + b, float(1 + state % 100)))
-    return adj
-
-
-def _host_dijkstra(adj: list[list[tuple[int, float]]]) -> float:
-    """Distance sum from node 0, settling every node."""
-    dist = [float("inf")] * len(adj)
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    done = [False] * len(adj)
-    total = 0.0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        total += d
-        for w, c in adj[v]:
-            nd = d + c
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return total
 
 
 class HostClock:
     """Scales wall times to a host where the reference kernel takes HOST_NOMINAL_S.
 
-    The kernel is a pure-Python heap Dijkstra over a pinned grid that does
-    not call ``kssp``: the same kind of interpreter work as a solve, so it
-    slows down with the host but not with a change to the solver. Time it
+    The kernel is the benchmark's, from ``perfbench/hostspeed.py``: a
+    pure-Python heap Dijkstra over a pinned grid that does not call
+    ``kssp``, the same kind of interpreter work as a solve, so it slows
+    down with the host but not with a change to the solver. Time it
     right before and right after a timed call and pass both to
-    :meth:`scaled`.
+    :meth:`factor`.
     """
 
     def __init__(self) -> None:
-        self._adj = _host_grid()
+        self._kernel = _load_host_kernel()
+        self._adj = self._kernel._grid()
 
     def kernel_s(self) -> float:
         """Time one kernel run, after a collection so no leftover garbage lands in it."""
         gc.collect()
         t0 = perf_counter()
-        total = _host_dijkstra(self._adj)
+        total = self._kernel._dijkstra(self._adj)
         elapsed = perf_counter() - t0
         assert total == HOST_KERNEL_TOTAL, f"reference kernel returned {total!r}"
         return elapsed
