@@ -240,31 +240,31 @@ def gate_grid_label_counts(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr("kssp.biobjective.heapify", heapify)
     monkeypatch.setattr("kssp.engine.find_best_deviation", counted)
-    g, s, t = next(grid_instances(1))
+    g, s, t = next(grid_instances())
     k_shortest_paths(g, s, t, GRID_K)
     return totals
 
 
 def test_the_tree_walk_settles_four_fifths_of_the_labels_on_a_gate_grid(monkeypatch):
-    """A walk that always stops keeps every answer but loses the speed; it settles 88% on grid 0."""
+    """A walk that always stops keeps every answer but loses the speed; it settles 96.1% on grid 0."""
     totals = gate_grid_label_counts(monkeypatch)
     assert totals["tree_steps"] >= totals["iterations"] * 4 / 5, totals
 
 
 def test_the_prelude_settles_half_of_the_labels_on_a_gate_grid(monkeypatch):
-    """The walk from each query's root, which took over the reference prelude, settles 58%."""
+    """The walk from each query's root, which took over the reference prelude, settles 61.0%."""
     totals = gate_grid_label_counts(monkeypatch)
     assert totals["root_steps"] >= totals["iterations"] / 2, totals
 
 
 def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
-    """The walks from later labels, which took over the tree answers, settle 31% of grid 0."""
+    """The walks from later labels, which took over the tree answers, settle 35.2% of grid 0."""
     totals = gate_grid_label_counts(monkeypatch)
     assert totals["tree_steps"] - totals["root_steps"] >= totals["iterations"] / 5, totals
 
 
 # sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
-FROZEN_QUERY_STATS_DIGEST = "b42266b2d6331baec6d9ab020461ff2f76c85d2105a61d693a93b49a22738dba"
+FROZEN_QUERY_STATS_DIGEST = "e1d9a6b1ae6e809648ebf2466fa1d3c36416bc593b9381018980029e960162eb"
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):
@@ -277,7 +277,7 @@ def test_every_query_keeps_its_frozen_stats(monkeypatch):
         return dev, stats
 
     monkeypatch.setattr("kssp.engine.find_best_deviation", recorded)
-    g, s, t = next(grid_instances(1))
+    g, s, t = next(grid_instances())
     k_shortest_paths(g, s, t, GRID_K)
     for g, s, t, k in road_solves():
         k_shortest_paths(g, s, t, k)
