@@ -13,6 +13,18 @@ token is read with one ``float()``, so integers are exact up to 2^53
 and correctly rounded beyond; the costs the writer prints survive the
 round trip exactly.
 
+The arc block is read in bulk. From each line that starts with ``a ``,
+up to ``BLOCK_LINES`` lines (never more than the arcs still due) are
+joined and split once. The block is taken whole if every line starts
+with ``a `` and has four tokens, every node id is in range and every
+cost is finite and nonnegative. Costs are converted by ``float`` over
+the whole block, and each distinct id token by ``int`` once. A block
+that fails is halved until each line that fails alone goes through the
+per-line parse: comments, blank lines, leading spaces, tabs, ids such
+as ``007``, bad tokens and an arc line past the declared count. So
+every file reads as it would line by line, with the same errors and
+line numbers, and bulk reading resumes at the next ``a `` line.
+
 Path dumps are one line per path:
 
     cost <cost> nodes <v0> <v1> ... <vk>
@@ -24,7 +36,9 @@ from __future__ import annotations
 import math
 from typing import IO, Iterable
 
-from .graph import Graph, Path
+from .graph import Graph, Path, valid_costs
+
+BLOCK_LINES = 4096  # arc lines joined and split at once; 0 reads every line alone
 
 
 class DimacsError(ValueError):
@@ -49,22 +63,109 @@ def _parse_cost(token: str, line_no: int) -> float:
 
 def load_dimacs(source: str | IO[str]) -> Graph:
     """Parse a ``.gr`` file from a string or text stream into a Graph."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = (source if isinstance(source, str) else source.read()).splitlines()
+    reader = _Reader()
+    i = 0
+    while i < len(lines):
+        if reader.node_count >= 0 and lines[i].startswith("a "):
+            stop = min(len(lines), i + BLOCK_LINES, i + reader.arc_count - len(reader.tail))
+            if stop > i:
+                reader.block(lines, i, stop)
+                i = stop
+                continue
+        reader.line(i + 1, lines[i])
+        i += 1
+    last_line = len(lines) or 1
+    del lines  # the graph is built without them
+    if reader.node_count < 0:
+        raise DimacsError(last_line, "missing problem line")
+    if len(reader.tail) != reader.arc_count:
+        raise DimacsError(last_line, f"expected {reader.arc_count} arc lines, found {len(reader.tail)}")
+    return Graph.from_arrays(reader.node_count, reader.tail, reader.head, reader.cost)
 
-    node_count = -1
-    arc_count = -1
-    arcs: list[tuple[int, int, float]] = []
-    for line_no, raw in enumerate(lines, start=1):
+
+class _NodeIds(dict):
+    """Maps a 1-based node id token to its 0-based id, filled on first sight.
+
+    A token is accepted exactly when the per-line parse accepts it, so
+    ``007`` and ``+7`` both map to 6. A bad or out-of-range token raises
+    ValueError.
+    """
+
+    __slots__ = ("node_count",)
+
+    def __init__(self, node_count: int) -> None:
+        super().__init__()
+        self.node_count = node_count
+
+    def __missing__(self, token: str) -> int:
+        node = int(token)
+        if not 1 <= node <= self.node_count:
+            raise ValueError(token)
+        self[token] = node - 1
+        return node - 1
+
+
+class _Reader:
+    """Parse state: the problem line's counts and the arc arrays so far."""
+
+    def __init__(self) -> None:
+        self.node_count = -1
+        self.arc_count = -1
+        self.node_ids = _NodeIds(0)
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.cost: list[float] = []
+
+    def block(self, lines: list[str], start: int, stop: int) -> None:
+        """Read ``lines[start:stop]`` in bulk, halving it where that fails.
+
+        A single line that does not read in bulk goes to :meth:`line`,
+        so every line gets the per-line parse's result or error.
+        """
+        if self._bulk(lines[start:stop]):
+            return
+        if stop - start == 1:
+            self.line(start + 1, lines[start])
+            return
+        mid = (start + stop) // 2
+        self.block(lines, start, mid)
+        self.block(lines, mid, stop)
+
+    def _bulk(self, chunk: list[str]) -> bool:
+        """Append the arcs of ``chunk`` if every line is a plain, valid arc line."""
+        n = len(chunk)
+        text = "\n".join(chunk)
+        if not (text.startswith("a ") and text.count("\na ") == n - 1):
+            return False
+        tokens = text.split()
+        # Every line starts with "a", so with 4n tokens a line of any other
+        # length puts some line's "a" into an id or cost slot, and it fails
+        # to convert below.
+        if len(tokens) != 4 * n:
+            return False
+        try:
+            tail = list(map(self.node_ids.__getitem__, tokens[1::4]))
+            head = list(map(self.node_ids.__getitem__, tokens[2::4]))
+            cost = list(map(float, tokens[3::4]))
+        except ValueError:
+            return False
+        if not valid_costs(cost):
+            return False
+        self.tail += tail
+        self.head += head
+        self.cost += cost
+        return True
+
+    def line(self, line_no: int, raw: str) -> None:
+        """The per-line parse: one line of any kind, with its exact error."""
         line = raw.strip()
         if not line or line.startswith("c"):
-            continue
+            return
         fields = line.split()
         kind = fields[0]
         if kind == "p":
-            if node_count >= 0:
+            if self.node_count >= 0:
                 raise DimacsError(line_no, "duplicate problem line")
             if len(fields) != 4 or fields[1] != "sp":
                 raise DimacsError(line_no, f"malformed problem line {line!r}")
@@ -75,28 +176,28 @@ def load_dimacs(source: str | IO[str]) -> Graph:
                 raise DimacsError(line_no, f"malformed problem line {line!r}") from None
             if node_count < 0 or arc_count < 0:
                 raise DimacsError(line_no, "problem line counts must be nonnegative")
+            self.node_count = node_count
+            self.arc_count = arc_count
+            self.node_ids = _NodeIds(node_count)
         elif kind == "a":
-            if node_count < 0:
+            if self.node_count < 0:
                 raise DimacsError(line_no, "arc line before problem line")
             if len(fields) != 4:
                 raise DimacsError(line_no, f"malformed arc line {line!r}")
-            if len(arcs) >= arc_count:
-                raise DimacsError(line_no, f"more than {arc_count} arc lines")
+            if len(self.tail) >= self.arc_count:
+                raise DimacsError(line_no, f"more than {self.arc_count} arc lines")
             try:
                 u = int(fields[1])
                 v = int(fields[2])
             except ValueError:
                 raise DimacsError(line_no, f"malformed arc line {line!r}") from None
-            if not (1 <= u <= node_count and 1 <= v <= node_count):
-                raise DimacsError(line_no, f"node id out of range 1..{node_count}: ({u}, {v})")
-            arcs.append((u - 1, v - 1, _parse_cost(fields[3], line_no)))
+            if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
+                raise DimacsError(line_no, f"node id out of range 1..{self.node_count}: ({u}, {v})")
+            self.tail.append(u - 1)
+            self.head.append(v - 1)
+            self.cost.append(_parse_cost(fields[3], line_no))
         else:
             raise DimacsError(line_no, f"unrecognized line {line!r}")
-    if node_count < 0:
-        raise DimacsError(len(lines) or 1, "missing problem line")
-    if len(arcs) != arc_count:
-        raise DimacsError(len(lines) or 1, f"expected {arc_count} arc lines, found {len(arcs)}")
-    return Graph(node_count, arcs)
 
 
 def format_cost(value: float) -> str:

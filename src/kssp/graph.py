@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 
@@ -39,33 +40,57 @@ class Graph:
         node_count: number of nodes; ids are ``0 .. node_count-1``.
         arcs: iterable of ``(tail, head, cost)`` triples. Arc ids are
             assigned in iteration order.
+
+    :meth:`from_arrays` builds the same graph from parallel tail, head
+    and cost arrays without the triples.
     """
 
     __slots__ = ("node_count", "arc_tail", "arc_head", "arc_cost", "out_arcs", "in_arcs")
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]]) -> None:
-        if node_count < 0:
-            raise GraphError("node_count must be nonnegative")
-        self.node_count = node_count
         tail: list[int] = []
         head: list[int] = []
         cost: list[float] = []
-        out_arcs: list[list[int]] = [[] for _ in range(node_count)]
-        in_arcs: list[list[int]] = [[] for _ in range(node_count)]
-        for a, (u, v, w) in enumerate(arcs):
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
-            try:
-                w = float(w)
-            except OverflowError:
-                w = math.inf  # an int beyond the float range
-            if not math.isfinite(w) or w < 0.0:
-                raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
+        for u, v, w in arcs:
             tail.append(u)
             head.append(v)
             cost.append(w)
+        self._build(node_count, tail, head, cost)
+
+    @classmethod
+    def from_arrays(
+        cls, node_count: int, tail: Sequence[int], head: Sequence[int], cost: Sequence[float]
+    ) -> "Graph":
+        """The graph whose arc ``a`` is ``(tail[a], head[a], cost[a])``."""
+        if not len(tail) == len(head) == len(cost):
+            raise GraphError("tail, head and cost arrays differ in length")
+        g = cls.__new__(cls)
+        g._build(node_count, list(tail), list(head), cost)
+        return g
+
+    def _build(self, node_count: int, tail: list[int], head: list[int], cost: Sequence[float]) -> None:
+        """Check every arc over whole arrays, then fill both adjacency lists in one pass."""
+        if node_count < 0:
+            raise GraphError("node_count must be nonnegative")
+        try:
+            cost = list(map(float, cost))
+            ok = (
+                min(tail, default=0) >= 0
+                and min(head, default=0) >= 0
+                and max(tail, default=-1) < node_count
+                and max(head, default=-1) < node_count
+                and valid_costs(cost)
+            )
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            _raise_first_bad_arc(node_count, tail, head, cost)
+        out_arcs: list[list[int]] = [[] for _ in range(node_count)]
+        in_arcs: list[list[int]] = [[] for _ in range(node_count)]
+        for a, u, v in zip(count(), tail, head):
             out_arcs[u].append(a)
             in_arcs[v].append(a)
+        self.node_count = node_count
         self.arc_tail = tail
         self.arc_head = head
         self.arc_cost = cost
@@ -87,6 +112,26 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, arcs={self.arc_count})"
+
+
+def valid_costs(cost: Sequence[float]) -> bool:
+    """True iff every cost is finite and nonnegative (a NaN makes the sum NaN)."""
+    return min(cost, default=0.0) >= 0.0 and max(cost, default=0.0) < math.inf and not math.isnan(sum(cost))
+
+
+def _raise_first_bad_arc(
+    node_count: int, tail: Sequence[int], head: Sequence[int], cost: Sequence[float]
+) -> None:
+    """Raise the error of the first bad arc, checking its endpoints before its cost."""
+    for a, (u, v, w) in enumerate(zip(tail, head, cost)):
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
+        try:
+            w = float(w)
+        except OverflowError:
+            w = math.inf  # an int beyond the float range
+        if not math.isfinite(w) or w < 0.0:
+            raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
 
 
 class Mask:

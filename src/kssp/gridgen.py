@@ -5,14 +5,15 @@ pair of antiparallel arcs per neighboring cell pair (4-neighborhood).
 Each arc draws its own independent uniform cost, so the two directions
 of an edge differ.
 
-Draw order is part of the format and must not change: cells are visited
+Arc order is part of the format and must not change: cells are visited
 in row-major order, each cell first emits its east edge then its south
-edge, and each edge emits the forward arc before the backward arc, one
-cost draw per arc. This makes instances reproducible from (rows, cols,
-cost bounds, seed) alone.
+edge, and each edge emits the forward arc before the backward arc. The
+costs are then drawn one per arc in arc id order. This makes instances
+reproducible from (rows, cols, cost bounds, seed) alone.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 from .graph import Graph, GraphError
@@ -31,29 +32,37 @@ def gen_grid(
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
     """
     check_grid(rows, cols, cost_low, cost_high)
-    rng = SplitMix64(seed)
-    arcs: list[tuple[int, int, float]] = []
+    tail: list[int] = []
+    head: list[int] = []
     for r in range(rows):
         base = r * cols
         for c in range(cols):
             u = base + c
             if c + 1 < cols:
-                v = u + 1
-                arcs.append((u, v, rng.uniform(cost_low, cost_high)))
-                arcs.append((v, u, rng.uniform(cost_low, cost_high)))
+                tail += (u, u + 1)
+                head += (u + 1, u)
             if r + 1 < rows:
-                v = u + cols
-                arcs.append((u, v, rng.uniform(cost_low, cost_high)))
-                arcs.append((v, u, rng.uniform(cost_low, cost_high)))
-    return Graph(rows * cols, arcs)
+                tail += (u, u + cols)
+                head += (u + cols, u)
+    draw = SplitMix64(seed).uniform
+    cost = [draw(cost_low, cost_high) for _ in tail]
+    return Graph.from_arrays(rows * cols, tail, head, cost)
 
 
 def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> None:
-    """Raise GraphError for an empty grid shape or cost bounds out of order (or NaN)."""
+    """Raise GraphError for an empty grid shape or cost bounds that could draw a bad cost.
+
+    The bounds must be ordered (so neither is NaN), ``cost_low`` nonnegative
+    and ``cost_high`` finite, even where no arc or no grid is drawn.
+    """
     if rows < 1 or cols < 1:
         raise GraphError("grid needs at least one row and one column")
     if not cost_low <= cost_high:
         raise GraphError("cost_low must not exceed cost_high")
+    if cost_low < 0.0:
+        raise GraphError(f"cost_low must be nonnegative, got {cost_low!r}")
+    if not math.isfinite(cost_high):
+        raise GraphError(f"cost_high must be finite, got {cost_high!r}")
 
 
 def seeded_grids(

@@ -236,6 +236,9 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("gen", "--grid", "2x2", "--cost-low", "nan", "--out", "out"),
         ("gen", "--grid", "0x0", "--costs", "0", "--out", "out"),
         ("bench", "--grid", "0x0", "--costs", "0"),
+        # a negative low or an infinite high bound is refused even where no draw falls outside
+        ("gen", "--grid", "2x2", "--cost-low", "-1", "--out", "out"),
+        ("gen", "--grid", "2x2", "--costs", "0", "--cost-high", "inf", "--out", "out"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):

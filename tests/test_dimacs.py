@@ -6,8 +6,10 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import kssp.dimacs
 from kssp.cli import main
 from kssp.dimacs import (
+    BLOCK_LINES,
     DimacsError,
     dump_dimacs,
     dumps_dimacs,
@@ -18,6 +20,8 @@ from kssp.dimacs import (
     write_paths,
 )
 from kssp.graph import Graph, Path
+from kssp.gridgen import gen_grid
+from kssp.rng import SplitMix64
 
 MINI = FilePath(__file__).parent / "data" / "mini10.gr"
 
@@ -174,3 +178,189 @@ def test_write_paths(five_node_graph):
     paths = [Path.build(five_node_graph, [1, 5]), Path.build(five_node_graph, [0, 4])]
     write_paths(five_node_graph, paths, buf)
     assert buf.getvalue() == "cost 2 nodes 0 2 4\ncost 3 nodes 0 1 4\n"
+
+
+# a grid whose arc block spans three bulk blocks, with one cost of -0
+BLOCKS_GRID = gen_grid(46, 46, seed=8)
+NEG_ZERO_ARC = BLOCK_LINES + 17
+assert 2 * BLOCK_LINES < BLOCKS_GRID.arc_count < 3 * BLOCK_LINES
+
+
+def blocks_grid() -> tuple[Graph, list[str]]:
+    """The grid with arc ``NEG_ZERO_ARC`` at cost -0, and its DIMACS lines (arc a on line a + 2)."""
+    g = BLOCKS_GRID
+    cost = list(g.arc_cost)
+    cost[NEG_ZERO_ARC] = -0.0
+    lines = dumps_dimacs(g).splitlines()
+    lines[NEG_ZERO_ARC + 1] = lines[NEG_ZERO_ARC + 1].rsplit(" ", 1)[0] + " -0"
+    return Graph.from_arrays(g.node_count, g.arc_tail, g.arc_head, cost), lines
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    assert got.node_count == want.node_count
+    assert got.arc_tail == want.arc_tail
+    assert got.arc_head == want.arc_head
+    assert [w.hex() for w in got.arc_cost] == [w.hex() for w in want.arc_cost]
+    assert got.out_arcs == want.out_arcs
+    assert got.in_arcs == want.in_arcs
+
+
+def load_line_by_line(text: str, monkeypatch) -> Graph:
+    """The per-line parse alone: blocks of at most 0 lines are never read in bulk."""
+    with monkeypatch.context() as patched:
+        patched.setattr(kssp.dimacs, "BLOCK_LINES", 0)
+        return load_dimacs(text)
+
+
+def test_a_dump_spanning_several_blocks_loads_bit_identical(monkeypatch):
+    want, lines = blocks_grid()
+    text = "\n".join(lines) + "\n"
+    got = load_dimacs(text)
+    assert got.arc_cost[NEG_ZERO_ARC].hex() == "-0x0.0p+0"
+    assert_same_graph(got, want)
+    assert_same_graph(load_dimacs(io.StringIO(text)), want)
+    assert_same_graph(load_line_by_line(text, monkeypatch), want)
+
+
+def _spaced(line: str) -> str:
+    return "  " + line
+
+
+def _tabbed(line: str) -> str:
+    return line.replace(" ", "\t")
+
+
+def _padded_ids(line: str) -> str:
+    _, u, v, w = line.split()
+    return f"a 00{u} +{v} {w}"
+
+
+# arc indexes: right after the problem line, and in the middle of the second block
+PLACES = [0, BLOCK_LINES + BLOCK_LINES // 2]
+
+
+@pytest.mark.parametrize("place", PLACES, ids=["after-p-line", "mid-block"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda line: "c a comment\n" + line, id="comment"),
+        pytest.param(lambda line: "\n" + line, id="blank"),
+        pytest.param(_spaced, id="leading-spaces"),
+        pytest.param(_tabbed, id="tabs"),
+        pytest.param(_padded_ids, id="007-and-+7-ids"),
+    ],
+)
+def test_lines_outside_the_bulk_shape_load_the_same_graph(place, edit, monkeypatch):
+    want, lines = blocks_grid()
+    lines[place + 1] = edit(lines[place + 1])
+    text = "\n".join(lines) + "\n"
+    for variant in (text, text.replace("\n", "\r\n")):
+        assert_same_graph(load_dimacs(variant), want)
+        assert_same_graph(load_line_by_line(variant, monkeypatch), want)
+
+
+@pytest.mark.parametrize(
+    "arc, bad, message",
+    [
+        (0, "a 1 2 x", "bad arc cost 'x'"),
+        (BLOCK_LINES - 1, "a 1 2 -4", "arc cost must be nonnegative, got '-4'"),
+        (BLOCK_LINES, "a 1 99999 1", "node id out of range 1..2116: (1, 99999)"),
+        (BLOCK_LINES, "a 1 2 nan", "arc cost must be finite, got 'nan'"),
+        (2 * BLOCK_LINES - 1, "a 1 2", "malformed arc line 'a 1 2'"),
+        (2 * BLOCK_LINES - 1, "a 1 2 3 4", "malformed arc line 'a 1 2 3 4'"),
+        (2 * BLOCK_LINES, "a 0x1 2 3", "malformed arc line 'a 0x1 2 3'"),
+    ],
+    ids=["first-line-of-block-1", "last-line-of-block-1", "first-line-of-block-2",
+         "nan-first-line-of-block-2", "short-last-line-of-block-2", "long-last-line-of-block-2",
+         "first-line-of-block-3"],
+)
+def test_a_bad_line_at_a_block_edge_keeps_its_line_number(arc, bad, message, monkeypatch):
+    _, lines = blocks_grid()
+    lines[arc + 1] = bad
+    text = "\n".join(lines)
+    for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+        with pytest.raises(DimacsError) as exc:
+            load(text)
+        assert exc.value.line_no == arc + 2
+        assert str(exc.value) == f"line {arc + 2}: {message}"
+
+
+@pytest.mark.parametrize("arc", [0, BLOCK_LINES - 2, BLOCK_LINES + 9])
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("a 1 2 3 a 2 1 3", ""),  # 8 tokens and 0 tokens: 4 a line on average
+        ("a 1 2", "a a 2 1 3"),  # an "a" in every 4th token slot
+    ],
+)
+def test_lines_of_the_wrong_length_are_refused_inside_a_block(arc, first, second, monkeypatch):
+    _, lines = blocks_grid()
+    lines[arc + 1 : arc + 3] = [first, second]
+    text = "\n".join(lines)
+    for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+        with pytest.raises(DimacsError) as exc:
+            load(text)
+        assert str(exc.value) == f"line {arc + 2}: malformed arc line {first!r}"
+
+
+def test_an_arc_line_past_the_declared_count_is_refused_where_it_stands(monkeypatch):
+    g = BLOCKS_GRID
+    _, lines = blocks_grid()
+    for declared in (BLOCK_LINES - 1, BLOCK_LINES, g.arc_count - 1):
+        lines[0] = f"p sp {g.node_count} {declared}"
+        text = "\n".join(lines[: declared + 1] + ["c past the count", lines[declared + 1]])
+        for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+            with pytest.raises(DimacsError) as exc:
+                load(text)
+            assert str(exc.value) == f"line {declared + 3}: more than {declared} arc lines"
+
+
+LINE_EDITS = [
+    lambda line: "c " + line,
+    lambda line: "",
+    lambda line: " " + line,
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line + " 5",
+    lambda line: line.rsplit(" ", 1)[0],
+    lambda line: line.replace("a ", "a 0", 1),
+    lambda line: line.replace("a ", "a +", 1),
+    lambda line: line.rsplit(" ", 1)[0] + " -1",
+    lambda line: line.rsplit(" ", 1)[0] + " nan",
+    lambda line: line.rsplit(" ", 1)[0] + " -0",
+    lambda line: line.rsplit(" ", 1)[0] + " 1e400",
+    lambda line: "a 21 1 1",
+    lambda line: "a 0 1 1",
+    lambda line: "a a 1 2",
+    lambda line: "p sp 20 31",
+    lambda line: line + "\na 1 2 3",
+]
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, 5, BLOCK_LINES])
+def test_seeded_edits_load_as_they_do_line_by_line(block_lines, monkeypatch):
+    """Whatever a file holds, bulk reading gives the per-line parse's graph or error."""
+    rng = SplitMix64(block_lines)
+    lines = dumps_dimacs(gen_grid(4, 5, seed=2)).splitlines()
+
+    def outcome(text, block_lines):
+        with monkeypatch.context() as patched:
+            patched.setattr(kssp.dimacs, "BLOCK_LINES", block_lines)
+            try:
+                g = load_dimacs(text)
+            except DimacsError as exc:
+                return str(exc)
+        return g.arc_tail, g.arc_head, [w.hex() for w in g.arc_cost], g.out_arcs, g.in_arcs
+
+    errors = 0
+    for _ in range(200):
+        edited = list(lines)
+        if rng.below(4) == 0:  # declare one arc too few or too many
+            edited[0] = f"p sp 20 {len(lines) - 2 + 2 * rng.below(2)}"
+        for _ in range(rng.below(4)):
+            i = rng.below(len(edited))
+            edited[i] = LINE_EDITS[rng.below(len(LINE_EDITS))](edited[i])
+        text = "\n".join(edited)
+        want = outcome(text, 0)
+        assert outcome(text, block_lines) == want, text
+        errors += isinstance(want, str)
+    assert 50 < errors < 150, errors  # both outcomes are well covered

@@ -53,6 +53,57 @@ def test_rejects_bad_construction():
         Graph(2, [(0, 1, 10**400)])  # beyond the float range
 
 
+# (node count, arcs, error text); the texts are the per-arc loop's
+BAD_CONSTRUCTIONS = [
+    (-1, [], "node_count must be nonnegative"),
+    (2, [(0, 2, 1.0)], "arc 0: endpoint out of range: (0, 2)"),
+    (2, [(-1, 0, 1.0)], "arc 0: endpoint out of range: (-1, 0)"),
+    (2, [(0, 1, 1.0), (2, 0, 1.0)], "arc 1: endpoint out of range: (2, 0)"),
+    (2, [(0, 1, 1.0), (1, -1, 1.0)], "arc 1: endpoint out of range: (1, -1)"),
+    (2, [(0, 1, -0.5)], "arc 0: cost must be finite and nonnegative, got -0.5"),
+    (2, [(0, 1, float("inf"))], "arc 0: cost must be finite and nonnegative, got inf"),
+    (2, [(0, 1, float("nan"))], "arc 0: cost must be finite and nonnegative, got nan"),
+    (2, [(0, 1, 10**400)], "arc 0: cost must be finite and nonnegative, got inf"),
+    # the first bad arc wins, and an arc's endpoints are checked before its cost
+    (2, [(0, 1, 1.0), (0, 1, -1.0), (5, 0, 1.0)], "arc 1: cost must be finite and nonnegative, got -1.0"),
+    (2, [(0, 5, -1.0)], "arc 0: endpoint out of range: (0, 5)"),
+    (2, [(0, 1, 1.0), (1, 0, float("nan")), (0, 1, float("inf"))],
+     "arc 1: cost must be finite and nonnegative, got nan"),
+]
+
+
+@pytest.mark.parametrize("n, arcs, message", BAD_CONSTRUCTIONS)
+def test_the_array_builder_raises_what_the_triples_raise(n, arcs, message):
+    with pytest.raises(GraphError) as from_triples:
+        Graph(n, arcs)
+    columns = [[arc[i] for arc in arcs] for i in range(3)]
+    with pytest.raises(GraphError) as from_arrays:
+        Graph.from_arrays(n, *columns)
+    assert type(from_triples.value) is type(from_arrays.value) is GraphError
+    assert str(from_triples.value) == str(from_arrays.value) == message
+
+
+def test_the_array_builder_rejects_arrays_of_different_lengths():
+    with pytest.raises(GraphError, match="differ in length"):
+        Graph.from_arrays(2, [0, 1], [1], [1.0, 1.0])
+
+
+def test_parallel_arcs_keep_their_id_order_in_both_adjacency_lists():
+    tail, head, cost = [0, 1, 0, 2, 0], [1, 0, 1, 1, 1], [3.0, 1.0, 2.0, 0.0, 3]
+    for g in (Graph.from_arrays(3, tail, head, cost), Graph(3, zip(tail, head, cost))):
+        assert g.out_arcs == [[0, 2, 4], [1], [3]]
+        assert g.in_arcs == [[1], [0, 2, 3, 4], []]
+        assert g.arc_cost == [3.0, 1.0, 2.0, 0.0, 3.0]
+        assert type(g.arc_cost[4]) is float
+
+
+def test_the_array_builder_keeps_its_own_lists():
+    tail, head, cost = [0], [1], [1.0]
+    g = Graph.from_arrays(2, tail, head, cost)
+    tail[0], head[0], cost[0] = 1, 0, 2.0
+    assert g.arc(0) == (0, 1, 1.0)
+
+
 def test_mask_delete_and_reset(five_node_graph):
     m = Mask(five_node_graph)
     m.delete_node(2)

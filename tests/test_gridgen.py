@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from kssp.graph import GraphError
-from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
+from kssp.gridgen import check_grid, gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
 
@@ -66,6 +66,11 @@ def test_rejects_bad_arguments():
         gen_grid(3, 0)
     with pytest.raises(GraphError):
         gen_grid(2, 2, 7.0, 3.0)
+    with pytest.raises(GraphError, match="cost_low must be nonnegative"):
+        check_grid(2, 2, -1.0, 10.0)
+    with pytest.raises(GraphError, match="cost_high must be finite"):
+        check_grid(2, 2, 0.0, float("inf"))
+    check_grid(1, 1, 0.0, 0.0)
     with pytest.raises(ValueError, match="grid count"):
         seeded_grids(3, 3, -1, 0)
     with pytest.raises(ValueError, match="pair count"):

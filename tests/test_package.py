@@ -25,10 +25,13 @@ def test_the_root_exports_only_the_solver():
 
 
 def test_engine_keeps_the_names_the_benchmark_traces():
-    # perfbench/spans.py looks these names of kssp.engine up on import, traced
-    # or not; drop this test with the engine's unused reverse_distances import
-    # once the benchmark looks them up only when tracing
+    # perfbench/spans.py looks these names of kssp.engine, and the set-up entry
+    # points, up on import, traced or not; drop the engine part of this test
+    # with its unused reverse_distances import once the benchmark looks them up
+    # only when tracing
+    import kssp.dimacs
     import kssp.engine
+    import kssp.gridgen
 
     for name in (
         "k_shortest_paths",
@@ -39,3 +42,5 @@ def test_engine_keeps_the_names_the_benchmark_traces():
         "build_query",
     ):
         assert callable(getattr(kssp.engine, name, None)), name
+    assert callable(getattr(kssp.dimacs, "load_dimacs", None))
+    assert callable(getattr(kssp.gridgen, "gen_grid", None))
