@@ -13,17 +13,18 @@ token is read with one ``float()``, so integers are exact up to 2^53
 and correctly rounded beyond; the costs the writer prints survive the
 round trip exactly.
 
-The arc block is read in bulk. From each line that starts with ``a ``,
-up to ``BLOCK_LINES`` lines (never more than the arcs still due) are
-joined and split once. The block is taken whole if every line starts
-with ``a `` and has four tokens, every node id is in range and every
-cost is finite and nonnegative. Costs are converted by ``float`` over
-the whole block, and each distinct id token by ``int`` once. A block
-that fails is halved until each line that fails alone goes through the
-per-line parse: comments, blank lines, leading spaces, tabs, ids such
-as ``007``, bad tokens and an arc line past the declared count. So
-every file reads as it would line by line, with the same errors and
-line numbers, and bulk reading resumes at the next ``a `` line.
+The arc block is read in bulk. A run of lines that start with ``a ``
+(at most ``BLOCK_LINES`` of them, and never more than the arcs still
+due) is joined and split once. If it has four tokens a line, every
+node id in range and every cost finite and nonnegative, all its arcs
+are taken at once: the costs are converted by ``float`` over the whole
+run and each distinct id token by ``int`` once. Every other line gets
+the per-line parse: comments, blank lines, leading spaces, tabs, an
+arc line past the declared count, a run shorter than
+``BULK_MIN_LINES``, and each line of a run that holds a bad line, which
+then raises that line's error. So a file reads as it would line by
+line, with the same errors and line numbers, and bulk reading resumes
+at the next run.
 
 Path dumps are one line per path:
 
@@ -34,11 +35,13 @@ with 0-based node ids, matching the in-memory graph.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import IO, Iterable
 
 from .graph import Graph, Path, valid_costs
 
 BLOCK_LINES = 4096  # arc lines joined and split at once; 0 reads every line alone
+BULK_MIN_LINES = 4  # a shorter run of arc lines reads faster line by line
 
 
 class DimacsError(ValueError):
@@ -64,19 +67,24 @@ def _parse_cost(token: str, line_no: int) -> float:
 def load_dimacs(source: str | IO[str]) -> Graph:
     """Parse a ``.gr`` file from a string or text stream into a Graph."""
     lines = (source if isinstance(source, str) else source.read()).splitlines()
+    arc_line = list(map(str.startswith, lines, repeat("a ")))
     reader = _Reader()
     i = 0
     while i < len(lines):
-        if reader.node_count >= 0 and lines[i].startswith("a "):
+        if reader.node_count >= 0 and arc_line[i]:
             stop = min(len(lines), i + BLOCK_LINES, i + reader.arc_count - len(reader.tail))
-            if stop > i:
-                reader.block(lines, i, stop)
+            try:
+                stop = arc_line.index(False, i, stop)
+            except ValueError:
+                pass
+            if stop - i >= BULK_MIN_LINES:
+                reader.arcs(lines, i, stop)
                 i = stop
                 continue
         reader.line(i + 1, lines[i])
         i += 1
     last_line = len(lines) or 1
-    del lines  # the graph is built without them
+    del lines, arc_line  # the graph is built without them
     if reader.node_count < 0:
         raise DimacsError(last_line, "missing problem line")
     if len(reader.tail) != reader.arc_count:
@@ -117,32 +125,23 @@ class _Reader:
         self.head: list[int] = []
         self.cost: list[float] = []
 
-    def block(self, lines: list[str], start: int, stop: int) -> None:
-        """Read ``lines[start:stop]`` in bulk, halving it where that fails.
+    def arcs(self, lines: list[str], start: int, stop: int) -> None:
+        """Read ``lines[start:stop]``, which all start with ``a ``.
 
-        A single line that does not read in bulk goes to :meth:`line`,
-        so every line gets the per-line parse's result or error.
+        They are read in bulk when every one is a valid arc line, and
+        otherwise by :meth:`line`, which raises the first one's error.
         """
-        if self._bulk(lines[start:stop]):
-            return
-        if stop - start == 1:
-            self.line(start + 1, lines[start])
-            return
-        mid = (start + stop) // 2
-        self.block(lines, start, mid)
-        self.block(lines, mid, stop)
+        if not self._bulk(lines[start:stop]):
+            for i in range(start, stop):
+                self.line(i + 1, lines[i])
 
     def _bulk(self, chunk: list[str]) -> bool:
-        """Append the arcs of ``chunk`` if every line is a plain, valid arc line."""
-        n = len(chunk)
-        text = "\n".join(chunk)
-        if not (text.startswith("a ") and text.count("\na ") == n - 1):
-            return False
-        tokens = text.split()
-        # Every line starts with "a", so with 4n tokens a line of any other
-        # length puts some line's "a" into an id or cost slot, and it fails
-        # to convert below.
-        if len(tokens) != 4 * n:
+        """Append the arcs of ``chunk`` if every line is a valid arc line."""
+        tokens = " ".join(chunk).split()
+        # Every line starts with "a", so with 4 tokens a line on average, a
+        # line of any other length puts some line's "a" into an id or cost
+        # slot, and it fails to convert below.
+        if len(tokens) != 4 * len(chunk):
             return False
         try:
             tail = list(map(self.node_ids.__getitem__, tokens[1::4]))

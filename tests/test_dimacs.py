@@ -269,10 +269,11 @@ def test_lines_outside_the_bulk_shape_load_the_same_graph(place, edit, monkeypat
         (2 * BLOCK_LINES - 1, "a 1 2", "malformed arc line 'a 1 2'"),
         (2 * BLOCK_LINES - 1, "a 1 2 3 4", "malformed arc line 'a 1 2 3 4'"),
         (2 * BLOCK_LINES, "a 0x1 2 3", "malformed arc line 'a 0x1 2 3'"),
+        (2 * BLOCK_LINES + 5, "as 1 2 3", "unrecognized line 'as 1 2 3'"),
     ],
     ids=["first-line-of-block-1", "last-line-of-block-1", "first-line-of-block-2",
          "nan-first-line-of-block-2", "short-last-line-of-block-2", "long-last-line-of-block-2",
-         "first-line-of-block-3"],
+         "first-line-of-block-3", "not-an-arc-mid-block-3"],
 )
 def test_a_bad_line_at_a_block_edge_keeps_its_line_number(arc, bad, message, monkeypatch):
     _, lines = blocks_grid()
@@ -331,12 +332,13 @@ LINE_EDITS = [
     lambda line: "a 21 1 1",
     lambda line: "a 0 1 1",
     lambda line: "a a 1 2",
+    lambda line: "ab" + line[1:],
     lambda line: "p sp 20 31",
     lambda line: line + "\na 1 2 3",
 ]
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3, 5, BLOCK_LINES])
+@pytest.mark.parametrize("block_lines", [4, 5, 7, BLOCK_LINES])
 def test_seeded_edits_load_as_they_do_line_by_line(block_lines, monkeypatch):
     """Whatever a file holds, bulk reading gives the per-line parse's graph or error."""
     rng = SplitMix64(block_lines)
@@ -363,4 +365,4 @@ def test_seeded_edits_load_as_they_do_line_by_line(block_lines, monkeypatch):
         want = outcome(text, 0)
         assert outcome(text, block_lines) == want, text
         errors += isinstance(want, str)
-    assert 50 < errors < 150, errors  # both outcomes are well covered
+    assert 40 < errors < 160, errors  # both outcomes are well covered
