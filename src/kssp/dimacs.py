@@ -13,18 +13,17 @@ token is read with one ``float()``, so integers are exact up to 2^53
 and correctly rounded beyond; the costs the writer prints survive the
 round trip exactly.
 
-The arc block is read in bulk. A run of lines that start with ``a ``
-(at most ``BLOCK_LINES`` of them, and never more than the arcs still
-due) is joined and split once. If it has four tokens a line, every
-node id in range and every cost finite and nonnegative, all its arcs
-are taken at once: the costs are converted by ``float`` over the whole
-run and each distinct id token by ``int`` once. Every other line gets
-the per-line parse: comments, blank lines, leading spaces, tabs, an
-arc line past the declared count, a run shorter than
-``BULK_MIN_LINES``, and each line of a run that holds a bad line, which
-then raises that line's error. So a file reads as it would line by
-line, with the same errors and line numbers, and bulk reading resumes
-at the next run.
+The arc block is read in bulk. A run of lines that start with ``a``
+and a space or tab (at most ``BLOCK_LINES`` of them, and never more
+than the arcs still due) is joined and split once. If it has four tokens a line,
+every node id in range and every cost finite and nonnegative, all its
+arcs are taken at once: the costs are converted by ``float`` over the
+whole run and each distinct id token by ``int`` once. Every other line
+gets the per-line parse: comments, blank lines, leading spaces, an arc
+line past the declared count, a run shorter than ``BULK_MIN_LINES``,
+and each line of a run that holds a bad line, which then raises that
+line's error. So a file reads as it would line by line, with the same
+errors and line numbers, and bulk reading resumes at the next run.
 
 Path dumps are one line per path:
 
@@ -67,29 +66,106 @@ def _parse_cost(token: str, line_no: int) -> float:
 def load_dimacs(source: str | IO[str]) -> Graph:
     """Parse a ``.gr`` file from a string or text stream into a Graph."""
     lines = (source if isinstance(source, str) else source.read()).splitlines()
-    arc_line = list(map(str.startswith, lines, repeat("a ")))
-    reader = _Reader()
+    # one byte a line, 1 where it starts with "a" and a space or tab: runs of
+    # arc lines are byte runs
+    arc_marks = bytes(map(str.startswith, lines, repeat(("a ", "a\t"))))
+    bulk_run = b"\1" * BULK_MIN_LINES
+    next_run = arc_marks.find(bulk_run)
+
+    node_count = -1
+    arc_count = -1
+    node_ids = _NodeIds(0)
+    tail: list[int] = []
+    head: list[int] = []
+    cost: list[float] = []
     i = 0
     while i < len(lines):
-        if reader.node_count >= 0 and arc_line[i]:
-            stop = min(len(lines), i + BLOCK_LINES, i + reader.arc_count - len(reader.tail))
-            try:
-                stop = arc_line.index(False, i, stop)
-            except ValueError:
-                pass
-            if stop - i >= BULK_MIN_LINES:
-                reader.arcs(lines, i, stop)
+        if i == next_run:
+            # no more lines than arcs due, so none before the problem line
+            stop = min(len(lines), i + BLOCK_LINES, i + arc_count - len(tail))
+            end = arc_marks.find(b"\0", i, stop)
+            if end >= 0:
+                stop = end
+            if stop - i >= BULK_MIN_LINES and _read_arcs(lines[i:stop], node_ids, tail, head, cost):
                 i = stop
+                next_run = arc_marks.find(bulk_run, i)
                 continue
-        reader.line(i + 1, lines[i])
+            # too short, or it holds a bad line: the per-line parse reads or refuses each
+            next_run = arc_marks.find(bulk_run, stop)
+        line_no = i + 1
+        line = lines[i].strip()
         i += 1
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "p":
+            if node_count >= 0:
+                raise DimacsError(line_no, "duplicate problem line")
+            if len(fields) != 4 or fields[1] != "sp":
+                raise DimacsError(line_no, f"malformed problem line {line!r}")
+            try:
+                node_count = int(fields[2])
+                arc_count = int(fields[3])
+            except ValueError:
+                raise DimacsError(line_no, f"malformed problem line {line!r}") from None
+            if node_count < 0 or arc_count < 0:
+                raise DimacsError(line_no, "problem line counts must be nonnegative")
+            node_ids = _NodeIds(node_count)
+        elif kind == "a":
+            if node_count < 0:
+                raise DimacsError(line_no, "arc line before problem line")
+            if len(fields) != 4:
+                raise DimacsError(line_no, f"malformed arc line {line!r}")
+            if len(tail) >= arc_count:
+                raise DimacsError(line_no, f"more than {arc_count} arc lines")
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                raise DimacsError(line_no, f"malformed arc line {line!r}") from None
+            if not (1 <= u <= node_count and 1 <= v <= node_count):
+                raise DimacsError(line_no, f"node id out of range 1..{node_count}: ({u}, {v})")
+            tail.append(u - 1)
+            head.append(v - 1)
+            cost.append(_parse_cost(fields[3], line_no))
+        else:
+            raise DimacsError(line_no, f"unrecognized line {line!r}")
     last_line = len(lines) or 1
-    del lines, arc_line  # the graph is built without them
-    if reader.node_count < 0:
+    del lines, arc_marks  # the graph is built without them
+    if node_count < 0:
         raise DimacsError(last_line, "missing problem line")
-    if len(reader.tail) != reader.arc_count:
-        raise DimacsError(last_line, f"expected {reader.arc_count} arc lines, found {len(reader.tail)}")
-    return Graph.from_arrays(reader.node_count, reader.tail, reader.head, reader.cost)
+    if len(tail) != arc_count:
+        raise DimacsError(last_line, f"expected {arc_count} arc lines, found {len(tail)}")
+    return Graph.from_arrays(node_count, tail, head, cost)
+
+
+def _read_arcs(
+    chunk: list[str], node_ids: "_NodeIds", tail: list[int], head: list[int], cost: list[float]
+) -> bool:
+    """Append the arcs of ``chunk``, whose lines all start with an ``a`` token, if all are valid.
+
+    A valid arc line reads the same here as in the per-line parse. On
+    False nothing was appended.
+    """
+    tokens = " ".join(chunk).split()
+    # Every line starts with "a", so with 4 tokens a line on average, a
+    # line of any other length puts some line's "a" into an id or cost
+    # slot, and it fails to convert below.
+    if len(tokens) != 4 * len(chunk):
+        return False
+    try:
+        tails = list(map(node_ids.__getitem__, tokens[1::4]))
+        heads = list(map(node_ids.__getitem__, tokens[2::4]))
+        costs = list(map(float, tokens[3::4]))
+    except ValueError:
+        return False
+    if not valid_costs(costs):
+        return False
+    tail += tails
+    head += heads
+    cost += costs
+    return True
 
 
 class _NodeIds(dict):
@@ -112,91 +188,6 @@ class _NodeIds(dict):
             raise ValueError(token)
         self[token] = node - 1
         return node - 1
-
-
-class _Reader:
-    """Parse state: the problem line's counts and the arc arrays so far."""
-
-    def __init__(self) -> None:
-        self.node_count = -1
-        self.arc_count = -1
-        self.node_ids = _NodeIds(0)
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.cost: list[float] = []
-
-    def arcs(self, lines: list[str], start: int, stop: int) -> None:
-        """Read ``lines[start:stop]``, which all start with ``a ``.
-
-        They are read in bulk when every one is a valid arc line, and
-        otherwise by :meth:`line`, which raises the first one's error.
-        """
-        if not self._bulk(lines[start:stop]):
-            for i in range(start, stop):
-                self.line(i + 1, lines[i])
-
-    def _bulk(self, chunk: list[str]) -> bool:
-        """Append the arcs of ``chunk`` if every line is a valid arc line."""
-        tokens = " ".join(chunk).split()
-        # Every line starts with "a", so with 4 tokens a line on average, a
-        # line of any other length puts some line's "a" into an id or cost
-        # slot, and it fails to convert below.
-        if len(tokens) != 4 * len(chunk):
-            return False
-        try:
-            tail = list(map(self.node_ids.__getitem__, tokens[1::4]))
-            head = list(map(self.node_ids.__getitem__, tokens[2::4]))
-            cost = list(map(float, tokens[3::4]))
-        except ValueError:
-            return False
-        if not valid_costs(cost):
-            return False
-        self.tail += tail
-        self.head += head
-        self.cost += cost
-        return True
-
-    def line(self, line_no: int, raw: str) -> None:
-        """The per-line parse: one line of any kind, with its exact error."""
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            return
-        fields = line.split()
-        kind = fields[0]
-        if kind == "p":
-            if self.node_count >= 0:
-                raise DimacsError(line_no, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "sp":
-                raise DimacsError(line_no, f"malformed problem line {line!r}")
-            try:
-                node_count = int(fields[2])
-                arc_count = int(fields[3])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed problem line {line!r}") from None
-            if node_count < 0 or arc_count < 0:
-                raise DimacsError(line_no, "problem line counts must be nonnegative")
-            self.node_count = node_count
-            self.arc_count = arc_count
-            self.node_ids = _NodeIds(node_count)
-        elif kind == "a":
-            if self.node_count < 0:
-                raise DimacsError(line_no, "arc line before problem line")
-            if len(fields) != 4:
-                raise DimacsError(line_no, f"malformed arc line {line!r}")
-            if len(self.tail) >= self.arc_count:
-                raise DimacsError(line_no, f"more than {self.arc_count} arc lines")
-            try:
-                u = int(fields[1])
-                v = int(fields[2])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed arc line {line!r}") from None
-            if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
-                raise DimacsError(line_no, f"node id out of range 1..{self.node_count}: ({u}, {v})")
-            self.tail.append(u - 1)
-            self.head.append(v - 1)
-            self.cost.append(_parse_cost(fields[3], line_no))
-        else:
-            raise DimacsError(line_no, f"unrecognized line {line!r}")
 
 
 def format_cost(value: float) -> str:
