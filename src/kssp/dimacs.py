@@ -141,7 +141,7 @@ def load_dimacs(source: str | IO[str]) -> Graph:
 
 
 def _read_arcs(
-    chunk: list[str], node_ids: "_NodeIds", tail: list[int], head: list[int], cost: list[float]
+    chunk: list[str], node_ids: _NodeIds, tail: list[int], head: list[int], cost: list[float]
 ) -> bool:
     """Append the arcs of ``chunk``, whose lines all start with an ``a`` token, if all are valid.
 
