@@ -56,10 +56,8 @@ def _check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> No
 
 def _check_sweep(k: int, pairs: int, timeout_s: float | None, label_budget: int | None) -> None:
     """Raise ValueError for k below 1, a negative pair count or a bad limit, before any solve."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_limits(k, timeout_s, label_budget)
     check_pair_count(pairs)
-    check_limits(timeout_s, label_budget)
 
 
 def run_algorithm(

@@ -21,11 +21,11 @@ explicit check.
 The queue holds at most one candidate label per node. When a node's
 candidate is extracted, its replacement is rebuilt lazily as the best
 nondominated extension over the node's incoming arcs; a cursor per
-incoming arc remembers how far into the predecessor's permanent list the
-scan has advanced, and never has to back up because dominated stays
-dominated. When a freshly permanent label is pushed along an outgoing
-arc it replaces the neighbor's queued candidate only if strictly
-lexicographically smaller.
+incoming arc, kept for the length of one search, remembers how far into
+the predecessor's permanent list the scan has advanced, and never has to
+back up because dominated stays dominated. When a freshly permanent
+label is pushed along an outgoing arc it replaces the neighbor's queued
+candidate only if strictly lexicographically smaller.
 
 Most rebuilds would find nothing, so a node keeps the least overlap of
 the extensions dropped from its queue slot (pushes that lost to the
@@ -101,28 +101,24 @@ class BiCost(NamedTuple):
 
 
 class Workspace:
-    """Per-solve scratch shared across queries: mask, stamps, search state.
+    """Per-solve scratch shared across queries: the mask and the per-node search state.
 
-    The reference-arc membership test must be O(1) and resettable without
-    touching all arcs, so it uses the same epoch trick as :class:`Mask`.
-    The per-node frontiers, queue slots and dropped-extension overlaps and
-    the per-arc cursors of the search live here too, as arrays validated
-    against ``serial``, so a query resets in time proportional to what it
-    touched, not graph size. A node's frontier list is created the first
-    time a query makes a label permanent there.
+    The per-node frontiers, queue slots and dropped-extension overlaps
+    live here as arrays validated against ``serial``, so a query resets
+    in time proportional to what it touched, not graph size. A node's
+    frontier list is created the first time a query makes a label
+    permanent there. What belongs to one query stays with it: its
+    reference arcs on the :class:`DeviationQuery`, and the rebuild
+    cursors in :func:`find_best_deviation`.
     """
 
     __slots__ = (
         "graph",
         "mask",
-        "ref_stamp",
-        "ref_epoch",
         "frontiers",
         "frontier_stamp",
         "queued",
         "queued_stamp",
-        "cursors",
-        "cursor_stamp",
         "serial",
         "zero_potential",
         "dropped",
@@ -131,14 +127,10 @@ class Workspace:
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self.mask = Mask(g)
-        self.ref_stamp = [0] * g.arc_count
-        self.ref_epoch = 0
         self.frontiers: list[list[tuple] | None] = [None] * g.node_count
         self.frontier_stamp = [0] * g.node_count
         self.queued: list[tuple | None] = [None] * g.node_count
         self.queued_stamp = [0] * g.node_count
-        self.cursors = [0] * g.arc_count
-        self.cursor_stamp = [0] * g.arc_count
         self.serial = 0
         self.zero_potential: list[float] | None = None
         self.dropped: list[float] = [0.0] * g.node_count
@@ -174,19 +166,18 @@ def build_query(
     prefix_cost: float = 0.0,
     sweep: ReverseSweep | None = None,
 ) -> DeviationQuery:
-    """Stamp the reference arcs and validate the instance.
+    """Validate the instance and bundle it into a query.
 
     The reference path must run from source to target through the masked
     graph; a masked reference would make the search answer a different
-    question than the caller asked. So would a sweep over another graph
-    or toward another target.
+    question than the caller asked. So would a workspace or a sweep of
+    another graph, or a sweep toward another target.
     """
     if sweep is not None and (sweep.graph is not g or sweep.target != target):
         raise ValueError("the sweep must run over the query's graph toward its target")
     ws = workspace if workspace is not None else Workspace(g)
-    ws.ref_epoch += 1
-    epoch = ws.ref_epoch
-    stamp = ws.ref_stamp
+    if ws.graph is not g:
+        raise ValueError("the workspace must belong to the query's graph")
     # stamps read directly, as in the search: this check runs on every query
     mask_epoch = ws.mask.epoch
     node_stamp = ws.mask.node_stamp
@@ -197,7 +188,6 @@ def build_query(
         raise ValueError("query source is masked")
     node = source
     for i, a in enumerate(ref_arcs):
-        stamp[a] = epoch
         if arc_tail[a] != node:
             raise ValueError(f"reference arc {i} does not continue the path")
         node = arc_head[a]
@@ -401,8 +391,7 @@ def find_best_deviation(
     node_stamp = ws.mask.node_stamp
     arc_stamp = ws.mask.arc_stamp
     epoch = ws.mask.epoch
-    ref_stamp = ws.ref_stamp
-    ref_epoch = ws.ref_epoch
+    ref = frozenset(query.ref_arcs)
     target = query.target
     ref_len = len(query.ref_arcs)
     prefix_cost = query.prefix_cost
@@ -421,8 +410,7 @@ def find_best_deviation(
     f_stamp = ws.frontier_stamp
     queued = ws.queued
     q_stamp = ws.queued_stamp
-    cursors = ws.cursors
-    c_stamp = ws.cursor_stamp
+    cursors: dict[int, int] = {}  # per in-arc, how far rebuilds have scanned its tail's list
     dropped = ws.dropped
     counter = 0
     iterations = 0
@@ -509,7 +497,7 @@ def find_best_deviation(
                 key = nc + pot[w]
                 if not key < limit or (cost_cap is not None and nc >= cost_cap):
                     break
-                no = eover + 1 if ref_stamp[a] == ref_epoch else eover
+                no = eover + 1 if a in ref else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
                     break
                 if q_stamp[w] == serial:
@@ -564,7 +552,7 @@ def find_best_deviation(
                 sweep.settle(0.0, w)
                 if pot[w] == unreachable:
                     continue
-            no = eover + 1 if ref_stamp[a] == ref_epoch else eover
+            no = eover + 1 if a in ref else eover
             if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
                 if debug is not None:
                     debug.dominated.append((ecost + arc_cost[a], no, w))
@@ -592,43 +580,32 @@ def find_best_deviation(
         # only an extension dropped from its queue slot can beat vmin
         if f is not None and dropped[node] < f[-1][1]:
             vmin = f[-1][1]
-            best_c = 0.0
-            best_o = 0
-            best_arc = -1
-            best_idx = -1
-            have = False
+            best = None
             for a in in_arcs[node]:
                 u = arc_tail[a]
                 if f_stamp[u] != serial or arc_stamp[a] == epoch or node_stamp[u] == epoch:
                     continue
                 fu = frontiers[u]
-                i = cursors[a] if c_stamp[a] == serial else 0
+                i = cursors.get(a, 0)
                 n_u = len(fu)
-                ra = 1 if ref_stamp[a] == ref_epoch else 0
+                ra = 1 if a in ref else 0
                 while i < n_u and fu[i][1] + ra >= vmin:
                     i += 1
                 cursors[a] = i
-                c_stamp[a] = serial
                 if i == n_u:
                     continue
                 lu = fu[i]
-                cc = lu[0] + arc_cost[a]
-                co = lu[1] + ra
-                if not have or cc < best_c or (cc == best_c and co < best_o):
-                    best_c = cc
-                    best_o = co
-                    best_arc = a
-                    best_idx = i
-                    have = True
-            if have:
+                lab = (lu[0] + arc_cost[a], lu[1] + ra, a, i)
+                if best is None or lab[:2] < best[:2]:
+                    best = lab
+            if best is not None:
                 counter += 1
-                key = best_c + pot[node]
-                ne = (key, best_o, node, counter, (best_c, best_o, best_arc, best_idx))
+                ne = (best[0] + pot[node], best[1], node, counter, best)
                 queued[node] = ne
                 q_stamp[node] = serial
                 heappush(heap, ne)
                 if debug is not None:
-                    debug.enqueued.append((best_c, best_o, node))
+                    debug.enqueued.append((best[0], best[1], node))
         if debug is not None:
             live: dict[int, int] = {}
             for other in heap:

@@ -171,12 +171,14 @@ class SolveLimitExceeded(RuntimeError):
         self.report = report
 
 
-def check_limits(timeout_s: float | None, label_budget: int | None = None) -> None:
-    """Raise ValueError for a timeout that is NaN or negative, or a negative label budget.
+def check_limits(k: int, timeout_s: float | None, label_budget: int | None = None) -> None:
+    """Raise ValueError for k below 1, a NaN or negative timeout, or a negative label budget.
 
     A NaN deadline would never strike, and a negative limit would abort
     a solve as if it had run out.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if timeout_s is not None and not timeout_s >= 0.0:
         raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
     if label_budget is not None and label_budget < 0:
@@ -218,9 +220,7 @@ def k_shortest_paths(
     """
     opts = options or SolveOptions()
     check_endpoints(g, s, t)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    check_limits(opts.timeout_s, opts.label_budget)
+    check_limits(k, opts.timeout_s, opts.label_budget)
 
     t_start = perf_counter()
     deadline = t_start + opts.timeout_s if opts.timeout_s is not None else None

@@ -50,9 +50,7 @@ def yen_k_shortest(
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
     check_endpoints(g, s, t)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    check_limits(timeout_s)
+    check_limits(k, timeout_s)
 
     t_start = perf_counter()
     deadline = t_start + timeout_s if timeout_s is not None else None

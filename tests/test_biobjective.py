@@ -146,6 +146,18 @@ def test_build_query_rejects_a_sweep_of_another_instance(six_node_graph):
     assert build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5)).sweep.target == 5
 
 
+def test_build_query_rejects_a_workspace_of_another_graph(six_node_graph):
+    g = six_node_graph
+    twin = Workspace(Graph(g.node_count, g.arcs()))
+    twin.mask.delete_arc(7)  # would hide the answer over arc 7
+    with pytest.raises(ValueError, match="workspace"):
+        build_query(g, 0, 5, SPINE, twin)
+    with pytest.raises(ValueError, match="workspace"):
+        build_query(g, 0, 5, SPINE, Workspace(Graph(2, [(0, 1, 1.0)])))
+    dev, _ = find_best_deviation(build_query(g, 0, 5, SPINE, Workspace(g)))
+    assert dev.arc == 7
+
+
 @pytest.mark.parametrize("family", COST_FAMILIES)
 def test_partly_settled_sweeps_search_as_the_full_potential(family):
     """Whatever the sweep starts from, the search extracts exactly what the full distances give."""
@@ -271,16 +283,18 @@ def test_build_query_rejects_bad_instances(six_node_graph):
         build_query(g, 0, 5, SPINE, ws)
 
 
-def test_ref_epochs_isolate_consecutive_queries(six_node_graph):
+def test_a_query_keeps_its_own_reference(six_node_graph):
     g = six_node_graph
     ws = Workspace(g)
-    build_query(g, 0, 5, SPINE, ws)
-    assert ws.ref_stamp[0] == ws.ref_epoch
-    assert ws.ref_stamp[7] != ws.ref_epoch
+    qa = build_query(g, 0, 5, SPINE, ws)
     qb = build_query(g, 2, 5, (2, 3), ws)
-    # arc 0 was on the first query's reference only
-    assert ws.ref_stamp[0] != ws.ref_epoch
-    assert ws.ref_stamp[2] == ws.ref_epoch
+
+    # building qb on the same workspace leaves qa's answer as on a fresh one
+    dev, stats = find_best_deviation(qa)
+    assert dev.arc == 7
+    assert dev.bicost == BiCost(2.0, 2)
+    assert stats.iterations == 8
+    assert (dev, stats) == find_best_deviation(build_query(g, 0, 5, SPINE))
 
     dev, _ = find_best_deviation(qb)
     assert dev.bicost == BiCost(2.0, 0)
