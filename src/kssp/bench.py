@@ -211,11 +211,17 @@ def write_rows(dest: str | IO[str], rows: Iterable[ResultRow]) -> None:
         writer.writerow([_cell(v) for v in asdict(row).values()])
 
 
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"not a bench CSV: boolean cell must be true or false, got {cell!r}")
+    return cell == "true"
+
+
 # how read_rows parses a cell, by the type its ResultRow field is annotated with
 _CELL_PARSERS = {
     "str": str,
     "int": int,
-    "bool": lambda cell: cell == "true",
+    "bool": _parse_bool,
     "float": float,
     "float | None": lambda cell: float(cell) if cell else None,
 }

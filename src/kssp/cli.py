@@ -107,7 +107,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.algo not in ("deviation", "both"):
+    if args.algo != "deviation":
         _reject_flags(args, DEVIATION_FLAGS, args.algo)
     if args.algo == "brute":  # exhaustive enumeration has no deadline
         _reject_flags(args, ("--timeout-s",), args.algo, "the deviation and Yen solvers")
@@ -131,7 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         validate=args.validate,
     )
     try:
-        if args.algo in ("deviation", "both"):
+        if args.algo == "deviation":
             report = k_shortest_paths(g, s, t, k, opts)
         else:
             report = yen_k_shortest(
@@ -147,33 +147,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _note(f"validation failed: {exc}")
         return 4
 
-    if args.algo == "both":
-        try:
-            reference = yen_k_shortest(g, s, t, k, timeout_s=args.timeout_s)
-        except SolveLimitExceeded as exc:
-            write_paths(g, report.paths, sys.stdout)
-            found = len(exc.report.paths)
-            _note(f"cross-check aborted ({exc.kind}): yen found {found} of {k} paths")
-            return 1
-        if report.costs != reference.costs:
-            _note("cross-check mismatch between solvers:")
-            _note(f"  deviation: {report.costs}")
-            _note(f"  yen:       {reference.costs}")
-            return 4
-        _note("cross-check: yen agrees")
-
-    if args.check:
-        if g.node_count > BRUTE_NODE_LIMIT:
-            _note(f"check skipped: graph has more than {BRUTE_NODE_LIMIT} nodes")
-        else:
+    if args.check:  # enumeration where it is affordable, plain Yen beyond
+        if g.node_count <= BRUTE_NODE_LIMIT:
+            name = "exhaustive enumeration"
             expected = [p.cost for p in enumerate_simple_paths(g, s, t, max_paths=k)]
-            if report.costs != expected:
+        else:
+            name = "yen"
+            try:
+                expected = yen_k_shortest(g, s, t, k, timeout_s=args.timeout_s).costs
+            except SolveLimitExceeded as exc:
                 write_paths(g, report.paths, sys.stdout)
-                _note("cross-check mismatch against exhaustive enumeration:")
-                _note(f"  solver:     {report.costs}")
-                _note(f"  exhaustive: {expected}")
-                return 4
-            _note("cross-check: exhaustive enumeration agrees")
+                found = len(exc.report.paths)
+                _note(f"cross-check aborted ({exc.kind}): yen found {found} of {k} paths")
+                return 1
+        if report.costs != expected:
+            write_paths(g, report.paths, sys.stdout)
+            _note(f"cross-check mismatch against {name}:")
+            _note(f"  solver:    {report.costs}")
+            _note(f"  reference: {expected}")
+            return 4
+        _note(f"cross-check: {name} agrees")
 
     write_paths(g, report.paths, sys.stdout)
     st = report.stats
@@ -232,19 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="print the k cheapest simple paths of one instance")
     p.add_argument("--graph", help="DIMACS shortest path file")
     p.add_argument("--grid", metavar="RxC", help="generate a grid instead of reading a file")
-    p.add_argument("--seed", type=int, default=0, help="seed for --grid")
+    p.add_argument(
+        "--seed", type=int, default=0, help="cost seed of --grid, as a gen manifest's cost_seed"
+    )
     p.add_argument("-s", "--source", type=int, required=True, help="0-based node id")
     p.add_argument("-t", "--target", type=int, required=True, help="0-based node id")
     p.add_argument("-k", "--k", type=int, default=1)
-    p.add_argument(
-        "--algo",
-        choices=("deviation", "yen", "yen-accelerated", "brute", "both"),
-        default="deviation",
-    )
+    p.add_argument("--algo", choices=(*ALGORITHMS, "brute"), default="deviation")
     p.add_argument(
         "--check",
         action="store_true",
-        help="compare against exhaustive enumeration (small graphs only)",
+        help=f"compare costs with enumeration up to {BRUTE_NODE_LIMIT} nodes, plain Yen above",
     )
     p.add_argument(
         "--unguided",

@@ -20,6 +20,7 @@ every label in every search is a left fold from s and is the cost reported.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
@@ -70,6 +71,10 @@ class Graph:
 
     def _build(self, node_count: int, tail: list[int], head: list[int], cost: Sequence[float]) -> None:
         """Check every arc over whole arrays, then fill both adjacency lists in one pass."""
+        try:
+            node_count = operator.index(node_count)
+        except TypeError:
+            raise GraphError(f"node_count must be an int, got {node_count!r}") from None
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
         try:
@@ -87,9 +92,13 @@ class Graph:
             _raise_first_bad_arc(node_count, tail, head, cost)
         out_arcs: list[list[int]] = [[] for _ in range(node_count)]
         in_arcs: list[list[int]] = [[] for _ in range(node_count)]
-        for a, u, v in zip(count(), tail, head):
-            out_arcs[u].append(a)
-            in_arcs[v].append(a)
+        try:
+            for a, u, v in zip(count(), tail, head):
+                out_arcs[u].append(a)
+                in_arcs[v].append(a)
+        except TypeError:  # an endpoint in range but not an int, such as 0.5
+            _raise_first_bad_arc(node_count, tail, head, cost)
+            raise
         self.node_count = node_count
         self.arc_tail = tail
         self.arc_head = head
@@ -124,6 +133,10 @@ def _raise_first_bad_arc(
 ) -> None:
     """Raise the error of the first bad arc, checking its endpoints before its cost."""
     for a, (u, v, w) in enumerate(zip(tail, head, cost)):
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise GraphError(f"arc {a}: endpoint is not an int: ({u!r}, {v!r})") from None
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
         try:

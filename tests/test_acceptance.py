@@ -337,6 +337,12 @@ def test_search_structural_invariants():
                 assert len(labels) <= (2 if node == t else ell)
                 costs = [lab[0] for lab in labels]
                 assert costs == sorted(costs)
+            # the frontiers hold this query's own labels, one per extraction,
+            # none left over from the query before it on this workspace
+            permanent = sum(len(labels) for labels in debug.frontiers.values())
+            assert permanent == len(debug.extracted)
+            if stats.outcome != "cost-capped":
+                assert permanent == stats.iterations
             # any found deviation reconstructs to a simple distinct path
             if dev is not None:
                 full = ref.arcs[: dev.ref_index] + dev.suffix

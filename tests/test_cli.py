@@ -72,33 +72,64 @@ def test_solve_check_agrees(capsys):
     assert "exhaustive enumeration agrees" in err
 
 
-def test_solve_check_skips_large_graphs(capsys):
-    code, _, err = run(
-        capsys, "solve", "--grid", "5x5", "-s", "0", "-t", "24", "-k", "2", "--check"
-    )
+GRID5_ARGS = ("solve", "--grid", "5x5", "-s", "0", "-t", "24")
+
+
+def test_solve_check_compares_with_yen_above_the_enumeration_limit(capsys):
+    _, plain, _ = run(capsys, *GRID5_ARGS, "-k", "2")
+    code, out, err = run(capsys, *GRID5_ARGS, "-k", "2", "--check")
     assert code == 0
-    assert "check skipped" in err
+    assert out == plain
+    assert "cross-check: yen agrees" in err
 
 
-def test_solve_both_cross_checks(capsys):
+def test_solve_algo_both_is_gone(capsys):
     code, out, err = run(
         capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--algo", "both"
     )
-    assert code == 0
-    assert out == MINI_LINES
-    assert "yen agrees" in err
+    assert code == 2
+    assert out == []
+    assert "invalid choice: 'both'" in err
 
 
-def test_solve_both_prints_the_deviation_paths_when_yen_aborts(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (("solve", "--graph", MINI, "-s", "0", "-t", "9"), "exhaustive enumeration"),
+        (GRID5_ARGS, "yen"),
+    ],
+)
+def test_solve_check_mismatch_prints_the_solver_paths_and_exits_4(
+    capsys, monkeypatch, argv, reference
+):
+    # each fake reference finds one path fewer than asked for
+    def short_enumeration(g, s, t, max_paths):
+        return enumerate_simple_paths(g, s, t, max_paths=max_paths - 1)
+
+    def short_yen(g, s, t, k, **kwargs):
+        return yen_k_shortest(g, s, t, k - 1, **kwargs)
+
+    monkeypatch.setattr("kssp.cli.enumerate_simple_paths", short_enumeration)
+    monkeypatch.setattr("kssp.cli.yen_k_shortest", short_yen)
+    _, plain, _ = run(capsys, *argv, "-k", "4")
+    code, out, err = run(capsys, *argv, "-k", "4", "--check")
+    assert code == 4
+    assert out == plain
+    lines = err.splitlines()
+    assert lines[0] == f"cross-check mismatch against {reference}:"
+    solver = [float(line.split()[1]) for line in plain]
+    assert lines[1:] == [f"  solver:    {solver}", f"  reference: {solver[:3]}"]
+
+
+def test_solve_check_prints_the_solver_paths_when_yen_aborts(capsys, monkeypatch):
     def timed_out_yen(g, s, t, k, **kwargs):
         raise SolveLimitExceeded("deadline", yen_k_shortest(g, s, t, 1))
 
+    _, plain, _ = run(capsys, *GRID5_ARGS, "-k", "4")
     monkeypatch.setattr("kssp.cli.yen_k_shortest", timed_out_yen)
-    code, out, err = run(
-        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--algo", "both"
-    )
+    code, out, err = run(capsys, *GRID5_ARGS, "-k", "4", "--check")
     assert code == 1
-    assert out == MINI_LINES
+    assert out == plain
     assert err == "cross-check aborted (deadline): yen found 1 of 4 paths\n"
 
 
@@ -286,6 +317,26 @@ def test_report_on_a_csv_without_bench_columns_exits_2(tmp_path, capsys):
     assert out == []
     assert err.startswith("error: not a bench CSV: missing columns instance, algorithm, k,")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["True", "yes", ""])
+def test_report_on_a_csv_with_a_bad_solved_cell_exits_2(tmp_path, capsys, bad):
+    csv_path = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "bench", "--grid", "4x4", "--costs", "2", "-k", "3", "--csv", str(csv_path)
+    )
+    assert code == 0
+    rows = csv_path.read_text().splitlines()
+    assert rows[0].split(",")[3] == "solved"
+    fields = rows[2].split(",")
+    assert fields[3] == "true"
+    fields[3] = bad
+    rows[2] = ",".join(fields)
+    csv_path.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    assert code == 2
+    assert out == []
+    assert err == f"error: not a bench CSV: boolean cell must be true or false, got {bad!r}\n"
 
 
 def test_bad_subcommand_usage_is_an_argparse_exit(capsys):

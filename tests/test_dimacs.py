@@ -116,7 +116,7 @@ def test_negative_zero_cost_loads_and_solves_as_zero(tmp_path, capsys):
         graph = tmp_path / f"zero{zero}.gr"
         graph.write_text(text.replace("a 1 3 1\n", f"a 1 3 {zero}\n"))
         argv = ["solve", "--graph", str(graph), "-s", "0", "-t", "9", "-k", "16"]
-        assert main(argv + ["--algo", "both", "--validate"]) == 0
+        assert main(argv + ["--check", "--validate"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("cost 8 nodes 0 2 4 6 8 9\n")

@@ -69,6 +69,10 @@ BAD_CONSTRUCTIONS = [
     (2, [(0, 5, -1.0)], "arc 0: endpoint out of range: (0, 5)"),
     (2, [(0, 1, 1.0), (1, 0, float("nan")), (0, 1, float("inf"))],
      "arc 1: cost must be finite and nonnegative, got nan"),
+    # ids that are not ints: in range, not comparable, and a fractional node count
+    (3, [(0.5, 1, 1.0)], "arc 0: endpoint is not an int: (0.5, 1)"),
+    (3, [("1", 2, 1.0)], "arc 0: endpoint is not an int: ('1', 2)"),
+    (2.5, [], "node_count must be an int, got 2.5"),
 ]
 
 
