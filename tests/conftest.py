@@ -12,7 +12,7 @@ from time import perf_counter
 import pytest
 
 from kssp.graph import Graph
-from kssp.gridgen import sample_pairs, seeded_grids
+from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
 
@@ -140,9 +140,50 @@ def cost_free_digest(report) -> str:
     return _digest(rows, report)
 
 
+def records_digest(reports) -> str:
+    """sha256 over the records and status of every report, without ``blocked`` or stats.
+
+    A prune rule that skips more work may change the counters and which
+    deviation arcs a record has blocked, but never a path, its cost or
+    its place in the deviation tree; this digest checks exactly that.
+    """
+    rows = [
+        (
+            [
+                (
+                    r.path.arcs,
+                    r.path.cost.hex(),
+                    r.prefix_cost.hex(),
+                    r.parent_index,
+                    r.dev_node,
+                    r.dev_pos,
+                    r.source_node,
+                    r.source_pos,
+                )
+                for r in report.records
+            ],
+            report.status,
+        )
+        for report in reports
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def _digest(rows: list[tuple], report) -> str:
     stats = astuple(replace(report.stats, wall_time_s=0.0))
     return hashlib.sha256(repr((rows, report.status, stats)).encode()).hexdigest()
+
+
+def frozen_solves():
+    """Seeded 64x64 grid pairs at k=50, then every cost family of 300 digraphs at k=2 and 5."""
+    g = gen_grid(64, 64, seed=11)
+    for s, t in sample_pairs(SplitMix64(12), g.node_count, 5):
+        yield g, s, t, 50
+    for seed in range(300):
+        base = make_digraph(seed)
+        for family in COST_FAMILIES:
+            for k in (2, 5):
+                yield cost_family(base, family), 0, base.node_count - 1, k
 
 
 def road_solves():

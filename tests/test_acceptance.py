@@ -28,7 +28,9 @@ from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import cost_free_digest, make_digraph, report_digest, road_solves
+from conftest import (
+    cost_free_digest, frozen_solves, make_digraph, records_digest, report_digest, road_solves,
+)
 
 GRID_MASTER_SEED = 7
 GRID_COUNT = 20
@@ -207,6 +209,23 @@ def test_gate_grids_keep_their_frozen_records():
             assert cost_free_digest(report) == FROZEN_GRID_COST_FREE_DIGESTS[i], f"grid instance {i}"
         if i == max(FROZEN_GRID_DIGESTS):
             break
+
+
+# records_digest over gate grids 0 and 4 at GRID_K, frozen_solves() and road_solves()
+FROZEN_RECORDS_DIGEST = "8e6305be898b80bd7de132205d56d8d5efee0784960885c13b5d6c6e8ace41e0"
+
+
+def test_records_keep_their_frozen_paths_costs_and_tree():
+    """Every path, its cost bits and its place in the deviation tree stay as frozen.
+
+    Unlike the digests above this one hashes no counters and no
+    ``blocked`` lists, which a prune rule that skips more work changes,
+    so it must hold unedited across such a rule.
+    """
+    solves = [(g, s, t, GRID_K) for i, (g, s, t) in zip(range(5), grid_instances()) if i in (0, 4)]
+    solves += [*frozen_solves(), *road_solves()]
+    reports = [k_shortest_paths(g, s, t, k) for g, s, t, k in solves]
+    assert records_digest(reports) == FROZEN_RECORDS_DIGEST
 
 
 def gate_grid_label_counts(monkeypatch) -> dict[str, int]:

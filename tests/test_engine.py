@@ -22,12 +22,11 @@ from kssp.engine import (
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, Path
-from kssp.gridgen import gen_grid, sample_pairs
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
-from kssp.rng import SplitMix64
 
 from conftest import (
-    COST_FAMILIES, cost_family, cost_free_digest, make_digraph, report_digest, road_solves,
+    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, report_digest,
+    road_solves,
 )
 
 
@@ -121,18 +120,6 @@ def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k
 
 # report_digest over frozen_solves(), retaken when search labels began at their prefix's cost
 FROZEN_SOLVES_DIGEST = "0f36ef3477b36fd9d00aa6781bbe1338a9351e2ee63f7af1453018f9d300549d"
-
-
-def frozen_solves():
-    """Seeded 64x64 grid pairs at k=50, then every cost family of 300 digraphs at k=2 and 5."""
-    g = gen_grid(64, 64, seed=11)
-    for s, t in sample_pairs(SplitMix64(12), g.node_count, 5):
-        yield g, s, t, 50
-    for seed in range(300):
-        base = make_digraph(seed)
-        for family in COST_FAMILIES:
-            for k in (2, 5):
-                yield cost_family(base, family), 0, base.node_count - 1, k
 
 
 def test_solves_keep_their_frozen_records():
