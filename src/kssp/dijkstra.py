@@ -7,6 +7,7 @@ always carry bit-identical costs.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from heapq import heappop, heappush
 from math import inf
 
@@ -257,6 +258,57 @@ class ReverseSweep:
                     side = d
         self.sidetrack[v] = side
         return side
+
+    def deviation_bound(self, node: int, arcs: Sequence[int], start: float) -> float:
+        """Least ``c_j + sidetrack(x_j)`` over the tails x_j of the path ``arcs`` out of ``node``.
+
+        c_j is the left fold of ``start`` and the arc costs up to x_j,
+        the cost a search label at x_j carries when the path is its
+        reference and ``start`` its prefix cost. Each ``sidetrack(x_j)``
+        is read from the memo or computed by :meth:`sidetrack_of`, as the
+        tree walk does. The result is -inf when an arc is not its tail's
+        ``tree`` arc or a tail is not settled, and inf when ``arcs`` is
+        empty: a path from the target has no deviation.
+
+        Why no deviation costs much less. A deviation from a path that
+        follows the tree shares it up to some x_j and leaves it over an
+        arc b other than x_j's tree arc; masks and blocked arcs only
+        remove such paths. Let E be its exact cost. Its float cost D
+        left-folds at most 2n - 2 arcs, the prefix that ``start`` folds
+        and a simple path from ``node``, so D is at least E shrunk by
+        ``(1 - 2**-53)**(2n - 2)``. E is at least the exact sum of c_j's
+        terms, plus cost(b), plus the exact distance from b's head. The
+        sweep gives that head the least right fold over its paths, at
+        most ``(1 + 2**-53)**(n - 1)`` times that distance, and the
+        horizon that stands in for an unsettled head, or a sidetrack
+        memoized under an earlier horizon, is no more. So the bound is
+        at most E grown by ``(1 + 2**-53)**(2n - 1)``, and exceeds D by
+        at most ``(4n - 3) * 2**-53 * D`` plus second-order terms, within
+        the ``(4n + 8) * 2**-53 * D`` slack of ``prune_limit(g, D)``. As
+        that limit is monotone in D, a query whose bound exceeds
+        ``prune_limit(g, cap)`` finds nothing below ``cap``; at ``cap``
+        infinity the limit is infinite and rules nothing out.
+        """
+        dist = self.dist
+        tree = self.tree
+        sidetrack = self.sidetrack
+        arc_head = self.graph.arc_head
+        arc_cost = self.graph.arc_cost
+        least = inf
+        c = start
+        v = node
+        for a in arcs:
+            if a != tree[v] or dist[v] == inf:
+                return -inf
+            side = sidetrack[v]
+            if side < 0.0:
+                side = self.sidetrack_of(v)
+            side += c
+            if side < least:
+                least = side
+            c += arc_cost[a]
+            v = arc_head[a]
+        return least
 
 
 def reverse_distances(g: Graph, target: int) -> list[float]:

@@ -17,18 +17,28 @@ from the candidate queue the driver asks it of two records: the
 extracted path, which has no children yet, and its parent.
 
 Generated deviation arcs are recorded per parent (``blocked``), which
-keeps all candidates structurally distinct. Two prune rules cut
-work without changing the returned cost sequence: a query aborts early
-once it provably cannot beat the most expensive queued candidate while
-the queue already holds enough paths (cost cap), and the run ends early
-when the cheapest queued cost tier alone suffices to fill the remaining
-output slots.
+keeps all candidates structurally distinct. With n paths accepted, the
+queue keeps only its k - n cheapest candidates, as Yen's does. A
+dropped candidate has k - n candidates ahead of it, cheaper or equal
+and pushed earlier; that threshold never rises, and no path of the
+dropped candidate's subtree costs less, so none of them could be
+output. Three prune rules cut work without changing the returned
+paths:
+
+- a query aborts once it provably cannot beat the last queued
+  candidate while the queue holds k - n of them (cost cap);
+- a record's first query, guided and under a cap, is not run at all
+  when the least sidetrack along its reference
+  (:meth:`kssp.dijkstra.ReverseSweep.deviation_bound`) passes the
+  cap's prune limit; it counts as a capped query with no labels;
+- the run ends early when the cheapest queued cost tier alone fills
+  the remaining output slots.
 
 Queued candidates sit in one list of ``(cost, push counter, record)``
 tuples kept sorted with ``insort``. The driver pops the cheapest from
 the front, so equal costs leave in push order. The same list serves
-both prune rules: its last entry is the most expensive candidate, and
-one bisection counts the tier that ties with the cheapest.
+every prune rule: its last entry is the (k - n)-th cheapest candidate,
+and one bisection counts the tier that ties with the cheapest.
 
 By default the driver computes exact distances to the target with one
 reverse scalar search over the unmasked graph, a
@@ -114,7 +124,7 @@ class SolveStats:
     queries_attempted: int = 0  # includes the initialization query
     init_queries: int = 0
     queries_failed: int = 0
-    capped_queries: int = 0
+    capped_queries: int = 0  # includes first asks skipped on the reference bound, with 0 labels
     success_iterations: int = 0
     failed_iterations: int = 0
     labels_extracted: int = 0
@@ -190,7 +200,9 @@ def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float
 
     ``candidates`` is the driver's sorted candidate list. Only once queued
     candidates plus accepted paths already cover k can a query whose
-    results all cost at least the worst queued candidate be aborted.
+    results all cost at least the last queued candidate be aborted. The
+    driver keeps no more than the k - ``solution_count`` cheapest, so the
+    cap is the (k - n)-th cheapest queued cost, the tightest sound one.
     """
     if candidates and solution_count + len(candidates) >= k:
         return candidates[-1][0]
@@ -272,8 +284,19 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
         cap = queue_max_cap(len(records), cands, k)
+        # a first ask whose reference already rules out every deviation below
+        # the cap ends here; later asks of a record rarely do
+        if (
+            sweep is not None
+            and cap is not None
+            and not origin.blocked
+            and sweep.deviation_bound(origin.source_node, arcs[sp:], origin.prefix_cost)
+            > prune_limit(g, cap)
+        ):
+            stats.add_query(0, False, True)
+            return
+        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
         budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -303,6 +326,8 @@ def k_shortest_paths(
         origin.blocked.append(dev.arc)
         push_counter += 1
         insort(cands, (cost, push_counter, rec))
+        # the candidates past the first k - n can never be output
+        del cands[k - len(records):]
 
     stats.init_queries = 1
     ask(0)

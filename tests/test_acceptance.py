@@ -20,16 +20,17 @@ from pathlib import Path as FilePath
 import pytest
 
 from kssp.biobjective import BiCost, SearchDebug, build_query, find_best_deviation, Workspace
-from kssp.dijkstra import ReverseSweep, shortest_path
+from kssp.dijkstra import ReverseSweep, prune_limit, shortest_path
 from kssp.dimacs import dumps_dimacs, load_dimacs
-from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths
-from kssp.graph import is_simple, path_cost
+from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths, queue_max_cap
+from kssp.graph import Graph, is_simple, path_cost
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
 from conftest import (
-    cost_free_digest, frozen_solves, make_digraph, records_digest, report_digest, road_solves,
+    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, records_digest,
+    report_digest, road_solves,
 )
 
 GRID_MASTER_SEED = 7
@@ -226,6 +227,101 @@ def test_records_keep_their_frozen_paths_costs_and_tree():
     solves += [*frozen_solves(), *road_solves()]
     reports = [k_shortest_paths(g, s, t, k) for g, s, t, k in solves]
     assert records_digest(reports) == FROZEN_RECORDS_DIGEST
+
+
+def test_the_queue_holds_only_candidates_that_can_still_be_output(monkeypatch):
+    """Every cap is read off at most k - n queued candidates, n the paths accepted so far."""
+    calls = 0
+
+    def checked(solution_count, candidates, k):
+        nonlocal calls
+        calls += 1
+        assert len(candidates) <= k - solution_count, (solution_count, len(candidates), k)
+        return queue_max_cap(solution_count, candidates, k)
+
+    monkeypatch.setattr("kssp.engine.queue_max_cap", checked)
+    g, s, t = next(grid_instances())
+    for g, s, t, k in [(g, s, t, GRID_K), *frozen_solves()]:
+        k_shortest_paths(g, s, t, k)
+    assert calls > 5_000
+
+
+def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
+    """A query's reference bound never passes its cheapest deviation's cost, up to rounding slack.
+
+    Every query of guided solves of gate grid 0, of 300 digraphs in every
+    cost family, and of 60 digraphs with 2^53 added to the arcs out of
+    the source runs once more without a cap: on the engine's own mask,
+    and with nothing masked, as masks only remove deviations. Where it
+    finds a deviation of cost D, ``deviation_bound`` over its reference
+    is at most ``prune_limit(g, D)``. A first ask that the engine skipped
+    on the bound must find nothing below its cap.
+    """
+    bound_of = ReverseSweep.deviation_bound
+    workspaces: list[tuple[Workspace, Workspace]] = []  # the engine's, and one never masked
+    caps: list[float | None] = []
+    pending: list[float | None] = []  # the cheapest cost of a first ask taken to the bound
+    counts = {"found": 0, "skipped": 0}
+
+    def cheapest(query) -> float | None:
+        costs = []
+        for ws in workspaces[-1]:
+            dev, _ = find_best_deviation(replace(query, workspace=ws))
+            if dev is not None:
+                costs.append(dev.bicost.cost)
+        bound = bound_of(query.sweep, query.source, query.ref_arcs, query.prefix_cost)
+        for cost in costs:
+            assert bound <= prune_limit(query.graph, cost), (bound, cost)
+        counts["found"] += len(costs)
+        return costs[0] if len(costs) == 2 else None
+
+    def end_of_ask() -> None:
+        # a first ask that went no further than the bound was skipped
+        if pending:
+            cost = pending.pop()
+            counts["skipped"] += 1
+            assert cost is None or cost >= caps[-1], (cost, caps[-1])
+
+    def workspace(g):
+        workspaces.append((Workspace(g), Workspace(g)))
+        return workspaces[-1][0]
+
+    def cap(solution_count, candidates, k):
+        end_of_ask()
+        caps.append(queue_max_cap(solution_count, candidates, k))
+        return caps[-1]
+
+    def bound(sweep, node, arcs, start):
+        query = build_query(sweep.graph, node, sweep.target, arcs, workspaces[-1][0], start, sweep)
+        pending.append(cheapest(query))
+        return bound_of(sweep, node, arcs, start)
+
+    def search(query, cost_cap=None, **limits):
+        if pending:
+            pending.clear()  # the first ask went on to its search
+        else:
+            cheapest(query)
+        return find_best_deviation(query, cost_cap, **limits)
+
+    monkeypatch.setattr("kssp.engine.Workspace", workspace)
+    monkeypatch.setattr("kssp.engine.queue_max_cap", cap)
+    monkeypatch.setattr("kssp.engine.find_best_deviation", search)
+    monkeypatch.setattr(ReverseSweep, "deviation_bound", bound)
+    solves = [(*next(grid_instances()), GRID_K)]
+    for seed in range(300):
+        base = make_digraph(seed)
+        for family in COST_FAMILIES:
+            solves.append((cost_family(base, family), 0, base.node_count - 1, 40))
+    for seed in range(60):
+        # the search's left folds drop the small costs behind 2^53 that the
+        # bound's right-folded distances keep, so the bound may exceed D
+        base = make_digraph(seed, 6, 12, 0.4)
+        arcs = [(u, v, c + 2.0**53 if u == 0 else c) for u, v, c in base.arcs()]
+        solves.append((Graph(base.node_count, arcs), 0, base.node_count - 1, 8))
+    for g, s, t, k in solves:
+        k_shortest_paths(g, s, t, k)
+        end_of_ask()
+    assert counts["found"] > 10_000 and counts["skipped"] > 300, counts
 
 
 def gate_grid_label_counts(monkeypatch) -> dict[str, int]:

@@ -232,3 +232,20 @@ def test_first_path_from_a_sweep_settled_to_the_prune_limit():
         sweep.settle(prune_limit(g, sweep.dist[s]))
         assert sum(d != inf for d in sweep.dist) < g.node_count
         assert shortest_path(g, s, t, prune=sweep.dist) == shortest_path(g, s, t, prune=reverse_distances(g, t))
+
+
+def test_deviation_bound_takes_the_least_sidetrack_along_a_tree_path(five_node_graph):
+    g = five_node_graph
+    sweep = ReverseSweep(g, 4)
+    sweep.settle(0.0)  # only the target
+    assert sweep.deviation_bound(0, (1, 5), 0.0) == -inf  # node 0 is not settled yet
+    sweep.settle(inf)
+    assert sweep.tree[0] == 1 and sweep.tree[2] == 5  # 0 -> 2 -> 4 costs 2
+    # leaving 0 over 0 -> 1 -> 4 costs 3; node 2 has no arc but its tree arc
+    assert sweep.deviation_bound(0, (1, 5), 0.0) == 3.0
+    assert sweep.sidetrack[0] == 3.0 and sweep.sidetrack[2] == inf
+    assert sweep.deviation_bound(0, (1, 5), 10.0) == 13.0
+    assert sweep.deviation_bound(2, (5,), 1.0) == inf
+    assert sweep.deviation_bound(4, (), 2.0) == inf  # nothing deviates from the target
+    # 0 -> 1 is not node 0's tree arc, so 0 -> 2 -> 4 would go unbounded
+    assert sweep.deviation_bound(0, (0, 4), 0.0) == -inf
