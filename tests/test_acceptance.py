@@ -191,13 +191,13 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
 
 # report_digest of gate instances 0 and 4 at GRID_K with default options
 FROZEN_GRID_DIGESTS = {
-    0: "24d85a8d53699f830b73ee3b49e7745d8e8a89d154c8155fc38da55a35d27dc8",
-    4: "e29eecc18a730b6a23715f1865805cb38ffecd3eea14de01283697e5c888aeab",
+    0: "9383193fff8e17482d73c26aa7fa4d83c84d7152612f6cf58a7e19b7dcd194bb",
+    4: "5c607da8617fe31d74372d30f0393553d49aaebcc9291e9d3cc41aac556aa130",
 }
 # cost_free_digest of the same solves, which exact costs must leave unchanged
 FROZEN_GRID_COST_FREE_DIGESTS = {
-    0: "9e679fa85eba818c93c6e66817dcdc3d4892ddef51bc4d88c34829414e718387",
-    4: "c14d7142b528adbd78f8e11074b1f13569d3f39f0f01ed0947320f614d84d380",
+    0: "361ec56920ac718ad7273f1114e724a04e18947a32bb82347f26cec6fd5a3f1c",
+    4: "e41e9b28eae170dad1f6d11597733ab195a59d5bba3471d700cd9041043fc7d6",
 }
 
 
@@ -379,7 +379,7 @@ def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
 
 
 # sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
-FROZEN_QUERY_STATS_DIGEST = "e1d9a6b1ae6e809648ebf2466fa1d3c36416bc593b9381018980029e960162eb"
+FROZEN_QUERY_STATS_DIGEST = "fb39d22cb9617235ff4f7c0e97643351349732b89471a4b75580c31a9626ec32"
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):
