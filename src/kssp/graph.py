@@ -143,6 +143,8 @@ def _raise_first_bad_arc(
             w = float(w)
         except OverflowError:
             w = math.inf  # an int beyond the float range
+        except (TypeError, ValueError):
+            raise GraphError(f"arc {a}: cost is not a number: {w!r}") from None
         if not math.isfinite(w) or w < 0.0:
             raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
 

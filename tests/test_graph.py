@@ -73,6 +73,9 @@ BAD_CONSTRUCTIONS = [
     (3, [(0.5, 1, 1.0)], "arc 0: endpoint is not an int: (0.5, 1)"),
     (3, [("1", 2, 1.0)], "arc 0: endpoint is not an int: ('1', 2)"),
     (2.5, [], "node_count must be an int, got 2.5"),
+    # costs that are not numbers
+    (2, [(0, 1, "x")], "arc 0: cost is not a number: 'x'"),
+    (2, [(0, 1, 1.0), (1, 0, None)], "arc 1: cost is not a number: None"),
 ]
 
 
