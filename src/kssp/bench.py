@@ -213,7 +213,7 @@ def write_rows(dest: str | IO[str], rows: Iterable[ResultRow]) -> None:
 
 def _parse_bool(cell: str) -> bool:
     if cell not in ("true", "false"):
-        raise ValueError(f"not a bench CSV: boolean cell must be true or false, got {cell!r}")
+        raise ValueError(f"must be true or false, got {cell!r}")
     return cell == "true"
 
 
@@ -228,6 +228,10 @@ _CELL_PARSERS = {
 
 
 def read_rows(src: str | IO[str]) -> list[ResultRow]:
+    """The rows of a bench CSV; a bad cell raises ValueError naming its row and column.
+
+    Rows are numbered as a spreadsheet shows them: the header is row 1.
+    """
     if isinstance(src, str):
         with open(src, newline="") as f:
             return read_rows(f)
@@ -236,7 +240,19 @@ def read_rows(src: str | IO[str]) -> list[ResultRow]:
     missing = [f.name for f in columns if f.name not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"not a bench CSV: missing columns {', '.join(missing)}")
-    return [ResultRow(**{f.name: _CELL_PARSERS[f.type](raw[f.name]) for f in columns}) for raw in reader]
+    rows = []
+    for n, raw in enumerate(reader, start=2):
+        cells = {}
+        for f in columns:
+            cell = raw[f.name]
+            try:
+                if cell is None:
+                    raise ValueError("the row has fewer cells than the header")
+                cells[f.name] = _CELL_PARSERS[f.type](cell)
+            except ValueError as exc:
+                raise ValueError(f"not a bench CSV: row {n}, column {f.name}: {exc}") from None
+        rows.append(ResultRow(**cells))
+    return rows
 
 
 def write_summary(dest: str | IO[str], summary: list[dict[str, object]]) -> None:

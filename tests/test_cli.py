@@ -319,24 +319,42 @@ def test_report_on_a_csv_without_bench_columns_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("bad", ["True", "yes", ""])
-def test_report_on_a_csv_with_a_bad_solved_cell_exits_2(tmp_path, capsys, bad):
+def report_with_cell(tmp_path, capsys, column: str, cell: str | None):
+    """``kssp report`` on a bench CSV whose row 3 has ``cell`` in ``column``, or ends before it."""
     csv_path = tmp_path / "rows.csv"
     code, _, _ = run(
         capsys, "bench", "--grid", "4x4", "--costs", "2", "-k", "3", "--csv", str(csv_path)
     )
     assert code == 0
     rows = csv_path.read_text().splitlines()
-    assert rows[0].split(",")[3] == "solved"
+    i = rows[0].split(",").index(column)
     fields = rows[2].split(",")
-    assert fields[3] == "true"
-    fields[3] = bad
-    rows[2] = ",".join(fields)
+    rows[2] = ",".join(fields[:i] if cell is None else fields[:i] + [cell] + fields[i + 1 :])
     csv_path.write_text("\n".join(rows) + "\n")
-    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    return run(capsys, "report", "--csv", str(csv_path))
+
+
+@pytest.mark.parametrize("bad", ["True", "yes", ""])
+def test_report_on_a_csv_with_a_bad_solved_cell_exits_2(tmp_path, capsys, bad):
+    code, out, err = report_with_cell(tmp_path, capsys, "solved", bad)
     assert code == 2
     assert out == []
-    assert err == f"error: not a bench CSV: boolean cell must be true or false, got {bad!r}\n"
+    assert err == f"error: not a bench CSV: row 3, column solved: must be true or false, got {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "column, bad, reason",
+    [
+        ("k", "x", "invalid literal for int() with base 10: 'x'"),
+        ("kth_cost", "abc", "could not convert string to float: 'abc'"),
+        ("time_s", None, "the row has fewer cells than the header"),
+    ],
+)
+def test_report_names_the_row_and_column_of_a_bad_cell(tmp_path, capsys, column, bad, reason):
+    code, out, err = report_with_cell(tmp_path, capsys, column, bad)
+    assert code == 2
+    assert out == []
+    assert err == f"error: not a bench CSV: row 3, column {column}: {reason}\n"
 
 
 def test_bad_subcommand_usage_is_an_argparse_exit(capsys):
