@@ -284,19 +284,22 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
+        ref = arcs[sp:]
         cap = queue_max_cap(len(records), cands, k)
-        # a first ask whose reference already rules out every deviation below
-        # the cap ends here; later asks of a record rarely do
+        # a first ask (no arc blocked yet) whose reference bound passes the
+        # cap's prune limit finds nothing below the cap, so it is not searched.
+        # A record is asked again right after its child is taken, and the
+        # child's sidetrack keeps the bound within the cap's limit then.
         if (
             sweep is not None
             and cap is not None
             and not origin.blocked
-            and sweep.deviation_bound(origin.source_node, arcs[sp:], origin.prefix_cost)
+            and sweep.deviation_bound(origin.source_node, ref, origin.prefix_cost)
             > prune_limit(g, cap)
         ):
             stats.add_query(0, False, True)
             return
-        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
+        query = build_query(g, origin.source_node, t, ref, ws, origin.prefix_cost, sweep)
         budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
