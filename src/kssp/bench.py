@@ -237,21 +237,27 @@ def read_rows(src: str | IO[str]) -> list[ResultRow]:
             return read_rows(f)
     reader = csv.DictReader(src)
     columns = fields(ResultRow)
-    missing = [f.name for f in columns if f.name not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"not a bench CSV: missing columns {', '.join(missing)}")
-    rows = []
-    for n, raw in enumerate(reader, start=2):
-        cells = {}
-        for f in columns:
-            cell = raw[f.name]
-            try:
-                if cell is None:
-                    raise ValueError("the row has fewer cells than the header")
-                cells[f.name] = _CELL_PARSERS[f.type](cell)
-            except ValueError as exc:
-                raise ValueError(f"not a bench CSV: row {n}, column {f.name}: {exc}") from None
-        rows.append(ResultRow(**cells))
+    n = 1  # the row the reader is on
+    try:
+        missing = [f.name for f in columns if f.name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"not a bench CSV: missing columns {', '.join(missing)}")
+        rows = []
+        n = 2
+        for raw in reader:
+            cells = {}
+            for f in columns:
+                cell = raw[f.name]
+                try:
+                    if cell is None:
+                        raise ValueError("the row has fewer cells than the header")
+                    cells[f.name] = _CELL_PARSERS[f.type](cell)
+                except ValueError as exc:
+                    raise ValueError(f"not a bench CSV: row {n}, column {f.name}: {exc}") from None
+            rows.append(ResultRow(**cells))
+            n += 1
+    except csv.Error as exc:  # such as a cell beyond the csv module's field size limit
+        raise ValueError(f"not a bench CSV: row {n}: {exc}") from None
     return rows
 
 

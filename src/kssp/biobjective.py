@@ -138,7 +138,7 @@ class Workspace:
 
 @dataclass
 class DeviationQuery:
-    """One search instance: masked graph, reference path, cost context.
+    """One search instance: masked graph (the workspace's), reference path, cost context.
 
     ``prefix_cost`` is the left-to-right cost fold of the solver-side
     prefix in front of ``source``. It is the root label's cost, so every
@@ -148,7 +148,6 @@ class DeviationQuery:
     order (see the module docstring).
     """
 
-    graph: Graph
     workspace: Workspace
     source: int
     target: int
@@ -195,7 +194,7 @@ def build_query(
             raise ValueError(f"reference arc {i} is masked")
     if node != target:
         raise ValueError("reference path does not end at the target")
-    return DeviationQuery(g, ws, source, target, tuple(ref_arcs), prefix_cost, sweep)
+    return DeviationQuery(ws, source, target, tuple(ref_arcs), prefix_cost, sweep)
 
 
 def reconstruct(
@@ -228,7 +227,6 @@ class Deviation:
     arcs shared before the deviation.
     """
 
-    node: int
     arc: int
     ref_index: int
     suffix: tuple[int, ...]
@@ -313,8 +311,9 @@ def find_best_deviation(
     reach the target. Settled values are bit-identical to the fully
     settled sweep's (see :class:`kssp.dijkstra.ReverseSweep`), so every
     potential the search reads is final and the search runs exactly as
-    under a sweep settled to the end. It reads the potential of the root
-    and of each node it extends a label to; a node it extracts or
+    under a sweep settled to the end. It reads the potential of the root,
+    finite as :func:`build_query` checks the reference runs from it to the
+    target, and of each node it extends a label to; a node it extracts or
     rebuilds was enqueued, so it was read before. The zero potential of
     a query without a sweep has no infinite entry, so it never asks.
 
@@ -381,13 +380,13 @@ def find_best_deviation(
     hand-built ones every permanent label, to catch a twin kept
     differently.
     """
-    g = query.graph
+    ws = query.workspace
+    g = ws.graph
     out_arcs = g.out_arcs
     in_arcs = g.in_arcs
     arc_head = g.arc_head
     arc_tail = g.arc_tail
     arc_cost = g.arc_cost
-    ws = query.workspace
     node_stamp = ws.mask.node_stamp
     arc_stamp = ws.mask.arc_stamp
     epoch = ws.mask.epoch
@@ -424,10 +423,7 @@ def find_best_deviation(
     sidetrack = sweep.sidetrack if sweep is not None else None
     shrink = _SHRINK
 
-    root_key = pot[query.source]
-    if root_key == unreachable:
-        return None, QueryStats(0, 0, outcome, 0)
-    entry = (prefix_cost + root_key, 0, query.source, 0, (prefix_cost, 0, -1, -1))
+    entry = (prefix_cost + pot[query.source], 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
     q_stamp[query.source] = serial
     dropped[query.source] = unreachable
@@ -630,5 +626,5 @@ def find_best_deviation(
         i += 1
     via = chain[i]
     suffix = tuple(step[2] for step in chain[i:])
-    result = Deviation(arc_tail[via[2]], via[2], i, suffix, BiCost(found[0], found[1]), via[0])
+    result = Deviation(via[2], i, suffix, BiCost(found[0], found[1]), via[0])
     return result, QueryStats(iterations, t_hits, "found", tree_steps)

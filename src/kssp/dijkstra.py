@@ -111,12 +111,11 @@ def shortest_path(
     arc_cost = g.arc_cost
     arc_head = g.arc_head
     out_arcs = g.out_arcs
+    # every entry keys below ``bound``: the source is checked above, and so is each push
     while heap:
-        f, u = heappop(heap)
+        _, u = heappop(heap)
         if u in done:
             continue
-        if bound is not None and f >= bound:
-            break
         pops += 1
         if u == target:
             arcs: list[int] = []
@@ -129,7 +128,6 @@ def shortest_path(
             return Path(tuple(arcs), dist[target]), pops
         done.add(u)
         du = dist[u]
-        hu = potential[u] if potential is not None else 0.0
         for a in out_arcs[u]:
             if arc_stamp is not None and arc_stamp[a] == epoch:
                 continue

@@ -37,8 +37,8 @@ paths:
 Queued candidates sit in one list of ``(cost, push counter, record)``
 tuples kept sorted with ``insort``. The driver pops the cheapest from
 the front, so equal costs leave in push order. The same list serves
-every prune rule: its last entry is the (k - n)-th cheapest candidate,
-and one bisection counts the tier that ties with the cheapest.
+every prune rule: once it holds k - n candidates its last entry is the
+cap, and the run stops when that cap ties with the cheapest.
 
 By default the driver computes exact distances to the target with one
 reverse scalar search over the unmasked graph, a
@@ -61,7 +61,7 @@ k=1 build no sweep and keep the plain first-path search.
 """
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -209,18 +209,6 @@ def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float
     return None
 
 
-def queue_min_ready(solution_count: int, candidates: list[tuple], k: int) -> bool:
-    """True when the cheapest cost tier alone fills the remaining slots.
-
-    Every future candidate costs at least the current cheapest queued
-    cost, so the run may stop and drain the queue. Push counters are
-    finite, so ``(cheapest, inf)`` sorts right after the cheapest tier.
-    """
-    if not candidates:
-        return False
-    return solution_count + bisect_right(candidates, (candidates[0][0], float("inf"))) >= k
-
-
 def k_shortest_paths(
     g: Graph, s: int, t: int, k: int, options: SolveOptions | None = None
 ) -> SolveReport:
@@ -320,7 +308,7 @@ def k_shortest_paths(
         rec = PathRecord(
             path=Path(arcs, cost),
             parent_index=origin_index,
-            dev_node=dev.node,
+            dev_node=arc_tail[dev.arc],
             dev_pos=dev_pos,
             source_node=g.arc_head[dev.arc],
             source_pos=dev_pos + 1,
@@ -335,21 +323,19 @@ def k_shortest_paths(
     stats.init_queries = 1
     ask(0)
 
-    while len(records) < k:
+    # the queue holds k - n candidates at most, so no pop takes the k-th path
+    while True:
         if deadline is not None and perf_counter() > deadline:
             raise limit("deadline")
-        if queue_min_ready(len(records), cands, k):
-            records.extend(entry[2] for entry in cands[: k - len(records)])
-            return finish(COMPLETE)
         if not cands:
             return finish(EXHAUSTED)
+        if queue_max_cap(len(records), cands, k) == cands[0][0]:
+            records.extend(entry[2] for entry in cands)
+            return finish(COMPLETE)
         rec = cands.pop(0)[2]
         records.append(rec)
-        if len(records) == k:
-            return finish(COMPLETE)
         ask(len(records) - 1)
         ask(rec.parent_index)
-    return finish(COMPLETE)
 
 
 def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:

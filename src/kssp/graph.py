@@ -78,13 +78,16 @@ class Graph:
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
         try:
-            cost = list(map(float, cost))
+            floats = list(map(float, cost))
             ok = (
                 min(tail, default=0) >= 0
                 and min(head, default=0) >= 0
                 and max(tail, default=-1) < node_count
                 and max(head, default=-1) < node_count
-                and valid_costs(cost)
+                and min(floats, default=0.0) >= 0.0
+                and max(floats, default=0.0) < math.inf
+                # a NaN makes the sum NaN, and text, which float() parses, makes it raise
+                and not math.isnan(sum(cost))
             )
         except (TypeError, ValueError, OverflowError):
             ok = False
@@ -102,7 +105,7 @@ class Graph:
         self.node_count = node_count
         self.arc_tail = tail
         self.arc_head = head
-        self.arc_cost = cost
+        self.arc_cost = floats
         self.out_arcs = out_arcs
         self.in_arcs = in_arcs
 
@@ -140,7 +143,7 @@ def _raise_first_bad_arc(
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
         try:
-            w = float(w)
+            w = math.ldexp(w, 0)  # float(w), but refusing text
         except OverflowError:
             w = math.inf  # an int beyond the float range
         except (TypeError, ValueError):

@@ -271,7 +271,7 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
                 costs.append(dev.bicost.cost)
         bound = bound_of(query.sweep, query.source, query.ref_arcs, query.prefix_cost)
         for cost in costs:
-            assert bound <= prune_limit(query.graph, cost), (bound, cost)
+            assert bound <= prune_limit(query.workspace.graph, cost), (bound, cost)
         counts["found"] += len(costs)
         return costs[0] if len(costs) == 2 else None
 

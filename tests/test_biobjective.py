@@ -61,7 +61,7 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     assert debug.frontiers[5] == [(0.0, 4, 3, 0), (2.0, 2, 7, 0)]
 
     assert dev.bicost == BiCost(2.0, 2)
-    assert dev.node == 2
+    assert g.arc_tail[dev.arc] == 2
     assert dev.arc == 7
     assert dev.ref_index == 2
     assert dev.suffix == (7,)
@@ -199,7 +199,7 @@ def test_parallel_arc_rival_is_found_through_rebuild():
     debug = SearchDebug()
     dev, stats = find_best_deviation(build_query(g, 0, 1, (0,)), debug=debug)
     assert dev.bicost == BiCost(5.0, 0)
-    assert dev.node == 0
+    assert g.arc_tail[dev.arc] == 0
     assert dev.arc == 1
     assert dev.ref_index == 0
     assert stats == (3, 2, "found", 0)
@@ -401,7 +401,7 @@ def test_engine_queries_answer_the_least_cost_and_overlap(monkeypatch, guided):
     def checked(query, cost_cap=None, **limits):
         nonlocal queries
         got = find_best_deviation(query, cost_cap, **limits)
-        g = query.graph
+        g = query.workspace.graph
         mask = query.workspace.mask
         ref = set(query.ref_arcs)
         rivals = []
@@ -447,9 +447,9 @@ def compare_with_a_blind_tree(monkeypatch) -> list[int]:
         got = find_best_deviation(query, cost_cap, debug=seen, **limits)
         twin = blind.get(query.sweep)
         if twin is None:
-            twin = blind[query.sweep] = ReverseSweep(query.graph, query.target)
+            twin = blind[query.sweep] = ReverseSweep(query.workspace.graph, query.target)
             twin.settle(float("inf"))
-            twin.tree = [-1] * query.graph.node_count
+            twin.tree = [-1] * query.workspace.graph.node_count
         plain = SearchDebug()
         want = find_best_deviation(replace(query, sweep=twin), cost_cap, debug=plain, **limits)
         assert want[1].tree_steps == 0

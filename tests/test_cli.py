@@ -357,6 +357,22 @@ def test_report_names_the_row_and_column_of_a_bad_cell(tmp_path, capsys, column,
     assert err == f"error: not a bench CSV: row 3, column {column}: {reason}\n"
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_report_names_the_row_of_a_cell_beyond_the_csv_field_limit(tmp_path, capsys, row):
+    csv_path = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "bench", "--grid", "4x4", "--costs", "2", "-k", "3", "--csv", str(csv_path)
+    )
+    assert code == 0
+    rows = csv_path.read_text().splitlines()
+    rows[row - 1] += "," + "x" * 200_000
+    csv_path.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "report", "--csv", str(csv_path))
+    assert code == 2
+    assert out == []
+    assert err == f"error: not a bench CSV: row {row}: field larger than field limit (131072)\n"
+
+
 def test_bad_subcommand_usage_is_an_argparse_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -18,7 +18,6 @@ from kssp.engine import (
     _validate_report,
     k_shortest_paths,
     queue_max_cap,
-    queue_min_ready,
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, Path
@@ -263,20 +262,6 @@ def test_queue_max_cap():
     assert queue_max_cap(0, [], 0) is None
 
 
-def test_queue_min_ready():
-    tied_head = candidates(2.0, 5.0, 2.0, 2.0)
-    assert queue_min_ready(7, tied_head, 10)
-    assert not queue_min_ready(6, tied_head, 10)
-    two = candidates(3.0, 2.0)
-    assert not queue_min_ready(7, two, 10)
-    assert queue_min_ready(9, two, 10)
-    # a tie elsewhere does not count toward the cheapest tier
-    tied_tail = candidates(1.0, 4.0, 4.0)
-    assert not queue_min_ready(8, tied_tail, 10)
-    assert queue_min_ready(9, tied_tail, 10)
-    assert not queue_min_ready(7, [], 7)
-
-
 def test_differential_against_enumeration():
     checked = 0
     for seed in range(60):
@@ -371,3 +356,33 @@ def test_validate_report_checks_each_record_against_the_graph(five_node_graph, p
     bad = SolveReport([replace(report.records[0], path=path)], report.status, report.stats)
     with pytest.raises(AssertionError, match=message):
         _validate_report(five_node_graph, 0, 4, bad)
+
+
+def test_validate_report_rejects_a_walk_that_repeats_a_node():
+    g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])
+    report = k_shortest_paths(g, 0, 2, 1)
+    walk = Path.build(g, (0, 1, 0, 2))
+    bad = SolveReport([replace(report.records[0], path=walk)], report.status, report.stats)
+    with pytest.raises(AssertionError, match="path 0 is not simple"):
+        _validate_report(g, 0, 2, bad)
+
+
+@pytest.mark.parametrize(
+    "idx, fields, message",
+    [
+        (1, {"parent_index": 1}, "path 1 has a later parent"),
+        # path 3 is (0, 3, 5), the child of path 1 = (0, 4) at arc index 1
+        (3, {"dev_pos": 0}, "path 3 deviates inside its parent's prefix"),
+        (3, {"dev_pos": 2}, "path 3 does not share its parent's prefix"),
+        # path 0 is (1, 5) over nodes 0, 2 and 4; arc 6 leaves node 3
+        (0, {"blocked": [0, 0]}, "record 0 has duplicate blocked arcs"),
+        (0, {"blocked": [6]}, "record 0 blocks an arc off the path"),
+    ],
+)
+def test_validate_report_checks_the_deviation_tree(five_node_graph, idx, fields, message):
+    report = k_shortest_paths(five_node_graph, 0, 4, 4)
+    _validate_report(five_node_graph, 0, 4, report)
+    records = list(report.records)
+    records[idx] = replace(records[idx], **fields)
+    with pytest.raises(AssertionError, match=message):
+        _validate_report(five_node_graph, 0, 4, SolveReport(records, report.status, report.stats))

@@ -1,6 +1,9 @@
 """Graph container, mask semantics, and path arithmetic."""
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from kssp.graph import Graph, GraphError, Mask, Path, PathError, is_simple, path_cost
@@ -13,6 +16,7 @@ def test_arc_ids_follow_insertion_order(five_node_graph):
     assert g.arc(0) == (0, 1, 2.0)
     assert g.arc(6) == (3, 4, 1.0)
     assert list(g.arcs())[1] == (0, 2, 1.0)
+    assert repr(g) == "Graph(nodes=5, arcs=7)"
 
 
 def test_adjacency_lists(five_node_graph):
@@ -76,6 +80,10 @@ BAD_CONSTRUCTIONS = [
     # costs that are not numbers
     (2, [(0, 1, "x")], "arc 0: cost is not a number: 'x'"),
     (2, [(0, 1, 1.0), (1, 0, None)], "arc 1: cost is not a number: None"),
+    # float() would parse these, so they are refused as text, not read as numbers
+    (2, [(0, 1, "1.5")], "arc 0: cost is not a number: '1.5'"),
+    (2, [(0, 1, b"2")], "arc 0: cost is not a number: b'2'"),
+    (2, [(0, 1, 1.0), (1, 0, bytearray(b"3"))], "arc 1: cost is not a number: bytearray(b'3')"),
 ]
 
 
@@ -102,6 +110,18 @@ def test_parallel_arcs_keep_their_id_order_in_both_adjacency_lists():
         assert g.in_arcs == [[1], [0, 2, 3, 4], []]
         assert g.arc_cost == [3.0, 1.0, 2.0, 0.0, 3.0]
         assert type(g.arc_cost[4]) is float
+
+
+def test_costs_of_any_number_type_become_floats():
+    class Three:
+        def __index__(self) -> int:
+            return 3
+
+    cost = [Decimal("1.5"), Fraction(1, 3), True, Three(), 2**60 + 1]
+    want = [1.5, 1 / 3, 1.0, 3.0, float(2**60)]
+    for g in (Graph.from_arrays(2, [0] * 5, [1] * 5, cost), Graph(2, [(0, 1, w) for w in cost])):
+        assert g.arc_cost == want
+        assert all(type(w) is float for w in g.arc_cost)
 
 
 def test_the_array_builder_keeps_its_own_lists():

@@ -122,6 +122,21 @@ def test_enumeration_cap_keeps_the_cheapest(five_node_graph):
     assert [p.cost for p in paths] == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("max_paths", [20, 5000])
+def test_enumeration_cap_survives_compaction(max_paths):
+    # the complete digraph on 9 nodes has 13,700 simple paths from 0 to 8, more
+    # than max_paths + 4096, so the search compacts its list on the way. The
+    # first arc's cost sets the order of the paths the search finds, so the
+    # first compaction already cuts where the result ends, inside a tie of
+    # unit costs that the arc ids break
+    arcs = [(u, v, 10.0 * v if u == 0 else 1.0) for u in range(9) for v in range(9) if u != v]
+    g = Graph(9, arcs)
+    every = enumerate_simple_paths(g, 0, 8)
+    assert len(every) == 13_700
+    capped = enumerate_simple_paths(g, 0, 8, max_paths=max_paths)
+    assert [(p.cost, p.arcs) for p in capped] == [(p.cost, p.arcs) for p in every[:max_paths]]
+
+
 def test_enumeration_argument_validation(five_node_graph):
     with pytest.raises(ValueError, match="must differ"):
         enumerate_simple_paths(five_node_graph, 3, 3)
