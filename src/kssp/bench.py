@@ -261,7 +261,7 @@ def read_rows(src: str | IO[str]) -> list[ResultRow]:
     return rows
 
 
-def write_summary(dest: str | IO[str], summary: list[dict[str, object]]) -> None:
+def write_summary(dest: IO[str], summary: list[dict[str, object]]) -> None:
     names = [
         "algorithm",
         "k",
@@ -271,10 +271,6 @@ def write_summary(dest: str | IO[str], summary: list[dict[str, object]]) -> None
         "geomean_iter_success",
         "geomean_iter_failed",
     ]
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as f:
-            write_summary(f, summary)
-        return
     writer = csv.writer(dest)
     writer.writerow(names)
     for entry in summary:

@@ -204,25 +204,9 @@ def dump_dimacs(g: Graph, stream: IO[str]) -> None:
         stream.write(f"a {u + 1} {v + 1} {format_cost(w)}\n")
 
 
-def dumps_dimacs(g: Graph) -> str:
-    from io import StringIO
-
-    buf = StringIO()
-    dump_dimacs(g, buf)
-    return buf.getvalue()
-
-
 def format_path_line(g: Graph, path: Path) -> str:
     nodes = " ".join(str(v) for v in path.nodes(g))
     return f"cost {format_cost(path.cost)} nodes {nodes}"
-
-
-def parse_path_line(line: str) -> tuple[float, list[int]]:
-    """Inverse of :func:`format_path_line`; returns (cost, node ids)."""
-    fields = line.split()
-    if len(fields) < 3 or fields[0] != "cost" or fields[2] != "nodes":
-        raise ValueError(f"malformed path line {line!r}")
-    return float(fields[1]), [int(tok) for tok in fields[3:]]
 
 
 def write_paths(g: Graph, paths: Iterable[Path], stream: IO[str]) -> None:

@@ -113,10 +113,6 @@ class Graph:
     def arc_count(self) -> int:
         return len(self.arc_tail)
 
-    def arc(self, a: int) -> tuple[int, int, float]:
-        """The ``(tail, head, cost)`` triple of arc ``a``."""
-        return self.arc_tail[a], self.arc_head[a], self.arc_cost[a]
-
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """Iterate all arcs as ``(tail, head, cost)`` in arc id order."""
         for a in range(len(self.arc_tail)):
@@ -178,12 +174,6 @@ class Mask:
     def delete_arc(self, a: int) -> None:
         self.arc_stamp[a] = self.epoch
 
-    def node_deleted(self, v: int) -> bool:
-        return self.node_stamp[v] == self.epoch
-
-    def arc_deleted(self, a: int) -> bool:
-        return self.arc_stamp[a] == self.epoch
-
 
 @dataclass(frozen=True)
 class Path:
@@ -191,15 +181,11 @@ class Path:
 
     The cached cost is the left-to-right fold over the arc costs, or for
     a search given a ``start``, that fold continued from the prefix's
-    cost; use :meth:`build` to construct a validated instance.
+    cost.
     """
 
     arcs: tuple[int, ...]
     cost: float
-
-    @staticmethod
-    def build(g: Graph, arcs: Sequence[int]) -> "Path":
-        return Path(tuple(arcs), path_cost(g, arcs))
 
     def nodes(self, g: Graph) -> tuple[int, ...]:
         """Node sequence of the walk; empty paths have no nodes."""
@@ -244,17 +230,3 @@ def path_cost(g: Graph, path: Path | Sequence[int]) -> float:
         prev_head = g.arc_head[a]
         cost += g.arc_cost[a]
     return cost
-
-
-def is_simple(g: Graph, path: Path | Sequence[int]) -> bool:
-    """True iff the walk repeats no node. Empty walks are simple."""
-    arcs = path.arcs if isinstance(path, Path) else path
-    if not arcs:
-        return True
-    seen = {g.arc_tail[arcs[0]]}
-    for a in arcs:
-        h = g.arc_head[a]
-        if h in seen:
-            return False
-        seen.add(h)
-    return True

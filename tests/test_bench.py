@@ -160,7 +160,7 @@ def test_read_rows_on_header_only():
     assert read_rows(io.StringIO(header)) == []
 
 
-def test_write_summary(tmp_path):
+def test_write_summary():
     summary = [
         {
             "algorithm": "deviation",
@@ -177,8 +177,3 @@ def test_write_summary(tmp_path):
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("algorithm,k,instances,solved,")
     assert lines[1] == "deviation,5,2,2,0.5,12.0,"
-
-    dest = str(tmp_path / "summary.csv")
-    write_summary(dest, summary)
-    with open(dest, newline="") as f:
-        assert f.read() == buf.getvalue()

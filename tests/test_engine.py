@@ -20,7 +20,7 @@ from kssp.engine import (
     queue_max_cap,
 )
 from kssp.dimacs import load_dimacs
-from kssp.graph import Graph, Path
+from kssp.graph import Graph, Path, path_cost
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import (
@@ -361,7 +361,7 @@ def test_validate_report_checks_each_record_against_the_graph(five_node_graph, p
 def test_validate_report_rejects_a_walk_that_repeats_a_node():
     g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])
     report = k_shortest_paths(g, 0, 2, 1)
-    walk = Path.build(g, (0, 1, 0, 2))
+    walk = Path((0, 1, 0, 2), path_cost(g, (0, 1, 0, 2)))
     bad = SolveReport([replace(report.records[0], path=walk)], report.status, report.stats)
     with pytest.raises(AssertionError, match="path 0 is not simple"):
         _validate_report(g, 0, 2, bad)

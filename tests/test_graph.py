@@ -6,16 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from kssp.graph import Graph, GraphError, Mask, Path, PathError, is_simple, path_cost
+from kssp.graph import Graph, GraphError, Mask, Path, PathError, path_cost
 
 
 def test_arc_ids_follow_insertion_order(five_node_graph):
     g = five_node_graph
     assert g.node_count == 5
     assert g.arc_count == 7
-    assert g.arc(0) == (0, 1, 2.0)
-    assert g.arc(6) == (3, 4, 1.0)
-    assert list(g.arcs())[1] == (0, 2, 1.0)
+    assert list(g.arcs())[:2] == [(0, 1, 2.0), (0, 2, 1.0)]
+    assert (g.arc_tail[6], g.arc_head[6], g.arc_cost[6]) == (3, 4, 1.0)
     assert repr(g) == "Graph(nodes=5, arcs=7)"
 
 
@@ -31,7 +30,7 @@ def test_parallel_arcs_are_distinct():
     g = Graph(2, [(0, 1, 1.0), (0, 1, 2.0)])
     assert g.arc_count == 2
     assert g.out_arcs[0] == [0, 1]
-    assert g.arc(0) != g.arc(1)
+    assert g.arc_cost == [1.0, 2.0]
 
 
 def test_empty_graph():
@@ -128,20 +127,17 @@ def test_the_array_builder_keeps_its_own_lists():
     tail, head, cost = [0], [1], [1.0]
     g = Graph.from_arrays(2, tail, head, cost)
     tail[0], head[0], cost[0] = 1, 0, 2.0
-    assert g.arc(0) == (0, 1, 1.0)
+    assert list(g.arcs()) == [(0, 1, 1.0)]
 
 
 def test_mask_delete_and_reset(five_node_graph):
     m = Mask(five_node_graph)
     m.delete_node(2)
     m.delete_arc(4)
-    assert m.node_deleted(2)
-    assert m.arc_deleted(4)
-    assert not m.node_deleted(1)
-    assert not m.arc_deleted(0)
+    assert [v for v, stamp in enumerate(m.node_stamp) if stamp == m.epoch] == [2]
+    assert [a for a, stamp in enumerate(m.arc_stamp) if stamp == m.epoch] == [4]
     m.reset()
-    assert not m.node_deleted(2)
-    assert not m.arc_deleted(4)
+    assert m.epoch not in m.node_stamp and m.epoch not in m.arc_stamp
 
 
 def test_mask_reset_only_clears_older_deletions(five_node_graph):
@@ -149,12 +145,11 @@ def test_mask_reset_only_clears_older_deletions(five_node_graph):
     m.delete_node(1)
     m.reset()
     m.delete_node(3)
-    assert not m.node_deleted(1)
-    assert m.node_deleted(3)
+    assert [v for v, stamp in enumerate(m.node_stamp) if stamp == m.epoch] == [3]
 
 
 def test_path_build_and_nodes(five_node_graph):
-    p = Path.build(five_node_graph, [0, 3, 5])
+    p = Path((0, 3, 5), path_cost(five_node_graph, [0, 3, 5]))
     assert p.arcs == (0, 3, 5)
     assert p.cost == 5.0
     assert p.nodes(five_node_graph) == (0, 1, 2, 4)
@@ -163,11 +158,10 @@ def test_path_build_and_nodes(five_node_graph):
 
 def test_empty_path():
     g = Graph(1, [])
-    p = Path.build(g, [])
+    p = Path((), path_cost(g, []))
     assert p.cost == 0.0
     assert p.nodes(g) == ()
     assert len(p) == 0
-    assert is_simple(g, p)
 
 
 def test_path_cost_folds_left_to_right():
@@ -183,10 +177,3 @@ def test_path_cost_rejects_bad_sequences(five_node_graph):
     with pytest.raises(PathError):
         path_cost(five_node_graph, [0, 5])
 
-
-def test_is_simple(five_node_graph):
-    assert is_simple(five_node_graph, [0, 3, 5])
-    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 1, 1.0)])
-    assert not is_simple(g, [0, 1, 2, 3])
-    loop = Graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
-    assert not is_simple(loop, [0, 1])
