@@ -93,8 +93,13 @@ class Graph:
             ok = False
         if not ok:
             _raise_first_bad_arc(node_count, tail, head, cost)
-        out_arcs: list[list[int]] = [[] for _ in range(node_count)]
-        in_arcs: list[list[int]] = [[] for _ in range(node_count)]
+        try:  # one allocation each, so a count too large fails before any per-node list
+            out_arcs: list = [None] * node_count
+            in_arcs: list = [None] * node_count
+        except (OverflowError, MemoryError):
+            raise GraphError(f"node_count {node_count} is too large to allocate") from None
+        for v in range(node_count):
+            out_arcs[v], in_arcs[v] = [], []
         try:
             for a, u, v in zip(count(), tail, head):
                 out_arcs[u].append(a)

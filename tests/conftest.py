@@ -4,6 +4,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib.util
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import astuple, replace
 from pathlib import Path as FilePath
 from statistics import harmonic_mean
@@ -14,6 +18,27 @@ import pytest
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
+
+SRC = FilePath(__file__).resolve().parent.parent / "src"
+# node counts whose adjacency lists cannot be allocated: past the index range,
+# past the size check of a list, and past any address space
+UNALLOCATABLE_COUNTS = [2**64 + 1, 2**62, 10**12]
+
+
+def run_capped(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args`` with kssp from src/, in a child capped at 1 GiB of address space.
+
+    A case that may allocate per node runs there, so a regression ends in
+    the child's MemoryError, not in exhausting the host's memory.
+    """
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 @pytest.fixture

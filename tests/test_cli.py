@@ -11,7 +11,7 @@ from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import SolveLimitExceeded
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
-from conftest import cost_family, make_digraph
+from conftest import UNALLOCATABLE_COUNTS, cost_family, make_digraph, run_capped
 
 MINI = str(FilePath(__file__).parent / "data" / "mini10.gr")
 
@@ -436,3 +436,13 @@ def test_bench_to_stdout(capsys):
     assert out[0].startswith("instance,algorithm,k,")
     assert len(out) == 3
     assert out[1].startswith("mini10-p0,deviation,3,")
+
+
+@pytest.mark.parametrize("count", UNALLOCATABLE_COUNTS)
+def test_a_node_count_too_large_to_allocate_exits_2(tmp_path, count):
+    graph = tmp_path / "huge.gr"
+    graph.write_text(f"p sp {count} 2\na 1 2 1\na 2 5 1\n")
+    done = run_capped("-m", "kssp.cli", "solve", "--graph", str(graph), "-s", "0", "-t", "4")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: node_count {count} is too large to allocate\n"

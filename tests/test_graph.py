@@ -8,6 +8,8 @@ import pytest
 
 from kssp.graph import Graph, GraphError, Mask, Path, PathError, path_cost
 
+from conftest import UNALLOCATABLE_COUNTS, run_capped
+
 
 def test_arc_ids_follow_insertion_order(five_node_graph):
     g = five_node_graph
@@ -177,3 +179,10 @@ def test_path_cost_rejects_bad_sequences(five_node_graph):
     with pytest.raises(PathError):
         path_cost(five_node_graph, [0, 5])
 
+
+@pytest.mark.parametrize("count", UNALLOCATABLE_COUNTS)
+def test_a_node_count_too_large_to_allocate_is_a_graph_error(count):
+    done = run_capped("-c", f"from kssp.graph import Graph\nGraph({count}, [])")
+    assert done.returncode == 1
+    last = done.stderr.splitlines()[-1]
+    assert last == f"kssp.graph.GraphError: node_count {count} is too large to allocate"
