@@ -65,7 +65,12 @@ def _parse_cost(token: str, line_no: int) -> float:
 
 def load_dimacs(source: str | IO[str]) -> Graph:
     """Parse a ``.gr`` file from a string or text stream into a Graph."""
-    lines = (source if isinstance(source, str) else source.read()).splitlines()
+    text = source if isinstance(source, str) else source.read()
+    # only line breaks end a line, not \f or \x1c as in splitlines(); \r\n and \r read as \n
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    del text
+    if not lines[-1]:
+        lines.pop()  # a final line break starts no line
     # one byte a line, 1 where it starts with "a" and a space or tab: runs of
     # arc lines are byte runs
     arc_marks = bytes(map(str.startswith, lines, repeat(("a ", "a\t"))))

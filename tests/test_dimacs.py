@@ -79,6 +79,23 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     assert f"line {bad_line}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_line_breaks_end_a_line(sep):
+    """str.splitlines() also breaks at these; a DIMACS line does not."""
+    g = load_dimacs(f"c note{sep}more\np sp 2 1\na 1 2 1\n")
+    assert list(g.arcs()) == [(0, 1, 1.0)]
+    with pytest.raises(DimacsError, match="^line 3: bad arc cost 'x'$"):
+        load_dimacs(f"c note{sep}more\np sp 2 1\na 1 2 x\n")
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_carriage_returns_end_lines_as_in_a_text_stream(eol):
+    for source in ("p sp 2 1\na 1 2 1\n".replace("\n", eol), io.StringIO("p sp 2 1\ra 1 2 1")):
+        assert list(load_dimacs(source).arcs()) == [(0, 1, 1.0)]
+    with pytest.raises(DimacsError, match="^line 3: bad arc cost 'x'$"):
+        load_dimacs(f"c x{eol}p sp 2 1{eol}a 1 2 x{eol}")
+
+
 INTEGER_TOKENS = [
     str(2**53 - 1),
     str(2**53),
