@@ -61,6 +61,7 @@ k=1 build no sweep and keep the plain first-path search.
 """
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -182,11 +183,16 @@ class SolveLimitExceeded(RuntimeError):
 
 
 def check_limits(k: int, timeout_s: float | None, label_budget: int | None = None) -> None:
-    """Raise ValueError for k below 1, a NaN or negative timeout, or a negative label budget.
+    """Raise ValueError for a k that is not an int of at least 1, a NaN or
+    negative timeout, or a negative label budget.
 
     A NaN deadline would never strike, and a negative limit would abort
     a solve as if it had run out.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an int, got {k!r}") from None
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if timeout_s is not None and not timeout_s >= 0.0:

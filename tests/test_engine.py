@@ -229,6 +229,18 @@ def test_argument_validation(five_node_graph):
         k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=-5))
 
 
+@pytest.mark.parametrize("k", [3.0, 2.5, float("inf"), "3", None])
+def test_a_k_that_is_not_an_int_is_rejected_before_any_search(five_node_graph, monkeypatch, k):
+    monkeypatch.setattr(kssp.engine, "reverse_distances", None)
+    monkeypatch.setattr(kssp.engine, "shortest_path", None)
+    with pytest.raises(ValueError, match="^k must be an int, got "):
+        k_shortest_paths(five_node_graph, 0, 4, k)
+
+
+def test_k_may_be_a_bool(five_node_graph):
+    assert k_shortest_paths(five_node_graph, 0, 4, True).costs == [2.0]
+
+
 def test_label_budget_aborts_with_partial_report(five_node_graph):
     with pytest.raises(SolveLimitExceeded) as exc:
         k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=5))

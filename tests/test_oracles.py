@@ -65,6 +65,14 @@ def test_yen_argument_validation(five_node_graph):
         yen_k_shortest(five_node_graph, 0, 5, 1)
 
 
+@pytest.mark.parametrize("k", [3.0, 2.5, float("inf")])
+def test_yen_rejects_a_k_that_is_not_an_int(five_node_graph, k):
+    for accelerated in (False, True):
+        with pytest.raises(ValueError, match="^k must be an int, got "):
+            yen_k_shortest(five_node_graph, 0, 4, k, accelerated=accelerated)
+    assert yen_k_shortest(five_node_graph, 0, 4, True).costs == [2.0]
+
+
 def test_yen_zero_timeout_aborts():
     g = gen_grid(10, 10, seed=2)
     with pytest.raises(SolveLimitExceeded) as exc:
