@@ -98,8 +98,9 @@ class Graph:
             in_arcs: list = [None] * node_count
         except (OverflowError, MemoryError):
             raise GraphError(f"node_count {node_count} is too large to allocate") from None
-        for v in range(node_count):
-            out_arcs[v], in_arcs[v] = [], []
+        for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
+            for v in range(node_count):
+                lists[v] = []
         try:
             for a, u, v in zip(count(), tail, head):
                 out_arcs[u].append(a)
