@@ -68,7 +68,7 @@ def load_dimacs(source: str | IO[str]) -> Graph:
     text = source if isinstance(source, str) else source.read()
     # only line breaks end a line, not \f or \x1c as in splitlines(); \r\n and \r read as \n
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
-    del text
+    del text  # a read stream's text is not kept beside its lines
     if not lines[-1]:
         lines.pop()  # a final line break starts no line
     # one byte a line, 1 where it starts with "a" and a space or tab: runs of

@@ -90,10 +90,11 @@ def test_only_line_breaks_end_a_line(sep):
 
 @pytest.mark.parametrize("eol", ["\r\n", "\r"])
 def test_carriage_returns_end_lines_as_in_a_text_stream(eol):
-    for source in ("p sp 2 1\na 1 2 1\n".replace("\n", eol), io.StringIO("p sp 2 1\ra 1 2 1")):
+    text = eol.join(["c x", "p sp 2 1", "a 1 2 {}", ""])
+    for source in (text.format(1), io.StringIO(text.format(1))):
         assert list(load_dimacs(source).arcs()) == [(0, 1, 1.0)]
     with pytest.raises(DimacsError, match="^line 3: bad arc cost 'x'$"):
-        load_dimacs(f"c x{eol}p sp 2 1{eol}a 1 2 x{eol}")
+        load_dimacs(text.format("x"))
 
 
 INTEGER_TOKENS = [
