@@ -96,11 +96,12 @@ class Graph:
         try:  # one allocation each, so a count too large fails before any per-node list
             out_arcs: list = [None] * node_count
             in_arcs: list = [None] * node_count
+            for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
+                for v in range(node_count):
+                    lists[v] = []
         except (OverflowError, MemoryError):
+            out_arcs = in_arcs = lists = None  # free the lists, or building the error fails too
             raise GraphError(f"node_count {node_count} is too large to allocate") from None
-        for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
-            for v in range(node_count):
-                lists[v] = []
         try:
             for a, u, v in zip(count(), tail, head):
                 out_arcs[u].append(a)

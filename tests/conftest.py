@@ -20,9 +20,11 @@ from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
 SRC = FilePath(__file__).resolve().parent.parent / "src"
-# node counts whose adjacency lists cannot be allocated: past the index range,
-# past the size check of a list, and past any address space
-UNALLOCATABLE_COUNTS = [2**64 + 1, 2**62, 10**12]
+# node counts whose adjacency lists cannot be allocated under run_capped: past the
+# index range, past the size check of a list, past any address space, and one whose
+# two outer lists fit under the cap but whose per-node lists do not; only a capped
+# child may try them
+UNALLOCATABLE_COUNTS = [2**64 + 1, 2**62, 10**12, 3 * 10**7]
 
 
 def run_capped(*args: str) -> subprocess.CompletedProcess:
