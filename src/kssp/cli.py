@@ -109,8 +109,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo != "deviation":
         _reject_flags(args, DEVIATION_FLAGS, args.algo)
-    if args.algo == "brute":  # exhaustive enumeration has no deadline
-        _reject_flags(args, ("--timeout-s",), args.algo, "the deviation and Yen solvers")
+    if args.algo == "brute":  # exhaustive enumeration has no deadline and is the check itself
+        _reject_flags(args, ("--timeout-s", "--check"), args.algo, "the deviation and Yen solvers")
     g, _ = _load_graph(args)
     s, t, k = args.source, args.target, args.k
 

@@ -212,15 +212,17 @@ def test_solve_rejects_deviation_options_for_other_solvers(capsys, algo, extra):
 
 
 def test_solve_rejects_a_timeout_for_brute_force(capsys):
-    code, out, err = run(
-        capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "16", "--algo", "brute",
-        "--timeout-s", "0.000001",
-    )
-    assert code == 2
-    assert out == []
-    assert err == (
-        "error: --timeout-s applies only to the deviation and Yen solvers, not --algo brute\n"
-    )
+    # nor a cross-check, since brute force is the check
+    for extra in (["--timeout-s", "0.000001"], ["--check"]):
+        code, out, err = run(
+            capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "16", "--algo", "brute",
+            *extra,
+        )
+        assert code == 2
+        assert out == []
+        assert err == (
+            f"error: {extra[0]} applies only to the deviation and Yen solvers, not --algo brute\n"
+        )
 
 
 def test_bench_rejects_a_label_budget_for_yen(capsys):
