@@ -83,7 +83,7 @@ labels the walk settled, more than four in five on grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
@@ -197,14 +197,12 @@ def build_query(
     return DeviationQuery(ws, source, target, tuple(ref_arcs), prefix_cost, sweep)
 
 
-def reconstruct(
-    g: Graph, label: tuple, frontiers: list[list[tuple]] | dict[int, list[tuple]]
-) -> list[tuple]:
+def reconstruct(g: Graph, label: tuple, frontiers: list[list[tuple]]) -> list[tuple]:
     """The label chain to ``label`` by predecessor links: entry i came over arc i.
 
     The root is left out, so ``entry[2]`` is the walk's arc i and its
-    cost the fold up to that arc's head. ``frontiers`` maps node to
-    permanent labels, as the search's array or an equivalent mapping.
+    cost the fold up to that arc's head. ``frontiers`` is the workspace's
+    per-node list of permanent labels.
     """
     chain: list[tuple] = []
     cur = label
@@ -249,41 +247,10 @@ class SearchLimit(RuntimeError):
         self.kind = kind
 
 
-@dataclass
-class SearchDebug:
-    """Optional instrumentation; slows the search, used by tests.
-
-    ``extracted`` records (cost, overlap, node) per extraction in order;
-    ``extracted_keys`` the matching queue keys, equal to the costs when
-    the query has no sweep; ``dominated`` the extensions skipped at
-    propagation time; ``enqueued`` every label offered to the queue. A
-    label the tree walk settles enters ``enqueued`` and ``extracted``
-    without ever being a heap entry, and the pushes the walk defers
-    enter ``enqueued`` or ``dominated`` only when their bound pops, if
-    ever. Each iteration of the loop (not each step of the walk)
-    recounts the live queue entries per node and checks their total
-    against the nodes whose workspace slot holds a candidate.
-    ``frontiers`` holds the permanent labels per node once
-    the search returns, as the search's plain ``(cost, overlap,
-    via_arc, via_index)`` tuples: ``via_arc`` reached the node (-1 at
-    the query source) and ``via_index`` indexes the predecessor label
-    in the permanent list of that arc's tail.
-    """
-
-    extracted: list[tuple[float, int, int]] = field(default_factory=list)
-    extracted_keys: list[float] = field(default_factory=list)
-    dominated: list[tuple[float, int, int]] = field(default_factory=list)
-    enqueued: list[tuple[float, int, int]] = field(default_factory=list)
-    max_live_per_node: int = 0
-    queue_consistent: bool = True
-    frontiers: dict[int, list[tuple]] | None = None
-
-
 def find_best_deviation(
     query: DeviationQuery,
     cost_cap: float | None = None,
     *,
-    debug: SearchDebug | None = None,
     deadline: float | None = None,
     iteration_budget: int | None = None,
 ) -> tuple[Deviation | None, QueryStats]:
@@ -378,7 +345,10 @@ def find_best_deviation(
     keeps the one offered first, and a deferred push comes later than
     in the plain loop. The differential tests compare answers, and the
     hand-built ones every permanent label, to catch a twin kept
-    differently.
+    differently. The search keeps no record of its own order: the tests
+    read it from outside, from the live heap pops, each followed by the
+    walk's chain of labels, and the permanent labels left in the
+    workspace.
     """
     ws = query.workspace
     g = ws.graph
@@ -428,8 +398,6 @@ def find_best_deviation(
     q_stamp[query.source] = serial
     dropped[query.source] = unreachable
     heap = [entry]
-    if debug is not None:
-        debug.enqueued.append((prefix_cost, 0, query.source))
 
     aside: list[tuple] = []  # the bounds a tree walk sets aside, until it stops
     while heap:
@@ -451,7 +419,6 @@ def find_best_deviation(
             lab = e[4]
             ecost = lab[0]
             eover = e[1]
-            key = e[0]
             # the tree walk of the docstring goes on from the popped label only
             # if no rebuild is pending at its node
             a = tree[node] if tree is not None and dropped[node] >= eover else -1
@@ -473,9 +440,6 @@ def find_best_deviation(
                     f_stamp[node] = serial
                     frontiers[node] = f = [lab]
                 last_idx = len(f) - 1
-                if debug is not None:
-                    debug.extracted.append((ecost, eover, node))
-                    debug.extracted_keys.append(key)
                 # take the tree extension next while the loop would, setting aside
                 # one bound for the other pushes of the node left
                 if a < 0 or arc_stamp[a] == epoch:
@@ -490,8 +454,7 @@ def find_best_deviation(
                 if side < limit:
                     limit = side
                 nc = ecost + arc_cost[a]
-                key = nc + pot[w]
-                if not key < limit or (cost_cap is not None and nc >= cost_cap):
+                if not nc + pot[w] < limit or (cost_cap is not None and nc >= cost_cap):
                     break
                 no = eover + 1 if a in ref else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
@@ -510,8 +473,6 @@ def find_best_deviation(
                 dropped[w] = least
                 aside.append((side, -1, node, last_idx, a))
                 tree_steps += 1
-                if debug is not None:
-                    debug.enqueued.append((nc, no, w))
                 lab = (nc, no, a, last_idx)
                 node = w
                 ecost = nc
@@ -550,8 +511,6 @@ def find_best_deviation(
                     continue
             no = eover + 1 if a in ref else eover
             if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
-                if debug is not None:
-                    debug.dominated.append((ecost + arc_cost[a], no, w))
                 continue
             nc = ecost + arc_cost[a]
             if q_stamp[w] == serial:
@@ -568,8 +527,6 @@ def find_best_deviation(
                 ne = (key, no, w, counter, (nc, no, a, last_idx))
                 queued[w] = ne
                 heappush(heap, ne)
-                if debug is not None:
-                    debug.enqueued.append((nc, no, w))
             elif no < dropped[w]:
                 dropped[w] = no  # this push lost to the queued candidate
         # rebuild this node's next queued candidate from incoming cursors;
@@ -600,24 +557,7 @@ def find_best_deviation(
                 queued[node] = ne
                 q_stamp[node] = serial
                 heappush(heap, ne)
-                if debug is not None:
-                    debug.enqueued.append((best[0], best[1], node))
-        if debug is not None:
-            live: dict[int, int] = {}
-            for other in heap:
-                w = other[2]
-                if q_stamp[w] == serial and queued[w] is other:
-                    live[w] = live.get(w, 0) + 1
-            if live:
-                debug.max_live_per_node = max(debug.max_live_per_node, max(live.values()))
-            slots = sum(
-                1 for v in range(g.node_count) if q_stamp[v] == serial and queued[v] is not None
-            )
-            if sum(live.values()) != slots:
-                debug.queue_consistent = False
 
-    if debug is not None:
-        debug.frontiers = {v: frontiers[v] for v in range(g.node_count) if f_stamp[v] == serial}
     if found is None:
         return None, QueryStats(iterations, t_hits, outcome, tree_steps)
     chain = reconstruct(g, found, frontiers)

@@ -1,20 +1,23 @@
-"""Shared fixtures: worked examples, a digraph factory, a host-speed clock."""
+"""Shared fixtures: worked examples, a search observer, a digraph factory, a host-speed clock."""
 from __future__ import annotations
 
 import gc
 import hashlib
+import heapq
 import importlib.util
 import os
 import resource
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from collections import Counter
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path as FilePath
 from statistics import harmonic_mean
 from time import perf_counter
 
 import pytest
 
+from kssp import biobjective
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
@@ -80,6 +83,106 @@ def six_node_graph() -> Graph:
             (2, 5, 2.0),
         ],
     )
+
+
+@dataclass
+class SearchTrace:
+    """What one deviation search did, read from outside it by :func:`observe_search`.
+
+    ``extracted`` holds (cost, overlap, node) per label made permanent,
+    in order, and ``keys`` the queue key of each. ``frontiers`` maps
+    each node to its permanent labels, the search's ``(cost, overlap,
+    via_arc, via_index)`` tuples. ``max_live_per_node`` and
+    ``queue_consistent`` come from recounting the heap before every pop.
+    """
+
+    extracted: list[tuple[float, int, int]] = field(default_factory=list)
+    keys: list[float] = field(default_factory=list)
+    frontiers: dict[int, list[tuple]] = field(default_factory=dict)
+    max_live_per_node: int = 0
+    queue_consistent: bool = True
+
+
+def observe_search(query, cost_cap=None, **limits):
+    """``find_best_deviation(query, cost_cap, **limits)``, and a :class:`SearchTrace` of it.
+
+    Returns ``(result, trace)``. For the length of the call the search's
+    ``heappop`` is wrapped. Before each pop the wrapper counts the heap
+    entries still live, those a workspace queue slot holds, per node, and
+    checks their total against the slots that hold a candidate; after it,
+    the wrapper records the entry if it was live. The permanent labels
+    are read off the workspace once the search returns. Every live pop's
+    label is made permanent, except a last one that the cost cap strikes.
+    The tree walk then settles a chain of labels that were never popped,
+    each over the tree arc of the node before and linked to the label
+    before by ``via_index``. So the extraction order is each live pop
+    followed by its chain, and every key is ``cost + pot[node]``, with
+    ``pot`` the sweep's ``dist`` or zero.
+    """
+    ws = query.workspace
+    g = ws.graph
+    queued = ws.queued
+    q_stamp = ws.queued_stamp
+    serial = ws.serial + 1  # the one the search is about to take
+    trace = SearchTrace()
+    popped: list[tuple] = []
+
+    def recount(heap: list[tuple]) -> None:
+        live = Counter(e[2] for e in heap if q_stamp[e[2]] == serial and queued[e[2]] is e)
+        trace.max_live_per_node = max(trace.max_live_per_node, *live.values(), 0)
+        slots = sum(1 for v, e in enumerate(queued) if e is not None and q_stamp[v] == serial)
+        if sum(live.values()) != slots:
+            trace.queue_consistent = False
+
+    def observed_heappop(heap: list[tuple]) -> tuple:
+        recount(heap)
+        e = heapq.heappop(heap)
+        if q_stamp[e[2]] == serial and queued[e[2]] is e:
+            popped.append(e)
+        return e
+
+    biobjective.heappop = observed_heappop
+    try:
+        result = biobjective.find_best_deviation(query, cost_cap, **limits)
+    finally:
+        biobjective.heappop = heapq.heappop
+    assert ws.serial == serial
+    if result[1].outcome == "exhausted":
+        recount([])  # the heap ran empty, so no queue slot may hold a candidate
+
+    frontiers = trace.frontiers
+    for v in range(g.node_count):
+        if ws.frontier_stamp[v] == serial:
+            frontiers[v] = ws.frontiers[v]
+    where = {id(lab): (v, i) for v, labels in frontiers.items() for i, lab in enumerate(labels)}
+    popped_labels = {id(e[4]) for e in popped}
+    sweep = query.sweep
+    pot = sweep.dist if sweep is not None else [0.0] * g.node_count
+    tree = sweep.tree if sweep is not None else [-1] * g.node_count
+    for e in popped:
+        if id(e[4]) not in where:
+            assert e is popped[-1] and result[1].outcome == "cost-capped"
+            continue
+        v, i = where[id(e[4])]
+        assert e[0] == e[4][0] + pot[v]
+        while True:
+            cost, overlap = frontiers[v][i][:2]
+            trace.extracted.append((cost, overlap, v))
+            trace.keys.append(cost + pot[v])
+            a = tree[v]
+            if a < 0:
+                break
+            step = [
+                j
+                for j, nxt in enumerate(frontiers.get(g.arc_head[a], ()))
+                if nxt[2] == a and nxt[3] == i and id(nxt) not in popped_labels
+            ]
+            if not step:
+                break
+            (i,) = step
+            v = g.arc_head[a]
+    assert len(trace.extracted) == len(where), "a permanent label the order misses"
+    return result, trace
 
 
 def make_digraph(seed: int, min_nodes: int = 4, max_nodes: int = 10, density: float = 0.3) -> Graph:

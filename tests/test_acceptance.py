@@ -20,7 +20,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from kssp.biobjective import BiCost, SearchDebug, build_query, find_best_deviation, Workspace
+from kssp.biobjective import BiCost, build_query, find_best_deviation, Workspace
 from kssp.dijkstra import ReverseSweep, prune_limit, shortest_path
 from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths, queue_max_cap
@@ -30,8 +30,8 @@ from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
 from conftest import (
-    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, records_digest,
-    report_digest, road_solves,
+    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, observe_search,
+    records_digest, report_digest, road_solves,
 )
 
 GRID_MASTER_SEED = 7
@@ -83,16 +83,17 @@ def _timed_solve(g) -> float:
 
 def test_deviation_query_example_trace_exact(six_node_graph):
     g = six_node_graph
-    debug = SearchDebug()
-    dev, stats = find_best_deviation(build_query(g, 0, 5, (0, 1, 2, 3)), debug=debug)
+    query = build_query(g, 0, 5, (0, 1, 2, 3))
+    (dev, stats), seen = observe_search(query)
+    ws = query.workspace
 
     # both detour labels at node 4 become permanent
-    assert [lab[:2] for lab in debug.frontiers[4]] == [(1.0, 3), (2.0, 1)]
-    # the (3, 3) extension into node 2 dies against the frontier minimum 2
-    assert (3.0, 3, 2) in debug.dominated
-    assert debug.frontiers[2][-1][1] == 2
-    # the (4, 1) extension into node 2 is kept
-    assert (4.0, 1, 2) in debug.enqueued
+    assert [lab[:2] for lab in seen.frontiers[4]] == [(1.0, 3), (2.0, 1)]
+    # the (3, 3) extension into node 2 dies against the frontier minimum 2,
+    # so the (4, 1) one that comes after it is what node 2 still has queued
+    assert seen.frontiers[2][-1][1] == 2
+    assert ws.queued_stamp[2] == ws.serial
+    assert ws.queued[2][4][:2] == (4.0, 1)
     # the second path is returned with cost 2 and overlap 2
     assert dev is not None
     assert dev.bicost == BiCost(2.0, 2)
@@ -431,23 +432,22 @@ def test_search_structural_invariants():
         ws = Workspace(g)
         ell = len(ref.arcs)
         for sweep in (None, ReverseSweep(g, t)):
-            debug = SearchDebug()
             query = build_query(g, s, t, ref.arcs, ws, sweep=sweep)
-            dev, stats = find_best_deviation(query, debug=debug)
+            (dev, stats), seen = observe_search(query)
 
             # extraction order is nondecreasing in the queue key, and in
             # plain mode that key is the (cost, overlap) lex order
-            assert debug.extracted_keys == sorted(debug.extracted_keys)
+            assert seen.keys == sorted(seen.keys)
             if sweep is None:
-                pairs = [(c, o) for c, o, _ in debug.extracted]
+                pairs = [(c, o) for c, o, _ in seen.extracted]
                 assert pairs == sorted(pairs)
             # at most one queued label per node, at most two target pops
-            assert debug.max_live_per_node <= 1
-            assert debug.queue_consistent
+            assert seen.max_live_per_node <= 1
+            assert seen.queue_consistent
             assert stats.target_extractions <= 2
             # permanent labels per node: a Pareto frontier of size <= l
             # away from the target (<= 2 at the target)
-            for node, labels in debug.frontiers.items():
+            for node, labels in seen.frontiers.items():
                 overlaps = [lab[1] for lab in labels]
                 assert all(a > b for a, b in zip(overlaps, overlaps[1:]))
                 assert len(labels) <= (2 if node == t else ell)
@@ -455,8 +455,8 @@ def test_search_structural_invariants():
                 assert costs == sorted(costs)
             # the frontiers hold this query's own labels, one per extraction,
             # none left over from the query before it on this workspace
-            permanent = sum(len(labels) for labels in debug.frontiers.values())
-            assert permanent == len(debug.extracted)
+            permanent = sum(len(labels) for labels in seen.frontiers.values())
+            assert permanent == len(seen.extracted)
             if stats.outcome != "cost-capped":
                 assert permanent == stats.iterations
             # any found deviation reconstructs to a simple distinct path

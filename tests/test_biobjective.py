@@ -8,7 +8,6 @@ import pytest
 
 from kssp.biobjective import (
     BiCost,
-    SearchDebug,
     SearchLimit,
     Workspace,
     build_query,
@@ -21,7 +20,7 @@ from kssp.graph import Graph, Path, path_cost
 from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths
 
-from conftest import COST_FAMILIES, cost_family, make_digraph
+from conftest import COST_FAMILIES, cost_family, make_digraph, observe_search
 
 SPINE = (0, 1, 2, 3)  # reference arcs of the six node example
 
@@ -36,11 +35,11 @@ def settled_sweep(g, t):
 def test_six_node_plain_trace_is_frozen(six_node_graph):
     g = six_node_graph
     query = build_query(g, 0, 5, SPINE)
-    debug = SearchDebug()
-    dev, stats = find_best_deviation(query, debug=debug)
+    (dev, stats), seen = observe_search(query)
+    ws = query.workspace
 
     assert stats == (8, 2, "found", 0)
-    assert debug.extracted == [
+    assert seen.extracted == [
         (0.0, 0, 0),
         (0.0, 1, 1),
         (0.0, 2, 2),
@@ -50,15 +49,17 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
         (2.0, 1, 4),
         (2.0, 2, 5),
     ]
-    assert debug.extracted_keys == [c for c, _, _ in debug.extracted]
-    assert debug.dominated == [(3.0, 3, 2)]
-    assert (4.0, 1, 2) in debug.enqueued
-    assert debug.max_live_per_node == 1
-    assert debug.queue_consistent
+    assert seen.keys == [c for c, _, _ in seen.extracted]
+    # the (3, 3) push into node 2 is dominated there, so node 2 still has
+    # queued the (4, 1) push that comes after it
+    assert ws.queued_stamp[2] == ws.serial
+    assert ws.queued[2][4][:2] == (4.0, 1)
+    assert seen.max_live_per_node == 1
+    assert seen.queue_consistent
 
-    assert debug.frontiers[4] == [(1.0, 3, 5, 0), (2.0, 1, 4, 0)]
-    assert debug.frontiers[2] == [(0.0, 2, 1, 0)]
-    assert debug.frontiers[5] == [(0.0, 4, 3, 0), (2.0, 2, 7, 0)]
+    assert seen.frontiers[4] == [(1.0, 3, 5, 0), (2.0, 1, 4, 0)]
+    assert seen.frontiers[2] == [(0.0, 2, 1, 0)]
+    assert seen.frontiers[5] == [(0.0, 4, 3, 0), (2.0, 2, 7, 0)]
 
     assert dev.bicost == BiCost(2.0, 2)
     assert g.arc_tail[dev.arc] == 2
@@ -71,13 +72,12 @@ def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
     g = six_node_graph
     assert reverse_distances(g, 5) == [0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
     query = build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5))
-    debug = SearchDebug()
-    dev, stats = find_best_deviation(query, debug=debug)
+    (dev, stats), seen = observe_search(query)
     assert dev.bicost == BiCost(2.0, 2)
     assert dev.suffix == (7,)
     assert stats.iterations == 6
     assert stats.target_extractions == 2
-    keys = debug.extracted_keys
+    keys = seen.keys
     assert keys == sorted(keys)
 
 
@@ -86,14 +86,12 @@ def test_guided_never_enqueues_nodes_that_cannot_reach_the_target(six_node_graph
     g = Graph(7, arcs)
     assert reverse_distances(g, 5)[6] == float("inf")
 
-    plain = SearchDebug()
-    dev_p, _ = find_best_deviation(build_query(g, 0, 5, SPINE), debug=plain)
-    guided = SearchDebug()
-    query = build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5))
-    dev_g, _ = find_best_deviation(query, debug=guided)
-
-    assert any(node == 6 for _, _, node in plain.enqueued)
-    assert all(node != 6 for _, _, node in guided.enqueued)
+    # a query touches a node's queue slot exactly when it offers it a label
+    ws = Workspace(g)
+    dev_p, _ = find_best_deviation(build_query(g, 0, 5, SPINE, ws))
+    assert ws.queued_stamp[6] == ws.serial
+    dev_g, _ = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=ReverseSweep(g, 5)))
+    assert ws.queued_stamp[6] != ws.serial
     assert dev_p.bicost == dev_g.bicost == BiCost(2.0, 2)
 
 
@@ -167,20 +165,18 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
         if ref is None or not ref.arcs:
             continue
         full = reverse_distances(g, t)
-        want = SearchDebug()
         query = build_query(g, s, t, ref.arcs, sweep=settled_sweep(g, t))
-        expected = find_best_deviation(query, debug=want)
+        expected, want = observe_search(query)
         for key in (0.0, full[s] / 2, full[s]):
             sweep = ReverseSweep(g, t)
             sweep.settle(key)
-            got = SearchDebug()
             query = build_query(g, s, t, ref.arcs, sweep=sweep)
-            dev, stats = find_best_deviation(query, debug=got)
+            (dev, stats), got = observe_search(query)
             # sidetrack bounds read the horizon, so how many labels the
             # tree walk takes depends on how far it got
             assert (dev, stats[:3]) == (expected[0], expected[1][:3]), (seed, key)
             assert got.extracted == want.extracted
-            assert got.extracted_keys == want.extracted_keys
+            assert got.keys == want.keys
             assert all(d == full[v] for v, d in enumerate(sweep.dist) if d != float("inf"))
         searched += 1
     assert searched >= 100
@@ -196,8 +192,7 @@ def test_single_arc_reference_with_no_rival_exhausts():
 
 def test_parallel_arc_rival_is_found_through_rebuild():
     g = Graph(2, [(0, 1, 1.0), (0, 1, 5.0)])
-    debug = SearchDebug()
-    dev, stats = find_best_deviation(build_query(g, 0, 1, (0,)), debug=debug)
+    dev, stats = find_best_deviation(build_query(g, 0, 1, (0,)))
     assert dev.bicost == BiCost(5.0, 0)
     assert g.arc_tail[dev.arc] == 0
     assert dev.arc == 1
@@ -310,10 +305,10 @@ def test_workspace_is_reusable_across_many_queries(six_node_graph):
 
 def test_reconstruct_follows_predecessor_links(six_node_graph):
     g = six_node_graph
-    debug = SearchDebug()
-    find_best_deviation(build_query(g, 0, 5, SPINE), debug=debug)
-    label = debug.frontiers[5][1]
-    assert [lab[2] for lab in reconstruct(g, label, debug.frontiers)] == [0, 1, 7]
+    ws = Workspace(g)
+    find_best_deviation(build_query(g, 0, 5, SPINE, ws))
+    label = ws.frontiers[5][1]
+    assert [lab[2] for lab in reconstruct(g, label, ws.frontiers)] == [0, 1, 7]
     assert label[0] == 2.0
 
 
@@ -335,21 +330,20 @@ def test_structural_invariants_on_seeded_instances():
         checked += 1
         ws = Workspace(g)
 
-        debug = SearchDebug()
         query = build_query(g, s, t, ref.arcs, ws)
-        dev, stats = find_best_deviation(query, debug=debug)
+        (dev, stats), seen = observe_search(query)
 
         # plain mode extracts in nondecreasing (cost, overlap) order and
         # queue keys are the plain costs
-        pairs = [(c, o) for c, o, _ in debug.extracted]
+        pairs = [(c, o) for c, o, _ in seen.extracted]
         assert pairs == sorted(pairs)
-        assert debug.extracted_keys == [c for c, _, _ in debug.extracted]
-        assert debug.max_live_per_node <= 1
-        assert debug.queue_consistent
+        assert seen.keys == [c for c, _, _ in seen.extracted]
+        assert seen.max_live_per_node <= 1
+        assert seen.queue_consistent
         assert stats.target_extractions <= 2
 
         # per node the permanent labels are a Pareto frontier
-        for labels in debug.frontiers.values():
+        for labels in seen.frontiers.values():
             costs = [lab[0] for lab in labels]
             overlaps = [lab[1] for lab in labels]
             assert costs == sorted(costs)
@@ -371,11 +365,10 @@ def test_structural_invariants_on_seeded_instances():
             assert ref.arcs[dev.ref_index] != dev.arc
 
         # guided mode answers with the same cost and a valid path
-        gdebug = SearchDebug()
-        gdev, gstats = find_best_deviation(
-            build_query(g, s, t, ref.arcs, ws, sweep=ReverseSweep(g, t)), debug=gdebug
+        (gdev, gstats), gseen = observe_search(
+            build_query(g, s, t, ref.arcs, ws, sweep=ReverseSweep(g, t))
         )
-        assert gdebug.extracted_keys == sorted(gdebug.extracted_keys)
+        assert gseen.keys == sorted(gseen.keys)
         assert gstats.target_extractions <= 2
         assert (gdev is None) == (dev is None)
         if gdev is not None:
@@ -443,20 +436,18 @@ def compare_with_a_blind_tree(monkeypatch) -> list[int]:
     tree_steps: list[int] = []
 
     def both(query, cost_cap=None, **limits):
-        seen = SearchDebug()
-        got = find_best_deviation(query, cost_cap, debug=seen, **limits)
+        got, seen = observe_search(query, cost_cap, **limits)
         twin = blind.get(query.sweep)
         if twin is None:
             twin = blind[query.sweep] = ReverseSweep(query.workspace.graph, query.target)
             twin.settle(float("inf"))
             twin.tree = [-1] * query.workspace.graph.node_count
-        plain = SearchDebug()
-        want = find_best_deviation(replace(query, sweep=twin), cost_cap, debug=plain, **limits)
+        want, plain = observe_search(replace(query, sweep=twin), cost_cap, **limits)
         assert want[1].tree_steps == 0
         assert got[0] == want[0]
         assert got[1][:3] == want[1][:3]
         assert seen.extracted == plain.extracted
-        assert seen.extracted_keys == plain.extracted_keys
+        assert seen.keys == plain.keys
         tree_steps.append(got[1].tree_steps)
         return got
 
@@ -541,14 +532,13 @@ def search_both_ways(g, s, t, ref_arcs, ws=None, prefix_cost=0.0, **limits):
         sweep = settled_sweep(g, t)
         if blank:
             sweep.tree = [-1] * g.node_count
-        debug = SearchDebug()
         query = build_query(g, s, t, ref_arcs, ws, prefix_cost, sweep)
-        runs.append((find_best_deviation(query, debug=debug, **limits), debug))
+        runs.append(observe_search(query, **limits))
     (got, seen), (want, plain) = runs
     assert got[0] == want[0]
     assert got[1][:3] == want[1][:3]
     assert seen.extracted == plain.extracted
-    assert seen.extracted_keys == plain.extracted_keys
+    assert seen.keys == plain.keys
     assert seen.frontiers == plain.frontiers
     return got
 
