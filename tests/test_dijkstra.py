@@ -249,3 +249,21 @@ def test_deviation_bound_takes_the_least_sidetrack_along_a_tree_path(five_node_g
     assert sweep.deviation_bound(4, (), 2.0) == inf  # nothing deviates from the target
     # 0 -> 1 is not node 0's tree arc, so 0 -> 2 -> 4 would go unbounded
     assert sweep.deviation_bound(0, (0, 4), 0.0) == -inf
+
+
+def test_deviation_bound_leaves_blocked_arcs_out_and_may_stop_early(five_node_graph):
+    g = five_node_graph
+    sweep = ReverseSweep(g, 4)
+    sweep.settle(inf)
+    assert sweep.deviation_bound(0, (1, 5), 0.0) == 3.0
+    # with 0 -> 1 blocked the least sidetrack out of 0 is 0 -> 3 -> 4; with both
+    # blocked nothing leaves the path 0 -> 2 -> 4
+    assert sweep.deviation_bound(0, (1, 5), 0.0, [0]) == 4.0
+    assert sweep.deviation_bound(0, (1, 5), 0.0, [0, 2]) == inf
+    # a blocked arc off the path changes nothing, and the memo keeps the unblocked value
+    assert sweep.deviation_bound(0, (1, 5), 0.0, [3]) == 3.0
+    assert sweep.sidetrack[0] == 3.0
+    # the walk gives up once the least sum so far falls to the stop
+    assert sweep.deviation_bound(0, (1, 5), 0.0, (), 3.0) == -inf
+    assert sweep.deviation_bound(0, (1, 5), 0.0, (), 2.5) == 3.0
+    assert sweep.deviation_bound(0, (1, 5), 0.0, [0], 3.0) == 4.0
