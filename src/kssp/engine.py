@@ -27,10 +27,14 @@ paths:
 
 - a query aborts once it provably cannot beat the last queued
   candidate while the queue holds k - n of them (cost cap);
-- a record's first query, guided and under a cap, is not run at all
-  when the least sidetrack along its reference
-  (:meth:`kssp.dijkstra.ReverseSweep.deviation_bound`) passes the
-  cap's prune limit; it counts as a capped query with no labels;
+- a guided ask is not searched when it is made: it stays pending
+  behind its bound, the least sidetrack along its reference with the
+  record's blocked arcs left out
+  (:meth:`kssp.dijkstra.ReverseSweep.deviation_bound`), until that
+  bound could reach the queue front. An ask whose bound passes the
+  cap's prune limit, when it is made or when its turn comes, is
+  dropped and counts as a capped query with no labels; an ask still
+  pending when the run ends is not counted at all;
 - the run ends early when the cheapest queued cost tier alone fills
   the remaining output slots.
 
@@ -38,7 +42,34 @@ Queued candidates sit in one list of ``(cost, push counter, record)``
 tuples kept sorted with ``insort``. The driver pops the cheapest from
 the front, so equal costs leave in push order. The same list serves
 every prune rule: once it holds k - n candidates its last entry is the
-cap, and the run stops when that cap ties with the cheapest.
+cap, and the run stops when that cap ties with the cheapest. Pending
+asks sit in a heap of ``(bound, push counter, record index)``: each
+takes its push counter when it is made, pending asks are searched
+lowest bound first, and a candidate found is queued under its ask's
+counter.
+
+Why deferring changes no output. Let F be the front's cost. Before the
+early-stop check and before each pop, the driver searches every
+pending ask whose bound B is at most ``prune_limit(g, F)``, and any
+while no candidate is queued. An ask left pending has
+``B > prune_limit(g, F)``, while its answer D has
+``B <= prune_limit(g, D)`` (see ``deviation_bound``); as that limit is
+monotone in its cost, D > F. So no pending answer ties the front, let
+alone precedes it, and each pop takes the candidate an eager driver,
+one that searches every ask when it is made, would take. At an early
+stop the queue is full and all of it costs F, so a pending answer
+would be trimmed at once. An ask's answer is the same whenever it is
+searched: the record gains no blocked arc while its ask is pending, as
+only the ask's own candidate could give it one, and no search's answer
+depends on how far the sweep has settled. Its push counter keeps equal
+costs in the eager driver's order. A late search's cap still cuts only
+answers that would be trimmed, except that an answer equal to the cap
+sorts before a last candidate pushed after the ask; the search then
+runs under the next float above the cap, or under no cap if the cap is
+infinite. Unguided solves have no sweep, so every bound is -inf and
+each ask is searched at the next check, in push order, under the cap
+it would have met when made: they run as the eager driver does,
+counters included.
 
 By default the driver computes exact distances to the target with one
 reverse scalar search over the unmasked graph, a
@@ -64,6 +95,8 @@ from __future__ import annotations
 import operator
 from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf, nextafter
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -125,7 +158,7 @@ class SolveStats:
     queries_attempted: int = 0  # includes the initialization query
     init_queries: int = 0
     queries_failed: int = 0
-    capped_queries: int = 0  # includes first asks skipped on the reference bound, with 0 labels
+    capped_queries: int = 0  # includes asks dropped on their bound, with 0 labels
     success_iterations: int = 0
     failed_iterations: int = 0
     labels_extracted: int = 0
@@ -259,13 +292,38 @@ def k_shortest_paths(
 
     ws = Workspace(g)
     cands: list[tuple[float, int, PathRecord]] = []
+    pending: list[tuple[float, int, int]] = []  # a heap of (bound, push counter, record index)
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
     arc_tail = g.arc_tail
 
     def ask(origin_index: int) -> None:
-        """Queue the cheapest deviation from record ``origin_index`` not generated before."""
+        """Take the next push counter for record ``origin_index``'s query; defer it or drop it."""
         nonlocal push_counter
+        push_counter += 1
+        bound = -inf
+        if sweep is not None:
+            origin = records[origin_index]
+            ref = origin.path.arcs[origin.source_pos:]
+            # a bound within the front's prune limit only says the ask runs at the next check
+            front = prune_limit(g, cands[0][0]) if cands else inf
+            bound = sweep.deviation_bound(origin.source_node, ref, origin.prefix_cost, origin.blocked, front)
+            cap = queue_max_cap(len(records), cands, k)
+            if cap is not None and bound > prune_limit(g, cap):
+                stats.add_query(0, False, True)  # nothing it could find would stay queued
+                return
+        heappush(pending, (bound, push_counter, origin_index))
+
+    def run(bound: float, counter: int, origin_index: int) -> None:
+        """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``."""
+        cap = queue_max_cap(len(records), cands, k)
+        if cap is not None:
+            if bound > prune_limit(g, cap):  # the cap has fallen since the ask
+                stats.add_query(0, False, True)
+                return
+            # an answer equal to the cap sorts before a last candidate pushed after the ask
+            if cands[-1][1] > counter:
+                cap = nextafter(cap, inf) if cap < inf else None
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
@@ -278,22 +336,7 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        ref = arcs[sp:]
-        cap = queue_max_cap(len(records), cands, k)
-        # a first ask (no arc blocked yet) whose reference bound passes the
-        # cap's prune limit finds nothing below the cap, so it is not searched.
-        # A record is asked again right after its child is taken, and the
-        # child's sidetrack keeps the bound within the cap's limit then.
-        if (
-            sweep is not None
-            and cap is not None
-            and not origin.blocked
-            and sweep.deviation_bound(origin.source_node, ref, origin.prefix_cost)
-            > prune_limit(g, cap)
-        ):
-            stats.add_query(0, False, True)
-            return
-        query = build_query(g, origin.source_node, t, ref, ws, origin.prefix_cost, sweep)
+        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
         budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -321,8 +364,7 @@ def k_shortest_paths(
             prefix_cost=dev.source_cost,
         )
         origin.blocked.append(dev.arc)
-        push_counter += 1
-        insort(cands, (cost, push_counter, rec))
+        insort(cands, (cost, counter, rec))
         # the candidates past the first k - n can never be output
         del cands[k - len(records):]
 
@@ -333,6 +375,9 @@ def k_shortest_paths(
     while True:
         if deadline is not None and perf_counter() > deadline:
             raise limit("deadline")
+        # search every pending ask whose answer might tie or precede the front
+        while pending and (not cands or pending[0][0] <= prune_limit(g, cands[0][0])):
+            run(*heappop(pending))
         if not cands:
             return finish(EXHAUSTED)
         if queue_max_cap(len(records), cands, k) == cands[0][0]:

@@ -15,7 +15,7 @@ import io
 import os
 import time
 from dataclasses import replace
-from math import exp, fsum, log
+from math import exp, fsum, inf, log
 from pathlib import Path as FilePath
 
 import pytest
@@ -248,65 +248,100 @@ def test_the_queue_holds_only_candidates_that_can_still_be_output(monkeypatch):
     assert calls > 5_000
 
 
-def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
-    """A query's reference bound never passes its cheapest deviation's cost, up to rounding slack.
+def ask_query(g, t, ws, sweep, node, ref, start, blocked, before=()):
+    """The query of an ask from ``node`` along ``ref`` at prefix cost ``start``, on ``ws``.
 
-    Every query of guided solves of gate grid 0, of 300 digraphs in every
-    cost family, and of 60 digraphs with 2^53 added to the arcs out of
-    the source runs once more without a cap: on the engine's own mask,
-    and with nothing masked, as masks only remove deviations. Where it
-    finds a deviation of cost D, ``deviation_bound`` over its reference
-    is at most ``prune_limit(g, D)``. A first ask that the engine skipped
-    on the bound must find nothing below its cap.
+    The ``blocked`` arcs and the nodes ``before`` the source are masked;
+    without the latter the query's deviations include all the engine's.
+    """
+    ws.mask.reset()
+    for v in before:
+        ws.mask.delete_node(v)
+    for a in blocked:
+        ws.mask.delete_arc(a)
+    return build_query(g, node, t, ref, ws, start, sweep)
+
+
+def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
+    """An ask's bound never passes its cheapest deviation's cost, up to rounding slack.
+
+    The bound is ``deviation_bound`` over the record's reference with its
+    blocked arcs left out, walked to the end. Every ask that guided solves
+    of gate grid 0, of 300 digraphs in every cost family, and of 60
+    digraphs with 2^53 added to the arcs out of the source search, first
+    asks and re-asks alike, runs once more without a cap: on the engine's
+    own mask, and with only the blocked arcs masked, as the other masks
+    only remove deviations. Where it finds a deviation of cost D, the
+    bound is at most ``prune_limit(g, D)``. An ask the engine dropped on
+    its bound, when it was made or when its turn came, finds nothing at
+    or below the cap it met, with only its blocked arcs masked.
     """
     bound_of = ReverseSweep.deviation_bound
-    workspaces: list[tuple[Workspace, Workspace]] = []  # the engine's, and one never masked
-    caps: list[float | None] = []
-    pending: list[float | None] = []  # the cheapest cost of a first ask taken to the bound
-    counts = {"found": 0, "skipped": 0}
+    spares: list[Workspace] = []  # per solve, a workspace for the blocked-only queries
+    entries: dict[int, dict] = {}  # push counter -> the pending ask
+    current: list[dict] = []  # the ask being made, or whose turn came, until it is settled
+    counts = {"searched": 0, "re-asks": 0, "found": 0, "dropped": 0}
 
-    def cheapest(query) -> float | None:
-        costs = []
-        for ws in workspaces[-1]:
-            dev, _ = find_best_deviation(replace(query, workspace=ws))
-            if dev is not None:
-                costs.append(dev.bicost.cost)
-        bound = bound_of(query.sweep, query.source, query.ref_arcs, query.prefix_cost)
-        for cost in costs:
-            assert bound <= prune_limit(query.workspace.graph, cost), (bound, cost)
-        counts["found"] += len(costs)
-        return costs[0] if len(costs) == 2 else None
+    def blocked_only(ask):
+        sweep, *args = ask["args"]
+        return ask_query(sweep.graph, sweep.target, spares[-1], sweep, *args)
 
-    def end_of_ask() -> None:
-        # a first ask that went no further than the bound was skipped
-        if pending:
-            cost = pending.pop()
-            counts["skipped"] += 1
-            assert cost is None or cost >= caps[-1], (cost, caps[-1])
+    def settle_dropped() -> None:
+        # an ask neither queued nor searched was dropped on its bound
+        if current:
+            ask = current.pop()
+            g = ask["args"][0].graph
+            assert ask["cap"] is not None and ask["bound"] > prune_limit(g, ask["cap"]), ask
+            dev, _ = find_best_deviation(blocked_only(ask))
+            assert dev is None or dev.bicost.cost > ask["cap"], (dev.bicost.cost, ask["cap"])
+            counts["dropped"] += 1
 
-    def workspace(g):
-        workspaces.append((Workspace(g), Workspace(g)))
-        return workspaces[-1][0]
+    def bound(sweep, node, arcs, start, blocked=(), stop=-inf):
+        settle_dropped()
+        full = bound_of(sweep, node, arcs, start, blocked)
+        value = bound_of(sweep, node, arcs, start, blocked, stop)
+        assert value == full or value == -inf and full <= stop, (value, full, stop)
+        current.append({"args": (sweep, node, tuple(arcs), start, tuple(blocked)), "bound": full})
+        return value
 
     def cap(solution_count, candidates, k):
-        end_of_ask()
-        caps.append(queue_max_cap(solution_count, candidates, k))
-        return caps[-1]
+        result = queue_max_cap(solution_count, candidates, k)
+        if current and "cap" not in current[-1]:
+            current[-1]["cap"] = result
+        return result
 
-    def bound(sweep, node, arcs, start):
-        query = build_query(sweep.graph, node, sweep.target, arcs, workspaces[-1][0], start, sweep)
-        pending.append(cheapest(query))
-        return bound_of(sweep, node, arcs, start)
+    def push(heap, entry):
+        entries[entry[1]] = current.pop()
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        settle_dropped()
+        entry = heapq.heappop(heap)
+        ask = entries.pop(entry[1])
+        del ask["cap"]  # the cap of its turn
+        current.append(ask)
+        return entry
 
     def search(query, cost_cap=None, **limits):
-        if pending:
-            pending.clear()  # the first ask went on to its search
-        else:
-            cheapest(query)
+        ask = current.pop()
+        g = query.workspace.graph
+        for q in (query, blocked_only(ask)):
+            dev, _ = find_best_deviation(q)
+            if dev is not None:
+                assert ask["bound"] <= prune_limit(g, dev.bicost.cost), (ask["bound"], dev.bicost.cost)
+                counts["found"] += 1
+        counts["searched"] += 1
+        counts["re-asks"] += bool(ask["args"][4])
         return find_best_deviation(query, cost_cap, **limits)
+
+    def workspace(g):
+        spares.append(Workspace(g))
+        return Workspace(g)
 
     monkeypatch.setattr("kssp.engine.Workspace", workspace)
     monkeypatch.setattr("kssp.engine.queue_max_cap", cap)
+    monkeypatch.setattr("kssp.engine.heappush", push)
+    monkeypatch.setattr("kssp.engine.heappop", pop)
     monkeypatch.setattr("kssp.engine.find_best_deviation", search)
     monkeypatch.setattr(ReverseSweep, "deviation_bound", bound)
     solves = [(*next(grid_instances()), GRID_K)]
@@ -322,8 +357,68 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
         solves.append((Graph(base.node_count, arcs), 0, base.node_count - 1, 8))
     for g, s, t, k in solves:
         k_shortest_paths(g, s, t, k)
-        end_of_ask()
-    assert counts["found"] > 10_000 and counts["skipped"] > 300, counts
+        settle_dropped()
+        entries.clear()  # asks still pending at the end
+    assert counts["found"] > 10_000 and counts["re-asks"] > 3_000 and counts["dropped"] > 250, counts
+
+
+def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monkeypatch):
+    """A solve leaves an ask unsearched only where its answer could not be output.
+
+    Guided solves of gate grid 0, of ``frozen_solves()`` and of
+    ``road_solves()`` run with the engine's bounds, and again with each
+    ask keyed at the loosest bound the driver's argument allows:
+    ``prune_limit(g, D)`` for the cost D of its cheapest deviation with
+    only its blocked arcs masked, or infinity if it has none. Ties with
+    the front's prune limit are then common. Both runs give the same
+    records, and each ask still pending when a solve ends runs afterwards
+    without a cap, on its record with the blocked arcs the record ended
+    with: it finds no deviation at or below the last output cost.
+    """
+    pending: dict[int, int] = {}  # push counter -> record index of each ask not yet taken up
+    spare: list[Workspace] = []
+
+    def push(heap, entry):
+        pending[entry[1]] = entry[2]
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        del pending[entry[1]]
+        return entry
+
+    def loosest(sweep, node, arcs, start, blocked=(), stop=-inf):
+        g = sweep.graph
+        dev, _ = find_best_deviation(ask_query(g, sweep.target, spare[0], sweep, node, arcs, start, blocked))
+        return inf if dev is None else prune_limit(g, dev.bicost.cost)
+
+    def solve(g, s, t, k):
+        pending.clear()
+        report = k_shortest_paths(g, s, t, k)
+        ws = Workspace(g)
+        sweep = ReverseSweep(g, t)
+        for index in pending.values():
+            rec = report.records[index]
+            before = [g.arc_tail[a] for a in rec.path.arcs[: rec.source_pos]]
+            ref = rec.path.arcs[rec.source_pos :]
+            query = ask_query(g, t, ws, sweep, rec.source_node, ref, rec.prefix_cost, rec.blocked, before)
+            dev, _ = find_best_deviation(query)
+            assert dev is None or dev.bicost.cost > report.costs[-1], (index, dev, report.costs[-1])
+        return report, len(pending)
+
+    monkeypatch.setattr("kssp.engine.heappush", push)
+    monkeypatch.setattr("kssp.engine.heappop", pop)
+    left = {"engine": 0, "loosest": 0}
+    for g, s, t, k in [(*next(grid_instances()), GRID_K), *frozen_solves(), *road_solves()]:
+        report, n = solve(g, s, t, k)
+        left["engine"] += n
+        spare[:] = [Workspace(g)]
+        with monkeypatch.context() as m:
+            m.setattr(ReverseSweep, "deviation_bound", loosest)
+            loose, n = solve(g, s, t, k)
+        left["loosest"] += n
+        assert records_digest([loose]) == records_digest([report])
+    assert left["engine"] > 500 and left["loosest"] > 500, left
 
 
 def gate_grid_label_counts(monkeypatch) -> dict[str, int]:
