@@ -193,13 +193,13 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
 
 # report_digest of gate instances 0 and 4 at GRID_K with default options
 FROZEN_GRID_DIGESTS = {
-    0: "9383193fff8e17482d73c26aa7fa4d83c84d7152612f6cf58a7e19b7dcd194bb",
-    4: "5c607da8617fe31d74372d30f0393553d49aaebcc9291e9d3cc41aac556aa130",
+    0: "2ed7500ccd26a7e3a0a47f6dc87a0b19010b0f20c0e54036140d3a91612bff65",
+    4: "f0e882d8cd671f9aafdc2be370b23797457306ee3c813cd3ee5f8849086d8809",
 }
 # cost_free_digest of the same solves, which exact costs must leave unchanged
 FROZEN_GRID_COST_FREE_DIGESTS = {
-    0: "361ec56920ac718ad7273f1114e724a04e18947a32bb82347f26cec6fd5a3f1c",
-    4: "e41e9b28eae170dad1f6d11597733ab195a59d5bba3471d700cd9041043fc7d6",
+    0: "0eb6399a0ca3a8ba757d5cd7a450dfe7ee79348648a843078efb942f92c833b6",
+    4: "a32658a80e92f1f18064f97093a16631859fd7eb8434c361844f825b5f682559",
 }
 
 
@@ -476,7 +476,7 @@ def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
 
 
 # sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
-FROZEN_QUERY_STATS_DIGEST = "fb39d22cb9617235ff4f7c0e97643351349732b89471a4b75580c31a9626ec32"
+FROZEN_QUERY_STATS_DIGEST = "2ee5d2ffc343e90108cfe33be9714ef52903bf7f7a651b7b25d257ad61896961"
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):
