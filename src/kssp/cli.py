@@ -41,32 +41,33 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _reject_flags(
-    args: argparse.Namespace,
-    flags: tuple[str, ...],
-    algo: str,
-    solvers: str = "the deviation solver",
+    args: argparse.Namespace, flags: tuple[str, ...], readers: str, given: str
 ) -> None:
-    """Raise ValueError for the first of ``flags`` given to a solver that would ignore it.
+    """Raise ValueError for the first of ``flags`` given beside an option that would ignore it.
 
-    ``solvers`` names the solvers that do read them, for the message.
+    ``readers`` names what does read them and ``given`` the option given,
+    for the message.
     """
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value is not False:
-            raise ValueError(f"{flag} applies only to {solvers}, not --algo {algo}")
+            raise ValueError(f"{flag} applies only to {readers}, not {given}")
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[Graph, str]:
+def _load_graph(args: argparse.Namespace, grid_flags: tuple[str, ...]) -> tuple[Graph, str]:
+    """The graph of ``--graph`` or ``--grid``; ``grid_flags`` are refused beside ``--graph``."""
     if args.graph is not None and args.grid is not None:
         raise ValueError("give either --graph or --grid, not both")
     if args.graph is not None:
+        _reject_flags(args, grid_flags, "--grid", "--graph")
         with open(args.graph) as f:
             g = load_dimacs(f)
         name = os.path.splitext(os.path.basename(args.graph))[0]
         return g, name
     if args.grid is not None:
         rows, cols = _parse_grid(args.grid)
-        return gen_grid(rows, cols, seed=args.seed), f"grid{rows}x{cols}"
+        seed = 0 if args.seed is None else args.seed
+        return gen_grid(rows, cols, seed=seed), f"grid{rows}x{cols}"
     raise ValueError("one of --graph or --grid is required")
 
 
@@ -108,10 +109,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo != "deviation":
-        _reject_flags(args, DEVIATION_FLAGS, args.algo)
+        _reject_flags(args, DEVIATION_FLAGS, "the deviation solver", f"--algo {args.algo}")
     if args.algo == "brute":  # exhaustive enumeration has no deadline and is the check itself
-        _reject_flags(args, ("--timeout-s", "--check"), args.algo, "the deviation and Yen solvers")
-    g, _ = _load_graph(args)
+        solvers = "the deviation and Yen solvers"
+        _reject_flags(args, ("--timeout-s", "--check"), solvers, "--algo brute")
+    g, _ = _load_graph(args, ("--seed",))
     s, t, k = args.source, args.target, args.k
 
     if args.algo == "brute":
@@ -182,15 +184,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = args.algo or ["deviation"]
     for algo in algorithms:
         if algo != "deviation":
-            _reject_flags(args, ("--label-budget",), algo)
+            _reject_flags(args, ("--label-budget",), "the deviation solver", f"--algo {algo}")
     limits = {"timeout_s": args.timeout_s, "label_budget": args.label_budget}
     if args.grid is not None and args.graph is None:
         rows_n, cols_n = _parse_grid(args.grid)
+        costs = 1 if args.costs is None else args.costs
         rows = bench_grid(
-            rows_n, cols_n, args.costs, args.pairs, args.k, args.seed, algorithms, **limits
+            rows_n, cols_n, costs, args.pairs, args.k, args.seed, algorithms, **limits
         )
     else:
-        g, name = _load_graph(args)
+        g, name = _load_graph(args, ("--costs",))
         rows = bench_graph(g, name, args.pairs, args.k, args.seed, algorithms, **limits)
     if args.csv is not None:
         write_rows(args.csv, rows)
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="DIMACS shortest path file")
     p.add_argument("--grid", metavar="RxC", help="generate a grid instead of reading a file")
     p.add_argument(
-        "--seed", type=int, default=0, help="cost seed of --grid, as a gen manifest's cost_seed"
+        "--seed", type=int, help="cost seed of --grid, as a gen manifest's cost_seed (default 0)"
     )
     p.add_argument("-s", "--source", type=int, required=True, help="0-based node id")
     p.add_argument("-t", "--target", type=int, required=True, help="0-based node id")
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run solver sweeps and emit CSV rows")
     p.add_argument("--graph", help="DIMACS shortest path file")
     p.add_argument("--grid", metavar="RxC", help="benchmark seeded grids")
-    p.add_argument("--costs", type=int, default=1, help="cost draws per grid shape")
+    p.add_argument("--costs", type=int, help="cost draws per grid shape of --grid (default 1)")
     p.add_argument("--pairs", type=int, default=1, help="query pairs per instance")
     p.add_argument("-k", "--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -225,6 +225,28 @@ def test_solve_rejects_a_timeout_for_brute_force(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"), "--seed"),
+        (("bench", "--graph", MINI, "-k", "2", "--costs", "3"), "--costs"),
+    ],
+)
+def test_grid_only_flags_are_refused_beside_a_graph_file(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == []
+    assert err == f"error: {flag} applies only to --grid, not --graph\n"
+
+
+def test_grid_only_flags_default_under_grid(capsys):
+    solve = ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3")
+    assert run(capsys, *solve)[1] == run(capsys, *solve, "--seed", "0")[1]
+    code, out, _ = run(capsys, "bench", "--grid", "3x3", "-k", "2")
+    assert code == 0
+    assert len(out) == 2  # the header and one row: one cost draw of one pair
+
+
 def test_bench_rejects_a_label_budget_for_yen(capsys):
     code, out, err = run(
         capsys, "bench", "--grid", "6x6", "-k", "5", "--algo", "deviation", "--algo", "yen",
@@ -259,6 +281,9 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "-1", "--csv", "rows.csv"),
         ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "nan", "--csv", "rows.csv"),
         ("bench", "--graph", MINI, "--pairs", "0", "-k", "0", "--csv", "rows.csv"),
+        # flags that only --grid reads are refused beside --graph
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"),
+        ("bench", "--graph", MINI, "-k", "2", "--costs", "3", "--pairs", "1", "--csv", "rows.csv"),
         # the prune rules always run and have no switch
         ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--no-prune-max"),
         # the shape and cost bounds are checked before the directory is made,
