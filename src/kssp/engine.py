@@ -46,7 +46,9 @@ cap, and the run stops when that cap ties with the cheapest. Pending
 asks sit in a heap of ``(bound, push counter, record index)``: each
 takes its push counter when it is made, pending asks are searched
 lowest bound first, and a candidate found is queued under its ask's
-counter.
+counter. The walk that computes a bound stops as soon as it falls
+within the front's prune limit, and the ask is then keyed at -inf,
+which is still a lower bound; the partial minimum would not be.
 
 Why deferring changes no output. Let F be the front's cost. Before the
 early-stop check and before each pop, the driver searches every
@@ -305,9 +307,11 @@ def k_shortest_paths(
         if sweep is not None:
             origin = records[origin_index]
             ref = origin.path.arcs[origin.source_pos:]
-            # a bound within the front's prune limit only says the ask runs at the next check
-            front = prune_limit(g, cands[0][0]) if cands else inf
-            bound = sweep.deviation_bound(origin.source_node, ref, origin.prefix_cost, origin.blocked, front)
+            # an ask whose bound falls within the front's limit is searched at the next check
+            front_limit = prune_limit(g, cands[0][0]) if cands else inf
+            bound = sweep.deviation_bound(
+                origin.source_node, ref, origin.prefix_cost, origin.blocked, front_limit
+            )
             cap = queue_max_cap(len(records), cands, k)
             if cap is not None and bound > prune_limit(g, cap):
                 stats.add_query(0, False, True)  # nothing it could find would stay queued
