@@ -231,14 +231,15 @@ class ReverseSweep:
                     heappush(heap, (du, u))
         self.horizon = heap[0][0] if heap else inf
 
-    def sidetrack_of(self, v: int) -> float:
+    def sidetrack_of(self, v: int, blocked: Sequence[int] = ()) -> float:
         """Compute, memoize in ``sidetrack`` and return the sidetrack bound of settled node v.
 
         That is the least ``arc_cost[b] + dist[head]`` over v's out-arcs b
-        other than ``tree[v]``, with the horizon standing in for an
-        unsettled head, and infinity if there is none. As the horizon never
-        decreases, the value stays a lower bound on the same sum for the
-        distances settled later.
+        other than ``tree[v]`` and the ``blocked`` arcs, with the horizon
+        standing in for an unsettled head, and infinity if there is none.
+        As the horizon never decreases, the value stays a lower bound on
+        the same sum for the distances settled later. Only the value with
+        nothing blocked is memoized, as the search reads the memo.
         """
         g = self.graph
         arc_head = g.arc_head
@@ -247,14 +248,15 @@ class ReverseSweep:
         a = self.tree[v]
         side = inf
         for b in g.out_arcs[v]:
-            if b != a:
+            if b != a and b not in blocked:
                 d = dist[arc_head[b]]
                 if d == inf:
                     d = self.horizon
                 d += arc_cost[b]
                 if d < side:
                     side = d
-        self.sidetrack[v] = side
+        if not blocked:
+            self.sidetrack[v] = side
         return side
 
     def deviation_bound(
@@ -272,9 +274,8 @@ class ReverseSweep:
         reference and ``start`` its prefix cost. Each ``sidetrack(x_j)``
         is read from the memo or computed by :meth:`sidetrack_of`, as the
         tree walk does, except at a tail that one of the ``blocked`` arcs
-        leaves: there it is the same least sum over the out-arcs other
-        than the tree arc and the blocked ones, computed in place and not
-        memoized, as the search reads the memo. The result is -inf when an
+        leaves: there :meth:`sidetrack_of` leaves the blocked arcs out too,
+        in O(out-degree) and without the memo. The result is -inf when an
         arc is not its tail's ``tree`` arc or a tail is not settled, and
         inf when ``arcs`` is empty: a path from the target has no
         deviation. The walk also ends with -inf as soon as the least sum
@@ -319,15 +320,7 @@ class ReverseSweep:
             if a != tree[v]:
                 return -inf
             if v in blocked_tails:
-                side = inf
-                for b in g.out_arcs[v]:
-                    if b != a and b not in blocked:
-                        d = dist[arc_head[b]]
-                        if d == inf:
-                            d = self.horizon
-                        d += arc_cost[b]
-                        if d < side:
-                            side = d
+                side = self.sidetrack_of(v, blocked)
             else:
                 side = sidetrack[v]
                 if side < 0.0:
