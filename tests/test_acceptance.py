@@ -280,7 +280,7 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
     spares: list[Workspace] = []  # per solve, a workspace for the blocked-only queries
     entries: dict[int, dict] = {}  # push counter -> the pending ask
     current: list[dict] = []  # the ask being made, or whose turn came, until it is settled
-    counts = {"searched": 0, "re-asks": 0, "found": 0, "dropped": 0}
+    counts = {"re-asks": 0, "found": 0, "dropped": 0}
 
     def blocked_only(ask):
         sweep, *args = ask["args"]
@@ -330,7 +330,6 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
             if dev is not None:
                 assert ask["bound"] <= prune_limit(g, dev.bicost.cost), (ask["bound"], dev.bicost.cost)
                 counts["found"] += 1
-        counts["searched"] += 1
         counts["re-asks"] += bool(ask["args"][4])
         return find_best_deviation(query, cost_cap, **limits)
 
@@ -369,11 +368,12 @@ def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monk
     ``road_solves()`` run with the engine's bounds, and again with each
     ask keyed at the loosest bound the driver's argument allows:
     ``prune_limit(g, D)`` for the cost D of its cheapest deviation with
-    only its blocked arcs masked, or infinity if it has none. Ties with
-    the front's prune limit are then common. Both runs give the same
-    records, and each ask still pending when a solve ends runs afterwards
-    without a cap, on its record with the blocked arcs the record ended
-    with: it finds no deviation at or below the last output cost.
+    only its blocked arcs masked, or infinity if it has none, which ties
+    the front's prune limit wherever an answer ties the front. Both runs
+    give the same records, and each ask still pending when a solve ends
+    runs afterwards without a cap, on its record with the blocked arcs
+    the record ended with: it finds no deviation at or below the last
+    output cost.
     """
     pending: dict[int, int] = {}  # push counter -> record index of each ask not yet taken up
     spare: list[Workspace] = []
