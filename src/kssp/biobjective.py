@@ -95,11 +95,6 @@ from .graph import Graph, Mask
 _SHRINK = 1.0 - 2.0**-50
 
 
-class BiCost(NamedTuple):
-    cost: float
-    overlap: int
-
-
 class Workspace:
     """Per-solve scratch shared across queries: the mask and the per-node search state.
 
@@ -157,30 +152,27 @@ class DeviationQuery:
 
 
 def build_query(
-    g: Graph,
+    workspace: Workspace,
     source: int,
     target: int,
     ref_arcs: tuple[int, ...] | list[int],
-    workspace: Workspace | None = None,
     prefix_cost: float = 0.0,
     sweep: ReverseSweep | None = None,
 ) -> DeviationQuery:
-    """Validate the instance and bundle it into a query.
+    """Validate the instance on the workspace's masked graph and bundle it into a query.
 
     The reference path must run from source to target through the masked
     graph; a masked reference would make the search answer a different
-    question than the caller asked. So would a workspace or a sweep of
-    another graph, or a sweep toward another target.
+    question than the caller asked. So would a sweep of another graph, or
+    a sweep toward another target.
     """
+    g = workspace.graph
     if sweep is not None and (sweep.graph is not g or sweep.target != target):
         raise ValueError("the sweep must run over the query's graph toward its target")
-    ws = workspace if workspace is not None else Workspace(g)
-    if ws.graph is not g:
-        raise ValueError("the workspace must belong to the query's graph")
     # stamps read directly, as in the search: this check runs on every query
-    mask_epoch = ws.mask.epoch
-    node_stamp = ws.mask.node_stamp
-    arc_stamp = ws.mask.arc_stamp
+    mask_epoch = workspace.mask.epoch
+    node_stamp = workspace.mask.node_stamp
+    arc_stamp = workspace.mask.arc_stamp
     arc_tail = g.arc_tail
     arc_head = g.arc_head
     if node_stamp[source] == mask_epoch:
@@ -194,21 +186,23 @@ def build_query(
             raise ValueError(f"reference arc {i} is masked")
     if node != target:
         raise ValueError("reference path does not end at the target")
-    return DeviationQuery(ws, source, target, tuple(ref_arcs), prefix_cost, sweep)
+    return DeviationQuery(workspace, source, target, tuple(ref_arcs), prefix_cost, sweep)
 
 
-def reconstruct(g: Graph, label: tuple, frontiers: list[list[tuple]]) -> list[tuple]:
+def reconstruct(workspace: Workspace, label: tuple) -> list[tuple]:
     """The label chain to ``label`` by predecessor links: entry i came over arc i.
 
     The root is left out, so ``entry[2]`` is the walk's arc i and its
-    cost the fold up to that arc's head. ``frontiers`` is the workspace's
-    per-node list of permanent labels.
+    cost the fold up to that arc's head. The predecessors are read from
+    the workspace's per-node lists of permanent labels.
     """
+    arc_tail = workspace.graph.arc_tail
+    frontiers = workspace.frontiers
     chain: list[tuple] = []
     cur = label
     while cur[2] != -1:
         chain.append(cur)
-        cur = frontiers[g.arc_tail[cur[2]]][cur[3]]
+        cur = frontiers[arc_tail[cur[2]]][cur[3]]
     chain.reverse()
     return chain
 
@@ -218,17 +212,17 @@ class Deviation:
     """Result of a successful query.
 
     ``suffix`` holds the arcs from the deviation node, starting with the
-    deviation arc, to the target. ``bicost`` scores the path the search
-    found; its cost is the left-to-right fold of the whole path, prefix
-    included, the cost the caller reports, and ``source_cost`` that fold
-    up to the deviation arc's head. ``ref_index`` counts the reference
-    arcs shared before the deviation.
+    deviation arc, to the target. ``cost`` is the left-to-right fold of
+    the whole path the search found, prefix included, the cost the caller
+    reports, and ``source_cost`` that fold up to the deviation arc's head;
+    ``overlap`` counts the path's reference arcs. ``ref_index`` counts the
+    reference arcs shared before the deviation.
     """
 
-    arc: int
     ref_index: int
     suffix: tuple[int, ...]
-    bicost: BiCost
+    cost: float
+    overlap: int
     source_cost: float
 
 
@@ -364,14 +358,19 @@ def find_best_deviation(
     target = query.target
     ref_len = len(query.ref_arcs)
     prefix_cost = query.prefix_cost
+    unreachable = float("inf")
     sweep = query.sweep
     if sweep is not None:
         pot = sweep.dist
+        if pot[query.source] == unreachable:
+            sweep.settle(0.0, query.source)
+        tree = sweep.tree
+        sidetrack = sweep.sidetrack
     else:
         if ws.zero_potential is None:
             ws.zero_potential = [0.0] * g.node_count
         pot = ws.zero_potential
-    unreachable = float("inf")
+        tree = sidetrack = None
 
     ws.serial += 1
     serial = ws.serial
@@ -387,10 +386,6 @@ def find_best_deviation(
     t_hits = 0
     outcome = "exhausted"
     found = None
-    if sweep is not None and pot[query.source] == unreachable:
-        sweep.settle(0.0, query.source)
-    tree = sweep.tree if sweep is not None else None
-    sidetrack = sweep.sidetrack if sweep is not None else None
     shrink = _SHRINK
 
     entry = (prefix_cost + pot[query.source], 0, query.source, 0, (prefix_cost, 0, -1, -1))
@@ -560,11 +555,10 @@ def find_best_deviation(
 
     if found is None:
         return None, QueryStats(iterations, t_hits, outcome, tree_steps)
-    chain = reconstruct(g, found, frontiers)
+    chain = reconstruct(ws, found)
     i = 0
     while chain[i][1] == i + 1:
         i += 1
-    via = chain[i]
     suffix = tuple(step[2] for step in chain[i:])
-    result = Deviation(via[2], i, suffix, BiCost(found[0], found[1]), via[0])
+    result = Deviation(i, suffix, found[0], found[1], chain[i][0])
     return result, QueryStats(iterations, t_hits, "found", tree_steps)

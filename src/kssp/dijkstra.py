@@ -260,14 +260,9 @@ class ReverseSweep:
         return side
 
     def deviation_bound(
-        self,
-        node: int,
-        arcs: Sequence[int],
-        start: float,
-        blocked: Sequence[int] = (),
-        stop: float = -inf,
+        self, arcs: Sequence[int], start: float, blocked: Sequence[int] = (), stop: float = -inf
     ) -> float:
-        """Least ``c_j + sidetrack(x_j)`` over the tails x_j of the path ``arcs`` out of ``node``.
+        """Least ``c_j + sidetrack(x_j)`` over the tails x_j of the path ``arcs``.
 
         c_j is the left fold of ``start`` and the arc costs up to x_j,
         the cost a search label at x_j carries when the path is its
@@ -287,7 +282,7 @@ class ReverseSweep:
         arc b other than x_j's tree arc and the ``blocked`` arcs, which a
         query masks; other masks only remove such paths. Let E be its
         exact cost. Its float cost D left-folds at most 2n - 2 arcs, the
-        prefix that ``start`` folds and a simple path from ``node``, so D
+        prefix that ``start`` folds and a simple path from x_0, so D
         is at least E shrunk by ``(1 - 2**-53)**(2n - 2)``. E is at least
         the exact sum of c_j's terms, plus cost(b), plus the exact
         distance from b's head. The sweep gives that head the least right
@@ -309,13 +304,15 @@ class ReverseSweep:
         g = self.graph
         arc_head = g.arc_head
         arc_cost = g.arc_cost
-        blocked_tails = {g.arc_tail[b] for b in blocked} if blocked else ()
+        if not arcs:
+            return inf
+        v = g.arc_tail[arcs[0]]
         # the tree arcs out of a settled node lead through settled nodes only
-        if arcs and dist[node] == inf:
+        if dist[v] == inf:
             return -inf
+        blocked_tails = {g.arc_tail[b] for b in blocked} if blocked else ()
         least = inf
         c = start
-        v = node
         for a in arcs:
             if a != tree[v]:
                 return -inf

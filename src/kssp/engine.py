@@ -309,9 +309,7 @@ def k_shortest_paths(
             ref = origin.path.arcs[origin.source_pos:]
             # an ask whose bound falls within the front's limit is searched at the next check
             front_limit = prune_limit(g, cands[0][0]) if cands else inf
-            bound = sweep.deviation_bound(
-                origin.source_node, ref, origin.prefix_cost, origin.blocked, front_limit
-            )
+            bound = sweep.deviation_bound(ref, origin.prefix_cost, origin.blocked, front_limit)
             cap = queue_max_cap(len(records), cands, k)
             if cap is not None and bound > prune_limit(g, cap):
                 stats.add_query(0, False, True)  # nothing it could find would stay queued
@@ -340,7 +338,7 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        query = build_query(g, origin.source_node, t, arcs[sp:], ws, origin.prefix_cost, sweep)
+        query = build_query(ws, origin.source_node, t, arcs[sp:], origin.prefix_cost, sweep)
         budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -349,7 +347,8 @@ def k_shortest_paths(
         stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
         if dev is None:
             return
-        if dev.arc in origin.blocked:
+        dev_arc = dev.suffix[0]
+        if dev_arc in origin.blocked:
             raise RuntimeError("deviation arc regenerated for the same parent")
         dev_pos = sp + dev.ref_index
         arcs = arcs[:dev_pos] + dev.suffix
@@ -357,18 +356,17 @@ def k_shortest_paths(
             if arcs in seen_candidates:
                 raise RuntimeError("duplicate candidate generated")
             seen_candidates.add(arcs)
-        cost = dev.bicost.cost
         rec = PathRecord(
-            path=Path(arcs, cost),
+            path=Path(arcs, dev.cost),
             parent_index=origin_index,
-            dev_node=arc_tail[dev.arc],
+            dev_node=arc_tail[dev_arc],
             dev_pos=dev_pos,
-            source_node=g.arc_head[dev.arc],
+            source_node=g.arc_head[dev_arc],
             source_pos=dev_pos + 1,
             prefix_cost=dev.source_cost,
         )
-        origin.blocked.append(dev.arc)
-        insort(cands, (cost, counter, rec))
+        origin.blocked.append(dev_arc)
+        insort(cands, (dev.cost, counter, rec))
         # the candidates past the first k - n can never be output
         del cands[k - len(records):]
 

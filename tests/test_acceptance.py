@@ -20,7 +20,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from kssp.biobjective import BiCost, build_query, find_best_deviation, Workspace
+from kssp.biobjective import build_query, find_best_deviation, Workspace
 from kssp.dijkstra import ReverseSweep, prune_limit, shortest_path
 from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import COMPLETE, EXHAUSTED, SolveOptions, k_shortest_paths, queue_max_cap
@@ -83,7 +83,7 @@ def _timed_solve(g) -> float:
 
 def test_deviation_query_example_trace_exact(six_node_graph):
     g = six_node_graph
-    query = build_query(g, 0, 5, (0, 1, 2, 3))
+    query = build_query(Workspace(g), 0, 5, (0, 1, 2, 3))
     (dev, stats), seen = observe_search(query)
     ws = query.workspace
 
@@ -96,9 +96,9 @@ def test_deviation_query_example_trace_exact(six_node_graph):
     assert ws.queued[2][4][:2] == (4.0, 1)
     # the second path is returned with cost 2 and overlap 2
     assert dev is not None
-    assert dev.bicost == BiCost(2.0, 2)
+    assert (dev.cost, dev.overlap) == (2.0, 2)
     assert stats.outcome == "found"
-    print(f"query trace: {stats.iterations} extractions, result {tuple(dev.bicost)}")
+    print(f"query trace: {stats.iterations} extractions, result {(dev.cost, dev.overlap)}")
 
 
 def test_solver_oracle_and_enumeration_agree_on_1000_digraphs():
@@ -259,7 +259,7 @@ def ask_query(g, t, ws, sweep, node, ref, start, blocked, before=()):
         ws.mask.delete_node(v)
     for a in blocked:
         ws.mask.delete_arc(a)
-    return build_query(g, node, t, ref, ws, start, sweep)
+    return build_query(ws, node, t, ref, start, sweep)
 
 
 def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
@@ -293,14 +293,15 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
             g = ask["args"][0].graph
             assert ask["cap"] is not None and ask["bound"] > prune_limit(g, ask["cap"]), ask
             dev, _ = find_best_deviation(blocked_only(ask))
-            assert dev is None or dev.bicost.cost > ask["cap"], (dev.bicost.cost, ask["cap"])
+            assert dev is None or dev.cost > ask["cap"], (dev.cost, ask["cap"])
             counts["dropped"] += 1
 
-    def bound(sweep, node, arcs, start, blocked=(), stop=-inf):
+    def bound(sweep, arcs, start, blocked=(), stop=-inf):
         settle_dropped()
-        full = bound_of(sweep, node, arcs, start, blocked)
-        value = bound_of(sweep, node, arcs, start, blocked, stop)
+        full = bound_of(sweep, arcs, start, blocked)
+        value = bound_of(sweep, arcs, start, blocked, stop)
         assert value == full or value == -inf and full <= stop, (value, full, stop)
+        node = sweep.graph.arc_tail[arcs[0]] if arcs else sweep.target
         current.append({"args": (sweep, node, tuple(arcs), start, tuple(blocked)), "bound": full})
         return value
 
@@ -328,7 +329,7 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
         for q in (query, blocked_only(ask)):
             dev, _ = find_best_deviation(q)
             if dev is not None:
-                assert ask["bound"] <= prune_limit(g, dev.bicost.cost), (ask["bound"], dev.bicost.cost)
+                assert ask["bound"] <= prune_limit(g, dev.cost), (ask["bound"], dev.cost)
                 counts["found"] += 1
         counts["re-asks"] += bool(ask["args"][4])
         return find_best_deviation(query, cost_cap, **limits)
@@ -387,10 +388,11 @@ def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monk
         del pending[entry[1]]
         return entry
 
-    def loosest(sweep, node, arcs, start, blocked=(), stop=-inf):
+    def loosest(sweep, arcs, start, blocked=(), stop=-inf):
         g = sweep.graph
+        node = g.arc_tail[arcs[0]] if arcs else sweep.target
         dev, _ = find_best_deviation(ask_query(g, sweep.target, spare[0], sweep, node, arcs, start, blocked))
-        return inf if dev is None else prune_limit(g, dev.bicost.cost)
+        return inf if dev is None else prune_limit(g, dev.cost)
 
     def solve(g, s, t, k):
         pending.clear()
@@ -403,7 +405,7 @@ def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monk
             ref = rec.path.arcs[rec.source_pos :]
             query = ask_query(g, t, ws, sweep, rec.source_node, ref, rec.prefix_cost, rec.blocked, before)
             dev, _ = find_best_deviation(query)
-            assert dev is None or dev.bicost.cost > report.costs[-1], (index, dev, report.costs[-1])
+            assert dev is None or dev.cost > report.costs[-1], (index, dev, report.costs[-1])
         return report, len(pending)
 
     monkeypatch.setattr("kssp.engine.heappush", push)
@@ -527,7 +529,7 @@ def test_search_structural_invariants():
         ws = Workspace(g)
         ell = len(ref.arcs)
         for sweep in (None, ReverseSweep(g, t)):
-            query = build_query(g, s, t, ref.arcs, ws, sweep=sweep)
+            query = build_query(ws, s, t, ref.arcs, sweep=sweep)
             (dev, stats), seen = observe_search(query)
 
             # extraction order is nondecreasing in the queue key, and in
@@ -557,9 +559,9 @@ def test_search_structural_invariants():
             # any found deviation reconstructs to a simple distinct path
             if dev is not None:
                 full = ref.arcs[: dev.ref_index] + dev.suffix
-                assert len(set(Path(full, dev.bicost.cost).nodes(g))) == len(full) + 1
+                assert len(set(Path(full, dev.cost).nodes(g))) == len(full) + 1
                 assert full != ref.arcs
-                assert path_cost(g, full) == dev.bicost.cost
+                assert path_cost(g, full) == dev.cost
     assert checked >= 90
     print(f"structural suite: {checked} instances, plain and guided")
 

@@ -7,7 +7,6 @@ from time import perf_counter
 import pytest
 
 from kssp.biobjective import (
-    BiCost,
     SearchLimit,
     Workspace,
     build_query,
@@ -34,7 +33,7 @@ def settled_sweep(g, t):
 
 def test_six_node_plain_trace_is_frozen(six_node_graph):
     g = six_node_graph
-    query = build_query(g, 0, 5, SPINE)
+    query = build_query(Workspace(g), 0, 5, SPINE)
     (dev, stats), seen = observe_search(query)
     ws = query.workspace
 
@@ -61,9 +60,8 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
     assert seen.frontiers[2] == [(0.0, 2, 1, 0)]
     assert seen.frontiers[5] == [(0.0, 4, 3, 0), (2.0, 2, 7, 0)]
 
-    assert dev.bicost == BiCost(2.0, 2)
-    assert g.arc_tail[dev.arc] == 2
-    assert dev.arc == 7
+    assert (dev.cost, dev.overlap) == (2.0, 2)
+    assert g.arc_tail[dev.suffix[0]] == 2
     assert dev.ref_index == 2
     assert dev.suffix == (7,)
 
@@ -71,9 +69,9 @@ def test_six_node_plain_trace_is_frozen(six_node_graph):
 def test_six_node_guided_same_answer_fewer_pops(six_node_graph):
     g = six_node_graph
     assert reverse_distances(g, 5) == [0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
-    query = build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5))
+    query = build_query(Workspace(g), 0, 5, SPINE, sweep=ReverseSweep(g, 5))
     (dev, stats), seen = observe_search(query)
-    assert dev.bicost == BiCost(2.0, 2)
+    assert (dev.cost, dev.overlap) == (2.0, 2)
     assert dev.suffix == (7,)
     assert stats.iterations == 6
     assert stats.target_extractions == 2
@@ -88,11 +86,11 @@ def test_guided_never_enqueues_nodes_that_cannot_reach_the_target(six_node_graph
 
     # a query touches a node's queue slot exactly when it offers it a label
     ws = Workspace(g)
-    dev_p, _ = find_best_deviation(build_query(g, 0, 5, SPINE, ws))
+    dev_p, _ = find_best_deviation(build_query(ws, 0, 5, SPINE))
     assert ws.queued_stamp[6] == ws.serial
-    dev_g, _ = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=ReverseSweep(g, 5)))
+    dev_g, _ = find_best_deviation(build_query(ws, 0, 5, SPINE, sweep=ReverseSweep(g, 5)))
     assert ws.queued_stamp[6] != ws.serial
-    assert dev_p.bicost == dev_g.bicost == BiCost(2.0, 2)
+    assert (dev_p.cost, dev_p.overlap) == (dev_g.cost, dev_g.overlap) == (2.0, 2)
 
 
 def test_search_settles_the_sweep_on_demand(six_node_graph):
@@ -103,12 +101,12 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     assert sweep.dist == [0.0, 0.0, 0.0, 0.0, inf, 0.0]
     ws = Workspace(g)
     ws.mask.delete_arc(7)  # with 2->5 gone, the answer detours through node 4
-    dev, stats = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=sweep))
-    assert dev.bicost == BiCost(4.0, 3)
+    dev, stats = find_best_deviation(build_query(ws, 0, 5, SPINE, sweep=sweep))
+    assert (dev.cost, dev.overlap) == (4.0, 3)
     assert dev.suffix == (4, 6, 2, 3)
     # the answer needs node 4's distance, so the search settled it
     assert sweep.dist == reverse_distances(g, 5)
-    full = find_best_deviation(build_query(g, 0, 5, SPINE, ws, sweep=settled_sweep(g, 5)))
+    full = find_best_deviation(build_query(ws, 0, 5, SPINE, sweep=settled_sweep(g, 5)))
     assert (dev, stats[:3]) == (full[0], full[1][:3])
 
 
@@ -116,8 +114,8 @@ def test_search_settles_an_unsettled_root(six_node_graph):
     g = six_node_graph
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
-    query = build_query(g, 4, 5, (6, 7), sweep=sweep)
-    full = find_best_deviation(build_query(g, 4, 5, (6, 7), sweep=settled_sweep(g, 5)))
+    query = build_query(Workspace(g), 4, 5, (6, 7), sweep=sweep)
+    full = find_best_deviation(build_query(Workspace(g), 4, 5, (6, 7), sweep=settled_sweep(g, 5)))
     assert find_best_deviation(query) == full
     assert sweep.dist[4] == 2.0
 
@@ -128,7 +126,7 @@ def test_a_dead_end_finishes_the_sweep():
     sweep = ReverseSweep(g, 1)
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
-    query = build_query(g, 0, 1, (0,), sweep=sweep)
+    query = build_query(Workspace(g), 0, 1, (0,), sweep=sweep)
     assert find_best_deviation(query) == (None, (2, 1, "exhausted", 1))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
@@ -137,21 +135,11 @@ def test_a_dead_end_finishes_the_sweep():
 def test_build_query_rejects_a_sweep_of_another_instance(six_node_graph):
     g = six_node_graph
     with pytest.raises(ValueError, match="sweep"):
-        build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 4))
+        build_query(Workspace(g), 0, 5, SPINE, sweep=ReverseSweep(g, 4))
     twin = Graph(g.node_count, g.arcs())
     with pytest.raises(ValueError, match="sweep"):
-        build_query(g, 0, 5, SPINE, sweep=ReverseSweep(twin, 5))
-    assert build_query(g, 0, 5, SPINE, sweep=ReverseSweep(g, 5)).sweep.target == 5
-
-
-def test_build_query_rejects_a_workspace_of_another_graph(six_node_graph):
-    g = six_node_graph
-    twin = Workspace(Graph(g.node_count, g.arcs()))
-    twin.mask.delete_arc(7)  # would hide the answer over arc 7
-    with pytest.raises(ValueError, match="workspace"):
-        build_query(g, 0, 5, SPINE, twin)
-    with pytest.raises(ValueError, match="workspace"):
-        build_query(g, 0, 5, SPINE, Workspace(Graph(2, [(0, 1, 1.0)])))
+        build_query(Workspace(g), 0, 5, SPINE, sweep=ReverseSweep(twin, 5))
+    assert build_query(Workspace(g), 0, 5, SPINE, sweep=ReverseSweep(g, 5)).sweep.target == 5
 
 
 @pytest.mark.parametrize("family", COST_FAMILIES)
@@ -165,12 +153,12 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
         if ref is None or not ref.arcs:
             continue
         full = reverse_distances(g, t)
-        query = build_query(g, s, t, ref.arcs, sweep=settled_sweep(g, t))
+        query = build_query(Workspace(g), s, t, ref.arcs, sweep=settled_sweep(g, t))
         expected, want = observe_search(query)
         for key in (0.0, full[s] / 2, full[s]):
             sweep = ReverseSweep(g, t)
             sweep.settle(key)
-            query = build_query(g, s, t, ref.arcs, sweep=sweep)
+            query = build_query(Workspace(g), s, t, ref.arcs, sweep=sweep)
             (dev, stats), got = observe_search(query)
             # sidetrack bounds read the horizon, so how many labels the
             # tree walk takes depends on how far it got
@@ -184,7 +172,7 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
 
 def test_single_arc_reference_with_no_rival_exhausts():
     g = Graph(2, [(0, 1, 1.0)])
-    dev, stats = find_best_deviation(build_query(g, 0, 1, (0,)))
+    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 1, (0,)))
     assert dev is None
     assert stats.outcome == "exhausted"
     assert stats.target_extractions == 1
@@ -192,16 +180,15 @@ def test_single_arc_reference_with_no_rival_exhausts():
 
 def test_parallel_arc_rival_is_found_through_rebuild():
     g = Graph(2, [(0, 1, 1.0), (0, 1, 5.0)])
-    dev, stats = find_best_deviation(build_query(g, 0, 1, (0,)))
-    assert dev.bicost == BiCost(5.0, 0)
-    assert g.arc_tail[dev.arc] == 0
-    assert dev.arc == 1
+    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 1, (0,)))
+    assert (dev.cost, dev.overlap) == (5.0, 0)
+    assert dev.suffix == (1,)
     assert dev.ref_index == 0
     assert stats == (3, 2, "found", 0)
 
 
 def test_cost_cap_aborts_the_query(six_node_graph):
-    query = build_query(six_node_graph, 0, 5, SPINE)
+    query = build_query(Workspace(six_node_graph), 0, 5, SPINE)
     dev, stats = find_best_deviation(query, cost_cap=1.5)
     assert dev is None
     assert stats.outcome == "cost-capped"
@@ -210,7 +197,7 @@ def test_cost_cap_aborts_the_query(six_node_graph):
 
 
 def test_cost_cap_includes_the_prefix_cost(six_node_graph):
-    query = build_query(six_node_graph, 0, 5, SPINE, prefix_cost=1.0)
+    query = build_query(Workspace(six_node_graph), 0, 5, SPINE, prefix_cost=1.0)
     dev, stats = find_best_deviation(query, cost_cap=1.5)
     assert dev is None
     assert stats.outcome == "cost-capped"
@@ -218,14 +205,14 @@ def test_cost_cap_includes_the_prefix_cost(six_node_graph):
 
 
 def test_inactive_cap_changes_nothing(six_node_graph):
-    query = build_query(six_node_graph, 0, 5, SPINE)
+    query = build_query(Workspace(six_node_graph), 0, 5, SPINE)
     dev, stats = find_best_deviation(query, cost_cap=None)
-    assert dev.bicost == BiCost(2.0, 2)
+    assert (dev.cost, dev.overlap) == (2.0, 2)
     assert stats.iterations == 8
 
 
 def test_iteration_budget_raises(six_node_graph):
-    query = build_query(six_node_graph, 0, 5, SPINE)
+    query = build_query(Workspace(six_node_graph), 0, 5, SPINE)
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, iteration_budget=3)
     assert exc.value.kind == "iterations"
@@ -235,7 +222,7 @@ def test_past_deadline_raises_on_a_long_search():
     n = 400
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 1e6)]
     g = Graph(n + 1, arcs)
-    query = build_query(g, 0, n, tuple(range(n)))
+    query = build_query(Workspace(g), 0, n, tuple(range(n)))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
     assert exc.value.kind == "deadline"
@@ -246,10 +233,10 @@ def test_past_deadline_raises_inside_a_tree_answer():
     n = 400
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 0.5)]
     g = Graph(n + 1, arcs)
-    dev, stats = find_best_deviation(build_query(g, 0, n, (n,), sweep=settled_sweep(g, n)))
+    dev, stats = find_best_deviation(build_query(Workspace(g), 0, n, (n,), sweep=settled_sweep(g, n)))
     assert dev.suffix == tuple(range(n))
     assert stats == (402, 2, "found", 400)
-    query = build_query(g, 0, n, (n,), sweep=settled_sweep(g, n))
+    query = build_query(Workspace(g), 0, n, (n,), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
     assert exc.value.kind == "deadline"
@@ -258,39 +245,39 @@ def test_past_deadline_raises_inside_a_tree_answer():
 def test_build_query_rejects_bad_instances(six_node_graph):
     g = six_node_graph
     with pytest.raises(ValueError, match="continue"):
-        build_query(g, 0, 5, (0, 3))
+        build_query(Workspace(g), 0, 5, (0, 3))
     with pytest.raises(ValueError, match="end at the target"):
-        build_query(g, 0, 5, (0,))
+        build_query(Workspace(g), 0, 5, (0,))
 
     ws = Workspace(g)
     ws.mask.delete_node(0)
     with pytest.raises(ValueError, match="source is masked"):
-        build_query(g, 0, 5, SPINE, ws)
+        build_query(ws, 0, 5, SPINE)
     ws.mask.reset()
     ws.mask.delete_arc(1)
     with pytest.raises(ValueError, match="masked"):
-        build_query(g, 0, 5, SPINE, ws)
+        build_query(ws, 0, 5, SPINE)
     ws.mask.reset()
     ws.mask.delete_node(3)
     with pytest.raises(ValueError, match="masked"):
-        build_query(g, 0, 5, SPINE, ws)
+        build_query(ws, 0, 5, SPINE)
 
 
 def test_a_query_keeps_its_own_reference(six_node_graph):
     g = six_node_graph
     ws = Workspace(g)
-    qa = build_query(g, 0, 5, SPINE, ws)
-    qb = build_query(g, 2, 5, (2, 3), ws)
+    qa = build_query(ws, 0, 5, SPINE)
+    qb = build_query(ws, 2, 5, (2, 3))
 
     # building qb on the same workspace leaves qa's answer as on a fresh one
     dev, stats = find_best_deviation(qa)
-    assert dev.arc == 7
-    assert dev.bicost == BiCost(2.0, 2)
+    assert dev.suffix[0] == 7
+    assert (dev.cost, dev.overlap) == (2.0, 2)
     assert stats.iterations == 8
-    assert (dev, stats) == find_best_deviation(build_query(g, 0, 5, SPINE))
+    assert (dev, stats) == find_best_deviation(build_query(Workspace(g), 0, 5, SPINE))
 
     dev, _ = find_best_deviation(qb)
-    assert dev.bicost == BiCost(2.0, 0)
+    assert (dev.cost, dev.overlap) == (2.0, 0)
     assert dev.suffix == (7,)
 
 
@@ -298,17 +285,17 @@ def test_workspace_is_reusable_across_many_queries(six_node_graph):
     g = six_node_graph
     ws = Workspace(g)
     for _ in range(3):
-        dev, stats = find_best_deviation(build_query(g, 0, 5, SPINE, ws))
-        assert dev.bicost == BiCost(2.0, 2)
+        dev, stats = find_best_deviation(build_query(ws, 0, 5, SPINE))
+        assert (dev.cost, dev.overlap) == (2.0, 2)
         assert stats.iterations == 8
 
 
 def test_reconstruct_follows_predecessor_links(six_node_graph):
     g = six_node_graph
     ws = Workspace(g)
-    find_best_deviation(build_query(g, 0, 5, SPINE, ws))
+    find_best_deviation(build_query(ws, 0, 5, SPINE))
     label = ws.frontiers[5][1]
-    assert [lab[2] for lab in reconstruct(g, label, ws.frontiers)] == [0, 1, 7]
+    assert [lab[2] for lab in reconstruct(ws, label)] == [0, 1, 7]
     assert label[0] == 2.0
 
 
@@ -330,7 +317,7 @@ def test_structural_invariants_on_seeded_instances():
         checked += 1
         ws = Workspace(g)
 
-        query = build_query(g, s, t, ref.arcs, ws)
+        query = build_query(ws, s, t, ref.arcs)
         (dev, stats), seen = observe_search(query)
 
         # plain mode extracts in nondecreasing (cost, overlap) order and
@@ -356,27 +343,26 @@ def test_structural_invariants_on_seeded_instances():
         else:
             assert dev is not None
             assert stats.outcome == "found"
-            assert dev.bicost.cost == expected.cost
+            assert dev.cost == expected.cost
             full = ref.arcs[: dev.ref_index] + dev.suffix
             assert full != ref.arcs
-            assert len(set(Path(full, dev.bicost.cost).nodes(g))) == len(full) + 1
-            assert path_cost(g, full) == dev.bicost.cost
-            assert dev.suffix[0] == dev.arc
-            assert ref.arcs[dev.ref_index] != dev.arc
+            assert len(set(Path(full, dev.cost).nodes(g))) == len(full) + 1
+            assert path_cost(g, full) == dev.cost
+            assert ref.arcs[dev.ref_index] != dev.suffix[0]
 
         # guided mode answers with the same cost and a valid path
         (gdev, gstats), gseen = observe_search(
-            build_query(g, s, t, ref.arcs, ws, sweep=ReverseSweep(g, t))
+            build_query(ws, s, t, ref.arcs, sweep=ReverseSweep(g, t))
         )
         assert gseen.keys == sorted(gseen.keys)
         assert gstats.target_extractions <= 2
         assert (gdev is None) == (dev is None)
         if gdev is not None:
-            assert gdev.bicost.cost == dev.bicost.cost
+            assert gdev.cost == dev.cost
             gfull = ref.arcs[: gdev.ref_index] + gdev.suffix
-            assert len(set(Path(gfull, gdev.bicost.cost).nodes(g))) == len(gfull) + 1
+            assert len(set(Path(gfull, gdev.cost).nodes(g))) == len(gfull) + 1
             assert gfull != ref.arcs
-            assert path_cost(g, gfull) == gdev.bicost.cost
+            assert path_cost(g, gfull) == gdev.cost
     assert checked >= 80
 
 
@@ -408,12 +394,12 @@ def test_engine_queries_answer_the_least_cost_and_overlap(monkeypatch, guided):
             cost = query.prefix_cost
             for a in p.arcs:
                 cost += g.arc_cost[a]
-            rivals.append(BiCost(cost, sum(a in ref for a in p.arcs)))
+            rivals.append((cost, sum(a in ref for a in p.arcs)))
         best = min(rivals, default=None)
         if got[0] is None:
-            assert best is None or (cost_cap is not None and best.cost >= cost_cap)
+            assert best is None or (cost_cap is not None and best[0] >= cost_cap)
         else:
-            assert got[0].bicost == best
+            assert (got[0].cost, got[0].overlap) == best
         queries += 1
         return got
 
@@ -481,12 +467,12 @@ def test_a_tree_completion_losing_a_tie_on_overlap_falls_back():
     sweep = ReverseSweep(g, 3)
     sweep.settle(float("inf"))
     assert sweep.tree[4] == 4
-    dev, stats = find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep))
-    assert dev.bicost == BiCost(4.0, 0)
+    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep))
+    assert (dev.cost, dev.overlap) == (4.0, 0)
     assert dev.suffix == (3, 5, 6)
     assert stats.tree_steps == 3  # the root's walk; the walk from node 4 stops at the tie
     sweep.tree = [-1] * g.node_count
-    assert find_best_deviation(build_query(g, 0, 3, (0, 1, 2), sweep=sweep)) == (
+    assert find_best_deviation(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep)) == (
         dev,
         stats._replace(tree_steps=0),
     )
@@ -508,12 +494,12 @@ def test_a_masked_tree_walk_falls_back(masked):
         ws.mask.delete_arc(3)
     else:
         ws.mask.delete_node(5)
-    dev, stats = find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep))
-    assert dev.bicost == BiCost(4.0, 0)
+    dev, stats = find_best_deviation(build_query(ws, 0, 2, (0, 1), sweep=sweep))
+    assert (dev.cost, dev.overlap) == (4.0, 0)
     assert dev.suffix == (2, 4, 5)
     assert stats.tree_steps == 3  # 2 on the root's walk, none from 3, 1 from 4
     sweep.tree = [-1] * g.node_count
-    assert find_best_deviation(build_query(g, 0, 2, (0, 1), ws, sweep=sweep)) == (
+    assert find_best_deviation(build_query(ws, 0, 2, (0, 1), sweep=sweep)) == (
         dev,
         stats._replace(tree_steps=0),
     )
@@ -532,7 +518,7 @@ def search_both_ways(g, s, t, ref_arcs, ws=None, prefix_cost=0.0, **limits):
         sweep = settled_sweep(g, t)
         if blank:
             sweep.tree = [-1] * g.node_count
-        query = build_query(g, s, t, ref_arcs, ws, prefix_cost, sweep)
+        query = build_query(Workspace(g) if ws is None else ws, s, t, ref_arcs, prefix_cost, sweep)
         runs.append(observe_search(query, **limits))
     (got, seen), (want, plain) = runs
     assert got[0] == want[0]
@@ -550,7 +536,7 @@ def test_a_chord_tying_a_later_reference_label_is_extracted_first():
     assert settled_sweep(g, 3).tree[:3] == [0, 1, 3]
     dev, stats = search_both_ways(g, 0, 3, (0, 1, 3), prefix_cost=2.0**53)
     assert dev.suffix == (2, 3)
-    assert dev.bicost.overlap == 1
+    assert dev.overlap == 1
     # the reference label at 1 keys above the chord's bound, so the root's walk
     # stops at once; the chord's label at 2 walks on to the target
     assert stats.tree_steps == 1
@@ -641,7 +627,7 @@ def test_past_deadline_raises_inside_the_prelude():
     dev, stats = search_both_ways(g, 0, n, tuple(range(n)))
     assert dev.suffix == (n,)
     assert stats == (302, 2, "found", 300)
-    query = build_query(g, 0, n, tuple(range(n)), sweep=settled_sweep(g, n))
+    query = build_query(Workspace(g), 0, n, tuple(range(n)), sweep=settled_sweep(g, n))
     with pytest.raises(SearchLimit) as exc:
         find_best_deviation(query, deadline=perf_counter() - 1.0)
     assert exc.value.kind == "deadline"

@@ -238,32 +238,32 @@ def test_deviation_bound_takes_the_least_sidetrack_along_a_tree_path(five_node_g
     g = five_node_graph
     sweep = ReverseSweep(g, 4)
     sweep.settle(0.0)  # only the target
-    assert sweep.deviation_bound(0, (1, 5), 0.0) == -inf  # node 0 is not settled yet
+    assert sweep.deviation_bound((1, 5), 0.0) == -inf  # node 0 is not settled yet
     sweep.settle(inf)
     assert sweep.tree[0] == 1 and sweep.tree[2] == 5  # 0 -> 2 -> 4 costs 2
     # leaving 0 over 0 -> 1 -> 4 costs 3; node 2 has no arc but its tree arc
-    assert sweep.deviation_bound(0, (1, 5), 0.0) == 3.0
+    assert sweep.deviation_bound((1, 5), 0.0) == 3.0
     assert sweep.sidetrack[0] == 3.0 and sweep.sidetrack[2] == inf
-    assert sweep.deviation_bound(0, (1, 5), 10.0) == 13.0
-    assert sweep.deviation_bound(2, (5,), 1.0) == inf
-    assert sweep.deviation_bound(4, (), 2.0) == inf  # nothing deviates from the target
+    assert sweep.deviation_bound((1, 5), 10.0) == 13.0
+    assert sweep.deviation_bound((5,), 1.0) == inf
+    assert sweep.deviation_bound((), 2.0) == inf  # nothing deviates from the target
     # 0 -> 1 is not node 0's tree arc, so 0 -> 2 -> 4 would go unbounded
-    assert sweep.deviation_bound(0, (0, 4), 0.0) == -inf
+    assert sweep.deviation_bound((0, 4), 0.0) == -inf
 
 
 def test_deviation_bound_leaves_blocked_arcs_out_and_may_stop_early(five_node_graph):
     g = five_node_graph
     sweep = ReverseSweep(g, 4)
     sweep.settle(inf)
-    assert sweep.deviation_bound(0, (1, 5), 0.0) == 3.0
+    assert sweep.deviation_bound((1, 5), 0.0) == 3.0
     # with 0 -> 1 blocked the least sidetrack out of 0 is 0 -> 3 -> 4; with both
     # blocked nothing leaves the path 0 -> 2 -> 4
-    assert sweep.deviation_bound(0, (1, 5), 0.0, [0]) == 4.0
-    assert sweep.deviation_bound(0, (1, 5), 0.0, [0, 2]) == inf
+    assert sweep.deviation_bound((1, 5), 0.0, [0]) == 4.0
+    assert sweep.deviation_bound((1, 5), 0.0, [0, 2]) == inf
     # a blocked arc off the path changes nothing, and the memo keeps the unblocked value
-    assert sweep.deviation_bound(0, (1, 5), 0.0, [3]) == 3.0
+    assert sweep.deviation_bound((1, 5), 0.0, [3]) == 3.0
     assert sweep.sidetrack[0] == 3.0
     # the walk gives up once the least sum so far falls to the stop
-    assert sweep.deviation_bound(0, (1, 5), 0.0, (), 3.0) == -inf
-    assert sweep.deviation_bound(0, (1, 5), 0.0, (), 2.5) == 3.0
-    assert sweep.deviation_bound(0, (1, 5), 0.0, [0], 3.0) == 4.0
+    assert sweep.deviation_bound((1, 5), 0.0, (), 3.0) == -inf
+    assert sweep.deviation_bound((1, 5), 0.0, (), 2.5) == 3.0
+    assert sweep.deviation_bound((1, 5), 0.0, [0], 3.0) == 4.0
