@@ -67,11 +67,10 @@ depends on how far the sweep has settled. Its push counter keeps equal
 costs in the eager driver's order. A late search's cap still cuts only
 answers that would be trimmed, except that an answer equal to the cap
 sorts before a last candidate pushed after the ask; the search then
-runs under the next float above the cap, or under no cap if the cap is
-infinite. Unguided solves have no sweep, so every bound is -inf and
-each ask is searched at the next check, in push order, under the cap
-it would have met when made: they run as the eager driver does,
-counters included.
+runs under the next float above the cap. Unguided solves have no
+sweep, so every bound is -inf and each ask is searched at the next
+check, in push order, under the cap it would have met when made: they
+run as the eager driver does, counters included.
 
 By default the driver computes exact distances to the target with one
 reverse scalar search over the unmasked graph, a
@@ -89,8 +88,9 @@ settles the sweep on up to that node (see
 :func:`kssp.biobjective.find_best_deviation`). Settled distances never
 change, so every query reads exactly the fully settled distances, while
 a solve settles only the nodes its queries touch. ``guided=False``
-switches the queries to plain lexicographic order. Unguided solves and
-k=1 build no sweep and keep the plain first-path search.
+switches the queries to plain lexicographic order. Unguided solves, k=1
+and graphs failing ``Graph.folds_in_range`` build no sweep and keep the
+plain first-path search, so no guided cap is infinite.
 """
 from __future__ import annotations
 
@@ -281,7 +281,7 @@ def k_shortest_paths(
     # k=1 and unguided solves read no potential, and settling a sweep as far
     # as s costs about as much as the plain search it would prune
     sweep = None
-    if opts.guided and k > 1:
+    if opts.guided and k > 1 and g.folds_in_range:
         sweep = ReverseSweep(g, t)
         sweep.settle(0.0, s)
         sweep.settle(prune_limit(g, sweep.dist[s]))
@@ -325,7 +325,7 @@ def k_shortest_paths(
                 return
             # an answer equal to the cap sorts before a last candidate pushed after the ask
             if cands[-1][1] > counter:
-                cap = nextafter(cap, inf) if cap < inf else None
+                cap = nextafter(cap, inf)
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
@@ -357,13 +357,8 @@ def k_shortest_paths(
                 raise RuntimeError("duplicate candidate generated")
             seen_candidates.add(arcs)
         rec = PathRecord(
-            path=Path(arcs, dev.cost),
-            parent_index=origin_index,
-            dev_node=arc_tail[dev_arc],
-            dev_pos=dev_pos,
-            source_node=g.arc_head[dev_arc],
-            source_pos=dev_pos + 1,
-            prefix_cost=dev.source_cost,
+            Path(arcs, dev.cost), origin_index, arc_tail[dev_arc], dev_pos,
+            g.arc_head[dev_arc], dev_pos + 1, dev.source_cost,
         )
         origin.blocked.append(dev_arc)
         insort(cands, (dev.cost, counter, rec))

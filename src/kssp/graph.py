@@ -44,9 +44,19 @@ class Graph:
 
     :meth:`from_arrays` builds the same graph from parallel tail, head
     and cost arrays without the triples.
+
+    ``folds_in_range`` is False when the arc costs sum past ``2**1020``;
+    the guided solve and accelerated Yen then run their plain searches,
+    where an infinite distance cannot hide a node. Below it no solver
+    float overflows: a label, distance, key, bound, prune limit or cap
+    rounds a sum over at most two simple paths and an arc, at most twice
+    the exact cost sum S, scaled by under ``1 + 2**-6`` in a prune limit
+    or Yen's slack. With under ``2**45`` nodes and arcs, its roundings
+    and the computed sum's move it under 1%, so it stays below
+    ``2**1021 * 1.04``.
     """
 
-    __slots__ = ("node_count", "arc_tail", "arc_head", "arc_cost", "out_arcs", "in_arcs")
+    __slots__ = ("node_count", "arc_tail", "arc_head", "arc_cost", "out_arcs", "in_arcs", "folds_in_range")
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]]) -> None:
         tail: list[int] = []
@@ -87,12 +97,13 @@ class Graph:
                 and min(floats, default=0.0) >= 0.0
                 and max(floats, default=0.0) < math.inf
                 # a NaN makes the sum NaN, and text, which float() parses, makes it raise
-                and not math.isnan(sum(cost))
+                and not math.isnan(total := sum(cost))
             )
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             _raise_first_bad_arc(node_count, tail, head, cost)
+            total = sum(floats)  # costs that pass yet do not add up as given, like Decimal and Fraction
         try:  # one allocation each, so a count too large fails before any per-node list
             out_arcs: list = [None] * node_count
             in_arcs: list = [None] * node_count
@@ -115,6 +126,7 @@ class Graph:
         self.arc_cost = floats
         self.out_arcs = out_arcs
         self.in_arcs = in_arcs
+        self.folds_in_range = total <= 2.0**1020
 
     @property
     def arc_count(self) -> int:

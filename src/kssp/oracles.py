@@ -45,8 +45,9 @@ def yen_k_shortest(
     changes the returned cost sequence. In the stats, spur searches
     count as queries and their pop counts as iterations; a failed search
     that ran with a cost bound counts as capped even if it would also
-    have failed without the bound. Yen keeps no deviation tree, so the
-    report holds bare paths; a timeout raises
+    have failed without the bound. A graph failing ``Graph.folds_in_range``
+    gets the plain searches. Yen keeps no deviation tree, so the report
+    holds bare paths; a timeout raises
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
     check_endpoints(g, s, t)
@@ -61,7 +62,7 @@ def yen_k_shortest(
         stats.wall_time_s = perf_counter() - t_start
         return YenReport(paths, status, stats)
 
-    potential = reverse_distances(g, t) if accelerated else None
+    potential = reverse_distances(g, t) if accelerated and g.folds_in_range else None
     # A* on a rounded potential can close a node early; pruning cannot
     p1, pops = shortest_path(g, s, t, prune=potential)
     stats.init_queries = 1

@@ -329,6 +329,17 @@ def test_decimal_costs_solve_in_cost_order(tmp_path, capsys):
     assert [float(line.split()[1]) for line in out] == want
 
 
+@pytest.mark.parametrize("algo", ["deviation", "yen-accelerated"])
+def test_a_path_whose_cost_overflows_is_still_found(tmp_path, capsys, algo):
+    # a reverse sweep never reaches node 0, as its distance overflows
+    graph = tmp_path / "overflow.gr"
+    graph.write_text("p sp 3 2\na 1 2 1e308\na 2 3 1e308\n")
+    argv = ("solve", "--graph", str(graph), "-s", "0", "-t", "2", "-k", "2", "--algo", algo)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out[0] == "cost inf nodes 0 1 2"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: a cost fold can overflow to inf")
 def test_a_path_cost_beyond_the_float_range_is_not_printed_as_inf(tmp_path, capsys):
     graph = tmp_path / "overflow.gr"

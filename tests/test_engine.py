@@ -191,13 +191,33 @@ def test_label_budget_is_exact_under_a_lazily_settled_sweep(monkeypatch):
         k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget - 1))
 
 
+def overflow_digraph(seed: int) -> Graph:
+    """``make_digraph(seed, 4, 9, 0.45)`` with costs 0-2 raised to 1e308 and the rest taken to 0-4."""
+    g = make_digraph(seed, 4, 9, 0.45)
+    return Graph(g.node_count, [(u, v, 1e308 if c < 3 else (c - 3) % 5) for u, v, c in g.arcs()])
+
+
 def test_costs_that_overflow_to_infinity_solve_as_unguided():
+    inf = float("inf")
     # the label at node 1 is keyed 1e308 + 1e308, which overflows to inf
     g = Graph(3, [(0, 2, 0.0), (0, 1, 1e308), (1, 2, 1e308)])
     guided = k_shortest_paths(g, 0, 2, 2, SolveOptions(validate=True))
     plain = k_shortest_paths(g, 0, 2, 2, SolveOptions(guided=False, validate=True))
-    assert guided.costs == [0.0, float("inf")]
+    assert guided.costs == [0.0, inf]
     assert report_digest(guided) == report_digest(plain)
+    # a reverse sweep would never reach node 0, so it would see no path at all
+    g = Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    assert k_shortest_paths(g, 0, 2, 2).costs == [inf]
+    assert yen_k_shortest(g, 0, 2, 2, accelerated=True).costs == [inf]
+    overflowing = 0
+    for seed in range(600):
+        g = overflow_digraph(seed)
+        s, t = 0, g.node_count - 1
+        want = [p.cost for p in enumerate_simple_paths(g, s, t)[:12]]
+        assert k_shortest_paths(g, s, t, 12, SolveOptions(validate=True)).costs == want, seed
+        assert yen_k_shortest(g, s, t, 12, accelerated=True).costs == want, seed
+        overflowing += inf in want
+    assert overflowing > 100
 
 
 def test_unreachable_target_ends_before_any_query():
@@ -243,6 +263,7 @@ def test_a_k_that_is_not_an_int_is_rejected_before_any_search(five_node_graph, m
     monkeypatch.setattr(kssp.engine, "shortest_path", None)
     with pytest.raises(ValueError, match="^k must be an int, got "):
         k_shortest_paths(five_node_graph, 0, 4, k)
+
 
 
 def test_k_may_be_a_bool(five_node_graph):

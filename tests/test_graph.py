@@ -125,6 +125,16 @@ def test_costs_of_any_number_type_become_floats():
         assert all(type(w) is float for w in g.arc_cost)
 
 
+def test_a_graph_knows_whether_its_cost_folds_stay_in_range():
+    assert Graph(0, []).folds_in_range
+    assert Graph(3, [(0, 1, 2.0**1019), (1, 2, 2.0**1019)]).folds_in_range
+    assert not Graph(3, [(0, 1, 2.0**1020), (1, 2, 2.0**1000)]).folds_in_range
+    assert not Graph(3, [(0, 1, 1e308), (1, 2, 1e308)]).folds_in_range
+    # costs that do not add up as given are summed as floats
+    assert Graph(2, [(0, 1, Decimal("1.5")), (0, 1, Fraction(1, 3))]).folds_in_range
+    assert not Graph(2, [(0, 1, Decimal("1e308")), (0, 1, Fraction(10**308))]).folds_in_range
+
+
 def test_the_array_builder_keeps_its_own_lists():
     tail, head, cost = [0], [1], [1.0]
     g = Graph.from_arrays(2, tail, head, cost)
