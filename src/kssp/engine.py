@@ -219,10 +219,11 @@ class SolveLimitExceeded(RuntimeError):
 
 def check_limits(k: int, timeout_s: float | None, label_budget: int | None = None) -> None:
     """Raise ValueError for a k that is not an int of at least 1, a NaN or
-    negative timeout, or a negative label budget.
+    negative timeout, or a label budget that is not a nonnegative int.
 
-    A NaN deadline would never strike, and a negative limit would abort
-    a solve as if it had run out.
+    A NaN deadline or budget would never strike, a fractional budget
+    would strike a label early, and a negative limit would abort a solve
+    as if it had run out.
     """
     try:
         k = operator.index(k)
@@ -232,8 +233,13 @@ def check_limits(k: int, timeout_s: float | None, label_budget: int | None = Non
         raise ValueError(f"k must be at least 1, got {k}")
     if timeout_s is not None and not timeout_s >= 0.0:
         raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
-    if label_budget is not None and label_budget < 0:
-        raise ValueError(f"label budget must be nonnegative, got {label_budget}")
+    if label_budget is not None:
+        try:
+            label_budget = operator.index(label_budget)
+        except TypeError:
+            raise ValueError(f"label budget must be an int, got {label_budget!r}") from None
+        if label_budget < 0:
+            raise ValueError(f"label budget must be nonnegative, got {label_budget}")
 
 
 def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float | None:

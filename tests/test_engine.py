@@ -265,9 +265,29 @@ def test_a_k_that_is_not_an_int_is_rejected_before_any_search(five_node_graph, m
         k_shortest_paths(five_node_graph, 0, 4, k)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 0.5, 3.0, float("inf"), "3"])
+def test_a_label_budget_that_is_not_an_int_is_rejected_before_any_search(
+    five_node_graph, monkeypatch, budget
+):
+    # a NaN budget never strikes, and 0.5 strikes after one label
+    monkeypatch.setattr(kssp.engine, "ReverseSweep", None)
+    monkeypatch.setattr(kssp.engine, "shortest_path", None)
+    with pytest.raises(ValueError, match="^label budget must be an int, got "):
+        k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=budget))
+
 
 def test_k_may_be_a_bool(five_node_graph):
     assert k_shortest_paths(five_node_graph, 0, 4, True).costs == [2.0]
+
+
+def test_a_label_budget_may_be_a_bool(five_node_graph):
+    reports = []
+    for budget in (True, 1):
+        with pytest.raises(SolveLimitExceeded) as exc:
+            k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=budget))
+        assert exc.value.kind == "iterations"
+        reports.append(report_digest(exc.value.report))
+    assert reports[0] == reports[1]
 
 
 def test_label_budget_aborts_with_partial_report(five_node_graph):
