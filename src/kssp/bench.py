@@ -54,12 +54,6 @@ def _check_algorithms(algorithms: Iterable[str], label_budget: int | None) -> No
             )
 
 
-def _check_sweep(k: int, pairs: int, timeout_s: float | None, label_budget: int | None) -> None:
-    """Raise ValueError for k below 1, a negative pair count or a bad limit, before any solve."""
-    check_limits(k, timeout_s, label_budget)
-    check_pair_count(pairs)
-
-
 def run_algorithm(
     g: Graph,
     s: int,
@@ -129,7 +123,8 @@ def bench_graph(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
-    _check_sweep(k, pairs, timeout_s, label_budget)
+    check_limits(k, timeout_s, label_budget)
+    check_pair_count(pairs)
     rng = SplitMix64(seed)
     return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
 
@@ -147,7 +142,8 @@ def bench_grid(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
-    _check_sweep(k, pairs, timeout_s, label_budget)
+    check_limits(k, timeout_s, label_budget)
+    check_pair_count(pairs)
     out: list[ResultRow] = []
     for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):
         name = f"grid{rows_n}x{cols_n}-c{ci}"
