@@ -71,20 +71,19 @@ target. Each such label would push every out-arc of its node, and few
 of those pushes are ever popped. So right after the loop makes a label
 permanent, the search walks the tree from its node and settles the
 labels along it in the loop's own settle block, for as long as the loop
-would take them next. For every node it leaves it sets aside one bound in
-place of the node's other pushes: a key no such push falls below,
-sorting before any entry of equal key. Once the walk stops, the bounds
-go into the heap and the loop pushes from the last label settled; when
-the loop pops a bound, it makes that node's deferred pushes then,
-through its usual push code. Extraction order, results, iteration
-counts and target extractions are those of the plain loop (see
-:func:`find_best_deviation`); ``QueryStats.tree_steps`` counts the
-labels the walk settled, more than four in five on grids.
+would take them next. For every node it leaves it pushes one bound into
+the heap in place of the node's other pushes: a key no such push falls
+below, sorting before any entry of equal key. Once the walk stops, the
+loop pushes from the last label settled; when the loop pops a bound, it
+makes that node's deferred pushes then, through its usual push code.
+Extraction order, results and iteration counts are those of the plain
+loop (see :func:`find_best_deviation`); on grids the walk settles more
+than four labels in five.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
@@ -228,9 +227,7 @@ class Deviation:
 
 class QueryStats(NamedTuple):
     iterations: int
-    target_extractions: int
     outcome: str  # "found" | "exhausted" | "cost-capped"
-    tree_steps: int  # of the iterations, labels the tree walk settled
 
 
 class SearchLimit(RuntimeError):
@@ -284,9 +281,9 @@ def find_best_deviation(
     tree arc is -1, so no walk starts there.) The plain loop would now
     push L over each of v's out-arcs. A step of the walk from v defers
     all of these pushes but the one over the tree arc a = tree[v], and
-    sets aside in their place the bound B = (c + s)(1 - 2^-50) as the
-    entry ``(B, -1, v, i, a)``, where i indexes L in v's frontier and
-    s, memoized per node by
+    pushes in their place the bound B = (c + s)(1 - 2^-50) into the heap
+    as the entry ``(B, -1, v, i, a)``, where i indexes L in v's frontier
+    and s, memoized per node by
     ``sweep.sidetrack_of``, is the least cost(b) + dist[head] over v's
     out-arcs b other than a, with the sweep's horizon standing in for an
     unsettled head. No deferred push keys below B: a push over b keys at
@@ -302,15 +299,16 @@ def find_best_deviation(
     The walk then settles L' = (c', o'), the push of L over a to w, in
     the block that settles a popped label: it counts it, makes the
     budget and deadline checks and makes it permanent at w, and goes on
-    from L'. It does so only while L' keys strictly below the heap's top
-    key and every bound set aside so far; neither a nor w is masked; L' is not
-    dominated at w; c' is below the cost cap, so that the loop, not the
-    walk, stops on a capped label; and no rebuild would be pending at w:
-    the least overlap dropped at w, with that of the queued candidate L'
-    replaces, is at least o'. At the first step that fails, and at the
-    target, the walk stops: the bounds set aside go into the heap, and
-    the loop's push block and rebuild check run from the last label
-    settled. A found answer ends the query there.
+    from L'. It does so only while L' keys strictly below B and below the
+    heap's top key, which covers every bound pushed so far; neither a nor
+    w is masked; L' is not dominated at w; c' is below the cost cap, so
+    that the loop, not the walk, stops on a capped label; and no rebuild
+    would be pending at w: the least overlap dropped at w, with that of
+    the queued candidate L' replaces, is at least o'. Only a step that
+    passes them all pushes its bound. At the first step that fails, and
+    at the target, the walk stops, and the loop's push block and rebuild
+    check run from the last label settled. A found answer ends the query
+    there.
 
     Why the order is the plain loop's. The plain loop extracts, at each
     step, the least entry over all nodes of each node's least
@@ -324,25 +322,27 @@ def find_best_deviation(
     extension, so no less than E: B pops, pushing E, before anything is
     extracted. Otherwise E is its node's candidate and is extracted
     next. None of this asks which label a bound stands for. A step of
-    the walk is such an extraction: L' keys below every heap entry and
-    every bound, so it is the next entry the loop would pop; it is not
-    dominated, and it replaces any queued candidate at w, which keys at
-    or above the heap top, so above L', and, as fl(x + p) is monotone in
-    x, costs more than c'. No rebuild runs at
-    the node left: at v it was ruled out on entry, at each later node
+    the walk is such an extraction: L' keys below every heap entry, the
+    bounds pushed so far included, and below its own bound, so it is the
+    next entry the loop would pop; it is not dominated, and it replaces
+    any queued candidate at w, which keys at or above the heap top, so
+    above L', and, as fl(x + p) is monotone in x, costs more than c'. No
+    rebuild runs at the node left: at v it was ruled out on entry, at each later node
     before settling, and the pushes from a node change no dropped
     overlap of its own, as a push to itself is dominated. Extraction
-    order, the answer, ``iterations``, ``target_extractions`` and
-    ``outcome`` are therefore the plain loop's; ``tree_steps`` counts
-    the labels the walk settled. One choice the argument leaves open: of
+    order, the answer, ``iterations`` and ``outcome`` are therefore the
+    plain loop's. The heap pops in full tuple order, and no two of its
+    entries are equal: labels carry unique counters, and a bound is
+    unique per node and frontier index. So when a bound is pushed does
+    not change what pops when. One choice the argument leaves open: of
     two extensions equal in cost and overlap at one node, the loop
     keeps the one offered first, and a deferred push comes later than
     in the plain loop. The differential tests compare answers, and the
     hand-built ones every permanent label, to catch a twin kept
-    differently. The search keeps no record of its own order: the tests
-    read it from outside, from the live heap pops, each followed by the
-    walk's chain of labels, and the permanent labels left in the
-    workspace.
+    differently. The search keeps no record of its own order or of how
+    many labels the walk settled: the tests read both from outside, from
+    the live heap pops, each followed by the walk's chain of labels, and
+    the permanent labels left in the workspace.
     """
     ws = query.workspace
     g = ws.graph
@@ -382,8 +382,6 @@ def find_best_deviation(
     dropped = ws.dropped
     counter = 0
     iterations = 0
-    tree_steps = 0
-    t_hits = 0
     outcome = "exhausted"
     found = None
     shrink = _SHRINK
@@ -394,7 +392,6 @@ def find_best_deviation(
     dropped[query.source] = unreachable
     heap = [entry]
 
-    aside: list[tuple] = []  # the bounds a tree walk sets aside, until it stops
     while heap:
         e = heappop(heap)
         node = e[2]
@@ -417,7 +414,6 @@ def find_best_deviation(
             # the tree walk of the docstring goes on from the popped label only
             # if no rebuild is pending at its node
             a = tree[node] if tree is not None and dropped[node] >= eover else -1
-            limit = heap[0][0] if heap else unreachable
             while True:
                 # settle lab at node: the popped label, then each step of the walk
                 iterations += 1
@@ -435,8 +431,8 @@ def find_best_deviation(
                     f_stamp[node] = serial
                     frontiers[node] = f = [lab]
                 last_idx = len(f) - 1
-                # take the tree extension next while the loop would, setting aside
-                # one bound for the other pushes of the node left
+                # take the tree extension next while the loop would, pushing one
+                # bound for the other pushes of the node left
                 if a < 0 or arc_stamp[a] == epoch:
                     break
                 w = arc_head[a]
@@ -446,10 +442,11 @@ def find_best_deviation(
                 if side < 0.0:
                     side = sweep.sidetrack_of(node)
                 side = (ecost + side) * shrink
-                if side < limit:
-                    limit = side
                 nc = ecost + arc_cost[a]
-                if not nc + pot[w] < limit or (cost_cap is not None and nc >= cost_cap):
+                key = nc + pot[w]
+                if not (key < side and (not heap or key < heap[0][0])) or (
+                    cost_cap is not None and nc >= cost_cap
+                ):
                     break
                 no = eover + 1 if a in ref else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
@@ -466,8 +463,7 @@ def find_best_deviation(
                     q_stamp[w] = serial
                 queued[w] = None
                 dropped[w] = least
-                aside.append((side, -1, node, last_idx, a))
-                tree_steps += 1
+                heappush(heap, (side, -1, node, last_idx, a))
                 lab = (nc, no, a, last_idx)
                 node = w
                 ecost = nc
@@ -476,7 +472,6 @@ def find_best_deviation(
             if outcome == "cost-capped":
                 break
             if node == target:
-                t_hits += 1
                 if eover < ref_len:
                     found = lab
                     break
@@ -484,14 +479,6 @@ def find_best_deviation(
                 arcs = ()
             else:
                 arcs = out_arcs[node]
-            if aside:
-                if heap:
-                    for b in aside:
-                        heappush(heap, b)
-                    aside.clear()
-                else:
-                    heap, aside = aside, heap
-                    heapify(heap)
         for a in arcs:
             if arc_stamp[a] == epoch:
                 continue
@@ -554,11 +541,11 @@ def find_best_deviation(
                 heappush(heap, ne)
 
     if found is None:
-        return None, QueryStats(iterations, t_hits, outcome, tree_steps)
+        return None, QueryStats(iterations, outcome)
     chain = reconstruct(ws, found)
     i = 0
     while chain[i][1] == i + 1:
         i += 1
     suffix = tuple(step[2] for step in chain[i:])
     result = Deviation(i, suffix, found[0], found[1], chain[i][0])
-    return result, QueryStats(iterations, t_hits, "found", tree_steps)
+    return result, QueryStats(iterations, "found")

@@ -1,4 +1,4 @@
-"""Shared fixtures: worked examples, a search observer, a digraph factory, a host-speed clock."""
+"""Shared fixtures: worked examples, search observers, a digraph factory, a host-speed clock."""
 from __future__ import annotations
 
 import gc
@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path as FilePath
 from statistics import harmonic_mean
 from time import perf_counter
+from typing import NamedTuple
 
 import pytest
 
@@ -85,6 +86,60 @@ def six_node_graph() -> Graph:
     )
 
 
+class SearchCounts(NamedTuple):
+    """A query's stats, widened by two counts the search does not keep, read from outside it."""
+
+    iterations: int
+    target_extractions: int  # labels made permanent at the target
+    outcome: str
+    tree_steps: int  # of the iterations, labels the tree walk settled
+
+
+def _watch(query, cost_cap, limits, before_pop=None):
+    """Run the search with its ``heappop`` wrapped; returns ``((dev, counts), live_pops)``.
+
+    ``before_pop``, if given, sees the heap before every pop. A pop is
+    live when a workspace queue slot holds the entry; the others are
+    superseded candidates and tree-walk bounds. Every label the search
+    settles is either a live pop or a step of a tree walk, so
+    ``tree_steps`` is ``iterations`` less the live pops. A target
+    extraction is a label made permanent at the target, so
+    ``target_extractions`` is the size of the target's frontier.
+    """
+    ws = query.workspace
+    queued = ws.queued
+    q_stamp = ws.queued_stamp
+    serial = ws.serial + 1  # the one the search is about to take
+    live: list[tuple] = []
+
+    def watched_heappop(heap: list[tuple]) -> tuple:
+        if before_pop is not None:
+            before_pop(heap)
+        e = heapq.heappop(heap)
+        if q_stamp[e[2]] == serial and queued[e[2]] is e:
+            live.append(e)
+        return e
+
+    biobjective.heappop = watched_heappop
+    try:
+        dev, stats = biobjective.find_best_deviation(query, cost_cap, **limits)
+    finally:
+        biobjective.heappop = heapq.heappop
+    assert ws.serial == serial
+    t = query.target
+    at_target = len(ws.frontiers[t]) if ws.frontier_stamp[t] == serial else 0
+    counts = SearchCounts(stats.iterations, at_target, stats.outcome, stats.iterations - len(live))
+    return (dev, counts), live
+
+
+def count_search(query, cost_cap=None, *, before_pop=None, **limits):
+    """``find_best_deviation(query, cost_cap, **limits)`` with its stats as :class:`SearchCounts`.
+
+    ``before_pop``, if given, is called with the heap before every pop.
+    """
+    return _watch(query, cost_cap, limits, before_pop)[0]
+
+
 @dataclass
 class SearchTrace:
     """What one deviation search did, read from outside it by :func:`observe_search`.
@@ -104,20 +159,19 @@ class SearchTrace:
 
 
 def observe_search(query, cost_cap=None, **limits):
-    """``find_best_deviation(query, cost_cap, **limits)``, and a :class:`SearchTrace` of it.
+    """:func:`count_search`, and a :class:`SearchTrace` of the search.
 
-    Returns ``(result, trace)``. For the length of the call the search's
-    ``heappop`` is wrapped. Before each pop the wrapper counts the heap
-    entries still live, those a workspace queue slot holds, per node, and
-    checks their total against the slots that hold a candidate; after it,
-    the wrapper records the entry if it was live. The permanent labels
-    are read off the workspace once the search returns. Every live pop's
-    label is made permanent, except a last one that the cost cap strikes.
-    The tree walk then settles a chain of labels that were never popped,
-    each over the tree arc of the node before and linked to the label
-    before by ``via_index``. So the extraction order is each live pop
-    followed by its chain, and every key is ``cost + pot[node]``, with
-    ``pot`` the sweep's ``dist`` or zero.
+    Returns ``(result, trace)``. Before each pop the search makes, the
+    observer counts the heap entries still live, those a workspace queue
+    slot holds, per node, and checks their total against the slots that
+    hold a candidate. The permanent labels are read off the workspace
+    once the search returns. Every live pop's label is made permanent,
+    except a last one that the cost cap strikes. The tree walk then
+    settles a chain of labels that were never popped, each over the tree
+    arc of the node before and linked to the label before by
+    ``via_index``. So the extraction order is each live pop followed by
+    its chain, and every key is ``cost + pot[node]``, with ``pot`` the
+    sweep's ``dist`` or zero.
     """
     ws = query.workspace
     g = ws.graph
@@ -125,7 +179,6 @@ def observe_search(query, cost_cap=None, **limits):
     q_stamp = ws.queued_stamp
     serial = ws.serial + 1  # the one the search is about to take
     trace = SearchTrace()
-    popped: list[tuple] = []
 
     def recount(heap: list[tuple]) -> None:
         live = Counter(e[2] for e in heap if q_stamp[e[2]] == serial and queued[e[2]] is e)
@@ -134,19 +187,7 @@ def observe_search(query, cost_cap=None, **limits):
         if sum(live.values()) != slots:
             trace.queue_consistent = False
 
-    def observed_heappop(heap: list[tuple]) -> tuple:
-        recount(heap)
-        e = heapq.heappop(heap)
-        if q_stamp[e[2]] == serial and queued[e[2]] is e:
-            popped.append(e)
-        return e
-
-    biobjective.heappop = observed_heappop
-    try:
-        result = biobjective.find_best_deviation(query, cost_cap, **limits)
-    finally:
-        biobjective.heappop = heapq.heappop
-    assert ws.serial == serial
+    result, popped = _watch(query, cost_cap, limits, recount)
     if result[1].outcome == "exhausted":
         recount([])  # the heap ran empty, so no queue slot may hold a candidate
 

@@ -30,8 +30,8 @@ from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 from kssp.rng import SplitMix64
 
 from conftest import (
-    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, observe_search,
-    records_digest, report_digest, road_solves,
+    COST_FAMILIES, cost_family, cost_free_digest, count_search, frozen_solves, make_digraph,
+    observe_search, records_digest, report_digest, road_solves,
 )
 
 GRID_MASTER_SEED = 7
@@ -427,32 +427,26 @@ def gate_grid_label_counts(monkeypatch) -> dict[str, int]:
     """Solve gate grid 0 at GRID_K and sum the label counts of its queries.
 
     ``root_steps`` counts the labels settled by the walk from each query's
-    root label. That walk runs while the heap is still empty, so when it
-    stops its bounds become the heap through ``heapify``, the first of them
-    set aside at the query source's only label; when it ends the query
-    instead, every label but the root was the walk's.
+    root label. The root label is the search's first pop, and its walk
+    pushes one bound per step and pops nothing, so the bounds in the heap
+    at the second pop are its steps. A query that ends before a second pop
+    ended in that walk, so every label but the root was the walk's.
     """
     totals = {"iterations": 0, "tree_steps": 0, "root_steps": 0}
-    first_heap: list[tuple] = []
-
-    def heapify(heap):
-        if not first_heap:
-            first_heap.append(heap[0])
-            first_heap.append(len(heap))
-        heapq.heapify(heap)
 
     def counted(query, cost_cap=None, **limits):
-        first_heap.clear()
-        dev, stats = find_best_deviation(query, cost_cap, **limits)
+        bounds_at_pop: list[int] = []
+
+        def before_pop(heap):
+            if len(bounds_at_pop) < 2:
+                bounds_at_pop.append(sum(e[1] < 0 for e in heap))
+
+        dev, stats = count_search(query, cost_cap, before_pop=before_pop, **limits)
         totals["iterations"] += stats.iterations
         totals["tree_steps"] += stats.tree_steps
-        if first_heap and first_heap[0][1:4] == (-1, query.source, 0):
-            totals["root_steps"] += first_heap[1]
-        elif stats.iterations == stats.tree_steps + 1:
-            totals["root_steps"] += stats.tree_steps
+        totals["root_steps"] += bounds_at_pop[1] if len(bounds_at_pop) > 1 else stats.tree_steps
         return dev, stats
 
-    monkeypatch.setattr("kssp.biobjective.heapify", heapify)
     monkeypatch.setattr("kssp.engine.find_best_deviation", counted)
     g, s, t = next(grid_instances())
     k_shortest_paths(g, s, t, GRID_K)
@@ -482,11 +476,15 @@ FROZEN_QUERY_STATS_DIGEST = "2ee5d2ffc343e90108cfe33be9714ef52903bf7f7a651b7b25d
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):
-    """Per-query counters, ``tree_steps`` included, which ``report_digest`` does not see."""
+    """Per-query counters, ``tree_steps`` included, which ``report_digest`` does not see.
+
+    The search returns only ``iterations`` and ``outcome``; ``count_search``
+    reads the other two from outside it.
+    """
     rows = []
 
     def recorded(query, cost_cap=None, **limits):
-        dev, stats = find_best_deviation(query, cost_cap, **limits)
+        dev, stats = count_search(query, cost_cap, **limits)
         rows.append((stats.iterations, stats.target_extractions, stats.outcome, stats.tree_steps))
         return dev, stats
 

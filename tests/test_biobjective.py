@@ -19,7 +19,7 @@ from kssp.graph import Graph, Path, path_cost
 from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths
 
-from conftest import COST_FAMILIES, cost_family, make_digraph, observe_search
+from conftest import COST_FAMILIES, cost_family, count_search, make_digraph, observe_search
 
 SPINE = (0, 1, 2, 3)  # reference arcs of the six node example
 
@@ -107,7 +107,7 @@ def test_search_settles_the_sweep_on_demand(six_node_graph):
     # the answer needs node 4's distance, so the search settled it
     assert sweep.dist == reverse_distances(g, 5)
     full = find_best_deviation(build_query(ws, 0, 5, SPINE, sweep=settled_sweep(g, 5)))
-    assert (dev, stats[:3]) == (full[0], full[1][:3])
+    assert (dev, stats) == full
 
 
 def test_search_settles_an_unsettled_root(six_node_graph):
@@ -115,8 +115,8 @@ def test_search_settles_an_unsettled_root(six_node_graph):
     sweep = ReverseSweep(g, 5)
     sweep.settle(0.0)
     query = build_query(Workspace(g), 4, 5, (6, 7), sweep=sweep)
-    full = find_best_deviation(build_query(Workspace(g), 4, 5, (6, 7), sweep=settled_sweep(g, 5)))
-    assert find_best_deviation(query) == full
+    full = count_search(build_query(Workspace(g), 4, 5, (6, 7), sweep=settled_sweep(g, 5)))
+    assert count_search(query) == full
     assert sweep.dist[4] == 2.0
 
 
@@ -127,7 +127,7 @@ def test_a_dead_end_finishes_the_sweep():
     sweep.settle(1.0)
     assert sweep.horizon == 10.0
     query = build_query(Workspace(g), 0, 1, (0,), sweep=sweep)
-    assert find_best_deviation(query) == (None, (2, 1, "exhausted", 1))
+    assert count_search(query) == (None, (2, 1, "exhausted", 1))
     assert sweep.horizon == float("inf")
     assert sweep.dist == reverse_distances(g, 1)
 
@@ -172,7 +172,7 @@ def test_partly_settled_sweeps_search_as_the_full_potential(family):
 
 def test_single_arc_reference_with_no_rival_exhausts():
     g = Graph(2, [(0, 1, 1.0)])
-    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 1, (0,)))
+    dev, stats = count_search(build_query(Workspace(g), 0, 1, (0,)))
     assert dev is None
     assert stats.outcome == "exhausted"
     assert stats.target_extractions == 1
@@ -180,7 +180,7 @@ def test_single_arc_reference_with_no_rival_exhausts():
 
 def test_parallel_arc_rival_is_found_through_rebuild():
     g = Graph(2, [(0, 1, 1.0), (0, 1, 5.0)])
-    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 1, (0,)))
+    dev, stats = count_search(build_query(Workspace(g), 0, 1, (0,)))
     assert (dev.cost, dev.overlap) == (5.0, 0)
     assert dev.suffix == (1,)
     assert dev.ref_index == 0
@@ -189,7 +189,7 @@ def test_parallel_arc_rival_is_found_through_rebuild():
 
 def test_cost_cap_aborts_the_query(six_node_graph):
     query = build_query(Workspace(six_node_graph), 0, 5, SPINE)
-    dev, stats = find_best_deviation(query, cost_cap=1.5)
+    dev, stats = count_search(query, cost_cap=1.5)
     assert dev is None
     assert stats.outcome == "cost-capped"
     assert stats.iterations == 7
@@ -233,7 +233,7 @@ def test_past_deadline_raises_inside_a_tree_answer():
     n = 400
     arcs = [(i, i + 1, 1.0) for i in range(n)] + [(0, n, 0.5)]
     g = Graph(n + 1, arcs)
-    dev, stats = find_best_deviation(build_query(Workspace(g), 0, n, (n,), sweep=settled_sweep(g, n)))
+    dev, stats = count_search(build_query(Workspace(g), 0, n, (n,), sweep=settled_sweep(g, n)))
     assert dev.suffix == tuple(range(n))
     assert stats == (402, 2, "found", 400)
     query = build_query(Workspace(g), 0, n, (n,), sweep=settled_sweep(g, n))
@@ -467,12 +467,12 @@ def test_a_tree_completion_losing_a_tie_on_overlap_falls_back():
     sweep = ReverseSweep(g, 3)
     sweep.settle(float("inf"))
     assert sweep.tree[4] == 4
-    dev, stats = find_best_deviation(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep))
+    dev, stats = count_search(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep))
     assert (dev.cost, dev.overlap) == (4.0, 0)
     assert dev.suffix == (3, 5, 6)
     assert stats.tree_steps == 3  # the root's walk; the walk from node 4 stops at the tie
     sweep.tree = [-1] * g.node_count
-    assert find_best_deviation(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep)) == (
+    assert count_search(build_query(Workspace(g), 0, 3, (0, 1, 2), sweep=sweep)) == (
         dev,
         stats._replace(tree_steps=0),
     )
@@ -494,12 +494,12 @@ def test_a_masked_tree_walk_falls_back(masked):
         ws.mask.delete_arc(3)
     else:
         ws.mask.delete_node(5)
-    dev, stats = find_best_deviation(build_query(ws, 0, 2, (0, 1), sweep=sweep))
+    dev, stats = count_search(build_query(ws, 0, 2, (0, 1), sweep=sweep))
     assert (dev.cost, dev.overlap) == (4.0, 0)
     assert dev.suffix == (2, 4, 5)
     assert stats.tree_steps == 3  # 2 on the root's walk, none from 3, 1 from 4
     sweep.tree = [-1] * g.node_count
-    assert find_best_deviation(build_query(ws, 0, 2, (0, 1), sweep=sweep)) == (
+    assert count_search(build_query(ws, 0, 2, (0, 1), sweep=sweep)) == (
         dev,
         stats._replace(tree_steps=0),
     )
