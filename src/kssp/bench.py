@@ -123,7 +123,7 @@ def bench_graph(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
-    check_limits(k, timeout_s, label_budget)
+    k, label_budget = check_limits(k, timeout_s, label_budget)
     check_pair_count(pairs)
     rng = SplitMix64(seed)
     return _bench_pairs(g, name, rng, pairs, k, algorithms, timeout_s, label_budget)
@@ -142,7 +142,7 @@ def bench_grid(
     label_budget: int | None = None,
 ) -> list[ResultRow]:
     _check_algorithms(algorithms, label_budget)
-    check_limits(k, timeout_s, label_budget)
+    k, label_budget = check_limits(k, timeout_s, label_budget)
     check_pair_count(pairs)
     out: list[ResultRow] = []
     for ci, (_, g, pair_rng) in enumerate(seeded_grids(rows_n, cols_n, costs, seed)):

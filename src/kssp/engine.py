@@ -217,13 +217,17 @@ class SolveLimitExceeded(RuntimeError):
         self.report = report
 
 
-def check_limits(k: int, timeout_s: float | None, label_budget: int | None = None) -> None:
-    """Raise ValueError for a k that is not an int of at least 1, a NaN or
-    negative timeout, or a label budget that is not a nonnegative int.
+def check_limits(
+    k: int, timeout_s: float | None, label_budget: int | None = None
+) -> tuple[int, int | None]:
+    """Return k and the label budget as ints; raise ValueError for a k that
+    is not an int of at least 1, a NaN or negative timeout, or a label
+    budget that is not a nonnegative int.
 
     A NaN deadline or budget would never strike, a fractional budget
     would strike a label early, and a negative limit would abort a solve
-    as if it had run out.
+    as if it had run out. An int-like object, one with ``__index__``, is
+    accepted, and the solvers go on with the int it stands for.
     """
     try:
         k = operator.index(k)
@@ -240,6 +244,7 @@ def check_limits(k: int, timeout_s: float | None, label_budget: int | None = Non
             raise ValueError(f"label budget must be an int, got {label_budget!r}") from None
         if label_budget < 0:
             raise ValueError(f"label budget must be nonnegative, got {label_budget}")
+    return k, label_budget
 
 
 def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float | None:
@@ -266,8 +271,8 @@ def k_shortest_paths(
     :class:`SolveLimitExceeded` when a timeout or label budget strikes.
     """
     opts = options or SolveOptions()
-    check_endpoints(g, s, t)
-    check_limits(k, opts.timeout_s, opts.label_budget)
+    s, t = check_endpoints(g, s, t)
+    k, label_budget = check_limits(k, opts.timeout_s, opts.label_budget)
 
     t_start = perf_counter()
     deadline = t_start + opts.timeout_s if opts.timeout_s is not None else None
@@ -345,7 +350,7 @@ def k_shortest_paths(
         for a in origin.blocked:
             mask.delete_arc(a)
         query = build_query(ws, origin.source_node, t, arcs[sp:], origin.prefix_cost, sweep)
-        budget = None if opts.label_budget is None else opts.label_budget - stats.labels_extracted
+        budget = None if label_budget is None else label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
         except SearchLimit as exc:

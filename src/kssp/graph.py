@@ -218,13 +218,22 @@ class Path:
         return len(self.arcs)
 
 
-def check_endpoints(g: Graph, s: int, t: int) -> None:
-    """Raise ValueError unless s and t are two distinct nodes of g."""
+def check_endpoints(g: Graph, s: int, t: int) -> tuple[int, int]:
+    """Return s and t as ints; raise ValueError unless they are two distinct nodes of g.
+
+    A float id, even a whole one, is refused, as it indexes no list; an
+    int-like object, one with ``__index__``, stands for its int.
+    """
+    try:
+        s, t = operator.index(s), operator.index(t)
+    except TypeError:
+        raise ValueError(f"endpoints must be ints, got s={s!r}, t={t!r}") from None
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"endpoint out of range: s={s}, t={t}, nodes={n}")
     if s == t:
         raise ValueError("source and target must differ")
+    return s, t
 
 
 def path_cost(g: Graph, path: Path | Sequence[int]) -> float:

@@ -50,8 +50,8 @@ def yen_k_shortest(
     holds bare paths; a timeout raises
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
-    check_endpoints(g, s, t)
-    check_limits(k, timeout_s)
+    s, t = check_endpoints(g, s, t)
+    k, _ = check_limits(k, timeout_s)
 
     t_start = perf_counter()
     deadline = t_start + timeout_s if timeout_s is not None else None
@@ -146,7 +146,7 @@ def enumerate_simple_paths(
     checks. When more than ``max_paths`` paths exist only the cheapest
     ``max_paths`` are returned (ties resolved toward smaller arc ids).
     """
-    check_endpoints(g, s, t)
+    s, t = check_endpoints(g, s, t)
     if max_paths < 1:
         raise ValueError("max_paths must be at least 1")
 

@@ -47,6 +47,16 @@ def run_capped(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+class IntLike:
+    """An int stand-in that has only ``__index__``, as a numpy integer does."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 @pytest.fixture
 def five_node_graph() -> Graph:
     """Diamond with a detour; the four cheapest 0-to-4 paths cost 2, 3, 4, 5."""

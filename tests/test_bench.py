@@ -20,6 +20,8 @@ from kssp.bench import (
 )
 from kssp.gridgen import gen_grid
 
+from conftest import IntLike
+
 
 def test_run_algorithm_dispatch(five_node_graph):
     for algorithm in ("deviation", "yen", "yen-accelerated"):
@@ -91,6 +93,15 @@ def test_bench_graph_is_deterministic_mod_time(five_node_graph):
     assert _strip_times(a) == _strip_times(b)
     assert a[0].instance == "five-p0"
     assert {row.algorithm for row in a} == {"deviation", "yen"}
+
+
+def test_bench_sweeps_run_int_like_limits_as_their_ints(five_node_graph):
+    got = bench_graph(five_node_graph, "five", 2, IntLike(3), 17, label_budget=IntLike(4))
+    want = bench_graph(five_node_graph, "five", 2, 3, 17, label_budget=4)
+    assert _strip_times(got) == _strip_times(want)
+    assert all(type(row.k) is int for row in got)
+    got = bench_grid(3, 3, 1, 1, IntLike(2), 5, label_budget=IntLike(6))
+    assert _strip_times(got) == _strip_times(bench_grid(3, 3, 1, 1, 2, 5, label_budget=6))
 
 
 def test_bench_grid_shapes_and_ids():

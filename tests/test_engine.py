@@ -24,8 +24,8 @@ from kssp.graph import Graph, Path, path_cost
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import (
-    COST_FAMILIES, cost_family, cost_free_digest, frozen_solves, make_digraph, report_digest,
-    road_solves,
+    COST_FAMILIES, IntLike, cost_family, cost_free_digest, frozen_solves, make_digraph,
+    report_digest, road_solves,
 )
 
 
@@ -274,6 +274,28 @@ def test_a_label_budget_that_is_not_an_int_is_rejected_before_any_search(
     monkeypatch.setattr(kssp.engine, "shortest_path", None)
     with pytest.raises(ValueError, match="^label budget must be an int, got "):
         k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=budget))
+
+
+def test_int_like_limits_and_endpoints_solve_as_their_ints(five_node_graph):
+    g = five_node_graph
+    got = k_shortest_paths(g, IntLike(0), IntLike(4), IntLike(3))
+    assert report_digest(got) == report_digest(k_shortest_paths(g, 0, 4, 3))
+    reports = []
+    for budget in (IntLike(5), 5):
+        with pytest.raises(SolveLimitExceeded) as exc:
+            k_shortest_paths(g, 0, 4, 4, SolveOptions(label_budget=budget))
+        reports.append(report_digest(exc.value.report))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 4), (0, 4.0), ("0", 4), (0, None)])
+def test_an_endpoint_that_is_not_an_int_is_rejected_before_any_search(
+    five_node_graph, monkeypatch, s, t
+):
+    monkeypatch.setattr(kssp.engine, "ReverseSweep", None)
+    monkeypatch.setattr(kssp.engine, "shortest_path", None)
+    with pytest.raises(ValueError, match="^endpoints must be ints, got "):
+        k_shortest_paths(five_node_graph, s, t, 3)
 
 
 def test_k_may_be_a_bool(five_node_graph):

@@ -8,7 +8,7 @@ from kssp.graph import Graph
 from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
-from conftest import cost_family, make_digraph
+from conftest import IntLike, cost_family, make_digraph
 
 
 def test_yen_five_node_example_is_frozen(five_node_graph):
@@ -71,6 +71,23 @@ def test_yen_rejects_a_k_that_is_not_an_int(five_node_graph, k):
         with pytest.raises(ValueError, match="^k must be an int, got "):
             yen_k_shortest(five_node_graph, 0, 4, k, accelerated=accelerated)
     assert yen_k_shortest(five_node_graph, 0, 4, True).costs == [2.0]
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_yen_solves_int_like_arguments_as_their_ints(five_node_graph, accelerated):
+    got = yen_k_shortest(five_node_graph, IntLike(0), IntLike(4), IntLike(3), accelerated=accelerated)
+    want = yen_k_shortest(five_node_graph, 0, 4, 3, accelerated=accelerated)
+    assert got.paths == want.paths
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 4), (0, 4.0)])
+def test_reference_solvers_reject_an_endpoint_that_is_not_an_int(five_node_graph, s, t):
+    for accelerated in (False, True):
+        with pytest.raises(ValueError, match="^endpoints must be ints, got "):
+            yen_k_shortest(five_node_graph, s, t, 3, accelerated=accelerated)
+    with pytest.raises(ValueError, match="^endpoints must be ints, got "):
+        enumerate_simple_paths(five_node_graph, s, t)
+    assert enumerate_simple_paths(five_node_graph, IntLike(0), IntLike(4))[0].cost == 2.0
 
 
 def test_yen_zero_timeout_aborts():
