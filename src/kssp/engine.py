@@ -32,9 +32,9 @@ paths:
   record's blocked arcs left out
   (:meth:`kssp.dijkstra.ReverseSweep.deviation_bound`), until that
   bound could reach the queue front. An ask whose bound passes the
-  cap's prune limit, when it is made or when its turn comes, is
-  dropped and counts as a capped query with no labels; an ask still
-  pending when the run ends is not counted at all;
+  cap's prune limit when it is made is dropped and counts as a capped
+  query with no labels; an ask still pending when the run ends is not
+  counted at all;
 - the run ends early when the cheapest queued cost tier alone fills
   the remaining output slots.
 
@@ -327,16 +327,12 @@ def k_shortest_paths(
                 return
         heappush(pending, (bound, push_counter, origin_index))
 
-    def run(bound: float, counter: int, origin_index: int) -> None:
+    def run(counter: int, origin_index: int) -> None:
         """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``."""
         cap = queue_max_cap(len(records), cands, k)
-        if cap is not None:
-            if bound > prune_limit(g, cap):  # the cap has fallen since the ask
-                stats.add_query(0, False, True)
-                return
-            # an answer equal to the cap sorts before a last candidate pushed after the ask
-            if cands[-1][1] > counter:
-                cap = nextafter(cap, inf)
+        # an answer equal to the cap sorts before a last candidate pushed after the ask
+        if cap is not None and cands[-1][1] > counter:
+            cap = nextafter(cap, inf)
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
@@ -383,9 +379,11 @@ def k_shortest_paths(
     while True:
         if deadline is not None and perf_counter() > deadline:
             raise limit("deadline")
-        # search every pending ask whose answer might tie or precede the front
+        # search every pending ask whose answer might tie or precede the front;
+        # its bound is then within the cap's prune limit too, as no cap is below the front
         while pending and (not cands or pending[0][0] <= prune_limit(g, cands[0][0])):
-            run(*heappop(pending))
+            _, counter, origin_index = heappop(pending)
+            run(counter, origin_index)
         if not cands:
             return finish(EXHAUSTED)
         if queue_max_cap(len(records), cands, k) == cands[0][0]:
