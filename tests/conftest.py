@@ -105,9 +105,10 @@ class SearchCounts(NamedTuple):
     tree_steps: int  # of the iterations, labels the tree walk settled
 
 
-def _watch(query, cost_cap, limits, before_pop=None):
-    """Run the search with its ``heappop`` wrapped; returns ``((dev, counts), live_pops)``.
+def count_search(query, cost_cap=None, *, before_pop=None, **limits):
+    """``find_best_deviation(query, cost_cap, **limits)`` with its stats as :class:`SearchCounts`.
 
+    For the length of the call the search's ``heappop`` is wrapped;
     ``before_pop``, if given, sees the heap before every pop. A pop is
     live when a workspace queue slot holds the entry; the others are
     superseded candidates and tree-walk bounds. Every label the search
@@ -120,14 +121,15 @@ def _watch(query, cost_cap, limits, before_pop=None):
     queued = ws.queued
     q_stamp = ws.queued_stamp
     serial = ws.serial + 1  # the one the search is about to take
-    live: list[tuple] = []
+    live_pops = 0
 
     def watched_heappop(heap: list[tuple]) -> tuple:
+        nonlocal live_pops
         if before_pop is not None:
             before_pop(heap)
         e = heapq.heappop(heap)
         if q_stamp[e[2]] == serial and queued[e[2]] is e:
-            live.append(e)
+            live_pops += 1
         return e
 
     biobjective.heappop = watched_heappop
@@ -138,16 +140,7 @@ def _watch(query, cost_cap, limits, before_pop=None):
     assert ws.serial == serial
     t = query.target
     at_target = len(ws.frontiers[t]) if ws.frontier_stamp[t] == serial else 0
-    counts = SearchCounts(stats.iterations, at_target, stats.outcome, stats.iterations - len(live))
-    return (dev, counts), live
-
-
-def count_search(query, cost_cap=None, *, before_pop=None, **limits):
-    """``find_best_deviation(query, cost_cap, **limits)`` with its stats as :class:`SearchCounts`.
-
-    ``before_pop``, if given, is called with the heap before every pop.
-    """
-    return _watch(query, cost_cap, limits, before_pop)[0]
+    return dev, SearchCounts(stats.iterations, at_target, stats.outcome, stats.iterations - live_pops)
 
 
 @dataclass
@@ -174,14 +167,15 @@ def observe_search(query, cost_cap=None, **limits):
     Returns ``(result, trace)``. Before each pop the search makes, the
     observer counts the heap entries still live, those a workspace queue
     slot holds, per node, and checks their total against the slots that
-    hold a candidate. The permanent labels are read off the workspace
-    once the search returns. Every live pop's label is made permanent,
-    except a last one that the cost cap strikes. The tree walk then
-    settles a chain of labels that were never popped, each over the tree
-    arc of the node before and linked to the label before by
-    ``via_index``. So the extraction order is each live pop followed by
-    its chain, and every key is ``cost + pot[node]``, with ``pot`` the
-    sweep's ``dist`` or zero.
+    hold a candidate; the entry about to pop is the heap's first, and it
+    records that entry if it is live. The permanent labels are read off
+    the workspace once the search returns. Every live pop's label is
+    made permanent, except a last one that the cost cap strikes. The
+    tree walk then settles a chain of labels that were never popped,
+    each over the tree arc of the node before and linked to the label
+    before by ``via_index``. So the extraction order is each live pop
+    followed by its chain, and every key is ``cost + pot[node]``, with
+    ``pot`` the sweep's ``dist`` or zero.
     """
     ws = query.workspace
     g = ws.graph
@@ -189,6 +183,7 @@ def observe_search(query, cost_cap=None, **limits):
     q_stamp = ws.queued_stamp
     serial = ws.serial + 1  # the one the search is about to take
     trace = SearchTrace()
+    popped: list[tuple] = []
 
     def recount(heap: list[tuple]) -> None:
         live = Counter(e[2] for e in heap if q_stamp[e[2]] == serial and queued[e[2]] is e)
@@ -197,7 +192,13 @@ def observe_search(query, cost_cap=None, **limits):
         if sum(live.values()) != slots:
             trace.queue_consistent = False
 
-    result, popped = _watch(query, cost_cap, limits, recount)
+    def before_pop(heap: list[tuple]) -> None:
+        recount(heap)
+        e = heap[0]
+        if q_stamp[e[2]] == serial and queued[e[2]] is e:
+            popped.append(e)
+
+    result = count_search(query, cost_cap, before_pop=before_pop, **limits)
     if result[1].outcome == "exhausted":
         recount([])  # the heap ran empty, so no queue slot may hold a candidate
 
