@@ -4,9 +4,8 @@ The package root exports the solver, :func:`k_shortest_paths`: a
 deviation-tree driver whose repeated subproblem, the cheapest simple
 deviation from a known path, is solved by a biobjective label search
 over (cost, overlap with the path). The reference solvers, DIMACS
-loader, seeded grid generator and benchmark harness are imported from
-their modules: ``kssp.oracles``, ``kssp.dimacs``, ``kssp.gridgen`` and
-``kssp.bench``.
+loader and seeded grid generator are imported from their modules:
+``kssp.oracles``, ``kssp.dimacs`` and ``kssp.gridgen``.
 """
 from .engine import SolveLimitExceeded, SolveOptions, SolveReport, k_shortest_paths
 from .graph import Graph, Path

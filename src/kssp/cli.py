@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: ``gen`` writes seeded grid instances, ``solve`` prints the
-k cheapest simple paths of one instance, ``bench`` runs timed solver
-sweeps into CSV, ``report`` aggregates such a CSV. Node ids on the
-command line and in path output are 0-based (DIMACS file ids minus
-one).
+k cheapest simple paths of one instance with any solver, then a status
+line: query counts, mean labels per found and per failed query, wall
+time. Node ids on the command line and in path output are 0-based
+(DIMACS file ids minus one).
 
 Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit,
 2 bad usage or input, 3 fewer than k paths exist, 4 cross-check
@@ -17,11 +17,10 @@ import json
 import os
 import sys
 
-from .bench import ALGORITHMS, bench_graph, bench_grid, read_rows, summarize, write_rows, write_summary
 from .dimacs import DimacsError, dump_dimacs, load_dimacs, write_paths
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
 from .graph import Graph, GraphError
-from .gridgen import check_pair_count, gen_grid, sample_pairs, seeded_grids
+from .gridgen import check_count, gen_grid, sample_pairs, seeded_grids
 from .oracles import enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
@@ -54,26 +53,23 @@ def _reject_flags(
             raise ValueError(f"{flag} applies only to {readers}, not {given}")
 
 
-def _load_graph(args: argparse.Namespace, grid_flags: tuple[str, ...]) -> tuple[Graph, str]:
-    """The graph of ``--graph`` or ``--grid``; ``grid_flags`` are refused beside ``--graph``."""
+def _load_graph(args: argparse.Namespace) -> Graph:
+    """The graph of ``--graph`` or ``--grid``; ``--seed`` is refused beside ``--graph``."""
     if args.graph is not None and args.grid is not None:
         raise ValueError("give either --graph or --grid, not both")
     if args.graph is not None:
-        _reject_flags(args, grid_flags, "--grid", "--graph")
+        _reject_flags(args, ("--seed",), "--grid", "--graph")
         with open(args.graph) as f:
-            g = load_dimacs(f)
-        name = os.path.splitext(os.path.basename(args.graph))[0]
-        return g, name
+            return load_dimacs(f)
     if args.grid is not None:
         rows, cols = _parse_grid(args.grid)
-        seed = 0 if args.seed is None else args.seed
-        return gen_grid(rows, cols, seed=seed), f"grid{rows}x{cols}"
+        return gen_grid(rows, cols, seed=0 if args.seed is None else args.seed)
     raise ValueError("one of --graph or --grid is required")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
-    check_pair_count(args.pairs)  # here, as with --costs 0 no grid draws pairs
+    check_count(args.pairs, "pair")  # here, as with --costs 0 no grid draws pairs
     grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
     entries = []
     for ci, (cost_seed, g, pair_rng) in enumerate(grids):
@@ -113,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "brute":  # exhaustive enumeration has no deadline and is the check itself
         solvers = "the deviation and Yen solvers"
         _reject_flags(args, ("--timeout-s", "--check"), solvers, "--algo brute")
-    g, _ = _load_graph(args, ("--seed",))
+    g = _load_graph(args)
     s, t, k = args.source, args.target, args.k
 
     if args.algo == "brute":
@@ -172,41 +168,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     write_paths(g, report.paths, sys.stdout)
     st = report.stats
+    found, failed = (
+        "-" if mean is None else f"{mean:.2f}"
+        for mean in (st.mean_success_iterations, st.mean_failed_iterations)
+    )
     _note(
         f"{len(report.paths)} of {k} paths, status {report.status}, "
         f"{st.queries_attempted} queries ({st.queries_failed} failed), "
+        f"mean labels {found} per found query, {failed} per failed, "
         f"{st.wall_time_s:.6f}s"
     )
     return 0 if report.status == COMPLETE else 3
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    algorithms = args.algo or ["deviation"]
-    for algo in algorithms:
-        if algo != "deviation":
-            _reject_flags(args, ("--label-budget",), "the deviation solver", f"--algo {algo}")
-    limits = {"timeout_s": args.timeout_s, "label_budget": args.label_budget}
-    if args.grid is not None and args.graph is None:
-        rows_n, cols_n = _parse_grid(args.grid)
-        costs = 1 if args.costs is None else args.costs
-        rows = bench_grid(
-            rows_n, cols_n, costs, args.pairs, args.k, args.seed, algorithms, **limits
-        )
-    else:
-        g, name = _load_graph(args, ("--costs",))
-        rows = bench_graph(g, name, args.pairs, args.k, args.seed, algorithms, **limits)
-    if args.csv is not None:
-        write_rows(args.csv, rows)
-        _note(f"wrote {len(rows)} row(s) to {args.csv}")
-    else:
-        write_rows(sys.stdout, rows)
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    rows = read_rows(args.csv)
-    write_summary(sys.stdout, summarize(rows))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--source", type=int, required=True, help="0-based node id")
     p.add_argument("-t", "--target", type=int, required=True, help="0-based node id")
     p.add_argument("-k", "--k", type=int, default=1)
-    p.add_argument("--algo", choices=(*ALGORITHMS, "brute"), default="deviation")
+    algos = ("deviation", "yen", "yen-accelerated", "brute")
+    p.add_argument("--algo", choices=algos, default="deviation")
     p.add_argument(
         "--check",
         action="store_true",
@@ -250,27 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true", help="run structural self-checks")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="run solver sweeps and emit CSV rows")
-    p.add_argument("--graph", help="DIMACS shortest path file")
-    p.add_argument("--grid", metavar="RxC", help="benchmark seeded grids")
-    p.add_argument("--costs", type=int, help="cost draws per grid shape of --grid (default 1)")
-    p.add_argument("--pairs", type=int, default=1, help="query pairs per instance")
-    p.add_argument("-k", "--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--algo",
-        action="append",
-        choices=ALGORITHMS,
-        help="repeatable; default: deviation",
-    )
-    p.add_argument("--timeout-s", type=float, default=None)
-    p.add_argument("--label-budget", type=int, default=None)
-    p.add_argument("--csv", help="output path; stdout when omitted")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("report", help="aggregate a bench CSV per algorithm and k")
-    p.add_argument("--csv", required=True, help="input CSV from bench")
-    p.set_defaults(func=cmd_report)
     return parser
 
 

@@ -14,6 +14,7 @@ reproducible from (rows, cols, cost bounds, seed) alone.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
 from .graph import Graph, GraphError
@@ -31,7 +32,7 @@ def gen_grid(
 
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
     """
-    check_grid(rows, cols, cost_low, cost_high)
+    rows, cols = check_grid(rows, cols, cost_low, cost_high)
     tail: list[int] = []
     head: list[int] = []
     for r in range(rows):
@@ -49,12 +50,17 @@ def gen_grid(
     return Graph.from_arrays(rows * cols, tail, head, cost)
 
 
-def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> None:
-    """Raise GraphError for an empty grid shape or cost bounds that could draw a bad cost.
+def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> tuple[int, int]:
+    """Return the shape as ints; raise GraphError for a bad shape or cost bounds.
 
-    The bounds must be ordered (so neither is NaN), ``cost_low`` nonnegative
-    and ``cost_high`` finite, even where no arc or no grid is drawn.
+    The shape must be two ints of at least 1. The bounds must be ordered (so
+    neither is NaN), ``cost_low`` nonnegative and ``cost_high`` finite, even
+    where no arc or no grid is drawn.
     """
+    try:
+        rows, cols = operator.index(rows), operator.index(cols)
+    except TypeError:
+        raise GraphError(f"grid shape must be ints, got {rows!r}x{cols!r}") from None
     if rows < 1 or cols < 1:
         raise GraphError("grid needs at least one row and one column")
     if not cost_low <= cost_high:
@@ -63,6 +69,7 @@ def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> None:
         raise GraphError(f"cost_low must be nonnegative, got {cost_low!r}")
     if not math.isfinite(cost_high):
         raise GraphError(f"cost_high must be finite, got {cost_high!r}")
+    return rows, cols
 
 
 def seeded_grids(
@@ -75,9 +82,8 @@ def seeded_grids(
     which grids are built. This order is part of the format too. Bad
     arguments raise ValueError at the call, before any grid is built.
     """
-    if count < 0:
-        raise ValueError(f"grid count must be at least 0, got {count}")
-    check_grid(rows, cols, cost_low, cost_high)
+    count = check_count(count, "grid")
+    rows, cols = check_grid(rows, cols, cost_low, cost_high)
     master = SplitMix64(seed)
     cost_seeds = [master.next_u64() for _ in range(count)]
     pair_seeds = [master.next_u64() for _ in range(count)]
@@ -87,13 +93,17 @@ def seeded_grids(
     )
 
 
-def check_pair_count(count: int) -> None:
-    """Raise ValueError for a negative pair count."""
+def check_count(count: int, what: str) -> int:
+    """Return ``count`` as an int; raise ValueError, naming ``what``, unless it is an int >= 0."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(f"{what} count must be an int, got {count!r}") from None
     if count < 0:
-        raise ValueError(f"pair count must be at least 0, got {count}")
+        raise ValueError(f"{what} count must be at least 0, got {count}")
+    return count
 
 
 def sample_pairs(rng: SplitMix64, node_count: int, count: int) -> list[tuple[int, int]]:
     """Draw ``count`` source/target pairs, each two distinct uniform nodes."""
-    check_pair_count(count)
-    return [rng.distinct_pair(node_count) for _ in range(count)]
+    return [rng.distinct_pair(node_count) for _ in range(check_count(count, "pair"))]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path as FilePath
 
 import pytest
@@ -37,6 +38,8 @@ def test_solve_graph_file(capsys):
     assert code == 0
     assert out == MINI_LINES
     assert "4 of 4 paths, status complete" in err
+    # the paper's per-query measures: 25 labels over 4 found queries, 6 in the failed one
+    assert "5 queries (1 failed), mean labels 6.25 per found query, 6.00 per failed, " in err
 
 
 def test_solve_is_unaffected_by_flag_combinations(capsys):
@@ -229,7 +232,8 @@ def test_solve_rejects_a_timeout_for_brute_force(capsys):
     "argv, flag",
     [
         (("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"), "--seed"),
-        (("bench", "--graph", MINI, "-k", "2", "--costs", "3"), "--costs"),
+        # refused even at the value --grid defaults to
+        (("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "0"), "--seed"),
     ],
 )
 def test_grid_only_flags_are_refused_beside_a_graph_file(capsys, argv, flag):
@@ -242,19 +246,6 @@ def test_grid_only_flags_are_refused_beside_a_graph_file(capsys, argv, flag):
 def test_grid_only_flags_default_under_grid(capsys):
     solve = ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3")
     assert run(capsys, *solve)[1] == run(capsys, *solve, "--seed", "0")[1]
-    code, out, _ = run(capsys, "bench", "--grid", "3x3", "-k", "2")
-    assert code == 0
-    assert len(out) == 2  # the header and one row: one cost draw of one pair
-
-
-def test_bench_rejects_a_label_budget_for_yen(capsys):
-    code, out, err = run(
-        capsys, "bench", "--grid", "6x6", "-k", "5", "--algo", "deviation", "--algo", "yen",
-        "--label-budget", "1",
-    )
-    assert code == 2
-    assert out == []
-    assert err == "error: --label-budget applies only to the deviation solver, not --algo yen\n"
 
 
 @pytest.mark.parametrize(
@@ -274,16 +265,16 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("gen", "--grid", "3x3", "--costs", "-1", "--out", "out"),
         ("gen", "--grid", "3x3", "--pairs", "-2", "--out", "out"),
         ("gen", "--grid", "3x3", "--costs", "0", "--pairs", "-2", "--out", "out"),
-        ("bench", "--grid", "3x3", "--pairs", "-1"),
-        # checked up front, though with no grid or no pair nothing is solved
-        ("bench", "--grid", "3x3", "--costs", "0", "-k", "0", "--csv", "rows.csv"),
-        ("bench", "--grid", "3x3", "--costs", "0", "--pairs", "-2", "--csv", "rows.csv"),
-        ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "-1", "--csv", "rows.csv"),
-        ("bench", "--grid", "3x3", "--costs", "0", "--timeout-s", "nan", "--csv", "rows.csv"),
-        ("bench", "--graph", MINI, "--pairs", "0", "-k", "0", "--csv", "rows.csv"),
-        # flags that only --grid reads are refused beside --graph
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "-1"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "9"),
+        ("solve", "--grid", "3x3", "-s", "-1", "-t", "8"),
+        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "--algo", "yen-accelerated",
+         "--timeout-s", "-1"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "--timeout-s", "nan"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "0"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "0", "--algo", "yen"),
+        # --seed, which only --grid reads, is refused beside --graph
         ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"),
-        ("bench", "--graph", MINI, "-k", "2", "--costs", "3", "--pairs", "1", "--csv", "rows.csv"),
         # the prune rules always run and have no switch
         ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--no-prune-max"),
         # the shape and cost bounds are checked before the directory is made,
@@ -293,18 +284,18 @@ def test_bench_rejects_a_label_budget_for_yen(capsys):
         ("gen", "--grid", "2x2", "--cost-low", "5", "--cost-high", "1", "--out", "out"),
         ("gen", "--grid", "2x2", "--cost-low", "nan", "--out", "out"),
         ("gen", "--grid", "0x0", "--costs", "0", "--out", "out"),
-        ("bench", "--grid", "0x0", "--costs", "0"),
+        ("solve", "--grid", "0x0", "-s", "0", "-t", "1"),
         # a negative low or an infinite high bound is refused even where no draw falls outside
         ("gen", "--grid", "2x2", "--cost-low", "-1", "--out", "out"),
         ("gen", "--grid", "2x2", "--costs", "0", "--cost-high", "inf", "--out", "out"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)  # gen and bench write relative to the working directory
+    monkeypatch.chdir(tmp_path)  # gen writes relative to the working directory
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
-    assert list(tmp_path.iterdir()) == []  # no output directory, manifest or CSV
+    assert list(tmp_path.iterdir()) == []  # no output directory or manifest
 
 
 def test_a_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
@@ -348,74 +339,21 @@ def test_a_path_cost_beyond_the_float_range_is_not_printed_as_inf(tmp_path, caps
     assert not any(line.startswith("cost inf ") for line in out)
 
 
-def test_report_on_a_csv_without_bench_columns_exits_2(tmp_path, capsys):
-    csv_path = tmp_path / "other.csv"
-    csv_path.write_text("a,b\n1,2\n")
-    code, out, err = run(capsys, "report", "--csv", str(csv_path))
-    assert code == 2
-    assert out == []
-    assert err.startswith("error: not a bench CSV: missing columns instance, algorithm, k,")
-    assert err.count("\n") == 1
-
-
-def report_with_cell(tmp_path, capsys, column: str, cell: str | None):
-    """``kssp report`` on a bench CSV whose row 3 has ``cell`` in ``column``, or ends before it."""
-    csv_path = tmp_path / "rows.csv"
-    code, _, _ = run(
-        capsys, "bench", "--grid", "4x4", "--costs", "2", "-k", "3", "--csv", str(csv_path)
-    )
-    assert code == 0
-    rows = csv_path.read_text().splitlines()
-    i = rows[0].split(",").index(column)
-    fields = rows[2].split(",")
-    rows[2] = ",".join(fields[:i] if cell is None else fields[:i] + [cell] + fields[i + 1 :])
-    csv_path.write_text("\n".join(rows) + "\n")
-    return run(capsys, "report", "--csv", str(csv_path))
-
-
-@pytest.mark.parametrize("bad", ["True", "yes", ""])
-def test_report_on_a_csv_with_a_bad_solved_cell_exits_2(tmp_path, capsys, bad):
-    code, out, err = report_with_cell(tmp_path, capsys, "solved", bad)
-    assert code == 2
-    assert out == []
-    assert err == f"error: not a bench CSV: row 3, column solved: must be true or false, got {bad!r}\n"
-
-
-@pytest.mark.parametrize(
-    "column, bad, reason",
-    [
-        ("k", "x", "invalid literal for int() with base 10: 'x'"),
-        ("kth_cost", "abc", "could not convert string to float: 'abc'"),
-        ("time_s", None, "the row has fewer cells than the header"),
-    ],
-)
-def test_report_names_the_row_and_column_of_a_bad_cell(tmp_path, capsys, column, bad, reason):
-    code, out, err = report_with_cell(tmp_path, capsys, column, bad)
-    assert code == 2
-    assert out == []
-    assert err == f"error: not a bench CSV: row 3, column {column}: {reason}\n"
-
-
-@pytest.mark.parametrize("row", [1, 3])
-def test_report_names_the_row_of_a_cell_beyond_the_csv_field_limit(tmp_path, capsys, row):
-    csv_path = tmp_path / "rows.csv"
-    code, _, _ = run(
-        capsys, "bench", "--grid", "4x4", "--costs", "2", "-k", "3", "--csv", str(csv_path)
-    )
-    assert code == 0
-    rows = csv_path.read_text().splitlines()
-    rows[row - 1] += "," + "x" * 200_000
-    csv_path.write_text("\n".join(rows) + "\n")
-    code, out, err = run(capsys, "report", "--csv", str(csv_path))
-    assert code == 2
-    assert out == []
-    assert err == f"error: not a bench CSV: row {row}: field larger than field limit (131072)\n"
-
-
 def test_bad_subcommand_usage_is_an_argparse_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["bench", "report"])
+def test_the_cli_offers_only_gen_and_solve(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--csv", "rows.csv")
+    assert code == 2
+    assert out == []
+    assert f"invalid choice: '{command}'" in err
+    assert re.search(r"\(choose from '?gen'?, '?solve'?\)", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_writes_reproducible_instances(tmp_path, capsys):
@@ -446,34 +384,6 @@ def test_gen_writes_reproducible_instances(tmp_path, capsys):
         assert g.node_count == 12
         assert g.arc_count == 34
         assert all(s != t and 0 <= s < 12 and 0 <= t < 12 for s, t in entry["pairs"])
-
-
-def test_bench_to_csv_and_report(tmp_path, capsys):
-    csv_path = str(tmp_path / "rows.csv")
-    code, _, err = run(
-        capsys,
-        "bench", "--grid", "4x4", "--costs", "2", "--pairs", "1", "-k", "3",
-        "--seed", "3", "--algo", "deviation", "--algo", "yen", "--csv", csv_path,
-    )
-    assert code == 0
-    assert "wrote 4 row(s)" in err
-
-    code, out, _ = run(capsys, "report", "--csv", csv_path)
-    assert code == 0
-    assert out[0].startswith("algorithm,k,instances,solved,")
-    assert len(out) == 3
-    assert out[1].startswith("deviation,3,2,2,")
-    assert out[2].startswith("yen,3,2,2,")
-
-
-def test_bench_to_stdout(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--graph", MINI, "--pairs", "2", "-k", "3", "--seed", "1"
-    )
-    assert code == 0
-    assert out[0].startswith("instance,algorithm,k,")
-    assert len(out) == 3
-    assert out[1].startswith("mini10-p0,deviation,3,")
 
 
 @pytest.mark.parametrize("count", UNALLOCATABLE_COUNTS)

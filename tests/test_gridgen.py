@@ -4,8 +4,10 @@ from __future__ import annotations
 import pytest
 
 from kssp.graph import GraphError
-from kssp.gridgen import check_grid, gen_grid, sample_pairs, seeded_grids
+from kssp.gridgen import check_count, check_grid, gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
+
+from conftest import IntLike
 
 
 def test_two_by_two_is_fully_frozen():
@@ -75,6 +77,17 @@ def test_rejects_bad_arguments():
         seeded_grids(3, 3, -1, 0)
     with pytest.raises(ValueError, match="pair count"):
         sample_pairs(SplitMix64(0), 9, -2)
+    # counts and shapes must be ints; a float would only fail later, in range(), as a TypeError
+    with pytest.raises(ValueError, match="grid count must be an int, got 2.0"):
+        seeded_grids(3, 3, 2.0, 1)
+    with pytest.raises(ValueError, match="pair count must be an int, got 1.5"):
+        sample_pairs(SplitMix64(1), 5, 1.5)
+    with pytest.raises(ValueError, match="pair count must be an int, got nan"):
+        check_count(float("nan"), "pair")
+    with pytest.raises(GraphError, match="grid shape must be ints, got 2.0x3"):
+        gen_grid(2.0, 3)
+    with pytest.raises(GraphError, match="grid shape must be ints, got 3x2.0"):
+        seeded_grids(3, 2.0, 1, 0)
 
 
 def test_sample_pairs_frozen_and_distinct():
@@ -99,3 +112,9 @@ def test_seeded_grids_draw_every_cost_seed_before_the_pair_seeds():
         assert list(g.arcs()) == list(gen_grid(2, 3, 1.0, 2.0, cost_seed).arcs())
         assert pair_rng.next_u64() == SplitMix64(pair_seed).next_u64()
     assert list(seeded_grids(2, 3, 0, 5)) == []
+
+
+def test_int_like_counts_and_shapes_draw_as_their_ints():
+    got = [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(IntLike(2), IntLike(3), IntLike(2), 5)]
+    assert got == [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(2, 3, 2, 5)]
+    assert sample_pairs(SplitMix64(3), 9, IntLike(4)) == sample_pairs(SplitMix64(3), 9, 4)
