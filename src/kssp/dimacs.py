@@ -25,6 +25,14 @@ and each line of a run that holds a bad line, which then raises that
 line's error. So a file reads as it would line by line, with the same
 errors and line numbers, and bulk reading resumes at the next run.
 
+Both reads check each arc as it is taken, so the graph is made from the
+loader's own lists without a second check or copy. A node id is an
+``int()`` of its token within ``1 .. node_count``, read per line or
+through ``_NodeIds``; a cost is a ``float()`` that ``_parse_cost`` or,
+for a bulk run, ``valid_costs`` found finite and nonnegative; each arc
+appends one tail, head and cost, and the node count is an ``int()`` of
+at least 0. Only the cost sum is taken again, for ``folds_in_range``.
+
 Path dumps are one line per path:
 
     cost <cost> nodes <v0> <v1> ... <vk>
@@ -142,7 +150,7 @@ def load_dimacs(source: str | IO[str]) -> Graph:
         raise DimacsError(last_line, "missing problem line")
     if len(tail) != arc_count:
         raise DimacsError(last_line, f"expected {arc_count} arc lines, found {len(tail)}")
-    return Graph.from_arrays(node_count, tail, head, cost)
+    return Graph._from_checked(node_count, tail, head, cost)
 
 
 def _read_arcs(

@@ -19,6 +19,7 @@ every label in every search is a left fold from s and is the cost reported.
 """
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from dataclasses import dataclass
@@ -43,7 +44,10 @@ class Graph:
             assigned in iteration order.
 
     :meth:`from_arrays` builds the same graph from parallel tail, head
-    and cost arrays without the triples.
+    and cost arrays without the triples. Both check every arc, keep
+    copies of the arrays with the costs as floats and then fill the
+    adjacency lists; :func:`kssp.dimacs.load_dimacs`, which checks each
+    arc as it reads it, hands its own arrays straight to that last step.
 
     ``folds_in_range`` is False when the arc costs sum past ``2**1020``;
     the guided solve and accelerated Yen then run their plain searches,
@@ -79,8 +83,22 @@ class Graph:
         g._build(node_count, list(tail), list(head), cost)
         return g
 
+    @classmethod
+    def _from_checked(cls, node_count: int, tail: list[int], head: list[int], cost: list[float]) -> "Graph":
+        """The graph of arrays that already pass every check of :meth:`_build`, taken as its own.
+
+        The caller vouches for the arrays: ``node_count`` is an int of at
+        least 0, ``tail`` and ``head`` hold ints in ``0 .. node_count-1``,
+        ``cost`` holds finite nonnegative floats, and all three have one
+        length. So nothing is copied, converted or checked again; only the
+        cost sum is taken, for ``folds_in_range``.
+        """
+        g = cls.__new__(cls)
+        g._link(node_count, tail, head, cost, sum(cost))
+        return g
+
     def _build(self, node_count: int, tail: list[int], head: list[int], cost: Sequence[float]) -> None:
-        """Check every arc over whole arrays, then fill both adjacency lists in one pass."""
+        """Check every arc over whole arrays, then link them with the costs as floats."""
         try:
             node_count = operator.index(node_count)
         except TypeError:
@@ -104,26 +122,52 @@ class Graph:
         if not ok:
             _raise_first_bad_arc(node_count, tail, head, cost)
             total = sum(floats)  # costs that pass yet do not add up as given, like Decimal and Fraction
-        try:  # one allocation each, so a count too large fails before any per-node list
-            out_arcs: list = [None] * node_count
-            in_arcs: list = [None] * node_count
-            for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
-                for v in range(node_count):
-                    lists[v] = []
-        except (OverflowError, MemoryError):
-            out_arcs = in_arcs = lists = None  # free the lists, or building the error fails too
-            raise GraphError(f"node_count {node_count} is too large to allocate") from None
+        self._link(node_count, tail, head, floats, total)
+
+    def _link(self, node_count: int, tail: list[int], head: list[int], cost: list[float], total: float) -> None:
+        """Keep the arrays and fill both adjacency lists, with the cyclic GC paused.
+
+        Every graph is made here. Each node gets two new lists, so a
+        256x256 grid makes 131,072 of them, and with the GC running they
+        set off about 170 young, 15 middle and one full collection, each
+        walking the lists made so far. None of them can free anything the
+        fill makes: a per-node list holds only arc ids, which are ints and
+        refer to nothing, and the two outer lists hold only per-node
+        lists, so no object made here can reach itself, and none is
+        garbage while the graph lives. The pause only defers the
+        collections that fall due; the switch is process-wide, so it
+        defers other threads' too. The first allocation after it runs one
+        young collection over the new lists. ``gc.isenabled()`` is
+        restored as it was found, also when a node count too large to
+        allocate or an endpoint that is not an int raises
+        :class:`GraphError`.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            for a, u, v in zip(count(), tail, head):
-                out_arcs[u].append(a)
-                in_arcs[v].append(a)
-        except TypeError:  # an endpoint in range but not an int, such as 0.5
-            _raise_first_bad_arc(node_count, tail, head, cost)
-            raise
+            try:  # one allocation each, so a count too large fails before any per-node list
+                out_arcs: list = [None] * node_count
+                in_arcs: list = [None] * node_count
+                for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
+                    for v in range(node_count):
+                        lists[v] = []
+            except (OverflowError, MemoryError):
+                out_arcs = in_arcs = lists = None  # free the lists, or building the error fails too
+                raise GraphError(f"node_count {node_count} is too large to allocate") from None
+            try:
+                for a, u, v in zip(count(), tail, head):
+                    out_arcs[u].append(a)
+                    in_arcs[v].append(a)
+            except TypeError:  # an endpoint in range but not an int, such as 0.5
+                _raise_first_bad_arc(node_count, tail, head, cost)
+                raise
+        finally:
+            if enabled:
+                gc.enable()
         self.node_count = node_count
         self.arc_tail = tail
         self.arc_head = head
-        self.arc_cost = floats
+        self.arc_cost = cost
         self.out_arcs = out_arcs
         self.in_arcs = in_arcs
         self.folds_in_range = total <= 2.0**1020

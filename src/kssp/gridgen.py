@@ -33,6 +33,7 @@ def gen_grid(
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
     """
     rows, cols = check_grid(rows, cols, cost_low, cost_high)
+    draw = SplitMix64(seed).uniform
     tail: list[int] = []
     head: list[int] = []
     for r in range(rows):
@@ -45,7 +46,6 @@ def gen_grid(
             if r + 1 < rows:
                 tail += (u, u + cols)
                 head += (u + cols, u)
-    draw = SplitMix64(seed).uniform
     cost = [draw(cost_low, cost_high) for _ in tail]
     return Graph.from_arrays(rows * cols, tail, head, cost)
 

@@ -8,17 +8,27 @@ specified across implementations.
 """
 from __future__ import annotations
 
+import operator
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """Seedable generator; the same seed always yields the same stream."""
+    """Seedable generator; the same seed always yields the same stream.
+
+    The seed is an int, taken modulo 2**64; an int-like object, one with
+    ``__index__``, seeds as its int. Any other seed, such as ``1.5`` or
+    ``"7"``, raises ValueError.
+    """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK
+        try:
+            self._state = operator.index(seed) & _MASK
+        except TypeError:
+            raise ValueError(f"seed must be an int, got {seed!r}") from None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

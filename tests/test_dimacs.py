@@ -228,6 +228,16 @@ def test_a_dump_spanning_several_blocks_loads_bit_identical(monkeypatch):
     assert_same_graph(load_line_by_line(text, monkeypatch), want)
 
 
+# two costs that sum past 2**1020, and two that sum to it exactly
+@pytest.mark.parametrize("big, folds", [("1e308", False), (str(2**1019), True)])
+def test_a_loaded_graph_knows_whether_its_cost_folds_stay_in_range(big, folds, monkeypatch):
+    # four arc lines make a bulk run, and line by line each takes the per-line parse
+    text = f"p sp 5 4\na 1 2 {big}\na 2 3 {big}\na 3 4 0\na 4 5 0\n"
+    for g in (load_dimacs(text), load_line_by_line(text, monkeypatch)):
+        assert g.arc_cost == [float(big), float(big), 0.0, 0.0]
+        assert g.folds_in_range is folds
+
+
 def _spaced(line: str) -> str:
     return "  " + line
 

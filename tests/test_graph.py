@@ -1,11 +1,13 @@
 """Graph container, mask semantics, and path arithmetic."""
 from __future__ import annotations
 
+import gc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, GraphError, Mask, Path, PathError, path_cost
 
 from conftest import UNALLOCATABLE_COUNTS, run_capped
@@ -196,3 +198,60 @@ def test_a_node_count_too_large_to_allocate_is_a_graph_error(count):
     assert done.returncode == 1
     last = done.stderr.splitlines()[-1]
     assert last == f"kssp.graph.GraphError: node_count {count} is too large to allocate"
+
+
+def build(how: str, n: int, arcs: list[tuple]) -> Graph:
+    """The graph of ``arcs`` made from triples, from arrays or from a DIMACS file."""
+    if how == "triples":
+        return Graph(n, arcs)
+    if how == "arrays":
+        return Graph.from_arrays(n, *([arc[i] for arc in arcs] for i in range(3)))
+    return load_dimacs(f"p sp {n} {len(arcs)}\n" + "".join(f"a {u + 1} {v + 1} {w}\n" for u, v, w in arcs))
+
+
+# (how, node count, arcs, error text or None); 2**64 + 1 fails at once, allocating nothing
+GC_CASES = [
+    (how, n, arcs, error)
+    for how in ("triples", "arrays", "dimacs")
+    for n, arcs, error in [
+        (3, [(0, 1, 1.0), (1, 2, 2.0)], None),
+        (2**64 + 1, [], "too large to allocate"),
+        (3, [(0.5, 1, 1.0)], "endpoint is not an int"),
+    ]
+    if not (how == "dimacs" and error == "endpoint is not an int")  # a file refuses 0.5 as it reads it
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("how, n, arcs, error", GC_CASES)
+def test_building_a_graph_leaves_the_cyclic_gc_as_it_found_it(enabled, how, n, arcs, error):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert build(how, n, arcs).out_arcs == [[0], [1], []]
+        else:
+            with pytest.raises(GraphError, match=error):
+                build(how, n, arcs)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("how", ["triples", "arrays", "dimacs"])
+def test_filling_the_adjacency_lists_sets_off_no_cyclic_collection(how):
+    collections = []
+
+    def count_starts(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
+    arcs = [(v, v + 1, 1.0) for v in range(4999)]
+    gc.collect()
+    gc.callbacks.append(count_starts)
+    try:
+        g = build(how, 5000, arcs)  # 10,000 new lists, some ten young collections' worth
+    finally:
+        gc.callbacks.remove(count_starts)
+    assert g.out_arcs[4998] == [4998] and g.in_arcs[4999] == [4998]
+    assert collections == []

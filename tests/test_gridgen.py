@@ -88,6 +88,15 @@ def test_rejects_bad_arguments():
         gen_grid(2.0, 3)
     with pytest.raises(GraphError, match="grid shape must be ints, got 3x2.0"):
         seeded_grids(3, 2.0, 1, 0)
+    # and so must seeds, which would otherwise fail in SplitMix64's mask as a TypeError
+    with pytest.raises(ValueError, match="seed must be an int, got 1.5"):
+        gen_grid(2, 2, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an int, got 1.5"):
+        seeded_grids(3, 3, 1, 1.5)
+    with pytest.raises(ValueError, match="seed must be an int, got '7'"):
+        gen_grid(2, 2, seed="7")
+    with pytest.raises(ValueError, match="seed must be an int, got '7'"):
+        seeded_grids(3, 3, 0, "7")
 
 
 def test_sample_pairs_frozen_and_distinct():
@@ -118,3 +127,8 @@ def test_int_like_counts_and_shapes_draw_as_their_ints():
     got = [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(IntLike(2), IntLike(3), IntLike(2), 5)]
     assert got == [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(2, 3, 2, 5)]
     assert sample_pairs(SplitMix64(3), 9, IntLike(4)) == sample_pairs(SplitMix64(3), 9, 4)
+    # seeds too, and True seeds as 1
+    assert list(gen_grid(3, 2, seed=IntLike(7)).arcs()) == list(gen_grid(3, 2, seed=7).arcs())
+    assert list(gen_grid(3, 2, seed=True).arcs()) == list(gen_grid(3, 2, seed=1).arcs())
+    got = [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(2, 3, 2, IntLike(5))]
+    assert got == [(seed, list(g.arcs())) for seed, g, _ in seeded_grids(2, 3, 2, 5)]
