@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: ``gen`` writes seeded grid instances, ``solve`` prints the
-k cheapest simple paths of one instance with any solver, then a status
-line: query counts, mean labels per found and per failed query, wall
-time. Node ids on the command line and in path output are 0-based
-(DIMACS file ids minus one).
+Subcommands: ``gen`` writes seeded grid instances as DIMACS files,
+``solve`` reads one DIMACS file and prints the k cheapest simple paths
+of it with any solver, then a status line: query counts, mean labels
+per found and per failed query, wall time. Node ids on the command line
+and in path output are 0-based (DIMACS file ids minus one).
 
 Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit,
 2 bad usage or input, 3 fewer than k paths exist, 4 cross-check
@@ -19,8 +19,8 @@ import sys
 
 from .dimacs import DimacsError, dump_dimacs, load_dimacs, write_paths
 from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
-from .graph import Graph, GraphError
-from .gridgen import check_count, gen_grid, sample_pairs, seeded_grids
+from .graph import GraphError
+from .gridgen import check_count, sample_pairs, seeded_grids
 from .oracles import enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
@@ -51,20 +51,6 @@ def _reject_flags(
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value is not False:
             raise ValueError(f"{flag} applies only to {readers}, not {given}")
-
-
-def _load_graph(args: argparse.Namespace) -> Graph:
-    """The graph of ``--graph`` or ``--grid``; ``--seed`` is refused beside ``--graph``."""
-    if args.graph is not None and args.grid is not None:
-        raise ValueError("give either --graph or --grid, not both")
-    if args.graph is not None:
-        _reject_flags(args, ("--seed",), "--grid", "--graph")
-        with open(args.graph) as f:
-            return load_dimacs(f)
-    if args.grid is not None:
-        rows, cols = _parse_grid(args.grid)
-        return gen_grid(rows, cols, seed=0 if args.seed is None else args.seed)
-    raise ValueError("one of --graph or --grid is required")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -109,7 +95,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "brute":  # exhaustive enumeration has no deadline and is the check itself
         solvers = "the deviation and Yen solvers"
         _reject_flags(args, ("--timeout-s", "--check"), solvers, "--algo brute")
-    g = _load_graph(args)
+    with open(args.graph) as f:
+        g = load_dimacs(f)
     s, t, k = args.source, args.target, args.k
 
     if args.algo == "brute":
@@ -198,11 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="print the k cheapest simple paths of one instance")
-    p.add_argument("--graph", help="DIMACS shortest path file")
-    p.add_argument("--grid", metavar="RxC", help="generate a grid instead of reading a file")
-    p.add_argument(
-        "--seed", type=int, help="cost seed of --grid, as a gen manifest's cost_seed (default 0)"
-    )
+    p.add_argument("--graph", required=True, help="DIMACS shortest path file, such as gen writes")
     p.add_argument("-s", "--source", type=int, required=True, help="0-based node id")
     p.add_argument("-t", "--target", type=int, required=True, help="0-based node id")
     p.add_argument("-k", "--k", type=int, default=1)

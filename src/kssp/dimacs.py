@@ -25,13 +25,14 @@ and each line of a run that holds a bad line, which then raises that
 line's error. So a file reads as it would line by line, with the same
 errors and line numbers, and bulk reading resumes at the next run.
 
-Both reads check each arc as it is taken, so the graph is made from the
-loader's own lists without a second check or copy. A node id is an
-``int()`` of its token within ``1 .. node_count``, read per line or
-through ``_NodeIds``; a cost is a ``float()`` that ``_parse_cost`` or,
-for a bulk run, ``valid_costs`` found finite and nonnegative; each arc
-appends one tail, head and cost, and the node count is an ``int()`` of
-at least 0. Only the cost sum is taken again, for ``folds_in_range``.
+Both reads check each arc as it is taken, so ``Graph._from_checked``
+makes the graph from the loader's own lists without a second check or
+copy. A node id is an ``int()`` of its token within ``1 .. node_count``,
+read per line or through ``_NodeIds``; a cost is a ``float()`` that
+``_parse_cost`` or, for a bulk run, ``valid_costs`` found finite and
+nonnegative; each arc appends one tail, head and cost, and the node
+count is an ``int()`` of at least 0. Only the cost sum is taken again,
+for ``folds_in_range``.
 
 Path dumps are one line per path:
 

@@ -99,6 +99,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf, nextafter
+from numbers import Real
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -221,8 +222,9 @@ def check_limits(
     k: int, timeout_s: float | None, label_budget: int | None = None
 ) -> tuple[int, int | None]:
     """Return k and the label budget as ints; raise ValueError for a k that
-    is not an int of at least 1, a NaN or negative timeout, or a label
-    budget that is not a nonnegative int.
+    is not an int of at least 1, a timeout that is not a real number (such
+    as text), NaN or negative, or a label budget that is not a nonnegative
+    int.
 
     A NaN deadline or budget would never strike, a fractional budget
     would strike a label early, and a negative limit would abort a solve
@@ -235,8 +237,8 @@ def check_limits(
         raise ValueError(f"k must be an int, got {k!r}") from None
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if timeout_s is not None and not timeout_s >= 0.0:
-        raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
+    if timeout_s is not None and not (isinstance(timeout_s, Real) and timeout_s >= 0.0):
+        raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s!r}")
     if label_budget is not None:
         try:
             label_budget = operator.index(label_budget)

@@ -43,11 +43,11 @@ class Graph:
         arcs: iterable of ``(tail, head, cost)`` triples. Arc ids are
             assigned in iteration order.
 
-    :meth:`from_arrays` builds the same graph from parallel tail, head
-    and cost arrays without the triples. Both check every arc, keep
-    copies of the arrays with the costs as floats and then fill the
-    adjacency lists; :func:`kssp.dimacs.load_dimacs`, which checks each
-    arc as it reads it, hands its own arrays straight to that last step.
+    The constructor checks every arc, keeps the arrays with the costs
+    as floats and then fills the adjacency lists. The DIMACS reader and
+    the grid generator, whose arcs are valid as they are made, hand
+    their own arrays straight to that last step through
+    :meth:`_from_checked`.
 
     ``folds_in_range`` is False when the arc costs sum past ``2**1020``;
     the guided solve and accelerated Yen then run their plain searches,
@@ -70,42 +70,13 @@ class Graph:
             tail.append(u)
             head.append(v)
             cost.append(w)
-        self._build(node_count, tail, head, cost)
-
-    @classmethod
-    def from_arrays(
-        cls, node_count: int, tail: Sequence[int], head: Sequence[int], cost: Sequence[float]
-    ) -> "Graph":
-        """The graph whose arc ``a`` is ``(tail[a], head[a], cost[a])``."""
-        if not len(tail) == len(head) == len(cost):
-            raise GraphError("tail, head and cost arrays differ in length")
-        g = cls.__new__(cls)
-        g._build(node_count, list(tail), list(head), cost)
-        return g
-
-    @classmethod
-    def _from_checked(cls, node_count: int, tail: list[int], head: list[int], cost: list[float]) -> "Graph":
-        """The graph of arrays that already pass every check of :meth:`_build`, taken as its own.
-
-        The caller vouches for the arrays: ``node_count`` is an int of at
-        least 0, ``tail`` and ``head`` hold ints in ``0 .. node_count-1``,
-        ``cost`` holds finite nonnegative floats, and all three have one
-        length. So nothing is copied, converted or checked again; only the
-        cost sum is taken, for ``folds_in_range``.
-        """
-        g = cls.__new__(cls)
-        g._link(node_count, tail, head, cost, sum(cost))
-        return g
-
-    def _build(self, node_count: int, tail: list[int], head: list[int], cost: Sequence[float]) -> None:
-        """Check every arc over whole arrays, then link them with the costs as floats."""
         try:
             node_count = operator.index(node_count)
         except TypeError:
             raise GraphError(f"node_count must be an int, got {node_count!r}") from None
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
-        try:
+        try:  # every arc at once, over whole arrays
             floats = list(map(float, cost))
             ok = (
                 min(tail, default=0) >= 0
@@ -123,6 +94,23 @@ class Graph:
             _raise_first_bad_arc(node_count, tail, head, cost)
             total = sum(floats)  # costs that pass yet do not add up as given, like Decimal and Fraction
         self._link(node_count, tail, head, floats, total)
+
+    @classmethod
+    def _from_checked(cls, node_count: int, tail: list[int], head: list[int], cost: list[float]) -> "Graph":
+        """The graph of arrays that already pass every check of ``Graph(...)``, taken as its own.
+
+        This is the one trusted way in, for a maker that checks or builds
+        each arc as it makes it: :func:`kssp.dimacs.load_dimacs` and
+        :func:`kssp.gridgen.gen_grid`. The caller vouches for the arrays:
+        ``node_count`` is an int of at least 0, ``tail`` and ``head`` hold
+        ints in ``0 .. node_count-1``, ``cost`` holds finite nonnegative
+        floats, and all three have one length. So nothing is copied,
+        converted or checked again; only the cost sum is taken, for
+        ``folds_in_range``.
+        """
+        g = cls.__new__(cls)
+        g._link(node_count, tail, head, cost, sum(cost))
+        return g
 
     def _link(self, node_count: int, tail: list[int], head: list[int], cost: list[float], total: float) -> None:
         """Keep the arrays and fill both adjacency lists, with the cyclic GC paused.

@@ -31,8 +31,20 @@ def gen_grid(
     """Build a seeded grid instance.
 
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
+
+    The arcs go to the graph unchecked, as each is valid when made:
+    ``check_grid`` gives int ``rows`` and ``cols`` of at least 1, and the
+    row-major loop steps from a node ``u < rows * cols`` east only before
+    the last column and south only before the last row. Each draw is
+    ``low + (high - low) * x`` with ``check_grid``'s floats
+    ``0 <= low <= high < inf`` and ``0 <= x <= 1 - 2**-53``, a float that
+    meets no infinity or NaN and never goes below 0. It passes ``high`` by
+    at most the rounding error of ``high - low``, half an ulp of ``high``,
+    so it could overflow only with that full half ulp below the largest
+    float. That error needs ``high - low >= 2**1023``, where ``x`` first
+    rounds the product a whole ulp below it.
     """
-    rows, cols = check_grid(rows, cols, cost_low, cost_high)
+    rows, cols, cost_low, cost_high = check_grid(rows, cols, cost_low, cost_high)
     draw = SplitMix64(seed).uniform
     tail: list[int] = []
     head: list[int] = []
@@ -47,15 +59,17 @@ def gen_grid(
                 tail += (u, u + cols)
                 head += (u + cols, u)
     cost = [draw(cost_low, cost_high) for _ in tail]
-    return Graph.from_arrays(rows * cols, tail, head, cost)
+    return Graph._from_checked(rows * cols, tail, head, cost)
 
 
-def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> tuple[int, int]:
-    """Return the shape as ints; raise GraphError for a bad shape or cost bounds.
+def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> tuple[int, int, float, float]:
+    """Return the shape as ints and the cost bounds as floats; raise GraphError for bad ones.
 
-    The shape must be two ints of at least 1. The bounds must be ordered (so
-    neither is NaN), ``cost_low`` nonnegative and ``cost_high`` finite, even
-    where no arc or no grid is drawn.
+    The shape must be two ints of at least 1. The bounds must be numbers
+    in the float range, not text, ordered (so neither is NaN),
+    ``cost_low`` nonnegative and ``cost_high`` finite, even where no arc
+    or no grid is drawn. An int bound up to ``2**53`` becomes the float of
+    the same value, so its draws keep their bits.
     """
     try:
         rows, cols = operator.index(rows), operator.index(cols)
@@ -63,13 +77,17 @@ def check_grid(rows: int, cols: int, cost_low: float, cost_high: float) -> tuple
         raise GraphError(f"grid shape must be ints, got {rows!r}x{cols!r}") from None
     if rows < 1 or cols < 1:
         raise GraphError("grid needs at least one row and one column")
+    try:  # float(), but refusing text, and an int beyond the float range
+        cost_low, cost_high = math.ldexp(cost_low, 0), math.ldexp(cost_high, 0)
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError(f"cost bounds must be numbers in the float range, got {cost_low!r} and {cost_high!r}") from None
     if not cost_low <= cost_high:
         raise GraphError("cost_low must not exceed cost_high")
     if cost_low < 0.0:
         raise GraphError(f"cost_low must be nonnegative, got {cost_low!r}")
     if not math.isfinite(cost_high):
         raise GraphError(f"cost_high must be finite, got {cost_high!r}")
-    return rows, cols
+    return rows, cols, cost_low, cost_high
 
 
 def seeded_grids(
@@ -83,7 +101,7 @@ def seeded_grids(
     arguments raise ValueError at the call, before any grid is built.
     """
     count = check_count(count, "grid")
-    rows, cols = check_grid(rows, cols, cost_low, cost_high)
+    rows, cols, cost_low, cost_high = check_grid(rows, cols, cost_low, cost_high)
     master = SplitMix64(seed)
     cost_seeds = [master.next_u64() for _ in range(count)]
     pair_seeds = [master.next_u64() for _ in range(count)]

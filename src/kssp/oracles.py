@@ -9,6 +9,7 @@ tests; the main driver must reproduce them exactly.
 """
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from dataclasses import dataclass
 from time import perf_counter
@@ -144,9 +145,14 @@ def enumerate_simple_paths(
 
     Exhaustive and exponential; meant for small graphs in tests and
     checks. When more than ``max_paths`` paths exist only the cheapest
-    ``max_paths`` are returned (ties resolved toward smaller arc ids).
+    ``max_paths`` are returned (ties resolved toward smaller arc ids); a
+    ``max_paths`` that is not an int of at least 1 raises ValueError first.
     """
     s, t = check_endpoints(g, s, t)
+    try:
+        max_paths = operator.index(max_paths)
+    except TypeError:
+        raise ValueError(f"max_paths must be an int, got {max_paths!r}") from None
     if max_paths < 1:
         raise ValueError("max_paths must be at least 1")
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path as FilePath
 
@@ -10,6 +11,7 @@ import pytest
 from kssp.cli import main
 from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import SolveLimitExceeded
+from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import UNALLOCATABLE_COUNTS, cost_family, make_digraph, run_capped
@@ -56,15 +58,27 @@ def test_solve_is_unaffected_by_flag_combinations(capsys):
         assert out == base[1]
 
 
-def test_solve_grid(capsys):
-    code, out, err = run(
-        capsys, "solve", "--grid", "3x3", "--seed", "5", "-s", "0", "-t", "8", "-k", "3"
-    )
+def test_solve_grid(capsys, tmp_path):
+    code, _, _ = run(capsys, "gen", "--grid", "3x3", "--seed", "5", "--out", str(tmp_path))
+    assert code == 0
+    graph = str(tmp_path / "grid3x3-c0.gr")
+    code, out, err = run(capsys, "solve", "--graph", graph, "-s", "0", "-t", "8", "-k", "3")
     assert code == 0
     assert len(out) == 3
     assert all(line.startswith("cost ") for line in out)
     costs = [float(line.split()[1]) for line in out]
     assert costs == sorted(costs)
+
+
+def test_solve_reads_its_instance_only_from_a_file(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    usage = capsys.readouterr().out
+    assert "--graph" in usage
+    assert "--grid" not in usage and "--seed" not in usage
+    code, _, err = run(capsys, "solve", "-s", "0", "-t", "9")
+    assert code == 2
+    assert "the following arguments are required: --graph" in err
 
 
 def test_solve_check_agrees(capsys):
@@ -75,10 +89,19 @@ def test_solve_check_agrees(capsys):
     assert "exhaustive enumeration agrees" in err
 
 
-GRID5_ARGS = ("solve", "--grid", "5x5", "-s", "0", "-t", "24")
+GRID5 = "grid5x5.gr"  # the 5x5 grid of cost seed 0, which in_grid5_dir writes to the working directory
+GRID5_ARGS = ("solve", "--graph", GRID5, "-s", "0", "-t", "24")
 
 
-def test_solve_check_compares_with_yen_above_the_enumeration_limit(capsys):
+@pytest.fixture
+def in_grid5_dir(tmp_path, monkeypatch):
+    """Run in a fresh directory holding GRID5, as ``kssp gen`` writes grids to files for solve."""
+    with open(tmp_path / GRID5, "w") as f:
+        dump_dimacs(gen_grid(5, 5, seed=0), f)
+    monkeypatch.chdir(tmp_path)
+
+
+def test_solve_check_compares_with_yen_above_the_enumeration_limit(capsys, in_grid5_dir):
     _, plain, _ = run(capsys, *GRID5_ARGS, "-k", "2")
     code, out, err = run(capsys, *GRID5_ARGS, "-k", "2", "--check")
     assert code == 0
@@ -103,7 +126,7 @@ def test_solve_algo_both_is_gone(capsys):
     ],
 )
 def test_solve_check_mismatch_prints_the_solver_paths_and_exits_4(
-    capsys, monkeypatch, argv, reference
+    capsys, monkeypatch, in_grid5_dir, argv, reference
 ):
     # each fake reference finds one path fewer than asked for
     def short_enumeration(g, s, t, max_paths):
@@ -124,7 +147,7 @@ def test_solve_check_mismatch_prints_the_solver_paths_and_exits_4(
     assert lines[1:] == [f"  solver:    {solver}", f"  reference: {solver[:3]}"]
 
 
-def test_solve_check_prints_the_solver_paths_when_yen_aborts(capsys, monkeypatch):
+def test_solve_check_prints_the_solver_paths_when_yen_aborts(capsys, monkeypatch, in_grid5_dir):
     def timed_out_yen(g, s, t, k, **kwargs):
         raise SolveLimitExceeded("deadline", yen_k_shortest(g, s, t, 1))
 
@@ -158,10 +181,8 @@ def test_solve_brute(capsys):
     ] == [list(p.nodes(g)) for p in expected]
 
 
-def test_solve_brute_rejects_large_graphs(capsys):
-    code, _, err = run(
-        capsys, "solve", "--grid", "4x4", "-s", "0", "-t", "15", "-k", "2", "--algo", "brute"
-    )
+def test_solve_brute_rejects_large_graphs(capsys, in_grid5_dir):
+    code, _, err = run(capsys, *GRID5_ARGS, "-k", "2", "--algo", "brute")
     assert code == 2
     assert "limited to 14 nodes" in err
 
@@ -173,11 +194,8 @@ def test_solve_exhausted_exit_code(capsys):
     assert "16 of 100 paths, status exhausted-early" in err
 
 
-def test_solve_aborted_exit_code(capsys):
-    code, out, err = run(
-        capsys,
-        "solve", "--grid", "6x6", "-s", "0", "-t", "35", "-k", "50", "--label-budget", "1",
-    )
+def test_solve_aborted_exit_code(capsys, in_grid5_dir):
+    code, out, err = run(capsys, *GRID5_ARGS, "-k", "50", "--label-budget", "1")
     assert code == 1
     assert len(out) >= 1
     assert "aborted" in err
@@ -229,54 +247,35 @@ def test_solve_rejects_a_timeout_for_brute_force(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"), "--seed"),
-        # refused even at the value --grid defaults to
-        (("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "0"), "--seed"),
-    ],
-)
-def test_grid_only_flags_are_refused_beside_a_graph_file(capsys, argv, flag):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == []
-    assert err == f"error: {flag} applies only to --grid, not --graph\n"
-
-
-def test_grid_only_flags_default_under_grid(capsys):
-    solve = ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3")
-    assert run(capsys, *solve)[1] == run(capsys, *solve, "--seed", "0")[1]
-
-
-@pytest.mark.parametrize(
     "argv",
     [
+        # solve reads its instance only from --graph; gen writes grids
         ("solve", "--graph", "x.gr", "--grid", "2x2", "-s", "0", "-t", "1"),
         ("solve", "-s", "0", "-t", "1"),
-        ("solve", "--grid", "nope", "-s", "0", "-t", "1"),
+        ("gen", "--grid", "nope", "--out", "out"),
         ("solve", "--graph", "/definitely/not/here.gr", "-s", "0", "-t", "1"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "0"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "0", "-k", "2"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--timeout-s", "nan"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--timeout-s", "-1"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--algo", "yen",
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "0", "--algo", "brute"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "0", "-k", "2"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "3", "--check", "--timeout-s", "nan"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "3", "--timeout-s", "-1"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "3", "--algo", "yen",
          "--timeout-s", "nan"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--label-budget", "-5"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "3", "--label-budget", "-5"),
         ("gen", "--grid", "3x3", "--costs", "-1", "--out", "out"),
         ("gen", "--grid", "3x3", "--pairs", "-2", "--out", "out"),
         ("gen", "--grid", "3x3", "--costs", "0", "--pairs", "-2", "--out", "out"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "-1"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "9"),
-        ("solve", "--grid", "3x3", "-s", "-1", "-t", "8"),
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "--algo", "yen-accelerated",
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "-1"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "10"),
+        ("solve", "--graph", MINI, "-s", "-1", "-t", "9"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "--algo", "yen-accelerated",
          "--timeout-s", "-1"),
         ("solve", "--graph", MINI, "-s", "0", "-t", "9", "--timeout-s", "nan"),
         ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "0"),
         ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "0", "--algo", "yen"),
-        # --seed, which only --grid reads, is refused beside --graph
+        # solve has no seed: a grid's cost seed is gen's business
         ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "2", "--seed", "5"),
         # the prune rules always run and have no switch
-        ("solve", "--grid", "3x3", "-s", "0", "-t", "8", "-k", "3", "--no-prune-max"),
+        ("solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "3", "--no-prune-max"),
         # the shape and cost bounds are checked before the directory is made,
         # and a pair that cannot be drawn is found before it is made
         ("gen", "--grid", "0x0", "--out", "out"),
@@ -284,7 +283,7 @@ def test_grid_only_flags_default_under_grid(capsys):
         ("gen", "--grid", "2x2", "--cost-low", "5", "--cost-high", "1", "--out", "out"),
         ("gen", "--grid", "2x2", "--cost-low", "nan", "--out", "out"),
         ("gen", "--grid", "0x0", "--costs", "0", "--out", "out"),
-        ("solve", "--grid", "0x0", "-s", "0", "-t", "1"),
+        ("solve", "--graph", os.devnull, "-s", "0", "-t", "1"),
         # a negative low or an infinite high bound is refused even where no draw falls outside
         ("gen", "--grid", "2x2", "--cost-low", "-1", "--out", "out"),
         ("gen", "--grid", "2x2", "--costs", "0", "--cost-high", "inf", "--out", "out"),

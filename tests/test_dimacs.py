@@ -199,7 +199,7 @@ def blocks_grid() -> tuple[Graph, list[str]]:
     dump_dimacs(g, buf)
     lines = buf.getvalue().splitlines()
     lines[NEG_ZERO_ARC + 1] = lines[NEG_ZERO_ARC + 1].rsplit(" ", 1)[0] + " -0"
-    return Graph.from_arrays(g.node_count, g.arc_tail, g.arc_head, cost), lines
+    return Graph(g.node_count, zip(g.arc_tail, g.arc_head, cost)), lines
 
 
 def assert_same_graph(got: Graph, want: Graph) -> None:

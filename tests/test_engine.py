@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path as FilePath
 
 import pytest
@@ -274,6 +275,17 @@ def test_a_label_budget_that_is_not_an_int_is_rejected_before_any_search(
     monkeypatch.setattr(kssp.engine, "shortest_path", None)
     with pytest.raises(ValueError, match="^label budget must be an int, got "):
         k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=budget))
+
+
+@pytest.mark.parametrize("timeout_s", ["1", [1], Decimal("1"), 1j])
+def test_a_timeout_that_is_not_a_real_number_is_rejected_before_any_search(
+    five_node_graph, monkeypatch, timeout_s
+):
+    # text, a list and a complex number would fail the range check, and a Decimal the deadline sum, as TypeError
+    monkeypatch.setattr(kssp.engine, "ReverseSweep", None)
+    monkeypatch.setattr(kssp.engine, "shortest_path", None)
+    with pytest.raises(ValueError, match="^timeout must be a nonnegative number of seconds, got "):
+        k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(timeout_s=timeout_s))
 
 
 def test_int_like_limits_and_endpoints_solve_as_their_ints(five_node_graph):

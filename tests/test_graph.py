@@ -9,6 +9,7 @@ import pytest
 
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, GraphError, Mask, Path, PathError, path_cost
+from kssp.gridgen import gen_grid
 
 from conftest import UNALLOCATABLE_COUNTS, run_capped
 
@@ -92,27 +93,20 @@ BAD_CONSTRUCTIONS = [
 
 @pytest.mark.parametrize("n, arcs, message", BAD_CONSTRUCTIONS)
 def test_the_array_builder_raises_what_the_triples_raise(n, arcs, message):
-    with pytest.raises(GraphError) as from_triples:
+    """Graph checks the arcs over whole arrays, and a failure raises the per-arc loop's error."""
+    with pytest.raises(GraphError) as exc:
         Graph(n, arcs)
-    columns = [[arc[i] for arc in arcs] for i in range(3)]
-    with pytest.raises(GraphError) as from_arrays:
-        Graph.from_arrays(n, *columns)
-    assert type(from_triples.value) is type(from_arrays.value) is GraphError
-    assert str(from_triples.value) == str(from_arrays.value) == message
-
-
-def test_the_array_builder_rejects_arrays_of_different_lengths():
-    with pytest.raises(GraphError, match="differ in length"):
-        Graph.from_arrays(2, [0, 1], [1], [1.0, 1.0])
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == message
 
 
 def test_parallel_arcs_keep_their_id_order_in_both_adjacency_lists():
     tail, head, cost = [0, 1, 0, 2, 0], [1, 0, 1, 1, 1], [3.0, 1.0, 2.0, 0.0, 3]
-    for g in (Graph.from_arrays(3, tail, head, cost), Graph(3, zip(tail, head, cost))):
-        assert g.out_arcs == [[0, 2, 4], [1], [3]]
-        assert g.in_arcs == [[1], [0, 2, 3, 4], []]
-        assert g.arc_cost == [3.0, 1.0, 2.0, 0.0, 3.0]
-        assert type(g.arc_cost[4]) is float
+    g = Graph(3, zip(tail, head, cost))
+    assert g.out_arcs == [[0, 2, 4], [1], [3]]
+    assert g.in_arcs == [[1], [0, 2, 3, 4], []]
+    assert g.arc_cost == [3.0, 1.0, 2.0, 0.0, 3.0]
+    assert type(g.arc_cost[4]) is float
 
 
 def test_costs_of_any_number_type_become_floats():
@@ -122,9 +116,9 @@ def test_costs_of_any_number_type_become_floats():
 
     cost = [Decimal("1.5"), Fraction(1, 3), True, Three(), 2**60 + 1]
     want = [1.5, 1 / 3, 1.0, 3.0, float(2**60)]
-    for g in (Graph.from_arrays(2, [0] * 5, [1] * 5, cost), Graph(2, [(0, 1, w) for w in cost])):
-        assert g.arc_cost == want
-        assert all(type(w) is float for w in g.arc_cost)
+    g = Graph(2, [(0, 1, w) for w in cost])
+    assert g.arc_cost == want
+    assert all(type(w) is float for w in g.arc_cost)
 
 
 def test_a_graph_knows_whether_its_cost_folds_stay_in_range():
@@ -135,13 +129,6 @@ def test_a_graph_knows_whether_its_cost_folds_stay_in_range():
     # costs that do not add up as given are summed as floats
     assert Graph(2, [(0, 1, Decimal("1.5")), (0, 1, Fraction(1, 3))]).folds_in_range
     assert not Graph(2, [(0, 1, Decimal("1e308")), (0, 1, Fraction(10**308))]).folds_in_range
-
-
-def test_the_array_builder_keeps_its_own_lists():
-    tail, head, cost = [0], [1], [1.0]
-    g = Graph.from_arrays(2, tail, head, cost)
-    tail[0], head[0], cost[0] = 1, 0, 2.0
-    assert list(g.arcs()) == [(0, 1, 1.0)]
 
 
 def test_mask_delete_and_reset(five_node_graph):
@@ -201,18 +188,16 @@ def test_a_node_count_too_large_to_allocate_is_a_graph_error(count):
 
 
 def build(how: str, n: int, arcs: list[tuple]) -> Graph:
-    """The graph of ``arcs`` made from triples, from arrays or from a DIMACS file."""
+    """The graph of ``arcs`` made from triples or from a DIMACS file."""
     if how == "triples":
         return Graph(n, arcs)
-    if how == "arrays":
-        return Graph.from_arrays(n, *([arc[i] for arc in arcs] for i in range(3)))
     return load_dimacs(f"p sp {n} {len(arcs)}\n" + "".join(f"a {u + 1} {v + 1} {w}\n" for u, v, w in arcs))
 
 
 # (how, node count, arcs, error text or None); 2**64 + 1 fails at once, allocating nothing
 GC_CASES = [
     (how, n, arcs, error)
-    for how in ("triples", "arrays", "dimacs")
+    for how in ("triples", "dimacs")
     for n, arcs, error in [
         (3, [(0, 1, 1.0), (1, 2, 2.0)], None),
         (2**64 + 1, [], "too large to allocate"),
@@ -238,7 +223,25 @@ def test_building_a_graph_leaves_the_cyclic_gc_as_it_found_it(enabled, how, n, a
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("how", ["triples", "arrays", "dimacs"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_generated_grid_leaves_the_cyclic_gc_as_it_found_it(enabled):
+    """gen_grid links its own arrays unchecked, into the graph ``Graph(n, arcs)`` makes of them."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        g = gen_grid(3, 4, seed=5)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    want = Graph(g.node_count, zip(g.arc_tail, g.arc_head, g.arc_cost))
+    assert (g.node_count, g.arc_tail, g.arc_head) == (want.node_count, want.arc_tail, want.arc_head)
+    assert [w.hex() for w in g.arc_cost] == [w.hex() for w in want.arc_cost]
+    assert all(type(w) is float for w in g.arc_cost)
+    assert (g.out_arcs, g.in_arcs) == (want.out_arcs, want.in_arcs)
+    assert g.folds_in_range is want.folds_in_range is True
+
+
+@pytest.mark.parametrize("how", ["triples", "gen_grid", "dimacs"])
 def test_filling_the_adjacency_lists_sets_off_no_cyclic_collection(how):
     collections = []
 
@@ -250,8 +253,11 @@ def test_filling_the_adjacency_lists_sets_off_no_cyclic_collection(how):
     gc.collect()
     gc.callbacks.append(count_starts)
     try:
-        g = build(how, 5000, arcs)  # 10,000 new lists, some ten young collections' worth
+        # 10,000 new lists, some ten young collections' worth
+        g = gen_grid(50, 100) if how == "gen_grid" else build(how, 5000, arcs)
     finally:
         gc.callbacks.remove(count_starts)
-    assert g.out_arcs[4998] == [4998] and g.in_arcs[4999] == [4998]
+    assert g.node_count == 5000
+    if how != "gen_grid":
+        assert g.out_arcs[4998] == [4998] and g.in_arcs[4999] == [4998]
     assert collections == []

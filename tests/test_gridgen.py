@@ -1,6 +1,8 @@
 """Grid instance generator: shape, determinism, and frozen draws."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from kssp.graph import GraphError
@@ -59,6 +61,12 @@ def test_different_seeds_differ():
 def test_cost_bounds_are_respected():
     g = gen_grid(10, 10, 5.0, 6.0, seed=9)
     assert all(5.0 <= w < 6.0 for w in g.arc_cost)
+    # int bounds draw the float bounds' bits, and a top bound at the float maximum draws no inf
+    assert gen_grid(4, 5, 1, 7, seed=3).arc_cost == gen_grid(4, 5, 1.0, 7.0, seed=3).arc_cost
+    assert all(type(w) is float for w in gen_grid(4, 5, 1, 7, seed=3).arc_cost)
+    top = gen_grid(30, 30, 2.0**970, sys.float_info.max, seed=4)
+    assert all(2.0**970 <= w <= sys.float_info.max for w in top.arc_cost)
+    assert not top.folds_in_range
 
 
 def test_rejects_bad_arguments():
@@ -72,7 +80,16 @@ def test_rejects_bad_arguments():
         check_grid(2, 2, -1.0, 10.0)
     with pytest.raises(GraphError, match="cost_high must be finite"):
         check_grid(2, 2, 0.0, float("inf"))
-    check_grid(1, 1, 0.0, 0.0)
+    low, high = check_grid(1, 1, 0, 0)[2:]
+    assert type(low) is type(high) is float and low == high == 0.0
+    # bounds that are not numbers in the float range, which once raised TypeError or OverflowError
+    for low, high in [("0", 10.0), (0.0, None), (0.0, "10"), (b"1", 2.0), (0.0, 10**400)]:
+        with pytest.raises(GraphError, match="^cost bounds must be numbers in the float range, got "):
+            check_grid(2, 2, low, high)
+        with pytest.raises(GraphError, match="^cost bounds must be numbers in the float range, got "):
+            gen_grid(2, 2, low, high)
+        with pytest.raises(GraphError, match="^cost bounds must be numbers in the float range, got "):
+            seeded_grids(2, 2, 0, 1, low, high)
     with pytest.raises(ValueError, match="grid count"):
         seeded_grids(3, 3, -1, 0)
     with pytest.raises(ValueError, match="pair count"):

@@ -1,6 +1,8 @@
 """Reference solvers: frozen example runs and cross-checks."""
 from __future__ import annotations
 
+from decimal import Decimal
+
 import pytest
 
 from kssp.engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, k_shortest_paths
@@ -63,6 +65,26 @@ def test_yen_argument_validation(five_node_graph):
         yen_k_shortest(five_node_graph, 0, 4, 0)
     with pytest.raises(ValueError, match="out of range"):
         yen_k_shortest(five_node_graph, 0, 5, 1)
+
+
+@pytest.mark.parametrize("timeout_s", [float("nan"), -1.0, "1", [1], Decimal("1")])
+def test_yen_rejects_a_timeout_that_is_not_a_nonnegative_real_number(five_node_graph, timeout_s):
+    for accelerated in (False, True):
+        with pytest.raises(ValueError, match="^timeout must be a nonnegative number of seconds, got "):
+            yen_k_shortest(five_node_graph, 0, 4, 3, accelerated=accelerated, timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize("max_paths", [2.5, 3.0, "3", None, 0, -1])
+def test_enumeration_rejects_a_max_paths_that_is_not_an_int_of_at_least_1_before_the_walk(max_paths):
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
+
+    class Untouchable(list):
+        def __getitem__(self, v):
+            raise AssertionError("the walk ran")
+
+    g.out_arcs = Untouchable(g.out_arcs)
+    with pytest.raises(ValueError, match="^max_paths must be "):
+        enumerate_simple_paths(g, 0, 2, max_paths=max_paths)
 
 
 @pytest.mark.parametrize("k", [3.0, 2.5, float("inf")])
