@@ -95,7 +95,7 @@ _SHRINK = 1.0 - 2.0**-50
 
 
 class Workspace:
-    """Per-solve scratch shared across queries: the mask and the per-node search state.
+    """Scratch shared across the queries of a solve: the mask and the per-node search state.
 
     The per-node frontiers, queue slots and dropped-extension overlaps
     live here as arrays validated against ``serial``, so a query resets
@@ -104,6 +104,12 @@ class Workspace:
     permanent there. What belongs to one query stays with it: its
     reference arcs on the :class:`DeviationQuery`, and the rebuild
     cursors in :func:`find_best_deviation`.
+
+    A workspace outlives its solve when :mod:`kssp.engine` keeps it for
+    the graph's next one; the stamps need no reset then, as ``serial``
+    and the mask's epoch only grow. :meth:`forget` drops the past
+    queries' frontier lists and queue entries, which no later query
+    reads, so that they do not pile up between solves.
     """
 
     __slots__ = (
@@ -116,6 +122,7 @@ class Workspace:
         "serial",
         "zero_potential",
         "dropped",
+        "_blank",
     )
 
     def __init__(self, g: Graph) -> None:
@@ -128,6 +135,15 @@ class Workspace:
         self.serial = 0
         self.zero_potential: list[float] | None = None
         self.dropped: list[float] = [0.0] * g.node_count
+        self._blank: tuple | None = None
+
+    def forget(self) -> None:
+        """Drop every frontier list and queue entry, from a blank tuple made once and kept."""
+        blank = self._blank
+        if blank is None:
+            blank = self._blank = (None,) * len(self.frontiers)
+        self.frontiers[:] = blank
+        self.queued[:] = blank
 
 
 @dataclass

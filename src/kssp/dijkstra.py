@@ -182,20 +182,55 @@ class ReverseSweep:
     below d, so no push is keyed below the pop that made it and pop keys
     never decrease. An unsettled node will pop at or above the current
     heap top; stale entries of settled nodes only lower that top.
+
+    Why the relaxation needs no test that its tail u is unsettled. A
+    settled u popped at ``tentative[u]``, its least push, so ``dist[u] ==
+    tentative[u]``; a relaxation from a node v settled after it has
+    ``d = dist[v] >= dist[u]``, as pop keys never decrease, and
+    ``fl(d + c) >= d``. So the ``< tentative[u]`` test refuses it, and
+    neither a value nor a ``tree`` arc moves. The loop condition is the
+    stop test: it goes on while the heap top is within ``key`` or the
+    node asked for is unsettled.
+
+    :meth:`restart` points a sweep at another target of the same graph
+    and resets its arrays in place, so a solver can keep one sweep per
+    graph instead of allocating four node-sized lists per solve.
     """
 
-    __slots__ = ("graph", "target", "dist", "horizon", "tree", "sidetrack", "_tentative", "_heap")
+    __slots__ = ("graph", "target", "dist", "horizon", "tree", "sidetrack", "_tentative", "_heap", "_blanks")
 
     def __init__(self, g: Graph, target: int) -> None:
         self.graph = g
-        self.target = target
         self.dist = [inf] * g.node_count
-        self.horizon = 0.0
         self.tree = [-1] * g.node_count
         self.sidetrack = [-1.0] * g.node_count
         self._tentative = [inf] * g.node_count
+        self._blanks: tuple[tuple, tuple, tuple] | None = None
+        self._aim(target)
+
+    def _aim(self, target: int) -> None:
+        self.target = target
+        self.horizon = 0.0
         self._tentative[target] = 0.0
         self._heap: list[tuple[float, int]] = [(0.0, target)]
+
+    def restart(self, target: int) -> None:
+        """Forget every settled node and start over toward ``target``, as a new sweep would.
+
+        The arrays are reset in place by slice assignment from blank
+        tuples made at the first restart and kept, so a restart makes no
+        node-sized object.
+        """
+        blanks = self._blanks
+        if blanks is None:
+            n = self.graph.node_count
+            blanks = self._blanks = ((inf,) * n, (-1,) * n, (-1.0,) * n)
+        unreached, no_arc, unknown = blanks
+        self.dist[:] = unreached
+        self._tentative[:] = unreached
+        self.tree[:] = no_arc
+        self.sidetrack[:] = unknown
+        self._aim(target)
 
     def settle(self, key: float, node: int | None = None) -> None:
         """Settle every node at most ``key`` from the target, and go on until ``node`` is settled.
@@ -213,17 +248,13 @@ class ReverseSweep:
         in_arcs = g.in_arcs
         # the target settles on the first pop, so without a node only the key stops
         stop = self.target if node is None else node
-        while heap:
-            if heap[0][0] > key and dist[stop] != inf:
-                break
+        while heap and (heap[0][0] <= key or dist[stop] == inf):
             d, v = heappop(heap)
             if dist[v] != inf:
                 continue
             dist[v] = d
             for a in in_arcs[v]:
                 u = arc_tail[a]
-                if dist[u] != inf:
-                    continue
                 du = d + arc_cost[a]
                 if du < tentative[u]:
                     tentative[u] = du

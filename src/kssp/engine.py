@@ -91,6 +91,16 @@ a solve settles only the nodes its queries touch. ``guided=False``
 switches the queries to plain lexicographic order. Unguided solves, k=1
 and graphs failing ``Graph.folds_in_range`` build no sweep and keep the
 plain first-path search, so no guided cap is infinite.
+
+A guided solve takes its workspace and sweep as a pair from a pool kept
+on the graph, and gives it back on every exit, aborted or failed ones
+included, so a graph asked many pairs allocates its node arrays once
+per solve running at once, not once per solve. The sweep restarts
+toward the new target in place (:meth:`kssp.dijkstra.ReverseSweep.restart`);
+the workspace's stamps only grow, so it needs no reset, and it drops
+its past frontiers when given back. A pair in the pool refers to no
+graph, so dropping a graph frees its pool at once. The answer of a solve
+never depends on whether its pair is new.
 """
 from __future__ import annotations
 
@@ -220,16 +230,19 @@ class SolveLimitExceeded(RuntimeError):
 
 def check_limits(
     k: int, timeout_s: float | None, label_budget: int | None = None
-) -> tuple[int, int | None]:
-    """Return k and the label budget as ints; raise ValueError for a k that
-    is not an int of at least 1, a timeout that is not a real number (such
-    as text), NaN or negative, or a label budget that is not a nonnegative
-    int.
+) -> tuple[int, float | None, int | None]:
+    """Return k and the label budget as ints and the timeout as a float;
+    raise ValueError for a k that is not an int of at least 1, a timeout
+    that is not a real number (such as text), NaN or negative, or a label
+    budget that is not a nonnegative int.
 
     A NaN deadline or budget would never strike, a fractional budget
     would strike a label early, and a negative limit would abort a solve
-    as if it had run out. An int-like object, one with ``__index__``, is
-    accepted, and the solvers go on with the int it stands for.
+    as if it had run out. A timeout beyond the float range, such as
+    ``10**400``, becomes infinity, which never strikes, so that adding it
+    to the clock cannot overflow. An int-like object, one with
+    ``__index__``, is accepted, and the solvers go on with the int it
+    stands for.
     """
     try:
         k = operator.index(k)
@@ -237,8 +250,13 @@ def check_limits(
         raise ValueError(f"k must be an int, got {k!r}") from None
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if timeout_s is not None and not (isinstance(timeout_s, Real) and timeout_s >= 0.0):
-        raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s!r}")
+    if timeout_s is not None:
+        if not (isinstance(timeout_s, Real) and timeout_s >= 0.0):
+            raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s!r}")
+        try:
+            timeout_s = float(timeout_s)
+        except OverflowError:
+            timeout_s = inf
     if label_budget is not None:
         try:
             label_budget = operator.index(label_budget)
@@ -246,7 +264,7 @@ def check_limits(
             raise ValueError(f"label budget must be an int, got {label_budget!r}") from None
         if label_budget < 0:
             raise ValueError(f"label budget must be nonnegative, got {label_budget}")
-    return k, label_budget
+    return k, timeout_s, label_budget
 
 
 def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float | None:
@@ -274,10 +292,37 @@ def k_shortest_paths(
     """
     opts = options or SolveOptions()
     s, t = check_endpoints(g, s, t)
-    k, label_budget = check_limits(k, opts.timeout_s, opts.label_budget)
-
+    k, timeout_s, label_budget = check_limits(k, opts.timeout_s, opts.label_budget)
     t_start = perf_counter()
-    deadline = t_start + opts.timeout_s if opts.timeout_s is not None else None
+    # k=1 and unguided solves read no potential, and settling a sweep as far
+    # as s costs about as much as the plain search it would prune
+    if not (opts.guided and k > 1 and g.folds_in_range):
+        return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, None, None)
+    # the solve's scratch comes from g's pool and goes back to it on every exit;
+    # pop and append are each one atomic step, so no two solves share a pair
+    try:
+        ws, sweep = g._scratch.pop()
+    except IndexError:  # none kept yet, or other solves hold them all
+        ws, sweep = Workspace(g), ReverseSweep(g, t)
+    else:
+        ws.graph = sweep.graph = g
+        sweep.restart(t)
+    try:
+        return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, ws, sweep)
+    finally:
+        # a kept pair refers to no graph, so a graph is freed as soon as it is
+        # dropped, pool included, without waiting for a cyclic collection
+        ws.forget()
+        ws.graph = sweep.graph = None
+        g._scratch.append((ws, sweep))
+
+
+def _solve(
+    g: Graph, s: int, t: int, k: int, opts: SolveOptions, timeout_s: float | None, label_budget: int | None,
+    t_start: float, ws: Workspace | None, sweep: ReverseSweep | None,
+) -> SolveReport:
+    """The body of :func:`k_shortest_paths`, guided by ``sweep`` unless it is None."""
+    deadline = t_start + timeout_s if timeout_s is not None else None
     stats = SolveStats()
     records: list[PathRecord] = []
 
@@ -291,11 +336,7 @@ def k_shortest_paths(
     def limit(kind: str) -> SolveLimitExceeded:
         return SolveLimitExceeded(kind, finish(ABORTED))
 
-    # k=1 and unguided solves read no potential, and settling a sweep as far
-    # as s costs about as much as the plain search it would prune
-    sweep = None
-    if opts.guided and k > 1 and g.folds_in_range:
-        sweep = ReverseSweep(g, t)
+    if sweep is not None:
         sweep.settle(0.0, s)
         sweep.settle(prune_limit(g, sweep.dist[s]))
     p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
@@ -305,7 +346,8 @@ def k_shortest_paths(
     if k == 1:
         return finish(COMPLETE)
 
-    ws = Workspace(g)
+    if ws is None:
+        ws = Workspace(g)
     cands: list[tuple[float, int, PathRecord]] = []
     pending: list[tuple[float, int, int]] = []  # a heap of (bound, push counter, record index)
     push_counter = 0

@@ -58,9 +58,16 @@ class Graph:
     or Yen's slack. With under ``2**45`` nodes and arcs, its roundings
     and the computed sum's move it under 1%, so it stays below
     ``2**1021 * 1.04``.
+
+    ``_scratch`` is the pool of solver scratch that
+    :func:`kssp.engine.k_shortest_paths` keeps between guided solves: one
+    workspace and reverse sweep per solve running at once, freed with the
+    graph.
     """
 
-    __slots__ = ("node_count", "arc_tail", "arc_head", "arc_cost", "out_arcs", "in_arcs", "folds_in_range")
+    __slots__ = (
+        "node_count", "arc_tail", "arc_head", "arc_cost", "out_arcs", "in_arcs", "folds_in_range", "_scratch"
+    )
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]]) -> None:
         tail: list[int] = []
@@ -136,6 +143,7 @@ class Graph:
             try:  # one allocation each, so a count too large fails before any per-node list
                 out_arcs: list = [None] * node_count
                 in_arcs: list = [None] * node_count
+                scratch: list = []  # made in the pause, so it cannot set off a collection either
                 for lists in (out_arcs, in_arcs):  # one side's lists in a row, as a search walks one side
                     for v in range(node_count):
                         lists[v] = []
@@ -159,6 +167,11 @@ class Graph:
         self.out_arcs = out_arcs
         self.in_arcs = in_arcs
         self.folds_in_range = total <= 2.0**1020
+        self._scratch = scratch
+
+    def __reduce__(self):
+        # a copy or a pickle takes the arrays, and starts with a scratch pool of its own
+        return Graph._from_checked, (self.node_count, self.arc_tail, self.arc_head, self.arc_cost)
 
     @property
     def arc_count(self) -> int:

@@ -52,7 +52,7 @@ def yen_k_shortest(
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
     s, t = check_endpoints(g, s, t)
-    k, _ = check_limits(k, timeout_s)
+    k, timeout_s, _ = check_limits(k, timeout_s)
 
     t_start = perf_counter()
     deadline = t_start + timeout_s if timeout_s is not None else None

@@ -267,3 +267,32 @@ def test_deviation_bound_leaves_blocked_arcs_out_and_may_stop_early(five_node_gr
     assert sweep.deviation_bound((1, 5), 0.0, (), 3.0) == -inf
     assert sweep.deviation_bound((1, 5), 0.0, (), 2.5) == 3.0
     assert sweep.deviation_bound((1, 5), 0.0, [0], 3.0) == 4.0
+
+
+def sweep_state(sweep: ReverseSweep) -> tuple:
+    """Everything a sweep holds, with floats as hex so that equal means bit-identical."""
+    return (
+        sweep.target,
+        sweep.horizon.hex(),
+        [d.hex() for d in sweep.dist],
+        sweep.tree,
+        [x.hex() for x in sweep.sidetrack],
+        [d.hex() for d in sweep._tentative],
+        sweep._heap,
+    )
+
+
+def test_a_restarted_sweep_runs_as_a_new_one():
+    g = gen_grid(30, 30, seed=5)
+    sweep = ReverseSweep(g, 17)
+    # targets after a full sweep, a partial one and one stopped at once
+    for t, stops in ((870, [(0.0, 40), (inf, None)]), (17, [(25.0, None)]), (450, [(0.0, None)]), (3, [(inf, None)])):
+        sweep.sidetrack_of(sweep.target)
+        sweep.restart(t)
+        fresh = ReverseSweep(g, t)
+        assert sweep_state(sweep) == sweep_state(fresh)
+        for key, node in stops:
+            for each in (sweep, fresh):
+                each.settle(key, node)
+                each.deviation_bound(shortest_path(g, 40, t)[0].arcs, 0.0)
+            assert sweep_state(sweep) == sweep_state(fresh)

@@ -1,9 +1,16 @@
 """Deviation tree driver: frozen example, prune rules, differentials."""
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
+import pickle
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path as FilePath
 
 import pytest
@@ -22,6 +29,7 @@ from kssp.engine import (
 )
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, Path, path_cost
+from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import (
@@ -339,6 +347,115 @@ def test_zero_timeout_aborts(five_node_graph):
         k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(timeout_s=0.0))
     assert exc.value.kind == "deadline"
     assert exc.value.report.status == ABORTED
+
+
+@pytest.mark.parametrize("timeout_s", [10**400, Fraction(10**400, 3), float("inf")])
+def test_a_timeout_beyond_the_float_range_never_strikes(five_node_graph, timeout_s):
+    # 10**400 added to the clock as it is would raise OverflowError
+    for options in (SolveOptions(timeout_s=timeout_s), SolveOptions(guided=False, timeout_s=timeout_s)):
+        assert k_shortest_paths(five_node_graph, 0, 4, 4, options).costs == [2.0, 3.0, 4.0, 5.0]
+
+
+def solve_digest(g: Graph, s: int, t: int, k: int, options: SolveOptions) -> tuple:
+    """``report_digest`` of a solve, with the kind of limit that aborted it, if one did."""
+    try:
+        return None, report_digest(k_shortest_paths(g, s, t, k, options))
+    except SolveLimitExceeded as exc:
+        return exc.kind, report_digest(exc.report)
+
+
+def test_solves_on_kept_scratch_match_solves_on_a_fresh_graph():
+    g = gen_grid(30, 30, seed=7)
+    solves = [
+        (31, 868, 40, SolveOptions()),
+        (868, 31, 1, SolveOptions()),
+        (450, 29, 40, SolveOptions(guided=False)),
+        (29, 870, 40, SolveOptions(label_budget=0)),
+        (870, 29, 40, SolveOptions(timeout_s=0.0)),
+        (5, 894, 60, SolveOptions(validate=True)),
+        (31, 868, 40, SolveOptions()),
+    ]
+    kinds = []
+    kept = []
+    for s, t, k, options in solves:
+        fresh = solve_digest(gen_grid(30, 30, seed=7), s, t, k, options)
+        assert solve_digest(g, s, t, k, options) == fresh, (s, t, k, options)
+        kinds.append(fresh[0])
+        kept.append(g._scratch[0])
+    assert kinds == [None, None, None, "iterations", "deadline", None, None]
+    # every guided solve took and gave back the one pair the first made
+    ((ws, sweep),) = g._scratch
+    assert all(pair[0] is ws and pair[1] is sweep for pair in kept)
+
+
+def test_concurrent_solves_on_one_graph_match_sequential_ones(monkeypatch):
+    g = gen_grid(40, 40, seed=8)
+    pairs = [(5, 1590, 60), (1560, 38, 60)]
+    sequential = [report_digest(k_shortest_paths(g, s, t, k)) for s, t, k in pairs]
+    # both solves meet at their first path, so each holds a pair of its own
+    meet = threading.Barrier(2, timeout=60)
+    first_path = kssp.engine.shortest_path
+
+    def meet_first(*args, **kwargs):
+        meet.wait()
+        return first_path(*args, **kwargs)
+
+    monkeypatch.setattr(kssp.engine, "shortest_path", meet_first)
+    concurrent = [None, None]
+
+    def solve(i: int) -> None:
+        concurrent[i] = report_digest(k_shortest_paths(g, *pairs[i]))
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert concurrent == sequential
+    assert len(g._scratch) == 2
+    assert g._scratch[0][0] is not g._scratch[1][0]
+
+
+def test_a_second_guided_solve_allocates_no_scratch():
+    g = gen_grid(100, 100, seed=9)
+    growth = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            k_shortest_paths(g, 120, 9870, 20)
+            growth.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    ((ws, sweep),) = g._scratch
+    lists = (
+        ws.mask.node_stamp, ws.mask.arc_stamp, ws.frontiers, ws.frontier_stamp, ws.queued, ws.queued_stamp,
+        ws.dropped, sweep.dist, sweep.tree, sweep.sidetrack, sweep._tentative,
+    )
+    assert growth[0] - growth[1] >= sum(map(sys.getsizeof, lists))
+
+
+def test_a_graph_and_its_pool_are_freed_without_a_cyclic_collection():
+    gc.collect()
+    g = gen_grid(10, 10, seed=3)
+    k_shortest_paths(g, 0, 99, 5)
+    ((ws, sweep),) = g._scratch
+    # a kept pair refers to no graph, so nothing of g is left for the collector
+    assert ws.graph is None and sweep.graph is None
+    del g, ws, sweep
+    assert gc.collect() == 0
+
+
+def test_a_copy_keeps_a_pool_of_its_own():
+    g = gen_grid(10, 10, seed=3)
+    k_shortest_paths(g, 0, 99, 5)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin._scratch == []
+        assert list(twin.arcs()) == list(g.arcs())
+        assert (twin.out_arcs, twin.in_arcs) == (g.out_arcs, g.in_arcs)
+        assert report_digest(k_shortest_paths(twin, 0, 99, 5)) == report_digest(k_shortest_paths(g, 0, 99, 5))
+    assert len(g._scratch) == 1
 
 
 def candidates(*costs):

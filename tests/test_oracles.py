@@ -74,6 +74,13 @@ def test_yen_rejects_a_timeout_that_is_not_a_nonnegative_real_number(five_node_g
             yen_k_shortest(five_node_graph, 0, 4, 3, accelerated=accelerated, timeout_s=timeout_s)
 
 
+@pytest.mark.parametrize("timeout_s", [10**400, float("inf")])
+def test_yen_takes_a_timeout_beyond_the_float_range_as_never_striking(five_node_graph, timeout_s):
+    for accelerated in (False, True):
+        report = yen_k_shortest(five_node_graph, 0, 4, 4, accelerated=accelerated, timeout_s=timeout_s)
+        assert report.costs == [2.0, 3.0, 4.0, 5.0]
+
+
 @pytest.mark.parametrize("max_paths", [2.5, 3.0, "3", None, 0, -1])
 def test_enumeration_rejects_a_max_paths_that_is_not_an_int_of_at_least_1_before_the_walk(max_paths):
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
