@@ -82,16 +82,14 @@ than four labels in five.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import NamedTuple
 
 from .dijkstra import ReverseSweep
-from .graph import Graph, Mask
-
-# scales a tree walk's bound down past the roundings argued in find_best_deviation
-_SHRINK = 1.0 - 2.0**-50
+from .graph import WALK_SHRINK, ZERO, Graph, Mask
 
 
 class Workspace:
@@ -134,7 +132,7 @@ class Workspace:
         self.queued_stamp = [0] * g.node_count
         self.serial = 0
         self.zero_potential: list[float] | None = None
-        self.dropped: list[float] = [0.0] * g.node_count
+        self.dropped: list[float] = [0] * g.node_count
         self._blank: tuple | None = None
 
     def forget(self) -> None:
@@ -162,8 +160,8 @@ class DeviationQuery:
     source: int
     target: int
     ref_arcs: tuple[int, ...]
-    prefix_cost: float = 0.0
-    sweep: ReverseSweep | None = None
+    prefix_cost: float
+    sweep: ReverseSweep | None
 
 
 def build_query(
@@ -171,7 +169,7 @@ def build_query(
     source: int,
     target: int,
     ref_arcs: tuple[int, ...] | list[int],
-    prefix_cost: float = 0.0,
+    prefix_cost: float = ZERO,
     sweep: ReverseSweep | None = None,
 ) -> DeviationQuery:
     """Validate the instance on the workspace's masked graph and bundle it into a query.
@@ -306,7 +304,7 @@ def find_best_deviation(
     fl(fl(c + cost(b)) + dist), which is at least
     (c + cost(b) + dist)(1 - u)^2 for u = 2^-53, while s is at most
     (1 + u) times the least exact sum, as masks only remove arcs and the
-    horizon never decreases; the scale by 1 - 2^-50 covers these
+    horizon never decreases; the scale by ``WALK_SHRINK`` covers these
     roundings and its own (sums that fall below the normal range are
     exact). The overlap -1 sorts a bound before any entry of equal key.
     When the loop pops a bound, it runs its push block from label i of v
@@ -374,17 +372,18 @@ def find_best_deviation(
     target = query.target
     ref_len = len(query.ref_arcs)
     prefix_cost = query.prefix_cost
-    unreachable = float("inf")
+    unreachable = math.inf
+    zero = ZERO
     sweep = query.sweep
     if sweep is not None:
         pot = sweep.dist
         if pot[query.source] == unreachable:
-            sweep.settle(0.0, query.source)
+            sweep.settle(zero, query.source)
         tree = sweep.tree
         sidetrack = sweep.sidetrack
     else:
         if ws.zero_potential is None:
-            ws.zero_potential = [0.0] * g.node_count
+            ws.zero_potential = [zero] * g.node_count
         pot = ws.zero_potential
         tree = sidetrack = None
 
@@ -400,7 +399,7 @@ def find_best_deviation(
     iterations = 0
     outcome = "exhausted"
     found = None
-    shrink = _SHRINK
+    shrink = WALK_SHRINK
 
     entry = (prefix_cost + pot[query.source], 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
@@ -504,7 +503,7 @@ def find_best_deviation(
             if pot[w] == unreachable:
                 if sweep.horizon == unreachable:
                     continue
-                sweep.settle(0.0, w)
+                sweep.settle(zero, w)
                 if pot[w] == unreachable:
                     continue
             no = eover + 1 if a in ref else eover

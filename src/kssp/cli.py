@@ -8,7 +8,8 @@ and in path output are 0-based (DIMACS file ids minus one).
 
 Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit,
 2 bad usage or input, 3 fewer than k paths exist, 4 cross-check
-mismatch or failed ``--validate`` self-check.
+mismatch or failed ``--validate`` self-check. Exit codes of ``gen``: 0
+written, 2 bad usage or input, or a grid too large to allocate.
 """
 from __future__ import annotations
 

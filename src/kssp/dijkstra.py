@@ -1,9 +1,8 @@
 """Scalar shortest-path searches on arc-weighted digraphs.
 
-Costs of returned paths are left-to-right folds of their arc costs,
-continued from the prefix's fold where a search starts part way along a
-path: the convention used everywhere else in the package, so equal paths
-always carry bit-identical costs.
+Costs follow the model of :mod:`kssp.graph`: returned paths carry left
+folds of their arc costs, continued from the prefix's fold where a search
+starts part way along a path.
 """
 from __future__ import annotations
 
@@ -11,16 +10,7 @@ from collections.abc import Sequence
 from heapq import heappop, heappush
 from math import inf
 
-from .graph import Graph, Mask, Path
-
-
-def prune_limit(g: Graph, h: float) -> float:
-    """Largest label plus distance to the target that :func:`shortest_path` keeps under ``prune``.
-
-    That is ``h + h * (2n + 4) * 2**-52`` for a first path of cost ``h``
-    on n nodes; the slack covers rounding (see :func:`shortest_path`).
-    """
-    return h + h * (2 * g.node_count + 4) * 2.0**-52
+from .graph import ZERO, Graph, Mask, Path, prune_limit
 
 
 def shortest_path(
@@ -32,7 +22,7 @@ def shortest_path(
     potential: list[float] | None = None,
     bound: float | None = None,
     prune: list[float] | None = None,
-    start: float = 0.0,
+    start: float = ZERO,
 ) -> tuple[Path | None, int]:
     """Cheapest simple path from source to target, with the pop count.
 
@@ -89,7 +79,7 @@ def shortest_path(
         epoch = mask.epoch
         if node_stamp[source] == epoch or node_stamp[target] == epoch:
             return None, 0
-    h0 = 0.0
+    h0 = ZERO
     if potential is not None:
         h0 = potential[source]
         if h0 == inf:
@@ -111,6 +101,7 @@ def shortest_path(
     arc_cost = g.arc_cost
     arc_head = g.arc_head
     out_arcs = g.out_arcs
+    zero = ZERO
     # every entry keys below ``bound``: the source is checked above, and so is each push
     while heap:
         _, u = heappop(heap)
@@ -142,7 +133,7 @@ def shortest_path(
                 continue
             if prune is not None and dv + prune[v] > limit:
                 continue
-            hv = potential[v] if potential is not None else 0.0
+            hv = potential[v] if potential is not None else zero
             if hv == inf:
                 continue
             fv = dv + hv
@@ -210,9 +201,9 @@ class ReverseSweep:
 
     def _aim(self, target: int) -> None:
         self.target = target
-        self.horizon = 0.0
-        self._tentative[target] = 0.0
-        self._heap: list[tuple[float, int]] = [(0.0, target)]
+        self.horizon = ZERO
+        self._tentative[target] = ZERO
+        self._heap: list[tuple[float, int]] = [(ZERO, target)]
 
     def restart(self, target: int) -> None:
         """Forget every settled node and start over toward ``target``, as a new sweep would.

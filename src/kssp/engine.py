@@ -67,10 +67,10 @@ depends on how far the sweep has settled. Its push counter keeps equal
 costs in the eager driver's order. A late search's cap still cuts only
 answers that would be trimmed, except that an answer equal to the cap
 sorts before a last candidate pushed after the ask; the search then
-runs under the next float above the cap. Unguided solves have no
-sweep, so every bound is -inf and each ask is searched at the next
-check, in push order, under the cap it would have met when made: they
-run as the eager driver does, counters included.
+runs under ``successor(cap)``. Unguided solves have no sweep, so
+every bound is -inf and each ask is searched at the next check, in push
+order, under the cap it would have met when made: they run as the eager
+driver does, counters included.
 
 By default the driver computes exact distances to the target with one
 reverse scalar search over the unmasked graph, a
@@ -108,7 +108,7 @@ import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from math import inf, nextafter
+from math import inf
 from numbers import Real
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -116,8 +116,8 @@ from typing import TYPE_CHECKING
 from .biobjective import SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
-from .dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
-from .graph import Graph, Path, PathError, check_endpoints, path_cost
+from .dijkstra import ReverseSweep, reverse_distances, shortest_path
+from .graph import ZERO, Graph, Path, PathError, check_endpoints, path_cost, prune_limit, successor
 
 if TYPE_CHECKING:
     from .oracles import YenReport
@@ -337,12 +337,12 @@ def _solve(
         return SolveLimitExceeded(kind, finish(ABORTED))
 
     if sweep is not None:
-        sweep.settle(0.0, s)
+        sweep.settle(ZERO, s)
         sweep.settle(prune_limit(g, sweep.dist[s]))
     p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
     if p1 is None:
         return finish(EXHAUSTED)
-    records.append(PathRecord(p1, None, s, 0, s, 0, 0.0))
+    records.append(PathRecord(p1, None, s, 0, s, 0, ZERO))
     if k == 1:
         return finish(COMPLETE)
 
@@ -376,7 +376,7 @@ def _solve(
         cap = queue_max_cap(len(records), cands, k)
         # an answer equal to the cap sorts before a last candidate pushed after the ask
         if cap is not None and cands[-1][1] > counter:
-            cap = nextafter(cap, inf)
+            cap = successor(cap)
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()

@@ -10,12 +10,16 @@ The graph itself is never mutated. Temporary deletions are expressed
 through a :class:`Mask` overlay whose epoch counter makes clearing all
 deletions an O(1) operation.
 
-Costs are IEEE float64 and compared exactly. Whenever a cost of a path is
-computed it is folded left to right over the arc sequence, so any two
-components that compute the cost of the same arc sequence obtain the
-identical float and "equal cost" is well defined across the code base.
+The cost model lives here alone. Costs are IEEE float64 and compared
+exactly. A path's cost is folded left to right over its arcs from ``ZERO``,
+so any two components that compute the cost of the same arc sequence obtain
+the identical float and "equal cost" is well defined across the code base.
 Searches that start part way along a path begin at its prefix's fold, so
 every label in every search is a left fold from s and is the cost reported.
+``successor(x)`` is the least cost above x. Each rounding slack is argued
+where it is used: ``prune_limit`` at :func:`kssp.dijkstra.shortest_path`,
+``WALK_SHRINK`` at :func:`kssp.biobjective.find_best_deviation` and
+``astar_bound`` at :func:`kssp.oracles.yen_k_shortest`.
 """
 from __future__ import annotations
 
@@ -25,6 +29,24 @@ import operator
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
+
+ZERO = 0.0  # the start of every cost fold
+WALK_SHRINK = 1.0 - 2.0**-50  # scales a tree walk's bound down past its roundings
+
+
+def successor(x: float) -> float:
+    """The least cost above ``x``."""
+    return math.nextafter(x, math.inf)
+
+
+def prune_limit(g: Graph, h: float) -> float:
+    """The largest label plus distance to the target kept under ``prune``, for a first path of cost ``h``."""
+    return h + h * (2 * g.node_count + 4) * 2.0**-52
+
+
+def astar_bound(cap: float) -> float:
+    """The ``bound`` of a spur search under a potential that keeps every completion cheaper than ``cap``."""
+    return cap + 1e-9 * (1.0 + abs(cap))
 
 
 class GraphError(ValueError):
@@ -289,7 +311,7 @@ def path_cost(g: Graph, path: Path | Sequence[int]) -> float:
             are not incident (head of one != tail of the next).
     """
     arcs = path.arcs if isinstance(path, Path) else path
-    cost = 0.0
+    cost = ZERO
     prev_head = -1
     arc_count = g.arc_count
     for i, a in enumerate(arcs):

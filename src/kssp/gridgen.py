@@ -48,17 +48,21 @@ def gen_grid(
     draw = SplitMix64(seed).uniform
     tail: list[int] = []
     head: list[int] = []
-    for r in range(rows):
-        base = r * cols
-        for c in range(cols):
-            u = base + c
-            if c + 1 < cols:
-                tail += (u, u + 1)
-                head += (u + 1, u)
-            if r + 1 < rows:
-                tail += (u, u + cols)
-                head += (u + cols, u)
-    cost = [draw(cost_low, cost_high) for _ in tail]
+    try:
+        for r in range(rows):
+            base = r * cols
+            for c in range(cols):
+                u = base + c
+                if c + 1 < cols:
+                    tail += (u, u + 1)
+                    head += (u + 1, u)
+                if r + 1 < rows:
+                    tail += (u, u + cols)
+                    head += (u + cols, u)
+        cost = [draw(cost_low, cost_high) for _ in tail]
+    except MemoryError:
+        tail = head = None  # free the lists, or building the error fails too
+        raise GraphError(f"grid {rows}x{cols} is too large to allocate") from None
     return Graph._from_checked(rows * cols, tail, head, cost)
 
 

@@ -16,7 +16,7 @@ from time import perf_counter
 
 from .dijkstra import reverse_distances, shortest_path
 from .engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, SolveStats, check_limits
-from .graph import Graph, Mask, Path, check_endpoints
+from .graph import ZERO, Graph, Mask, Path, astar_bound, check_endpoints
 
 
 @dataclass
@@ -93,7 +93,7 @@ def yen_k_shortest(
         room = k - len(paths)
         mask.reset()
         cursor = trie
-        root_cost = 0.0
+        root_cost = ZERO
         for j in range(len(arcs)):
             if j > 0:
                 mask.delete_node(nodes[j - 1])
@@ -107,12 +107,10 @@ def yen_k_shortest(
                 raise SolveLimitExceeded("deadline", finish(ABORTED))
             bnd = None
             if len(cands) >= room:
-                cap = cands[-1][0]
-                # Labels are left folds from s, but an A* key adds the
-                # potential, a right fold from t, and the sum can round
-                # above every completion's own fold; the slack keeps it
-                # from pruning a candidate cheaper than the cap.
-                bnd = cap + 1e-9 * (1.0 + abs(cap))
+                # Labels are left folds from s, but an A* key adds the potential, a
+                # right fold from t, and the sum can round above every completion's
+                # own fold; ``astar_bound`` keeps it from pruning a candidate below the cap.
+                bnd = astar_bound(cands[-1][0])
             spur, pops = shortest_path(
                 g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
             )
@@ -181,7 +179,7 @@ def enumerate_simple_paths(
             stack.pop()
             visited.remove(v)
 
-    walk(s, 0.0)
+    walk(s, ZERO)
     found.sort()
     del found[max_paths:]
     return [Path(arcs, cost) for cost, arcs in found]

@@ -393,3 +393,12 @@ def test_a_node_count_too_large_to_allocate_exits_2(tmp_path, count):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: node_count {count} is too large to allocate\n"
+
+
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path):
+    # its arc arrays run out of the child's address space before any node list is made
+    done = run_capped("-m", "kssp.cli", "gen", "--grid", "99999x99999", "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: grid 99999x99999 is too large to allocate\n"
+    assert not (tmp_path / "out").exists()

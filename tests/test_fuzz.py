@@ -15,6 +15,16 @@ k, timeout, label budget and endpoints drawn from ``ARGUMENTS``, each
 call on the same graph, so guided solves reuse the graph's scratch. A
 call must return or raise ``ValueError`` (``GraphError`` is one), or
 ``SolveLimitExceeded`` when a limit strikes.
+
+``gen`` and ``solve`` get whole argument vectors: each option is given
+or left out, its value drawn from its usual values or from
+``ARGV_TOKENS``, and switches, ``--algo brute`` and an unknown flag are
+mixed in. They run in-process, with argparse's ``SystemExit`` caught.
+Every run must exit 0 to 4 without an exception, an exit 2 must print
+exactly one line with ``error:``, and an exit 0 under ``--check`` must
+say that the reference agrees. The grids ``gen`` draws are 8x8 at most,
+and ``solve`` reads graphs of at most a few hundred simple paths, so a
+k of ``10**400`` ends when they are all found.
 """
 from __future__ import annotations
 
@@ -22,8 +32,9 @@ import traceback
 from pathlib import Path as FilePath
 
 from kssp.cli import main
-from kssp.dimacs import load_dimacs
+from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import SolveLimitExceeded, SolveOptions, k_shortest_paths
+from kssp.gridgen import gen_grid
 from kssp.oracles import yen_k_shortest
 from kssp.rng import SplitMix64
 
@@ -161,3 +172,90 @@ def test_python_entry_points_return_or_raise_the_documented_errors():
     assert outcomes["SolveLimitExceeded"] > 0, outcomes
     # every guided solve gave its scratch back, and no two ran at once
     assert len(g._scratch) == 1
+
+
+# option values that are no number, past the float or int range, negative or
+# zero; None leaves the value out, so the next token or the end follows
+HUGE = str(10**400)
+ARGV_TOKENS = ["nan", "-1", "1e309", HUGE, "0", None, "--bogus"]
+# gen would draw 10**400 cost seeds or pairs until memory runs out
+COUNT_TOKENS = [token for token in ARGV_TOKENS if token != HUGE]
+RUNS = 1000
+
+
+def argv_for(
+    rng: SplitMix64, command: str, required: int, options: dict[str, tuple[list, list]], switches: list[str]
+) -> list[str]:
+    """``command`` with its options and switches drawn.
+
+    The first ``required`` options are required: each is left out in one
+    case of sixteen. The others are given in one case of two, and each
+    switch in one of three. An option's value comes from its usual
+    values in seven cases of eight, else from its pool of bad tokens.
+    One vector in sixteen ends in an unknown flag.
+    """
+    argv = [command]
+    for i, (flag, (usual, bad)) in enumerate(options.items()):
+        if rng.below(16 if i < required else 2) == 0:
+            continue
+        pool = usual if rng.below(8) else bad
+        value = pool[rng.below(len(pool))]
+        argv += [flag] if value is None else [flag, value]
+    argv += [switch for switch in switches if rng.below(3) == 0]
+    if rng.below(16) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+def test_drawn_argument_vectors_end_in_a_documented_exit_code(tmp_path, capsys):
+    rng = SplitMix64(2031)
+    grid = tmp_path / "grid4x4.gr"
+    with open(grid, "w") as f:
+        dump_dimacs(gen_grid(4, 4, seed=7), f)
+    nodes = [str(v) for v in range(16)]
+    failures = []
+    codes = [0] * 5
+    agreed = 0
+    for run in range(RUNS):
+        if rng.below(2):
+            out = str(tmp_path / f"gen{run}")
+            argv = argv_for(rng, "gen", 2, {
+                "--grid": (["1x1", "1x2", "3x3", "2x8", "8x8"], ARGV_TOKENS + ["8x", "0x3", "x"]),
+                "--out": ([out], [None, str(grid)]),
+                "--costs": (["0", "1", "2"], COUNT_TOKENS),
+                "--pairs": (["0", "1", "3"], COUNT_TOKENS),
+                "--seed": (["0", "5"], ARGV_TOKENS),
+                "--cost-low": (["0", "1"], ARGV_TOKENS),
+                "--cost-high": (["10", "2.5"], ARGV_TOKENS),
+            }, [])
+        else:
+            argv = argv_for(rng, "solve", 3, {
+                "--graph": ([str(MINI), str(grid)], [None, str(tmp_path / "missing.gr"), str(tmp_path)]),
+                "-t": (nodes, ARGV_TOKENS),
+                "-s": (nodes, ARGV_TOKENS),
+                "-k": (["1", "3", "40", HUGE], ARGV_TOKENS),
+                "--algo": (["deviation", "yen", "yen-accelerated", "brute"], ARGV_TOKENS),
+                "--timeout-s": (["60", "0"], ARGV_TOKENS),
+                "--label-budget": (["1000000", "5"], ARGV_TOKENS),
+            }, ["--check", "--unguided", "--validate"])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the vector
+            code = exc.code
+        except Exception:
+            code = traceback.format_exc()
+        err = capsys.readouterr().err
+        errors = sum("error:" in line for line in err.splitlines())
+        if (
+            code not in range(5)
+            or code == 2 and errors != 1
+            or code == 0 and "--check" in argv and " agrees\n" not in err
+        ):
+            failures.append((run, argv, code, err))
+        else:
+            codes[code] += 1
+            agreed += code == 0 and "--check" in argv
+    assert failures == []
+    # the vectors reach both commands' work, a limit and the cross-check, not only refusals
+    assert codes[0] > RUNS // 10 and codes[1] > 0 and codes[2] > RUNS // 4 and codes[3] > 0, codes
+    assert agreed > 0
