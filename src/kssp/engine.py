@@ -98,9 +98,11 @@ included, so a graph asked many pairs allocates its node arrays once
 per solve running at once, not once per solve. The sweep restarts
 toward the new target in place (:meth:`kssp.dijkstra.ReverseSweep.restart`);
 the workspace's stamps only grow, so it needs no reset, and it drops
-its past frontiers when given back. A pair in the pool refers to no
-graph, so dropping a graph frees its pool at once. The answer of a solve
-never depends on whether its pair is new.
+its past frontiers when given back. A new pair makes the blank tuples
+both resets copy from before its solve starts, so giving a pair back
+builds no blank, even after a ``MemoryError``. A pair in the pool
+refers to no graph, so dropping a graph frees its pool at once. The
+answer of a solve never depends on whether its pair is new.
 """
 from __future__ import annotations
 
@@ -304,9 +306,11 @@ def k_shortest_paths(
         ws, sweep = g._scratch.pop()
     except IndexError:  # none kept yet, or other solves hold them all
         ws, sweep = Workspace(g), ReverseSweep(g, t)
-    else:
-        ws.graph = sweep.graph = g
-        sweep.restart(t)
+        # a first forget or restart makes the blanks it resets from: make them
+        # here, so that the finally below builds none after a MemoryError
+        ws.forget()
+    ws.graph = sweep.graph = g
+    sweep.restart(t)
     try:
         return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, ws, sweep)
     finally:

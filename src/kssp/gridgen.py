@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterator
 
 from .graph import Graph, GraphError
@@ -45,21 +46,25 @@ def gen_grid(
     rounds the product a whole ulp below it.
     """
     rows, cols, cost_low, cost_high = check_grid(rows, cols, cost_low, cost_high)
-    draw = SplitMix64(seed).uniform
     tail: list[int] = []
     head: list[int] = []
     try:
+        # one int object per node, shared by all its arcs: each row's ids are
+        # made once, while the row above it is visited, and no list holds them all
+        below = list(range(cols))
         for r in range(rows):
-            base = r * cols
+            row, below = below, list(range((r + 1) * cols, min(r + 2, rows) * cols))
             for c in range(cols):
-                u = base + c
+                u = row[c]
                 if c + 1 < cols:
-                    tail += (u, u + 1)
-                    head += (u + 1, u)
-                if r + 1 < rows:
-                    tail += (u, u + cols)
-                    head += (u + cols, u)
-        cost = [draw(cost_low, cost_high) for _ in tail]
+                    east = row[c + 1]
+                    tail += (u, east)
+                    head += (east, u)
+                if below:
+                    south = below[c]
+                    tail += (u, south)
+                    head += (south, u)
+        cost = SplitMix64(seed).uniforms(len(tail), cost_low, cost_high)
     except MemoryError:
         tail = head = None  # free the lists, or building the error fails too
         raise GraphError(f"grid {rows}x{cols} is too large to allocate") from None
@@ -116,13 +121,20 @@ def seeded_grids(
 
 
 def check_count(count: int, what: str) -> int:
-    """Return ``count`` as an int; raise ValueError, naming ``what``, unless it is an int >= 0."""
+    """Return ``count`` as an int; raise ValueError, naming ``what``, unless it is an int >= 0.
+
+    A count above ``sys.maxsize`` is refused too, as no list can hold
+    that many draws; the error does not print it, as its digits may be
+    too many for ``str``.
+    """
     try:
         count = operator.index(count)
     except TypeError:
         raise ValueError(f"{what} count must be an int, got {count!r}") from None
     if count < 0:
         raise ValueError(f"{what} count must be at least 0, got {count}")
+    if count > sys.maxsize:
+        raise ValueError(f"{what} count must be at most {sys.maxsize}")
     return count
 
 

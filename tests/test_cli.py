@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from pathlib import Path as FilePath
 
 import pytest
@@ -295,6 +296,16 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path, argv):
     assert code == 2
     assert "error:" in err
     assert list(tmp_path.iterdir()) == []  # no output directory or manifest
+
+
+@pytest.mark.parametrize("flag, what", [("--pairs", "pair"), ("--costs", "grid")])
+def test_a_count_no_list_can_hold_exits_2_before_any_draw(capsys, monkeypatch, tmp_path, flag, what):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "gen", "--grid", "2x2", flag, str(10**400), "--out", "out")
+    assert code == 2
+    assert out == []
+    assert err == f"error: {what} count must be at most {sys.maxsize}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_cost_beyond_the_float_range_exits_2(tmp_path, capsys):

@@ -36,8 +36,8 @@ ALLOWED = [
     ("gridgen.py", "seeded_grids", 10.0),
     ("cli.py", "build_parser", 0.0),
     ("cli.py", "build_parser", 10.0),
-    # the scale of SplitMix64's 53-bit draw
-    ("rng.py", "SplitMix64.uniform", 2.0),
+    # the scale of SplitMix64's 53-bit draw, shared by its scalar and bulk draws
+    ("rng.py", "<module>", 2.0),
 ]
 
 

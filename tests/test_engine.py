@@ -436,6 +436,27 @@ def test_a_second_guided_solve_allocates_no_scratch():
     assert growth[0] - growth[1] >= sum(map(sys.getsizeof, lists))
 
 
+def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkeypatch):
+    g = gen_grid(30, 30, seed=7)
+    held = []
+
+    def out_of_memory(query, *args, **kwargs):
+        # the blanks that giving the pair back resets from exist before the error
+        held.append((query.workspace, query.sweep, query.workspace._blank, query.sweep._blanks))
+        raise MemoryError
+
+    with monkeypatch.context() as m:
+        m.setattr(kssp.engine, "find_best_deviation", out_of_memory)
+        with pytest.raises(MemoryError):
+            k_shortest_paths(g, 31, 868, 40)
+    ((ws, sweep),) = g._scratch
+    ((ws_held, sweep_held, blank, blanks),) = held
+    assert ws is ws_held and sweep is sweep_held
+    assert ws._blank is blank is not None and sweep._blanks is blanks is not None
+    fresh = report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
+    assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
+
+
 def test_a_graph_and_its_pool_are_freed_without_a_cyclic_collection():
     gc.collect()
     g = gen_grid(10, 10, seed=3)

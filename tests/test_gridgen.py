@@ -44,6 +44,13 @@ def test_shape(rows, cols, nodes, arcs):
     assert arcs == 2 * (rows * (cols - 1) + cols * (rows - 1))
 
 
+def test_arcs_share_one_int_object_per_node():
+    g = gen_grid(20, 30, seed=2)
+    ends = g.arc_tail + g.arc_head
+    assert sorted(set(ends)) == list(range(600))
+    assert len({id(v) for v in ends}) == 600
+
+
 def test_same_seed_is_bit_identical():
     a = gen_grid(5, 7, seed=123)
     b = gen_grid(5, 7, seed=123)
@@ -101,6 +108,13 @@ def test_rejects_bad_arguments():
         sample_pairs(SplitMix64(1), 5, 1.5)
     with pytest.raises(ValueError, match="pair count must be an int, got nan"):
         check_count(float("nan"), "pair")
+    # no list holds more than sys.maxsize draws, so such a count is refused before the first
+    assert check_count(sys.maxsize, "pair") == sys.maxsize
+    for count in (sys.maxsize + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^pair count must be at most {sys.maxsize}$"):
+            sample_pairs(SplitMix64(1), 5, count)
+        with pytest.raises(ValueError, match=f"^grid count must be at most {sys.maxsize}$"):
+            seeded_grids(3, 3, count, 0)
     with pytest.raises(GraphError, match="grid shape must be ints, got 2.0x3"):
         gen_grid(2.0, 3)
     with pytest.raises(GraphError, match="grid shape must be ints, got 3x2.0"):

@@ -1,8 +1,12 @@
 """Generator determinism and known-answer checks."""
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
+import kssp.rng
 from kssp.rng import SplitMix64
 
 
@@ -90,3 +94,31 @@ def test_distinct_pair_needs_two_values():
     rng = SplitMix64(0)
     with pytest.raises(ValueError):
         rng.distinct_pair(1)
+
+
+B = kssp.rng._LANES  # draws per block of the bulk draw
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 17])
+@pytest.mark.parametrize(
+    "low, high",
+    [(0.0, 10.0), (3.25, 3.25), (1.0, math.nextafter(1.0, 2.0)), (0.0, 1e300), (0.0, sys.float_info.max)],
+)
+def test_uniforms_draws_what_uniform_draws(count, low, high):
+    one, bulk = SplitMix64(2024), SplitMix64(2024)
+    bulk.next_u64()  # a state that is not the seed's
+    one.next_u64()
+    expected = [one.uniform(low, high) for _ in range(count)]
+    drawn = bulk.uniforms(count, low, high)
+    assert [x.hex() for x in drawn] == [x.hex() for x in expected]
+    assert all(type(x) is float for x in drawn)
+    # and the stream goes on where count scalar draws leave it
+    assert bulk.next_u64() == one.next_u64()
+
+
+def test_uniforms_refuses_what_uniform_refuses():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="low must not exceed high"):
+        rng.uniforms(3, 2.0, 1.0)
+    # a refused draw consumes nothing
+    assert rng.next_u64() == SplitMix64(5).next_u64()
