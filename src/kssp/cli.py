@@ -6,10 +6,12 @@ of it with any solver, then a status line: query counts, mean labels
 per found and per failed query, wall time. Node ids on the command line
 and in path output are 0-based (DIMACS file ids minus one).
 
-Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit,
-2 bad usage or input, 3 fewer than k paths exist, 4 cross-check
-mismatch or failed ``--validate`` self-check. Exit codes of ``gen``: 0
-written, 2 bad usage or input, or a grid too large to allocate.
+Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit
+(a deadline, the label budget, or memory running out, with the paths
+found so far printed and one ``aborted (KIND)`` line), 2 bad usage or
+input, 3 fewer than k paths exist, 4 cross-check mismatch or failed
+``--validate`` self-check. Exit codes of ``gen``: 0 written, 2 bad
+usage or input, or a grid too large to allocate.
 """
 from __future__ import annotations
 
@@ -124,8 +126,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 g, s, t, k, accelerated=args.algo == "yen-accelerated", timeout_s=args.timeout_s
             )
     except SolveLimitExceeded as exc:
-        write_paths(g, exc.report.paths, sys.stdout)
-        _note(f"aborted ({exc.kind}): {len(exc.report.paths)} of {k} paths found")
+        # one at a time: after a MemoryError a list of every path may not fit
+        if args.algo == "deviation":
+            found = exc.report.records
+            paths = (r.path for r in found)
+        else:
+            found = paths = exc.report.paths
+        write_paths(g, paths, sys.stdout)
+        _note(f"aborted ({exc.kind}): {len(found)} of {k} paths found")
         return 1
     except AssertionError as exc:
         if not args.validate:

@@ -103,6 +103,14 @@ both resets copy from before its solve starts, so giving a pair back
 builds no blank, even after a ``MemoryError``. A pair in the pool
 refers to no graph, so dropping a graph frees its pool at once. The
 answer of a solve never depends on whether its pair is new.
+
+Running out of memory is a limit too. With a k far beyond what the
+queue ever holds, no cap prunes and every candidate is kept, so a long
+solve can exhaust memory. A ``MemoryError`` while the driver asks,
+searches or pops first drops the queued candidates and the pending
+asks, the memory the report does not need, and then raises
+:class:`SolveLimitExceeded` with kind ``memory`` and the paths accepted
+so far, as a deadline does.
 """
 from __future__ import annotations
 
@@ -222,7 +230,10 @@ class SolveReport:
 
 
 class SolveLimitExceeded(RuntimeError):
-    """Timeout or label budget hit; carries the partial report of the raising solver."""
+    """Timeout, label budget or memory ran out; carries the partial report of the raising solver.
+
+    ``kind`` is ``deadline``, ``iterations`` or ``memory``.
+    """
 
     def __init__(self, kind: str, report: SolveReport | YenReport) -> None:
         super().__init__(f"solve aborted: {kind}")
@@ -290,7 +301,8 @@ def k_shortest_paths(
 
     Returns a report whose status is ``complete`` when k paths exist and
     ``exhausted-early`` when the instance has fewer. Raises
-    :class:`SolveLimitExceeded` when a timeout or label budget strikes.
+    :class:`SolveLimitExceeded` when a timeout or label budget strikes or
+    memory runs out.
     """
     opts = options or SolveOptions()
     s, t = check_endpoints(g, s, t)
@@ -421,26 +433,33 @@ def _solve(
         del cands[k - len(records):]
 
     stats.init_queries = 1
-    ask(0)
+    try:
+        ask(0)
 
-    # the queue holds k - n candidates at most, so no pop takes the k-th path
-    while True:
-        if deadline is not None and perf_counter() > deadline:
-            raise limit("deadline")
-        # search every pending ask whose answer might tie or precede the front;
-        # its bound is then within the cap's prune limit too, as no cap is below the front
-        while pending and (not cands or pending[0][0] <= prune_limit(g, cands[0][0])):
-            _, counter, origin_index = heappop(pending)
-            run(counter, origin_index)
-        if not cands:
-            return finish(EXHAUSTED)
-        if queue_max_cap(len(records), cands, k) == cands[0][0]:
-            records.extend(entry[2] for entry in cands)
-            return finish(COMPLETE)
-        rec = cands.pop(0)[2]
-        records.append(rec)
-        ask(len(records) - 1)
-        ask(rec.parent_index)
+        # the queue holds k - n candidates at most, so no pop takes the k-th path
+        while True:
+            if deadline is not None and perf_counter() > deadline:
+                raise limit("deadline")
+            # search every pending ask whose answer might tie or precede the front;
+            # its bound is then within the cap's prune limit too, as no cap is below the front
+            while pending and (not cands or pending[0][0] <= prune_limit(g, cands[0][0])):
+                _, counter, origin_index = heappop(pending)
+                run(counter, origin_index)
+            if not cands:
+                return finish(EXHAUSTED)
+            if queue_max_cap(len(records), cands, k) == cands[0][0]:
+                records.extend(entry[2] for entry in cands)
+                return finish(COMPLETE)
+            rec = cands.pop(0)[2]
+            records.append(rec)
+            ask(len(records) - 1)
+            ask(rec.parent_index)
+    except MemoryError:
+        # the report needs neither the queued candidates nor the pending asks:
+        # drop them first, or building it can fail too
+        cands.clear()
+        pending.clear()
+        raise limit("memory") from None
 
 
 def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:

@@ -33,10 +33,19 @@ def gen_grid(
 
     Arc count is ``2 * (rows * (cols - 1) + cols * (rows - 1))``.
 
-    The arcs go to the graph unchecked, as each is valid when made:
-    ``check_grid`` gives int ``rows`` and ``cols`` of at least 1, and the
-    row-major loop steps from a node ``u < rows * cols`` east only before
-    the last column and south only before the last row. Each draw is
+    The arcs go to the graph unchecked, as each is valid when made.
+    ``check_grid`` gives int ``rows`` and ``cols`` of at least 1, so
+    ``row`` holds the ids of row ``r`` and ``below`` those of row
+    ``r + 1``, or none in the last row: every endpoint is an int below
+    ``rows * cols``. Row ``r`` fills the ``4 * cols - 2`` slots from
+    ``r * (4 * cols - 2)`` on when a row lies below it: four stride-4
+    slices of ``cols - 1`` ids, one per cell before the last, and then the
+    last cell's south pair. The last row fills the ``2 * cols - 2`` slots
+    left with two stride-2 slices of ``cols - 1`` ids. The rows' slots add
+    up to the arc count, so every slot is filled once. An east arc joins
+    ``row[c]`` and ``row[c + 1]``, as ``row[:-1]`` and ``row[1:]`` meet
+    slot for slot, so it stays in its row; a south arc joins ``row[c]``
+    and ``below[c]``, the cell under it in the next row. Each draw is
     ``low + (high - low) * x`` with ``check_grid``'s floats
     ``0 <= low <= high < inf`` and ``0 <= x <= 1 - 2**-53``, a float that
     meets no infinity or NaN and never goes below 0. It passes ``high`` by
@@ -46,26 +55,31 @@ def gen_grid(
     rounds the product a whole ulp below it.
     """
     rows, cols, cost_low, cost_high = check_grid(rows, cols, cost_low, cost_high)
-    tail: list[int] = []
-    head: list[int] = []
+    step = 4 * cols - 2  # the slots of a row with a row below
     try:
+        # one allocation each, so a grid too large fails before any row is made;
+        # past the index range that is an OverflowError
+        tail: list = [None] * (2 * (rows * (cols - 1) + cols * (rows - 1)))
+        head = tail[:]
         # one int object per node, shared by all its arcs: each row's ids are
         # made once, while the row above it is visited, and no list holds them all
         below = list(range(cols))
         for r in range(rows):
             row, below = below, list(range((r + 1) * cols, min(r + 2, rows) * cols))
-            for c in range(cols):
-                u = row[c]
-                if c + 1 < cols:
-                    east = row[c + 1]
-                    tail += (u, east)
-                    head += (east, u)
-                if below:
-                    south = below[c]
-                    tail += (u, south)
-                    head += (south, u)
+            west, east = row[:-1], row[1:]
+            o = r * step
+            if below:  # each cell's east pair, then its south pair
+                e = o + step - 2
+                tail[o:e:4] = head[o + 1:e:4] = tail[o + 2:e:4] = head[o + 3:e:4] = west
+                tail[o + 1:e:4] = head[o:e:4] = east
+                tail[o + 3:e:4] = head[o + 2:e:4] = below[:-1]
+                tail[e] = head[e + 1] = row[-1]
+                tail[e + 1] = head[e] = below[-1]
+            else:  # the last row's east pairs
+                tail[o::2] = head[o + 1::2] = west
+                tail[o + 1::2] = head[o::2] = east
         cost = SplitMix64(seed).uniforms(len(tail), cost_low, cost_high)
-    except MemoryError:
+    except (OverflowError, MemoryError):
         tail = head = None  # free the lists, or building the error fails too
         raise GraphError(f"grid {rows}x{cols} is too large to allocate") from None
     return Graph._from_checked(rows * cols, tail, head, cost)

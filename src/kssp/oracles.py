@@ -48,7 +48,7 @@ def yen_k_shortest(
     that ran with a cost bound counts as capped even if it would also
     have failed without the bound. A graph failing ``Graph.folds_in_range``
     gets the plain searches. Yen keeps no deviation tree, so the report
-    holds bare paths; a timeout raises
+    holds bare paths; a timeout, or running out of memory, raises
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
     s, t = check_endpoints(g, s, t)
@@ -87,52 +87,60 @@ def yen_k_shortest(
 
     admit(p1.arcs)
 
-    while len(paths) < k:
-        arcs = paths[-1].arcs
-        nodes = paths[-1].nodes(g)
-        room = k - len(paths)
-        mask.reset()
-        cursor = trie
-        root_cost = ZERO
-        for j in range(len(arcs)):
-            if j > 0:
-                mask.delete_node(nodes[j - 1])
-                root_cost += arc_cost[arcs[j - 1]]
-                cursor = cursor[arcs[j - 1]]
-            # Arcs blocked at earlier positions keep their deletion
-            # stamps, which is harmless: their tails are masked now.
-            for a in cursor:
-                mask.delete_arc(a)
-            if deadline is not None and (j & 31) == 0 and perf_counter() > deadline:
-                raise SolveLimitExceeded("deadline", finish(ABORTED))
-            bnd = None
-            if len(cands) >= room:
-                # Labels are left folds from s, but an A* key adds the potential, a
-                # right fold from t, and the sum can round above every completion's
-                # own fold; ``astar_bound`` keeps it from pruning a candidate below the cap.
-                bnd = astar_bound(cands[-1][0])
-            spur, pops = shortest_path(
-                g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
-            )
-            stats.add_query(pops, spur is not None, bnd is not None)
-            if spur is None:
-                continue
-            cand_arcs = arcs[:j] + spur.arcs
-            if cand_arcs in seen:
-                continue
-            seen.add(cand_arcs)
-            cost = spur.cost
-            if len(cands) >= room and cost >= cands[-1][0]:
-                continue
-            push_counter += 1
-            insort(cands, (cost, push_counter, cand_arcs))
-            if len(cands) > room:
-                del cands[room:]
-        if not cands:
-            return finish(EXHAUSTED)
-        cost, _, cand_arcs = cands.pop(0)
-        paths.append(Path(cand_arcs, cost))
-        admit(cand_arcs)
+    try:
+        while len(paths) < k:
+            arcs = paths[-1].arcs
+            nodes = paths[-1].nodes(g)
+            room = k - len(paths)
+            mask.reset()
+            cursor = trie
+            root_cost = ZERO
+            for j in range(len(arcs)):
+                if j > 0:
+                    mask.delete_node(nodes[j - 1])
+                    root_cost += arc_cost[arcs[j - 1]]
+                    cursor = cursor[arcs[j - 1]]
+                # Arcs blocked at earlier positions keep their deletion
+                # stamps, which is harmless: their tails are masked now.
+                for a in cursor:
+                    mask.delete_arc(a)
+                if deadline is not None and (j & 31) == 0 and perf_counter() > deadline:
+                    raise SolveLimitExceeded("deadline", finish(ABORTED))
+                bnd = None
+                if len(cands) >= room:
+                    # Labels are left folds from s, but an A* key adds the potential, a
+                    # right fold from t, and the sum can round above every completion's
+                    # own fold; ``astar_bound`` keeps it from pruning a candidate below the cap.
+                    bnd = astar_bound(cands[-1][0])
+                spur, pops = shortest_path(
+                    g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
+                )
+                stats.add_query(pops, spur is not None, bnd is not None)
+                if spur is None:
+                    continue
+                cand_arcs = arcs[:j] + spur.arcs
+                if cand_arcs in seen:
+                    continue
+                seen.add(cand_arcs)
+                cost = spur.cost
+                if len(cands) >= room and cost >= cands[-1][0]:
+                    continue
+                push_counter += 1
+                insort(cands, (cost, push_counter, cand_arcs))
+                if len(cands) > room:
+                    del cands[room:]
+            if not cands:
+                return finish(EXHAUSTED)
+            cost, _, cand_arcs = cands.pop(0)
+            paths.append(Path(cand_arcs, cost))
+            admit(cand_arcs)
+    except MemoryError:
+        # the report needs none of the candidates, the seen paths or the trie:
+        # drop them first, or building it can fail too
+        cands.clear()
+        seen.clear()
+        trie.clear()
+        raise SolveLimitExceeded("memory", finish(ABORTED)) from None
     return finish(COMPLETE)
 
 

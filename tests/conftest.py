@@ -31,19 +31,20 @@ SRC = FilePath(__file__).resolve().parent.parent / "src"
 UNALLOCATABLE_COUNTS = [2**64 + 1, 2**62, 10**12, 3 * 10**7]
 
 
-def run_capped(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python args`` with kssp from src/, in a child capped at 1 GiB of address space.
+def run_capped(*args: str, cap_bytes: int = 2**30, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python args`` with kssp from src/, in a child capped at ``cap_bytes`` of address space.
 
     A case that may allocate per node runs there, so a regression ends in
-    the child's MemoryError, not in exhausting the host's memory.
+    the child's MemoryError, not in exhausting the host's memory. The
+    child is killed, and the test fails, after ``timeout`` seconds.
     """
 
     def cap() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, *args], preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], preexec_fn=cap, env=env, capture_output=True, text=True, timeout=timeout
     )
 
 

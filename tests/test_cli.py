@@ -413,3 +413,46 @@ def test_a_grid_too_large_to_allocate_exits_2(tmp_path):
     assert done.stdout == ""
     assert done.stderr == "error: grid 99999x99999 is too large to allocate\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", ["1x100000000000000000000", "100000000000000000000x1"])
+def test_a_grid_side_past_the_index_range_exits_2(tmp_path, shape):
+    # its arc count passes sys.maxsize, so the first allocation fails at once
+    done = run_capped("-m", "kssp.cli", "gen", "--grid", shape, "--out", str(tmp_path / "out"), timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: grid {shape} is too large to allocate\n"
+    assert not (tmp_path / "out").exists()
+
+
+# run main(argv[1:]) and then report the child's peak address space, which is
+# what RLIMIT_AS caps, on a last stderr line
+PEAK_VM = """
+import sys
+from kssp.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(next(line for line in f if line.startswith("VmPeak:")).split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak from /proc")
+def test_a_solve_that_runs_out_of_memory_prints_its_paths_and_exits_1(tmp_path):
+    # ROADMAP item 14's case: with k far past what the queue ever holds, no
+    # cap prunes and every candidate is kept until memory runs out
+    assert main(["gen", "--grid", "20x20", "--seed", "3", "--out", str(tmp_path)]) == 0
+    solve = ["solve", "--graph", str(tmp_path / "grid20x20-c0.gr"), "-s", "0", "-t", "399"]
+    # the cap is a small solve's peak plus 32 MiB: a lower one can leave the
+    # interpreter itself no room, and a higher one takes longer to fill
+    small = run_capped("-c", PEAK_VM, *solve, "-k", "100")
+    assert small.returncode == 0, small.stderr
+    peak_kib = int(small.stderr.splitlines()[-1])
+    done = run_capped("-m", "kssp.cli", *solve, "-k", "3000000", cap_bytes=peak_kib * 1024 + 2**25, timeout=30)
+    assert done.returncode == 1, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert done.stderr == f"aborted (memory): {len(lines)} of 3000000 paths found\n"
+    assert len(lines) > 1000
+    costs = [float(line.split()[1]) for line in lines]
+    assert costs == sorted(costs)
+    assert all(line.split()[3] == "0" and line.split()[-1] == "399" for line in lines)

@@ -27,6 +27,7 @@ from kssp.engine import (
     k_shortest_paths,
     queue_max_cap,
 )
+from kssp.biobjective import find_best_deviation
 from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, Path, path_cost
 from kssp.gridgen import gen_grid
@@ -447,14 +448,40 @@ def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkey
 
     with monkeypatch.context() as m:
         m.setattr(kssp.engine, "find_best_deviation", out_of_memory)
-        with pytest.raises(MemoryError):
+        with pytest.raises(SolveLimitExceeded) as exc:
             k_shortest_paths(g, 31, 868, 40)
+    # running out of memory is a limit, whose report holds the first path
+    assert exc.value.kind == "memory" and exc.value.report.status == ABORTED
+    assert len(exc.value.report.records) == 1 and exc.value.report.stats.queries_attempted == 0
     ((ws, sweep),) = g._scratch
     ((ws_held, sweep_held, blank, blanks),) = held
     assert ws is ws_held and sweep is sweep_held
     assert ws._blank is blank is not None and sweep._blanks is blanks is not None
     fresh = report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
     assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
+
+
+def test_a_memory_error_mid_solve_reports_the_paths_accepted_so_far(monkeypatch):
+    g = gen_grid(12, 12, seed=5)
+    full = k_shortest_paths(g, 0, 143, 200, SolveOptions(guided=False))
+    calls = 0
+
+    def out_of_memory_at_the_60th(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 60:
+            raise MemoryError
+        return find_best_deviation(*args, **kwargs)
+
+    monkeypatch.setattr(kssp.engine, "find_best_deviation", out_of_memory_at_the_60th)
+    with pytest.raises(SolveLimitExceeded) as exc:
+        k_shortest_paths(g, 0, 143, 200, SolveOptions(guided=False))
+    report = exc.value.report
+    assert exc.value.kind == "memory" and report.status == ABORTED
+    assert report.stats.queries_attempted == 59
+    n = len(report.records)
+    assert 20 < n < 200
+    assert [(r.path.arcs, r.path.cost) for r in report.records] == [(p.arcs, p.cost) for p in full.paths[:n]]
 
 
 def test_a_graph_and_its_pool_are_freed_without_a_cyclic_collection():

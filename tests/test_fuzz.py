@@ -8,7 +8,9 @@ a quarter of the cases under a zero ``--timeout-s``. Every
 case must end in an exit code the CLI documents, 0 to 4, never in an
 exception, and an exit 2 must print one ``error:`` line and nothing
 else. No case declares more than ``NODE_CAP`` nodes, so none allocates
-more than a few lists per node; the huge counts are ``run_capped``'s.
+more than a few lists per node; the huge counts are ``run_capped``'s:
+one capped child solves a file per count in ``NODE_COUNTS``, from 0 to
+``10**400``, under the same rules, and no case may print a traceback.
 
 The Python entry points ``k_shortest_paths`` and ``yen_k_shortest`` get
 k, timeout, label budget and endpoints drawn from ``ARGUMENTS``, each
@@ -28,6 +30,8 @@ k of ``10**400`` ends when they are all found.
 """
 from __future__ import annotations
 
+import json
+import sys
 import traceback
 from pathlib import Path as FilePath
 
@@ -38,7 +42,7 @@ from kssp.gridgen import gen_grid
 from kssp.oracles import yen_k_shortest
 from kssp.rng import SplitMix64
 
-from conftest import IntLike
+from conftest import IntLike, run_capped
 
 MINI = FilePath(__file__).parent / "data" / "mini10.gr"
 # a NaN, an overflowing, a negative, an underscored and a zero number, and
@@ -257,3 +261,44 @@ def test_drawn_argument_vectors_end_in_a_documented_exit_code(tmp_path, capsys):
     # the vectors reach both commands' work, a limit and the cross-check, not only refusals
     assert codes[0] > RUNS // 10 and codes[1] > 0 and codes[2] > RUNS // 4 and codes[3] > 0, codes
     assert agreed > 0
+
+
+# node counts from none through one past the index range, each declared with 0
+# arcs and with one arc 1 -> 2; the large ones must fail to allocate, not run on
+NODE_COUNTS = [0, 1, 2, 2**20, 2**31, 10**12, sys.maxsize, 2**64 + 1, 10**400]
+# solve each graph file named in argv in-process, its output captured, and
+# print one [exit code or traceback, stdout, stderr] per file as JSON
+SOLVE_EACH = """
+import contextlib, io, json, sys, traceback
+from kssp.cli import main
+results = []
+for graph in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["solve", "--graph", graph, "-s", "0", "-t", "1"])
+        except Exception:
+            code = traceback.format_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_declared_node_counts_end_in_a_documented_exit_code(tmp_path):
+    graphs = []
+    for n in NODE_COUNTS:
+        for arcs in ("", "a 1 2 1\n"):
+            graphs.append(tmp_path / f"n{len(graphs)}.gr")
+            graphs[-1].write_text(f"p sp {n} {arcs.count('a')}\n{arcs}")
+    done = run_capped("-c", SOLVE_EACH, *map(str, graphs), timeout=30)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    failures = [
+        (graph.read_text(), code, err)
+        for graph, (code, out, err) in zip(graphs, results)
+        if code not in range(4) or code == 2 and (out or err.count("\n") != 1 or not err.startswith("error: "))
+    ]
+    assert failures == []
+    codes = [code for code, _, _ in results]
+    # 2 nodes, and 2**20, solve to exit 0 with the arc and to 3 without; every other count is refused
+    assert codes == [2, 2, 2, 2, 3, 0, 3, 0] + [2] * 10

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from kssp.graph import GraphError
+from kssp.graph import Graph, GraphError
 from kssp.gridgen import check_count, check_grid, gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
 
@@ -49,6 +49,50 @@ def test_arcs_share_one_int_object_per_node():
     ends = g.arc_tail + g.arc_head
     assert sorted(set(ends)) == list(range(600))
     assert len({id(v) for v in ends}) == 600
+
+
+def reference_grid(rows: int, cols: int, cost_low: float, cost_high: float, seed: int) -> Graph:
+    """The grid built cell by cell, as ``gen_grid`` once built it: each cell's east pair, then its south pair.
+
+    Its costs are one scalar ``uniform`` draw per arc, and its graph comes
+    from the public constructor, so it shares no build step with ``gen_grid``.
+    """
+    tail: list[int] = []
+    head: list[int] = []
+    below = list(range(cols))
+    for r in range(rows):
+        row, below = below, list(range((r + 1) * cols, min(r + 2, rows) * cols))
+        for c in range(cols):
+            u = row[c]
+            if c + 1 < cols:
+                east = row[c + 1]
+                tail += (u, east)
+                head += (east, u)
+            if below:
+                south = below[c]
+                tail += (u, south)
+                head += (south, u)
+    rng = SplitMix64(seed)
+    return Graph(rows * cols, [(u, v, rng.uniform(cost_low, cost_high)) for u, v in zip(tail, head)])
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (3, 5), (5, 3), (37, 53), (100, 100)]
+)
+def test_grid_matches_the_cell_by_cell_reference(rows, cols):
+    seed = 1000 * rows + cols
+    g = gen_grid(rows, cols, 0.5, 9.0, seed)
+    ref = reference_grid(rows, cols, 0.5, 9.0, seed)
+    assert g.node_count == ref.node_count
+    assert g.arc_tail == ref.arc_tail
+    assert g.arc_head == ref.arc_head
+    assert [w.hex() for w in g.arc_cost] == [w.hex() for w in ref.arc_cost]
+    assert (g.out_arcs, g.in_arcs) == (ref.out_arcs, ref.in_arcs)
+    # every occurrence of a node id is one int object, and every node of a grid with arcs has one
+    first = {}
+    for v in g.arc_tail + g.arc_head:
+        assert first.setdefault(v, v) is v
+    assert sorted(first) == (list(range(rows * cols)) if rows * cols > 1 else [])
 
 
 def test_same_seed_is_bit_identical():
@@ -115,6 +159,10 @@ def test_rejects_bad_arguments():
             sample_pairs(SplitMix64(1), 5, count)
         with pytest.raises(ValueError, match=f"^grid count must be at most {sys.maxsize}$"):
             seeded_grids(3, 3, count, 0)
+    # a side past the index range, whose lists could never be sized, once an OverflowError
+    for rows, cols in [(1, 10**20), (10**20, 1), (10**20, 10**20)]:
+        with pytest.raises(GraphError, match=f"^grid {rows}x{cols} is too large to allocate$"):
+            gen_grid(rows, cols)
     with pytest.raises(GraphError, match="grid shape must be ints, got 2.0x3"):
         gen_grid(2.0, 3)
     with pytest.raises(GraphError, match="grid shape must be ints, got 3x2.0"):

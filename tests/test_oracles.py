@@ -5,9 +5,12 @@ from decimal import Decimal
 
 import pytest
 
+import kssp.oracles
+
 from kssp.engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, k_shortest_paths
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid
+from kssp.dijkstra import shortest_path
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import IntLike, cost_family, make_digraph
@@ -208,3 +211,27 @@ def test_all_three_solvers_agree_on_a_grid():
     fast = yen_k_shortest(g, 0, 35, k, accelerated=True)
     assert dev.costs == yen.costs == fast.costs
     assert dev.status == COMPLETE
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_a_memory_error_mid_solve_reports_the_paths_found_so_far(monkeypatch, accelerated):
+    g = gen_grid(8, 8, seed=5)
+    full = yen_k_shortest(g, 0, 63, 100, accelerated=accelerated)
+    calls = 0
+
+    def out_of_memory_at_the_300th(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 300:
+            raise MemoryError
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(kssp.oracles, "shortest_path", out_of_memory_at_the_300th)
+    with pytest.raises(SolveLimitExceeded) as exc:
+        yen_k_shortest(g, 0, 63, 100, accelerated=accelerated)
+    report = exc.value.report
+    assert exc.value.kind == "memory" and report.status == ABORTED
+    assert report.stats.queries_attempted == 299
+    n = len(report.paths)
+    assert 1 < n < 100
+    assert [(p.arcs, p.cost) for p in report.paths] == [(p.arcs, p.cost) for p in full.paths[:n]]
