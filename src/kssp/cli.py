@@ -21,10 +21,10 @@ import os
 import sys
 
 from .dimacs import DimacsError, dump_dimacs, load_dimacs, write_paths
-from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, k_shortest_paths
-from .graph import GraphError
+from .engine import COMPLETE, SolveLimitExceeded, SolveOptions, SolveReport, k_shortest_paths
+from .graph import Graph, GraphError
 from .gridgen import check_count, sample_pairs, seeded_grids
-from .oracles import enumerate_simple_paths, yen_k_shortest
+from .oracles import YenReport, enumerate_simple_paths, yen_k_shortest
 
 BRUTE_NODE_LIMIT = 14
 # options only the deviation solver reads
@@ -92,6 +92,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_found(g: Graph, report: SolveReport | YenReport) -> int:
+    """Print the paths of ``report`` and return their count.
+
+    A deviation report's paths are taken from its records one at a time,
+    not from a list of them all: after a MemoryError such a list may not
+    fit.
+    """
+    if isinstance(report, SolveReport):
+        write_paths(g, (r.path for r in report.records), sys.stdout)
+        return len(report.records)
+    write_paths(g, report.paths, sys.stdout)
+    return len(report.paths)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo != "deviation":
         _reject_flags(args, DEVIATION_FLAGS, "the deviation solver", f"--algo {args.algo}")
@@ -126,14 +140,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 g, s, t, k, accelerated=args.algo == "yen-accelerated", timeout_s=args.timeout_s
             )
     except SolveLimitExceeded as exc:
-        # one at a time: after a MemoryError a list of every path may not fit
-        if args.algo == "deviation":
-            found = exc.report.records
-            paths = (r.path for r in found)
-        else:
-            found = paths = exc.report.paths
-        write_paths(g, paths, sys.stdout)
-        _note(f"aborted ({exc.kind}): {len(found)} of {k} paths found")
+        found = _write_found(g, exc.report)
+        _note(f"aborted ({exc.kind}): {found} of {k} paths found")
         return 1
     except AssertionError as exc:
         if not args.validate:
@@ -150,26 +158,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
             try:
                 expected = yen_k_shortest(g, s, t, k, timeout_s=args.timeout_s).costs
             except SolveLimitExceeded as exc:
-                write_paths(g, report.paths, sys.stdout)
+                _write_found(g, report)
                 found = len(exc.report.paths)
                 _note(f"cross-check aborted ({exc.kind}): yen found {found} of {k} paths")
                 return 1
         if report.costs != expected:
-            write_paths(g, report.paths, sys.stdout)
+            _write_found(g, report)
             _note(f"cross-check mismatch against {name}:")
             _note(f"  solver:    {report.costs}")
             _note(f"  reference: {expected}")
             return 4
         _note(f"cross-check: {name} agrees")
 
-    write_paths(g, report.paths, sys.stdout)
+    count = _write_found(g, report)
     st = report.stats
     found, failed = (
         "-" if mean is None else f"{mean:.2f}"
         for mean in (st.mean_success_iterations, st.mean_failed_iterations)
     )
     _note(
-        f"{len(report.paths)} of {k} paths, status {report.status}, "
+        f"{count} of {k} paths, status {report.status}, "
         f"{st.queries_attempted} queries ({st.queries_failed} failed), "
         f"mean labels {found} per found query, {failed} per failed, "
         f"{st.wall_time_s:.6f}s"

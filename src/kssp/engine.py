@@ -317,20 +317,26 @@ def k_shortest_paths(
     try:
         ws, sweep = g._scratch.pop()
     except IndexError:  # none kept yet, or other solves hold them all
-        ws, sweep = Workspace(g), ReverseSweep(g, t)
-        # a first forget or restart makes the blanks it resets from: make them
-        # here, so that the finally below builds none after a MemoryError
-        ws.forget()
+        try:
+            ws, sweep = Workspace(g), ReverseSweep(g, t)
+            # a first forget makes the blank it resets from: make it here, so
+            # that the finally below builds none after a MemoryError
+            ws.forget()
+        except MemoryError:  # what was made of the pair is dropped
+            stats = SolveStats(wall_time_s=perf_counter() - t_start)
+            raise SolveLimitExceeded("memory", SolveReport([], ABORTED, stats)) from None
     ws.graph = sweep.graph = g
-    sweep.restart(t)
     try:
         return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, ws, sweep)
     finally:
         # a kept pair refers to no graph, so a graph is freed as soon as it is
         # dropped, pool included, without waiting for a cyclic collection
-        ws.forget()
         ws.graph = sweep.graph = None
-        g._scratch.append((ws, sweep))
+        try:
+            ws.forget()
+            g._scratch.append((ws, sweep))
+        except MemoryError:  # a pair that cannot be reset is dropped, and the solve's outcome stands
+            pass
 
 
 def _solve(
@@ -352,18 +358,6 @@ def _solve(
     def limit(kind: str) -> SolveLimitExceeded:
         return SolveLimitExceeded(kind, finish(ABORTED))
 
-    if sweep is not None:
-        sweep.settle(ZERO, s)
-        sweep.settle(prune_limit(g, sweep.dist[s]))
-    p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
-    if p1 is None:
-        return finish(EXHAUSTED)
-    records.append(PathRecord(p1, None, s, 0, s, 0, ZERO))
-    if k == 1:
-        return finish(COMPLETE)
-
-    if ws is None:
-        ws = Workspace(g)
     cands: list[tuple[float, int, PathRecord]] = []
     pending: list[tuple[float, int, int]] = []  # a heap of (bound, push counter, record index)
     push_counter = 0
@@ -432,8 +426,23 @@ def _solve(
         # the candidates past the first k - n can never be output
         del cands[k - len(records):]
 
-    stats.init_queries = 1
+    # everything up to the first ask is in the try too: a MemoryError there
+    # ends the solve with no path, as a later one ends it with the paths found
     try:
+        if sweep is not None:
+            sweep.restart(t)
+            sweep.settle(ZERO, s)
+            sweep.settle(prune_limit(g, sweep.dist[s]))
+        p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
+        if p1 is None:
+            return finish(EXHAUSTED)
+        records.append(PathRecord(p1, None, s, 0, s, 0, ZERO))
+        if k == 1:
+            return finish(COMPLETE)
+        if ws is None:
+            ws = Workspace(g)
+
+        stats.init_queries = 1
         ask(0)
 
         # the queue holds k - n candidates at most, so no pop takes the k-th path

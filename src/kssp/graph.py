@@ -155,9 +155,10 @@ class Graph:
         collections that fall due; the switch is process-wide, so it
         defers other threads' too. The first allocation after it runs one
         young collection over the new lists. ``gc.isenabled()`` is
-        restored as it was found, also when a node count too large to
-        allocate or an endpoint that is not an int raises
-        :class:`GraphError`.
+        restored as it was found, also when a node count or arc count too
+        large to allocate or an endpoint that is not an int raises
+        :class:`GraphError`. Either allocation failure frees both outer
+        lists first, so the error leaves no per-node list alive.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -179,6 +180,11 @@ class Graph:
             except TypeError:  # an endpoint in range but not an int, such as 0.5
                 _raise_first_bad_arc(node_count, tail, head, cost)
                 raise
+            except MemoryError:
+                out_arcs = in_arcs = lists = None  # free every per-node list before the error is built
+                raise GraphError(
+                    f"a graph of {node_count} nodes and {len(tail)} arcs is too large to allocate"
+                ) from None
         finally:
             if enabled:
                 gc.enable()

@@ -11,7 +11,7 @@ import pytest
 
 from kssp.cli import main
 from kssp.dimacs import dump_dimacs, load_dimacs
-from kssp.engine import SolveLimitExceeded
+from kssp.engine import SolveLimitExceeded, SolveReport
 from kssp.gridgen import gen_grid
 from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
@@ -43,6 +43,23 @@ def test_solve_graph_file(capsys):
     assert "4 of 4 paths, status complete" in err
     # the paper's per-query measures: 25 labels over 4 found queries, 6 in the failed one
     assert "5 queries (1 failed), mean labels 6.25 per found query, 6.00 per failed, " in err
+
+
+@pytest.mark.parametrize(
+    "extra, code, count, status",
+    [([], 0, 4, "4 of 4 paths, status complete"), (["--check"], 0, 4, "cross-check: exhaustive enumeration agrees"),
+     (["--label-budget", "1"], 1, 1, "aborted (iterations): 1 of 4 paths found")],
+    ids=["complete", "checked", "aborted"],
+)
+def test_solve_prints_records_without_a_list_of_every_path(capsys, monkeypatch, extra, code, count, status):
+    # after a MemoryError such a list may not fit, so the printed paths come from the records
+    def no_list(report):
+        raise AssertionError("SolveReport.paths was read")
+
+    monkeypatch.setattr(SolveReport, "paths", property(no_list))
+    got = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", *extra)
+    assert got[:2] == (code, MINI_LINES[:count])
+    assert status in got[2]
 
 
 def test_solve_is_unaffected_by_flag_combinations(capsys):
@@ -456,3 +473,34 @@ def test_a_solve_that_runs_out_of_memory_prints_its_paths_and_exits_1(tmp_path):
     costs = [float(line.split()[1]) for line in lines]
     assert costs == sorted(costs)
     assert all(line.split()[3] == "0" and line.split()[-1] == "399" for line in lines)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak from /proc")
+def test_every_memory_cap_ends_in_a_documented_exit(tmp_path):
+    assert main(["gen", "--grid", "256x256", "--out", str(tmp_path)]) == 0
+    graph = str(tmp_path / "grid256x256-c0.gr")
+    solve = ["solve", "-s", "0", "-t", "65535", "-k", "2", "--graph"]
+
+    def peak_kib(path: str) -> int:
+        done = run_capped("-c", PEAK_VM, *solve, path)
+        return int(done.stderr.splitlines()[-1])
+
+    # below the peak of a run that reads no file the interpreter cannot import
+    # kssp at all, and a cap a little above a whole solve's peak must let it finish
+    low = peak_kib(str(tmp_path / "missing.gr")) + 2048
+    high = peak_kib(graph) + 2048
+    caps = [low + (high - low) * i // 11 for i in range(12)]
+    codes = []
+    for cap in caps:
+        done = run_capped("-m", "kssp.cli", *solve, graph, cap_bytes=cap * 1024, timeout=10)
+        assert "Traceback" not in done.stderr, (cap, done.stderr[-2000:])
+        out, err = done.stdout.splitlines(), done.stderr.splitlines()
+        if done.returncode == 0:
+            assert len(out) == 2 and len(err) == 1 and err[0].startswith("2 of 2 paths"), (cap, done.stderr)
+        elif done.returncode == 1:
+            assert err == [f"aborted (memory): {len(out)} of 2 paths found"], (cap, done.stderr)
+        else:
+            assert done.returncode == 2 and out == [], (cap, done.returncode, done.stderr)
+            assert len(err) == 1 and err[0].startswith("error: "), (cap, done.stderr)
+        codes.append(done.returncode)
+    assert codes[0] == 2 and codes[-1] == 0, list(zip(caps, codes))

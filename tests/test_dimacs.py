@@ -9,7 +9,7 @@ import pytest
 import kssp.dimacs
 from kssp.cli import main
 from kssp.dimacs import (
-    BLOCK_LINES,
+    BLOCK_CHARS,
     DimacsError,
     dump_dimacs,
     format_cost,
@@ -17,7 +17,7 @@ from kssp.dimacs import (
     load_dimacs,
     write_paths,
 )
-from kssp.graph import Graph, Path, path_cost
+from kssp.graph import Graph, GraphError, Path, path_cost
 from kssp.gridgen import gen_grid
 from kssp.rng import SplitMix64
 
@@ -184,10 +184,9 @@ def test_write_paths(five_node_graph):
     assert buf.getvalue() == "cost 2 nodes 0 2 4\ncost 3 nodes 0 1 4\n"
 
 
-# a grid whose arc block spans three bulk blocks, with one cost of -0
+# a grid whose dump spans several blocks, with one cost of -0
 BLOCKS_GRID = gen_grid(46, 46, seed=8)
-NEG_ZERO_ARC = BLOCK_LINES + 17
-assert 2 * BLOCK_LINES < BLOCKS_GRID.arc_count < 3 * BLOCK_LINES
+NEG_ZERO_ARC = BLOCKS_GRID.arc_count // 2 + 17
 
 
 def blocks_grid() -> tuple[Graph, list[str]]:
@@ -211,21 +210,41 @@ def assert_same_graph(got: Graph, want: Graph) -> None:
     assert got.in_arcs == want.in_arcs
 
 
-def load_line_by_line(text: str, monkeypatch) -> Graph:
-    """The per-line parse alone: blocks of at most 0 lines are never read in bulk."""
+def load_in_blocks(source: str | io.StringIO, block_chars: int, monkeypatch) -> Graph:
     with monkeypatch.context() as patched:
-        patched.setattr(kssp.dimacs, "BLOCK_LINES", 0)
-        return load_dimacs(text)
+        patched.setattr(kssp.dimacs, "BLOCK_CHARS", block_chars)
+        return load_dimacs(source)
+
+
+def load_line_by_line(source: str | io.StringIO, monkeypatch) -> Graph:
+    """The per-line parse alone: a block of 1 character holds one line, too short a run to read in bulk."""
+    return load_in_blocks(source, 1, monkeypatch)
+
+
+def outcome(source: str | io.StringIO, block_chars: int, monkeypatch) -> tuple | str:
+    """The loaded graph's arrays, or the error message."""
+    try:
+        g = load_in_blocks(source, block_chars, monkeypatch)
+    except DimacsError as exc:
+        return str(exc)
+    return g.arc_tail, g.arc_head, [w.hex() for w in g.arc_cost], g.out_arcs, g.in_arcs
+
+
+def first_block_before(lines: list[str], index: int) -> int:
+    """The block size at which the first block of ``"\\n".join(lines)`` ends just before ``lines[index]``."""
+    return sum(map(len, lines[:index])) + index
 
 
 def test_a_dump_spanning_several_blocks_loads_bit_identical(monkeypatch):
     want, lines = blocks_grid()
     text = "\n".join(lines) + "\n"
+    assert len(text) > 3 * BLOCK_CHARS
     got = load_dimacs(text)
     assert got.arc_cost[NEG_ZERO_ARC].hex() == "-0x0.0p+0"
     assert_same_graph(got, want)
     assert_same_graph(load_dimacs(io.StringIO(text)), want)
     assert_same_graph(load_line_by_line(text, monkeypatch), want)
+    assert_same_graph(load_line_by_line(io.StringIO(text), monkeypatch), want)
 
 
 # two costs that sum past 2**1020, and two that sum to it exactly
@@ -236,6 +255,18 @@ def test_a_loaded_graph_knows_whether_its_cost_folds_stay_in_range(big, folds, m
     for g in (load_dimacs(text), load_line_by_line(text, monkeypatch)):
         assert g.arc_cost == [float(big), float(big), 0.0, 0.0]
         assert g.folds_in_range is folds
+
+
+def test_a_loaded_graph_shares_one_int_object_per_node(monkeypatch):
+    buf = io.StringIO()
+    dump_dimacs(gen_grid(20, 30, seed=2), buf)
+    text = buf.getvalue()
+    # a comment after arc lines 0, 2, 10, 12, ...: runs of 2 lines read line by line, runs of 8 in bulk
+    mixed = "".join(line + ("c\n" if i % 10 in (1, 3) else "") for i, line in enumerate(text.splitlines(True)))
+    for g in (load_dimacs(text), load_dimacs(mixed), load_line_by_line(text, monkeypatch)):
+        ends = g.arc_tail + g.arc_head
+        assert sorted(set(ends)) == list(range(600))
+        assert len({id(v) for v in ends}) == 600
 
 
 def _spaced(line: str) -> str:
@@ -251,11 +282,11 @@ def _padded_ids(line: str) -> str:
     return f"a 00{u} +{v} {w}"
 
 
-# arc indexes: right after the problem line, and in the middle of the second block
-PLACES = [0, BLOCK_LINES + BLOCK_LINES // 2]
+# arc indexes: right after the problem line, and in the middle of the file
+PLACES = [0, BLOCKS_GRID.arc_count // 2]
 
 
-@pytest.mark.parametrize("place", PLACES, ids=["after-p-line", "mid-block"])
+@pytest.mark.parametrize("place", PLACES, ids=["after-p-line", "mid-file"])
 @pytest.mark.parametrize(
     "edit",
     [
@@ -275,34 +306,37 @@ def test_lines_outside_the_bulk_shape_load_the_same_graph(place, edit, monkeypat
         assert_same_graph(load_line_by_line(variant, monkeypatch), want)
 
 
+@pytest.mark.parametrize("edge", ["before", "after"], ids=["first-in-block", "last-in-block"])
 @pytest.mark.parametrize(
     "arc, bad, message",
     [
         (0, "a 1 2 x", "bad arc cost 'x'"),
-        (BLOCK_LINES - 1, "a 1 2 -4", "arc cost must be nonnegative, got '-4'"),
-        (BLOCK_LINES, "a 1 99999 1", "node id out of range 1..2116: (1, 99999)"),
-        (BLOCK_LINES, "a 1 2 nan", "arc cost must be finite, got 'nan'"),
-        (2 * BLOCK_LINES - 1, "a 1 2", "malformed arc line 'a 1 2'"),
-        (2 * BLOCK_LINES - 1, "a 1 2 3 4", "malformed arc line 'a 1 2 3 4'"),
-        (2 * BLOCK_LINES, "a 0x1 2 3", "malformed arc line 'a 0x1 2 3'"),
-        (2 * BLOCK_LINES + 5, "as 1 2 3", "unrecognized line 'as 1 2 3'"),
+        (1000, "a 1 2 -4", "arc cost must be nonnegative, got '-4'"),
+        (2000, "a 1 99999 1", "node id out of range 1..2116: (1, 99999)"),
+        (3000, "a 1 2 nan", "arc cost must be finite, got 'nan'"),
+        (4000, "a 1 2", "malformed arc line 'a 1 2'"),
+        (5000, "a 1 2 3 4", "malformed arc line 'a 1 2 3 4'"),
+        (6000, "a 0x1 2 3", "malformed arc line 'a 0x1 2 3'"),
+        (8279, "as 1 2 3", "unrecognized line 'as 1 2 3'"),
     ],
-    ids=["first-line-of-block-1", "last-line-of-block-1", "first-line-of-block-2",
-         "nan-first-line-of-block-2", "short-last-line-of-block-2", "long-last-line-of-block-2",
-         "first-line-of-block-3", "not-an-arc-mid-block-3"],
+    ids=["bad-cost-first-arc", "negative-cost", "id-out-of-range", "nan-cost", "short-line", "long-line",
+         "hex-id", "not-an-arc-last-line"],
 )
-def test_a_bad_line_at_a_block_edge_keeps_its_line_number(arc, bad, message, monkeypatch):
+def test_a_bad_line_at_a_block_edge_keeps_its_line_number(arc, bad, message, edge, monkeypatch):
     _, lines = blocks_grid()
     lines[arc + 1] = bad
     text = "\n".join(lines)
-    for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+    # a block edge just before the bad line, or just after it
+    block_chars = first_block_before(lines, arc + 1 + (edge == "after"))
+    for load in (lambda t: load_in_blocks(t, block_chars, monkeypatch), lambda t: load_line_by_line(t, monkeypatch)):
         with pytest.raises(DimacsError) as exc:
             load(text)
         assert exc.value.line_no == arc + 2
         assert str(exc.value) == f"line {arc + 2}: {message}"
 
 
-@pytest.mark.parametrize("arc", [0, BLOCK_LINES - 2, BLOCK_LINES + 9])
+@pytest.mark.parametrize("at_edge", [False, True], ids=["default-blocks", "pair-ends-a-block"])
+@pytest.mark.parametrize("arc", [0, 2000, 6000])
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -310,26 +344,99 @@ def test_a_bad_line_at_a_block_edge_keeps_its_line_number(arc, bad, message, mon
         ("a 1 2", "a a 2 1 3"),  # an "a" in every 4th token slot
     ],
 )
-def test_lines_of_the_wrong_length_are_refused_inside_a_block(arc, first, second, monkeypatch):
+def test_lines_of_the_wrong_length_are_refused_inside_a_block(arc, first, second, at_edge, monkeypatch):
     _, lines = blocks_grid()
     lines[arc + 1 : arc + 3] = [first, second]
     text = "\n".join(lines)
-    for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+    block_chars = first_block_before(lines, arc + 3) if at_edge else BLOCK_CHARS
+    for load in (lambda t: load_in_blocks(t, block_chars, monkeypatch), lambda t: load_line_by_line(t, monkeypatch)):
         with pytest.raises(DimacsError) as exc:
             load(text)
         assert str(exc.value) == f"line {arc + 2}: malformed arc line {first!r}"
 
 
-def test_an_arc_line_past_the_declared_count_is_refused_where_it_stands(monkeypatch):
+@pytest.mark.parametrize("between", [[], ["c past the count"]], ids=["in-the-run", "after-a-comment"])
+def test_an_arc_line_past_the_declared_count_is_refused_where_it_stands(between, monkeypatch):
     g = BLOCKS_GRID
     _, lines = blocks_grid()
-    for declared in (BLOCK_LINES - 1, BLOCK_LINES, g.arc_count - 1):
+    for declared in (1000, 4000, g.arc_count - 1):
         lines[0] = f"p sp {g.node_count} {declared}"
-        text = "\n".join(lines[: declared + 1] + ["c past the count", lines[declared + 1]])
-        for load in (load_dimacs, lambda t: load_line_by_line(t, monkeypatch)):
+        kept = lines[: declared + 1] + between + [lines[declared + 1]]
+        # the default blocks, a block that ends with the last declared arc, and one line a block
+        for block_chars in (BLOCK_CHARS, first_block_before(kept, declared + 1), 1):
             with pytest.raises(DimacsError) as exc:
-                load(text)
-            assert str(exc.value) == f"line {declared + 3}: more than {declared} arc lines"
+                load_in_blocks("\n".join(kept), block_chars, monkeypatch)
+            assert str(exc.value) == f"line {len(kept)}: more than {declared} arc lines"
+
+
+def handed_to_bulk(text: str, monkeypatch) -> tuple[Graph | str, list[str]]:
+    """The load's graph or error message, and each text the bulk reader was handed."""
+    handed: list[str] = []
+    read_arcs = kssp.dimacs._read_arcs
+
+    def recording(run: str, *args) -> bool:
+        handed.append(run)
+        return read_arcs(run, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(kssp.dimacs, "_read_arcs", recording)
+        try:
+            return load_dimacs(text), handed
+        except DimacsError as exc:
+            return str(exc), handed
+
+
+def test_the_bulk_reader_is_handed_each_character_at_most_once(monkeypatch):
+    want, lines = blocks_grid()
+    text = "\n".join(lines) + "\n"
+    got, handed = handed_to_bulk(text, monkeypatch)
+    assert_same_graph(got, want)
+    assert "".join(handed) == text[len(lines[0]) + 1 :]  # every arc line, in bulk and once
+
+    # a comment after every arc line: every run is one line, read line by line
+    interleaved = "".join(line + "\nc\n" for line in lines)
+    got, handed = handed_to_bulk(interleaved, monkeypatch)
+    assert_same_graph(got, want)
+    assert handed == []
+
+    # runs of about 500 arc lines, each ending in a bad line: a retry from each line after it would be quadratic
+    for arc in range(499, len(lines) - 1, 500):
+        lines[arc + 1] += " 4"
+        lines.insert(arc + 2, "c")
+    text = "\n".join(lines)
+    got, handed = handed_to_bulk(text, monkeypatch)
+    assert got == outcome(text, 1, monkeypatch)
+    assert got.startswith("line 501: malformed arc line")
+    assert sum(map(len, handed)) <= len(text)
+
+
+def test_running_out_of_memory_while_reading_is_a_graph_error(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(kssp.dimacs, "_read_arcs", out_of_memory)
+    _, lines = blocks_grid()
+    with pytest.raises(GraphError, match="^the graph is too large to allocate$") as exc:
+        load_dimacs("\n".join(lines))
+    # raised once the MemoryError, and the parse's frames with their lists, are gone
+    assert exc.value.__context__ is None
+
+
+def test_a_crlf_split_between_two_reads_of_a_stream_reads_as_its_lf_twin(monkeypatch):
+    buf = io.StringIO()
+    dump_dimacs(gen_grid(4, 5, seed=2), buf)
+    lines = ["c crlf twin"] + buf.getvalue().splitlines()
+    for bad in (None, "a 1 2 x"):
+        if bad is not None:
+            lines[-3] = bad
+        lf = "\n".join(lines) + "\n"
+        crlf = lf.replace("\n", "\r\n")
+        want = outcome(lf, BLOCK_CHARS, monkeypatch)
+        # each size ends a block's read between the \r and the \n of one line break
+        for block_chars in [i + 1 for i, ch in enumerate(crlf) if ch == "\r"]:
+            for newline in ("\n", ""):
+                assert outcome(io.StringIO(crlf, newline=newline), block_chars, monkeypatch) == want
+        assert isinstance(want, str) == (bad is not None)
 
 
 LINE_EDITS = [
@@ -354,22 +461,14 @@ LINE_EDITS = [
 ]
 
 
-@pytest.mark.parametrize("block_lines", [4, 5, 7, BLOCK_LINES])
-def test_seeded_edits_load_as_they_do_line_by_line(block_lines, monkeypatch):
+# blocks of about 4, 5 and 7 lines of the dump, and the default size
+@pytest.mark.parametrize("seed, block_chars", [(4, 90), (5, 115), (7, 160), (4096, BLOCK_CHARS)])
+def test_seeded_edits_load_as_they_do_line_by_line(seed, block_chars, monkeypatch):
     """Whatever a file holds, bulk reading gives the per-line parse's graph or error."""
-    rng = SplitMix64(block_lines)
+    rng = SplitMix64(seed)
     buf = io.StringIO()
     dump_dimacs(gen_grid(4, 5, seed=2), buf)
     lines = buf.getvalue().splitlines()
-
-    def outcome(text, block_lines):
-        with monkeypatch.context() as patched:
-            patched.setattr(kssp.dimacs, "BLOCK_LINES", block_lines)
-            try:
-                g = load_dimacs(text)
-            except DimacsError as exc:
-                return str(exc)
-        return g.arc_tail, g.arc_head, [w.hex() for w in g.arc_cost], g.out_arcs, g.in_arcs
 
     errors = 0
     for _ in range(200):
@@ -380,7 +479,8 @@ def test_seeded_edits_load_as_they_do_line_by_line(block_lines, monkeypatch):
             i = rng.below(len(edited))
             edited[i] = LINE_EDITS[rng.below(len(LINE_EDITS))](edited[i])
         text = "\n".join(edited)
-        want = outcome(text, 0)
-        assert outcome(text, block_lines) == want, text
+        want = outcome(text, 1, monkeypatch)
+        assert outcome(text, block_chars, monkeypatch) == want, text
+        assert outcome(io.StringIO(text), block_chars, monkeypatch) == want, text
         errors += isinstance(want, str)
     assert 40 < errors < 160, errors  # both outcomes are well covered

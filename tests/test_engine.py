@@ -461,6 +461,63 @@ def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkey
     assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# what runs out of memory before the first ask: a new pair's arrays, the sweep's reset, the first
+# path; and whether a solve before it left a pair in the pool
+BEFORE_THE_FIRST_ASK = [
+    pytest.param(kssp.engine, "Workspace", False, id="new-workspace"),
+    pytest.param(kssp.engine, "ReverseSweep", False, id="new-sweep"),
+    pytest.param(kssp.engine.ReverseSweep, "restart", False, id="restart-new-pair"),
+    pytest.param(kssp.engine.ReverseSweep, "restart", True, id="restart-pooled-pair"),
+    pytest.param(kssp.engine, "shortest_path", False, id="first-path-new-pair"),
+    pytest.param(kssp.engine, "shortest_path", True, id="first-path-pooled-pair"),
+]
+
+
+@pytest.mark.parametrize("owner, name, pooled", BEFORE_THE_FIRST_ASK)
+def test_a_memory_error_before_the_first_ask_is_a_limit_with_no_path(monkeypatch, owner, name, pooled):
+    g = gen_grid(30, 30, seed=7)
+    if pooled:
+        k_shortest_paths(g, 0, 899, 5)
+    kept = list(g._scratch)
+    with monkeypatch.context() as m:
+        m.setattr(owner, name, _out_of_memory)
+        with pytest.raises(SolveLimitExceeded) as exc:
+            k_shortest_paths(g, 31, 868, 40)
+    report = exc.value.report
+    assert exc.value.kind == "memory" and report.status == ABORTED
+    assert report.records == [] and report.stats.queries_attempted == 0
+    if name in ("Workspace", "ReverseSweep"):  # what was made of the new pair is dropped
+        assert g._scratch == []
+    else:  # a pair that exists goes back to the pool
+        assert len(g._scratch) == 1 and g._scratch[: len(kept)] == kept
+    fresh = report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
+    assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
+
+
+def test_a_pair_that_cannot_be_reset_is_dropped_and_the_solve_stands(monkeypatch):
+    g = gen_grid(30, 30, seed=7)
+    k_shortest_paths(g, 0, 899, 5)
+    with monkeypatch.context() as m:
+        m.setattr(kssp.engine.Workspace, "forget", _out_of_memory)
+        got = report_digest(k_shortest_paths(g, 31, 868, 40))
+    assert g._scratch == []
+    assert got == report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
+
+
+def test_a_memory_error_making_an_unguided_workspace_reports_the_first_path(monkeypatch):
+    g = gen_grid(12, 12, seed=5)
+    first = k_shortest_paths(g, 0, 143, 1, SolveOptions(guided=False)).records[0].path
+    monkeypatch.setattr(kssp.engine, "Workspace", _out_of_memory)
+    with pytest.raises(SolveLimitExceeded) as exc:
+        k_shortest_paths(g, 0, 143, 20, SolveOptions(guided=False))
+    assert exc.value.kind == "memory"
+    assert [r.path for r in exc.value.report.records] == [first]
+
+
 def test_a_memory_error_mid_solve_reports_the_paths_accepted_so_far(monkeypatch):
     g = gen_grid(12, 12, seed=5)
     full = k_shortest_paths(g, 0, 143, 200, SolveOptions(guided=False))

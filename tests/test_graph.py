@@ -223,6 +223,33 @@ def test_building_a_graph_leaves_the_cyclic_gc_as_it_found_it(enabled, how, n, a
         (gc.enable if was else gc.disable)()
 
 
+class RunsOut(list):
+    """Tail ids whose iteration raises MemoryError after three of them, as a fill that runs out does."""
+
+    def __iter__(self):
+        yield from self[:3]
+        raise MemoryError
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_running_out_of_memory_in_the_fill_frees_every_list_and_is_a_graph_error(enabled):
+    n = 20_000
+    tail = RunsOut(range(n - 1))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = len(gc.get_objects())
+        message = f"^a graph of {n} nodes and {n - 1} arcs is too large to allocate$"
+        with pytest.raises(GraphError, match=message) as exc:
+            Graph._from_checked(n, tail, list(range(1, n)), [1.0] * (n - 1))
+        assert gc.isenabled() is enabled
+        # the error, still held in exc, holds none of the 2n per-node lists
+        assert len(gc.get_objects()) - before < 100
+        del exc
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_a_generated_grid_leaves_the_cyclic_gc_as_it_found_it(enabled):
     """gen_grid links its own arrays unchecked, into the graph ``Graph(n, arcs)`` makes of them."""
