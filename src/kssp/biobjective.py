@@ -133,15 +133,12 @@ class Workspace:
         self.serial = 0
         self.zero_potential: list[float] | None = None
         self.dropped: list[float] = [0] * g.node_count
-        self._blank: tuple | None = None
+        self._blank = (None,) * g.node_count
 
     def forget(self) -> None:
-        """Drop every frontier list and queue entry, from a blank tuple made once and kept."""
-        blank = self._blank
-        if blank is None:
-            blank = self._blank = (None,) * len(self.frontiers)
-        self.frontiers[:] = blank
-        self.queued[:] = blank
+        """Drop every frontier list and queue entry, from a blank tuple made with the workspace."""
+        self.frontiers[:] = self._blank
+        self.queued[:] = self._blank
 
 
 @dataclass

@@ -98,19 +98,20 @@ included, so a graph asked many pairs allocates its node arrays once
 per solve running at once, not once per solve. The sweep restarts
 toward the new target in place (:meth:`kssp.dijkstra.ReverseSweep.restart`);
 the workspace's stamps only grow, so it needs no reset, and it drops
-its past frontiers when given back. A new pair makes the blank tuples
-both resets copy from before its solve starts, so giving a pair back
-builds no blank, even after a ``MemoryError``. A pair in the pool
-refers to no graph, so dropping a graph frees its pool at once. The
-answer of a solve never depends on whether its pair is new.
+its past frontiers when given back, from a blank tuple made with the
+workspace, so giving a pair back builds no blank, even after a
+``MemoryError``. A pair in the pool refers to no graph, so dropping a
+graph frees its pool at once. The answer of a solve never depends on
+whether its pair is new.
 
 Running out of memory is a limit too. With a k far beyond what the
 queue ever holds, no cap prunes and every candidate is kept, so a long
-solve can exhaust memory. A ``MemoryError`` while the driver asks,
-searches or pops first drops the queued candidates and the pending
-asks, the memory the report does not need, and then raises
-:class:`SolveLimitExceeded` with kind ``memory`` and the paths accepted
-so far, as a deadline does.
+solve can exhaust memory. One handler covers the whole solve, from
+taking the pair to the last pop: a ``MemoryError`` first drops the
+queued candidates and the pending asks, the memory the report does not
+need, and then raises :class:`SolveLimitExceeded` with kind ``memory``
+and the paths accepted so far, as a deadline does; none before the
+first path is found. A new pair that is not whole is dropped.
 """
 from __future__ import annotations
 
@@ -308,42 +309,6 @@ def k_shortest_paths(
     s, t = check_endpoints(g, s, t)
     k, timeout_s, label_budget = check_limits(k, opts.timeout_s, opts.label_budget)
     t_start = perf_counter()
-    # k=1 and unguided solves read no potential, and settling a sweep as far
-    # as s costs about as much as the plain search it would prune
-    if not (opts.guided and k > 1 and g.folds_in_range):
-        return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, None, None)
-    # the solve's scratch comes from g's pool and goes back to it on every exit;
-    # pop and append are each one atomic step, so no two solves share a pair
-    try:
-        ws, sweep = g._scratch.pop()
-    except IndexError:  # none kept yet, or other solves hold them all
-        try:
-            ws, sweep = Workspace(g), ReverseSweep(g, t)
-            # a first forget makes the blank it resets from: make it here, so
-            # that the finally below builds none after a MemoryError
-            ws.forget()
-        except MemoryError:  # what was made of the pair is dropped
-            stats = SolveStats(wall_time_s=perf_counter() - t_start)
-            raise SolveLimitExceeded("memory", SolveReport([], ABORTED, stats)) from None
-    ws.graph = sweep.graph = g
-    try:
-        return _solve(g, s, t, k, opts, timeout_s, label_budget, t_start, ws, sweep)
-    finally:
-        # a kept pair refers to no graph, so a graph is freed as soon as it is
-        # dropped, pool included, without waiting for a cyclic collection
-        ws.graph = sweep.graph = None
-        try:
-            ws.forget()
-            g._scratch.append((ws, sweep))
-        except MemoryError:  # a pair that cannot be reset is dropped, and the solve's outcome stands
-            pass
-
-
-def _solve(
-    g: Graph, s: int, t: int, k: int, opts: SolveOptions, timeout_s: float | None, label_budget: int | None,
-    t_start: float, ws: Workspace | None, sweep: ReverseSweep | None,
-) -> SolveReport:
-    """The body of :func:`k_shortest_paths`, guided by ``sweep`` unless it is None."""
     deadline = t_start + timeout_s if timeout_s is not None else None
     stats = SolveStats()
     records: list[PathRecord] = []
@@ -363,6 +328,8 @@ def _solve(
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
     arc_tail = g.arc_tail
+    ws: Workspace | None = None
+    sweep: ReverseSweep | None = None  # the solve is guided iff it has one
 
     def ask(origin_index: int) -> None:
         """Take the next push counter for record ``origin_index``'s query; defer it or drop it."""
@@ -426,10 +393,16 @@ def _solve(
         # the candidates past the first k - n can never be output
         del cands[k - len(records):]
 
-    # everything up to the first ask is in the try too: a MemoryError there
-    # ends the solve with no path, as a later one ends it with the paths found
     try:
-        if sweep is not None:
+        # k=1 and unguided solves read no potential, and settling a sweep as far
+        # as s costs about as much as the plain search it would prune
+        if opts.guided and k > 1 and g.folds_in_range:
+            # pop and append are each one atomic step, so no two solves share a pair
+            try:
+                ws, sweep = g._scratch.pop()
+            except IndexError:  # none kept yet, or other solves hold them all
+                ws, sweep = Workspace(g), ReverseSweep(g, t)
+            ws.graph = sweep.graph = g
             sweep.restart(t)
             sweep.settle(ZERO, s)
             sweep.settle(prune_limit(g, sweep.dist[s]))
@@ -469,6 +442,16 @@ def _solve(
         cands.clear()
         pending.clear()
         raise limit("memory") from None
+    finally:
+        if sweep is not None:
+            # a kept pair refers to no graph, so a graph is freed as soon as it is
+            # dropped, pool included, without waiting for a cyclic collection
+            ws.graph = sweep.graph = None
+            try:
+                ws.forget()
+                g._scratch.append((ws, sweep))
+            except MemoryError:  # a pair that cannot be reset is dropped, and the solve's outcome stands
+                pass
 
 
 def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:

@@ -65,13 +65,14 @@ class Graph:
         arcs: iterable of ``(tail, head, cost)`` triples. Arc ids are
             assigned in iteration order.
 
-    The constructor checks every arc, keeps the arrays with the costs
-    as floats and then fills the adjacency lists. The DIMACS reader and
-    the grid generator, whose arcs are valid as they are made, hand
-    their own arrays straight to that last step through
-    :meth:`_from_checked`.
+    The constructor checks each arc once, in order, and raises
+    :class:`GraphError` naming the first bad one. It keeps the endpoints
+    as ints and the costs as floats, and then fills the adjacency lists.
+    The DIMACS reader and the grid generator, whose arcs are valid as
+    they are made, hand their own arrays straight to that last step
+    through :meth:`_from_checked`.
 
-    ``folds_in_range`` is False when the arc costs sum past ``2**1020``;
+    ``folds_in_range`` is False when the float costs sum past ``2**1020``;
     the guided solve and accelerated Yen then run their plain searches,
     where an infinite distance cannot hide a node. Below it no solver
     float overflows: a label, distance, key, bound, prune limit or cap
@@ -92,37 +93,39 @@ class Graph:
     )
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int, float]]) -> None:
-        tail: list[int] = []
-        head: list[int] = []
-        cost: list[float] = []
-        for u, v, w in arcs:
-            tail.append(u)
-            head.append(v)
-            cost.append(w)
         try:
             node_count = operator.index(node_count)
         except TypeError:
             raise GraphError(f"node_count must be an int, got {node_count!r}") from None
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
-        try:  # every arc at once, over whole arrays
-            floats = list(map(float, cost))
-            ok = (
-                min(tail, default=0) >= 0
-                and min(head, default=0) >= 0
-                and max(tail, default=-1) < node_count
-                and max(head, default=-1) < node_count
-                and min(floats, default=0.0) >= 0.0
-                and max(floats, default=0.0) < math.inf
-                # a NaN makes the sum NaN, and text, which float() parses, makes it raise
-                and not math.isnan(total := sum(cost))
-            )
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            _raise_first_bad_arc(node_count, tail, head, cost)
-            total = sum(floats)  # costs that pass yet do not add up as given, like Decimal and Fraction
-        self._link(node_count, tail, head, floats, total)
+        tail: list[int] = []
+        head: list[int] = []
+        cost: list[float] = []
+        # one check per arc, its endpoints before its cost, so the first bad arc is named
+        for a, arc in enumerate(arcs):
+            try:
+                u, v, w = arc
+            except (TypeError, ValueError):
+                raise GraphError(f"arc {a}: not a (tail, head, cost) triple: {arc!r}") from None
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise GraphError(f"arc {a}: endpoint is not an int: ({u!r}, {v!r})") from None
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
+            try:
+                w = math.ldexp(w, 0)  # float(w), but refusing text
+            except OverflowError:
+                w = math.inf  # an int beyond the float range
+            except (TypeError, ValueError):
+                raise GraphError(f"arc {a}: cost is not a number: {w!r}") from None
+            if not 0.0 <= w < math.inf:  # a NaN compares false
+                raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
+            tail.append(u)
+            head.append(v)
+            cost.append(w)
+        self._link(node_count, tail, head, cost)
 
     @classmethod
     def _from_checked(cls, node_count: int, tail: list[int], head: list[int], cost: list[float]) -> "Graph":
@@ -138,10 +141,10 @@ class Graph:
         ``folds_in_range``.
         """
         g = cls.__new__(cls)
-        g._link(node_count, tail, head, cost, sum(cost))
+        g._link(node_count, tail, head, cost)
         return g
 
-    def _link(self, node_count: int, tail: list[int], head: list[int], cost: list[float], total: float) -> None:
+    def _link(self, node_count: int, tail: list[int], head: list[int], cost: list[float]) -> None:
         """Keep the arrays and fill both adjacency lists, with the cyclic GC paused.
 
         Every graph is made here. Each node gets two new lists, so a
@@ -156,13 +159,14 @@ class Graph:
         defers other threads' too. The first allocation after it runs one
         young collection over the new lists. ``gc.isenabled()`` is
         restored as it was found, also when a node count or arc count too
-        large to allocate or an endpoint that is not an int raises
-        :class:`GraphError`. Either allocation failure frees both outer
-        lists first, so the error leaves no per-node list alive.
+        large to allocate raises :class:`GraphError`. Either allocation
+        failure frees both outer lists first, so the error leaves no
+        per-node list alive.
         """
         enabled = gc.isenabled()
         gc.disable()
         try:
+            folds_in_range = sum(cost) <= 2.0**1020  # in the pause, so its list iterator cannot set off a collection
             try:  # one allocation each, so a count too large fails before any per-node list
                 out_arcs: list = [None] * node_count
                 in_arcs: list = [None] * node_count
@@ -177,9 +181,6 @@ class Graph:
                 for a, u, v in zip(count(), tail, head):
                     out_arcs[u].append(a)
                     in_arcs[v].append(a)
-            except TypeError:  # an endpoint in range but not an int, such as 0.5
-                _raise_first_bad_arc(node_count, tail, head, cost)
-                raise
             except MemoryError:
                 out_arcs = in_arcs = lists = None  # free every per-node list before the error is built
                 raise GraphError(
@@ -194,7 +195,7 @@ class Graph:
         self.arc_cost = cost
         self.out_arcs = out_arcs
         self.in_arcs = in_arcs
-        self.folds_in_range = total <= 2.0**1020
+        self.folds_in_range = folds_in_range
         self._scratch = scratch
 
     def __reduce__(self):
@@ -217,27 +218,6 @@ class Graph:
 def valid_costs(cost: Sequence[float]) -> bool:
     """True iff every cost is finite and nonnegative (a NaN makes the sum NaN)."""
     return min(cost, default=0.0) >= 0.0 and max(cost, default=0.0) < math.inf and not math.isnan(sum(cost))
-
-
-def _raise_first_bad_arc(
-    node_count: int, tail: Sequence[int], head: Sequence[int], cost: Sequence[float]
-) -> None:
-    """Raise the error of the first bad arc, checking its endpoints before its cost."""
-    for a, (u, v, w) in enumerate(zip(tail, head, cost)):
-        try:
-            u, v = operator.index(u), operator.index(v)
-        except TypeError:
-            raise GraphError(f"arc {a}: endpoint is not an int: ({u!r}, {v!r})") from None
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise GraphError(f"arc {a}: endpoint out of range: ({u}, {v})")
-        try:
-            w = math.ldexp(w, 0)  # float(w), but refusing text
-        except OverflowError:
-            w = math.inf  # an int beyond the float range
-        except (TypeError, ValueError):
-            raise GraphError(f"arc {a}: cost is not a number: {w!r}") from None
-        if not math.isfinite(w) or w < 0.0:
-            raise GraphError(f"arc {a}: cost must be finite and nonnegative, got {w!r}")
 
 
 class Mask:

@@ -63,18 +63,8 @@ def yen_k_shortest(
         stats.wall_time_s = perf_counter() - t_start
         return YenReport(paths, status, stats)
 
-    potential = reverse_distances(g, t) if accelerated and g.folds_in_range else None
-    # A* on a rounded potential can close a node early; pruning cannot
-    p1, pops = shortest_path(g, s, t, prune=potential)
-    stats.init_queries = 1
-    stats.add_query(pops, p1 is not None)
-    if p1 is None:
-        return finish(EXHAUSTED)
-    paths.append(p1)
-
     trie: dict[int, dict] = {}
     seen: set[tuple[int, ...]] = set()
-    mask = Mask(g)
     arc_cost = g.arc_cost
     cands: list[tuple[float, int, tuple[int, ...]]] = []
     push_counter = 0
@@ -85,9 +75,20 @@ def yen_k_shortest(
         for a in arcs:
             cur = cur.setdefault(a, {})
 
-    admit(p1.arcs)
-
+    # the set-up is in the try too: a MemoryError there ends the solve with
+    # the paths found so far, none or the first
     try:
+        potential = reverse_distances(g, t) if accelerated and g.folds_in_range else None
+        # A* on a rounded potential can close a node early; pruning cannot
+        p1, pops = shortest_path(g, s, t, prune=potential)
+        stats.init_queries = 1
+        stats.add_query(pops, p1 is not None)
+        if p1 is None:
+            return finish(EXHAUSTED)
+        paths.append(p1)
+        mask = Mask(g)
+        admit(p1.arcs)
+
         while len(paths) < k:
             arcs = paths[-1].arcs
             nodes = paths[-1].nodes(g)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from functools import cache
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -27,11 +28,16 @@ def _packed(words) -> int:
     return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
 
 
-# lane i of a full block holds 1, 2**64 - 1, 2**53 - 1 and (i + 1) * gamma mod 2**64;
-# a product of lanes below 2**64 stays below 2**128, so it stays in its lane
-_ONES = _packed([1] * _LANES)
-_LOW64, _LOW53 = _ONES * _MASK, _ONES * ((1 << 53) - 1)
-_STEPS = _packed(range(1, _LANES + 1)) * _GAMMA & _LOW64
+@cache
+def _block() -> tuple[int, int, int, int]:
+    """The four 64 KB ints of a full block, made on first use, not at import.
+
+    Lane i holds 1, 2**64 - 1, 2**53 - 1 and (i + 1) * gamma mod 2**64; a product
+    of lanes below 2**64 stays below 2**128, so it stays in its lane.
+    """
+    ones = _packed([1] * _LANES)
+    low64 = ones * _MASK
+    return ones, low64, ones * ((1 << 53) - 1), _packed(range(1, _LANES + 1)) * _GAMMA & low64
 
 
 class SplitMix64:
@@ -81,13 +87,14 @@ class SplitMix64:
             raise ValueError("low must not exceed high")
         span = high - low
         draws: list[float] = []
+        ones, all_low64, low53, steps = _block()
         for done in range(0, count, _LANES):
             lanes = min(_LANES, count - done)
-            low64 = _LOW64 & (1 << 128 * lanes) - 1  # the lanes of this block only
-            z = (_STEPS + self._state * _ONES) & low64
+            low64 = all_low64 & (1 << 128 * lanes) - 1  # the lanes of this block only
+            z = (steps + self._state * ones) & low64
             z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
             z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
-            z = (z ^ (z >> 31)) >> 11 & _LOW53
+            z = (z ^ (z >> 31)) >> 11 & low53
             words = array("Q", z.to_bytes(16 * lanes, "little"))
             if sys.byteorder == "big":
                 words.byteswap()

@@ -219,6 +219,15 @@ def test_solve_aborted_exit_code(capsys, in_grid5_dir):
     assert "aborted" in err
 
 
+def test_yen_out_of_memory_before_any_path_exits_1(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("kssp.oracles.shortest_path", out_of_memory)
+    code, out, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--algo", "yen")
+    assert (code, out, err) == (1, [], "aborted (memory): 0 of 4 paths found\n")
+
+
 def test_solve_failed_validation_exit_code(capsys, monkeypatch):
     def failing_check(g, s, t, report):
         raise AssertionError("path 15 breaks cost order")

@@ -11,7 +11,7 @@ from kssp.dimacs import load_dimacs
 from kssp.graph import Graph, GraphError, Mask, Path, PathError, path_cost
 from kssp.gridgen import gen_grid
 
-from conftest import UNALLOCATABLE_COUNTS, run_capped
+from conftest import UNALLOCATABLE_COUNTS, IntLike, run_capped
 
 
 def test_arc_ids_follow_insertion_order(five_node_graph):
@@ -88,12 +88,16 @@ BAD_CONSTRUCTIONS = [
     (2, [(0, 1, "1.5")], "arc 0: cost is not a number: '1.5'"),
     (2, [(0, 1, b"2")], "arc 0: cost is not a number: b'2'"),
     (2, [(0, 1, 1.0), (1, 0, bytearray(b"3"))], "arc 1: cost is not a number: bytearray(b'3')"),
+    # arcs that are not (tail, head, cost) triples
+    (2, [(0, 1)], "arc 0: not a (tail, head, cost) triple: (0, 1)"),
+    (2, [(0, 1, 1.0), (0, 1, 1.0, 2)], "arc 1: not a (tail, head, cost) triple: (0, 1, 1.0, 2)"),
+    (2, [5], "arc 0: not a (tail, head, cost) triple: 5"),
 ]
 
 
 @pytest.mark.parametrize("n, arcs, message", BAD_CONSTRUCTIONS)
 def test_the_array_builder_raises_what_the_triples_raise(n, arcs, message):
-    """Graph checks the arcs over whole arrays, and a failure raises the per-arc loop's error."""
+    """Graph checks each arc once, in arc order, and a failure names the first bad arc."""
     with pytest.raises(GraphError) as exc:
         Graph(n, arcs)
     assert type(exc.value) is GraphError
@@ -119,6 +123,22 @@ def test_costs_of_any_number_type_become_floats():
     g = Graph(2, [(0, 1, w) for w in cost])
     assert g.arc_cost == want
     assert all(type(w) is float for w in g.arc_cost)
+
+
+def test_int_like_endpoints_are_kept_as_plain_ints():
+    g = Graph(3, [(True, IntLike(2), 1.0), (IntLike(0), 1, 2.0)])
+    assert (g.arc_tail, g.arc_head) == ([1, 0], [2, 1])
+    assert all(type(v) is int for v in g.arc_tail + g.arc_head)
+    assert (g.out_arcs, g.in_arcs) == ([[1], [0], []], [[], [1], [0]])
+
+
+def test_folds_in_range_is_taken_from_the_float_costs():
+    # each cost rounds to 2**1019 as a float, so the costs the graph holds sum
+    # to exactly 2**1020, though the ints as given sum past it
+    w = 2**1019 + 2**966
+    g = Graph(2, [(0, 1, w), (1, 0, w)])
+    assert g.arc_cost == [2.0**1019, 2.0**1019]
+    assert 2 * w > 2**1020 and g.folds_in_range
 
 
 def test_a_graph_knows_whether_its_cost_folds_stay_in_range():

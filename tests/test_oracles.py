@@ -235,3 +235,30 @@ def test_a_memory_error_mid_solve_reports_the_paths_found_so_far(monkeypatch, ac
     n = len(report.paths)
     assert 1 < n < 100
     assert [(p.arcs, p.cost) for p in report.paths] == [(p.arcs, p.cost) for p in full.paths[:n]]
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# what runs out of memory in the set-up: the reverse distances, the first path, the mask;
+# and how many paths were found before it
+YEN_SET_UP = [
+    pytest.param("reverse_distances", True, 0, id="reverse-distances-accelerated"),
+    pytest.param("shortest_path", False, 0, id="first-path-plain"),
+    pytest.param("shortest_path", True, 0, id="first-path-accelerated"),
+    pytest.param("Mask", False, 1, id="mask-plain"),
+    pytest.param("Mask", True, 1, id="mask-accelerated"),
+]
+
+
+@pytest.mark.parametrize("name, accelerated, found", YEN_SET_UP)
+def test_a_memory_error_in_the_set_up_reports_the_paths_found_so_far(monkeypatch, name, accelerated, found):
+    g = gen_grid(8, 8, seed=5)
+    first = yen_k_shortest(g, 0, 63, 1, accelerated=accelerated).paths
+    monkeypatch.setattr(kssp.oracles, name, _out_of_memory)
+    with pytest.raises(SolveLimitExceeded) as exc:
+        yen_k_shortest(g, 0, 63, 100, accelerated=accelerated)
+    report = exc.value.report
+    assert exc.value.kind == "memory" and report.status == ABORTED
+    assert report.paths == first[:found] and report.stats.queries_attempted == found

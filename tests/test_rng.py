@@ -9,6 +9,8 @@ import pytest
 import kssp.rng
 from kssp.rng import SplitMix64
 
+from conftest import run_capped
+
 
 def test_known_answer_stream():
     rng = SplitMix64(0)
@@ -122,3 +124,11 @@ def test_uniforms_refuses_what_uniform_refuses():
         rng.uniforms(3, 2.0, 1.0)
     # a refused draw consumes nothing
     assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
+def test_the_block_ints_are_made_on_the_first_bulk_draw_not_at_import():
+    """``kssp solve`` draws nothing, so it never makes the four 64 KB ints of a full block."""
+    widest = "max(v.bit_length() for v in vars(kssp.rng).values() if isinstance(v, int))"
+    done = run_capped("-c", f"import kssp.cli, kssp.rng\nprint({widest})")
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 64
