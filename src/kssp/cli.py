@@ -11,7 +11,8 @@ Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit
 found so far printed and one ``aborted (KIND)`` line), 2 bad usage or
 input, 3 fewer than k paths exist, 4 cross-check mismatch or failed
 ``--validate`` self-check. Exit codes of ``gen``: 0 written, 2 bad
-usage or input, or a grid too large to allocate.
+usage or input, or a grid, or the cost seeds and pairs of all grids,
+too large to allocate.
 """
 from __future__ import annotations
 
@@ -59,21 +60,25 @@ def _reject_flags(
 def cmd_gen(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
     check_count(args.pairs, "pair")  # here, as with --costs 0 no grid draws pairs
-    grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
     entries = []
-    for ci, (cost_seed, g, pair_rng) in enumerate(grids):
-        pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
-        os.makedirs(args.out, exist_ok=True)  # once a grid and its pairs exist
-        filename = f"grid{rows}x{cols}-c{ci}.gr"
-        with open(os.path.join(args.out, filename), "w") as f:
-            dump_dimacs(g, f)
-        entries.append(
-            {
-                "file": filename,
-                "cost_seed": cost_seed,
-                "pairs": [[s, t] for s, t in pairs],
-            }
-        )
+    try:
+        grids = seeded_grids(rows, cols, args.costs, args.seed, args.cost_low, args.cost_high)
+        for ci, (cost_seed, g, pair_rng) in enumerate(grids):
+            pairs = sample_pairs(pair_rng, g.node_count, args.pairs)
+            os.makedirs(args.out, exist_ok=True)  # once a grid and its pairs exist
+            filename = f"grid{rows}x{cols}-c{ci}.gr"
+            with open(os.path.join(args.out, filename), "w") as f:
+                dump_dimacs(g, f)
+            entries.append(
+                {
+                    "file": filename,
+                    "cost_seed": cost_seed,
+                    "pairs": [[s, t] for s, t in pairs],
+                }
+            )
+    except MemoryError:
+        entries = pairs = None  # free the drawn pairs, or building the error fails too
+        raise ValueError(f"grid count {args.costs} with {args.pairs} pairs per grid is too large to allocate") from None
     manifest = {
         "rows": rows,
         "cols": cols,

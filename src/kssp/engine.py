@@ -3,9 +3,14 @@
 The first path comes from a scalar shortest-path search. Every further
 path is the cheapest deviation from an already accepted path, found by
 the biobjective search in :mod:`kssp.biobjective`. Accepted paths and
-pending candidates form a tree: each candidate remembers its parent, the
-node where it leaves the parent (deviation node, at some position along
-the path) and the first node of its own new suffix (source node).
+pending candidates form a tree, and each is stored as a node of it, a
+:class:`PathRecord`: its parent, the node where it leaves the parent
+(deviation node, at some position along the path), the first node of
+its own new suffix (source node) and that suffix, which starts with the
+deviation arc. Each path is its parent's path up to the deviation node
+followed by its suffix, as Eppstein stores each path as its parent plus
+one sidetrack, so each arc is stored once, in the record that first
+took it, and a whole path is built only when it is read.
 
 Every query is of one kind, Roditty's second-shortest-path question
 asked of one record: its cheapest deviation not generated before. The
@@ -119,10 +124,11 @@ import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from math import inf
 from numbers import Real
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .biobjective import SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
@@ -154,27 +160,53 @@ class SolveOptions:
     validate: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PathRecord:
-    """An accepted or queued path with its position in the deviation tree.
+    """An accepted or queued path as a node of the deviation tree.
 
-    ``dev_pos`` is the arc index of the deviation node along the path
-    (identical along the shared prefix of parent and child), and
-    ``source_pos`` the index of the first suffix node, which is
-    ``dev_pos + 1`` everywhere except the root record where both are 0.
-    ``prefix_cost`` caches the left-to-right cost fold of
-    ``path.arcs[:source_pos]``, the root label cost of the record's
-    queries. ``blocked`` collects the deviation arcs of its children.
+    The path is the ``parent`` record's path up to the deviation node
+    ``dev_node``, at arc index ``dev_pos``, followed by ``suffix``, which
+    runs from the deviation arc to t. The root record has no parent,
+    ``dev_pos`` 0, s as its deviation and source node, and its whole path
+    as ``suffix``. ``parent_index`` is the parent's place in the report.
+    ``source_node`` is the head of the deviation arc, at arc index
+    ``source_pos``, which is ``dev_pos + 1`` everywhere except the root
+    record where both are 0. ``cost`` is the left-to-right cost fold of
+    the path and ``prefix_cost`` that fold of its first ``source_pos``
+    arcs, the root label cost of the record's queries. ``blocked``
+    collects the deviation arcs of its children.
     """
 
-    path: Path
+    # parent_index stands for the parent in repr and ==, which would otherwise walk the chain
+    parent: PathRecord | None = field(repr=False, compare=False)
     parent_index: int | None
     dev_node: int
     dev_pos: int
     source_node: int
-    source_pos: int
+    suffix: tuple[int, ...]
+    cost: float
     prefix_cost: float
     blocked: list[int] = field(default_factory=list)
+
+    @property
+    def source_pos(self) -> int:
+        return 0 if self.parent is None else self.dev_pos + 1
+
+    @property
+    def path(self) -> Path:
+        """The whole path, built from the suffixes up the parent chain."""
+        segments = list(self.segments(self.dev_pos + len(self.suffix)))
+        return Path(tuple(chain.from_iterable(reversed(segments))), self.cost)
+
+    def segments(self, end: int) -> Iterator[tuple[int, ...]]:
+        """Yield the path's first ``end`` arcs, one slice per record up the parent chain, last first.
+
+        A loop, not a recursion: the chain is as deep as k allows.
+        """
+        rec = self
+        while end:
+            yield rec.suffix[: end - rec.dev_pos]
+            end, rec = rec.dev_pos, rec.parent
 
 
 @dataclass
@@ -227,7 +259,7 @@ class SolveReport:
 
     @property
     def costs(self) -> list[float]:
-        return [r.path.cost for r in self.records]
+        return [r.cost for r in self.records]
 
 
 class SolveLimitExceeded(RuntimeError):
@@ -338,7 +370,7 @@ def k_shortest_paths(
         bound = -inf
         if sweep is not None:
             origin = records[origin_index]
-            ref = origin.path.arcs[origin.source_pos:]
+            ref = origin.suffix[origin.source_pos - origin.dev_pos :]
             # an ask whose bound falls within the front's limit is searched at the next check
             front_limit = prune_limit(g, cands[0][0]) if cands else inf
             bound = sweep.deviation_bound(ref, origin.prefix_cost, origin.blocked, front_limit)
@@ -357,16 +389,15 @@ def k_shortest_paths(
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
-        arcs = origin.path.arcs
         sp = origin.source_pos
         # the nodes strictly before the source are the tails of the prefix arcs
         node_stamp = mask.node_stamp
         epoch = mask.epoch
-        for a in arcs[:sp]:
+        for a in chain.from_iterable(origin.segments(sp)):
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        query = build_query(ws, origin.source_node, t, arcs[sp:], origin.prefix_cost, sweep)
+        query = build_query(ws, origin.source_node, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
         budget = None if label_budget is None else label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -379,15 +410,14 @@ def k_shortest_paths(
         if dev_arc in origin.blocked:
             raise RuntimeError("deviation arc regenerated for the same parent")
         dev_pos = sp + dev.ref_index
-        arcs = arcs[:dev_pos] + dev.suffix
+        rec = PathRecord(
+            origin, origin_index, arc_tail[dev_arc], dev_pos, g.arc_head[dev_arc],
+            dev.suffix, dev.cost, dev.source_cost,
+        )
         if seen_candidates is not None:
-            if arcs in seen_candidates:
+            if (arcs := rec.path.arcs) in seen_candidates:
                 raise RuntimeError("duplicate candidate generated")
             seen_candidates.add(arcs)
-        rec = PathRecord(
-            Path(arcs, dev.cost), origin_index, arc_tail[dev_arc], dev_pos,
-            g.arc_head[dev_arc], dev_pos + 1, dev.source_cost,
-        )
         origin.blocked.append(dev_arc)
         insort(cands, (dev.cost, counter, rec))
         # the candidates past the first k - n can never be output
@@ -409,7 +439,7 @@ def k_shortest_paths(
         p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
         if p1 is None:
             return finish(EXHAUSTED)
-        records.append(PathRecord(p1, None, s, 0, s, 0, ZERO))
+        records.append(PathRecord(None, None, s, 0, s, p1.arcs, p1.cost, ZERO))
         if k == 1:
             return finish(COMPLETE)
         if ws is None:
@@ -459,38 +489,53 @@ def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
 
     Every record must be a simple s-t walk whose cost is exactly the left
     fold of its arc costs, distinct from the ones before it and no
-    cheaper, and must sit in the deviation tree as its fields claim.
+    cheaper, and must sit in the deviation tree as its fields claim. The
+    parent chain builds the path, so a record's place in the tree is
+    checked before its path is built.
     """
     records = report.records
     last_cost = None
     seen_paths: set[tuple[int, ...]] = set()
     for idx, rec in enumerate(records):
-        try:
-            fold = path_cost(g, rec.path)
-        except PathError as exc:
-            raise AssertionError(f"path {idx} is not a walk: {exc}") from None
-        nodes = rec.path.nodes(g)
-        if not nodes or (nodes[0], nodes[-1]) != (s, t):
-            raise AssertionError(f"path {idx} does not run from {s} to {t}")
-        if rec.path.cost != fold:
-            raise AssertionError(f"path {idx} costs {rec.path.cost!r}, its arcs fold to {fold!r}")
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
-            raise AssertionError(f"path {idx} is not simple")
-        if rec.path.arcs in seen_paths:
-            raise AssertionError(f"path {idx} duplicates an earlier path")
-        seen_paths.add(rec.path.arcs)
-        if last_cost is not None and rec.path.cost < last_cost:
-            raise AssertionError(f"path {idx} breaks cost order")
-        last_cost = rec.path.cost
+        parent = None
         if rec.parent_index is not None:
             if rec.parent_index >= idx:
                 raise AssertionError(f"path {idx} has a later parent")
             parent = records[rec.parent_index]
             if rec.dev_pos < parent.source_pos:
                 raise AssertionError(f"path {idx} deviates inside its parent's prefix")
-            if rec.path.arcs[: rec.dev_pos] != parent.path.arcs[: rec.dev_pos]:
-                raise AssertionError(f"path {idx} does not share its parent's prefix")
+        elif rec.dev_pos:
+            raise AssertionError(f"path {idx} is a root that deviates at arc {rec.dev_pos}")
+        if rec.parent is not parent:
+            raise AssertionError(f"path {idx} is not linked to record {rec.parent_index}")
+        path = rec.path
+        try:
+            fold = path_cost(g, path)
+        except PathError as exc:
+            raise AssertionError(f"path {idx} is not a walk: {exc}") from None
+        nodes = path.nodes(g)
+        if not nodes or (nodes[0], nodes[-1]) != (s, t):
+            raise AssertionError(f"path {idx} does not run from {s} to {t}")
+        if rec.cost != fold:
+            raise AssertionError(f"path {idx} costs {rec.cost!r}, its arcs fold to {fold!r}")
+        node_set = set(nodes)
+        if len(node_set) != len(nodes):
+            raise AssertionError(f"path {idx} is not simple")
+        if path.arcs in seen_paths:
+            raise AssertionError(f"path {idx} duplicates an earlier path")
+        seen_paths.add(path.arcs)
+        if last_cost is not None and rec.cost < last_cost:
+            raise AssertionError(f"path {idx} breaks cost order")
+        last_cost = rec.cost
+        # the root deviates nowhere: its deviation and source node are s
+        ends = (s, s) if parent is None else (g.arc_tail[rec.suffix[0]], g.arc_head[rec.suffix[0]])
+        if (rec.dev_node, rec.source_node) != ends:
+            raise AssertionError(f"path {idx} names deviation and source nodes {rec.dev_node} and "
+                                 f"{rec.source_node}, not {ends[0]} and {ends[1]}")
+        prefix_fold = path_cost(g, path.arcs[: rec.source_pos])
+        if rec.prefix_cost != prefix_fold:
+            raise AssertionError(f"path {idx} has prefix cost {rec.prefix_cost!r}, its first "
+                                 f"{rec.source_pos} arcs fold to {prefix_fold!r}")
         if len(set(rec.blocked)) != len(rec.blocked):
             raise AssertionError(f"record {idx} has duplicate blocked arcs")
         for a in rec.blocked:

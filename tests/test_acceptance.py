@@ -231,6 +231,24 @@ def test_records_keep_their_frozen_paths_costs_and_tree():
     assert records_digest(reports) == FROZEN_RECORDS_DIGEST
 
 
+def test_each_record_stores_its_parent_and_only_its_new_suffix_on_a_gate_grid():
+    """A record is its parent's path up to ``dev_pos``, then its own suffix, held in slots."""
+    g, s, t = next(grid_instances(1))
+    records = k_shortest_paths(g, s, t, GRID_K).records
+    paths = [r.path.arcs for r in records]
+    for rec, arcs in zip(records, paths):
+        assert not hasattr(rec, "__dict__")
+        assert arcs[rec.dev_pos :] == rec.suffix
+        if rec.parent_index is None:
+            assert rec.parent is None and rec.dev_pos == 0
+            continue
+        parent_arcs = paths[rec.parent_index]
+        assert rec.parent is records[rec.parent_index]
+        assert arcs[: rec.dev_pos] == parent_arcs[: rec.dev_pos]
+        # the suffix holds no arc of the parent's path: it starts with a new one
+        assert rec.suffix[0] != parent_arcs[rec.dev_pos]
+
+
 def test_the_queue_holds_only_candidates_that_can_still_be_output(monkeypatch):
     """Every cap is read off at most k - n queued candidates, n the paths accepted so far."""
     calls = 0

@@ -441,6 +441,24 @@ def test_a_grid_too_large_to_allocate_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak from /proc")
+@pytest.mark.parametrize("option", ["--pairs", "--costs"])
+def test_a_count_too_large_to_allocate_exits_2(tmp_path, option):
+    # its pair list or cost seeds pass check_count but not the cap, a small
+    # gen's peak plus 16 MiB, which they fill within a second
+    small = run_capped("-c", PEAK_VM, "gen", "--grid", "2x2", "--out", str(tmp_path / "small"))
+    assert small.returncode == 0, small.stderr
+    cap_bytes = int(small.stderr.splitlines()[-1]) * 1024 + 2**24
+    count = "1000000000000"
+    done = run_capped("-m", "kssp.cli", "gen", "--grid", "2x2", option, count, "--out", str(tmp_path / "out"),
+                      cap_bytes=cap_bytes, timeout=30)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stdout == ""
+    pairs, costs = (count, "1") if option == "--pairs" else ("0", count)
+    assert done.stderr == f"error: grid count {costs} with {pairs} pairs per grid is too large to allocate\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("shape", ["1x100000000000000000000", "100000000000000000000x1"])
 def test_a_grid_side_past_the_index_range_exits_2(tmp_path, shape):
     # its arc count passes sys.maxsize, so the first allocation fails at once

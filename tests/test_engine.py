@@ -20,6 +20,7 @@ from kssp.engine import (
     ABORTED,
     COMPLETE,
     EXHAUSTED,
+    PathRecord,
     SolveLimitExceeded,
     SolveOptions,
     SolveReport,
@@ -646,6 +647,20 @@ def test_query_budget_holds_on_small_instances():
             assert report.stats.queries_attempted <= max(0, 2 * k - 4) + 1
 
 
+def test_a_record_deeper_than_the_recursion_limit_builds_its_path():
+    # record j deviates from record j - 1 at arc index j, each with its own
+    # copy of the rest of arcs 0 .. n-1, so every record's path is all of them
+    n = sys.getrecursionlimit() + 100
+    rec = PathRecord(None, None, 0, 0, 0, tuple(range(n)), 1.0, 0.0)
+    for j in range(1, n):
+        rec = PathRecord(rec, j - 1, j, j, j + 1, tuple(range(j, n)), 1.0, 0.0)
+    assert rec.path == Path(tuple(range(n)), 1.0)
+    assert list(rec.segments(rec.source_pos)) == [(n - 1,)] + [(j,) for j in range(n - 2, -1, -1)]
+    # neither repr nor == walks the chain
+    assert repr(rec).startswith(f"PathRecord(parent_index={n - 2}, ")
+    assert rec == replace(rec, parent=None)
+
+
 def test_validate_report_catches_corruption(five_node_graph):
     report = k_shortest_paths(five_node_graph, 0, 4, 4)
     good = SolveReport(list(report.records), report.status, report.stats)
@@ -670,7 +685,8 @@ def test_validate_report_catches_corruption(five_node_graph):
 )
 def test_validate_report_checks_each_record_against_the_graph(five_node_graph, path, message):
     report = k_shortest_paths(five_node_graph, 0, 4, 1)
-    bad = SolveReport([replace(report.records[0], path=path)], report.status, report.stats)
+    # the root's suffix is its whole path
+    bad = SolveReport([replace(report.records[0], suffix=path.arcs, cost=path.cost)], report.status, report.stats)
     with pytest.raises(AssertionError, match=message):
         _validate_report(five_node_graph, 0, 4, bad)
 
@@ -678,8 +694,8 @@ def test_validate_report_checks_each_record_against_the_graph(five_node_graph, p
 def test_validate_report_rejects_a_walk_that_repeats_a_node():
     g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])
     report = k_shortest_paths(g, 0, 2, 1)
-    walk = Path((0, 1, 0, 2), path_cost(g, (0, 1, 0, 2)))
-    bad = SolveReport([replace(report.records[0], path=walk)], report.status, report.stats)
+    walk = (0, 1, 0, 2)
+    bad = SolveReport([replace(report.records[0], suffix=walk, cost=path_cost(g, walk))], report.status, report.stats)
     with pytest.raises(AssertionError, match="path 0 is not simple"):
         _validate_report(g, 0, 2, bad)
 
@@ -690,10 +706,16 @@ def test_validate_report_rejects_a_walk_that_repeats_a_node():
         (1, {"parent_index": 1}, "path 1 has a later parent"),
         # path 3 is (0, 3, 5), the child of path 1 = (0, 4) at arc index 1
         (3, {"dev_pos": 0}, "path 3 deviates inside its parent's prefix"),
-        (3, {"dev_pos": 2}, "path 3 does not share its parent's prefix"),
+        (3, {"dev_node": 0}, "path 3 names deviation and source nodes 0 and 2, not 1 and 2"),
         # path 0 is (1, 5) over nodes 0, 2 and 4; arc 6 leaves node 3
         (0, {"blocked": [0, 0]}, "record 0 has duplicate blocked arcs"),
         (0, {"blocked": [6]}, "record 0 blocks an arc off the path"),
+        (3, {"source_node": 4}, "path 3 names deviation and source nodes 1 and 4, not 1 and 2"),
+        (0, {"dev_node": 2}, "path 0 names deviation and source nodes 2 and 0, not 0 and 0"),
+        # path 3 pays 2.0 for arc 0 and 2.0 for arc 3 before its source, node 2
+        (3, {"prefix_cost": 3.0}, r"path 3 has prefix cost 3\.0, its first 2 arcs fold to 4\.0"),
+        (0, {"dev_pos": 1}, "path 0 is a root that deviates at arc 1"),
+        (3, {"parent": None}, "path 3 is not linked to record 1"),
     ],
 )
 def test_validate_report_checks_the_deviation_tree(five_node_graph, idx, fields, message):
