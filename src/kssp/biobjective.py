@@ -85,6 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -174,7 +175,9 @@ def build_query(
     The reference path must run from source to target through the masked
     graph; a masked reference would make the search answer a different
     question than the caller asked. So would a sweep of another graph, or
-    a sweep toward another target.
+    a sweep toward another target. The check walks the whole reference,
+    so :mod:`kssp.engine`, whose queries pass it by construction, calls
+    this only to re-check them under ``validate``.
     """
     g = workspace.graph
     if sweep is not None and (sweep.graph is not g or sweep.target != target):
@@ -217,8 +220,7 @@ def reconstruct(workspace: Workspace, label: tuple) -> list[tuple]:
     return chain
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     """Result of a successful query.
 
     ``suffix`` holds the arcs from the deviation node, starting with the
@@ -281,8 +283,10 @@ def find_best_deviation(
     settled sweep's (see :class:`kssp.dijkstra.ReverseSweep`), so every
     potential the search reads is final and the search runs exactly as
     under a sweep settled to the end. It reads the potential of the root,
-    finite as :func:`build_query` checks the reference runs from it to the
-    target, and of each node it extends a label to; a node it extracts or
+    finite as the reference runs from it to the target (a query from
+    :func:`build_query` is checked for that, and the engine's queries are
+    built from a simple s-t path's own suffix, see ``k_shortest_paths``),
+    and of each node it extends a label to; a node it extracts or
     rebuilds was enqueued, so it was read before. The zero potential of
     a query without a sweep has no infinite entry, so it never asks.
 
@@ -293,7 +297,7 @@ def find_best_deviation(
     push L over each of v's out-arcs. A step of the walk from v defers
     all of these pushes but the one over the tree arc a = tree[v], and
     pushes in their place the bound B = (c + s)(1 - 2^-50) into the heap
-    as the entry ``(B, -1, v, i, a)``, where i indexes L in v's frontier
+    as the entry ``(B, -1, v, i)``, where i indexes L in v's frontier
     and s, memoized per node by
     ``sweep.sidetrack_of``, is the least cost(b) + dist[head] over v's
     out-arcs b other than a, with the sweep's horizon standing in for an
@@ -305,7 +309,9 @@ def find_best_deviation(
     roundings and its own (sums that fall below the normal range are
     exact). The overlap -1 sorts a bound before any entry of equal key.
     When the loop pops a bound, it runs its push block from label i of v
-    over v's out-arcs but a.
+    over all of v's out-arcs. Its push over a is dominated, so skipped:
+    only a step that goes on to make that very label permanent at a's
+    head pushes a bound (below), and a frontier's overlaps only fall.
 
     The walk then settles L' = (c', o'), the push of L over a to w, in
     the block that settles a popped label: it counts it, makes the
@@ -397,6 +403,9 @@ def find_best_deviation(
     outcome = "exhausted"
     found = None
     shrink = WALK_SHRINK
+    # one float compare per cap test: no cost compares at or above NaN, not even
+    # an overflowed fold, which inf would cap
+    cap = math.nan if cost_cap is None else cost_cap
 
     entry = (prefix_cost + pot[query.source], 0, query.source, 0, (prefix_cost, 0, -1, -1))
     queued[query.source] = entry
@@ -411,13 +420,13 @@ def find_best_deviation(
             if e[1] >= 0:
                 continue  # superseded by a cheaper candidate for this node
             # a bound of a tree walk: push from the label it names over the arcs
-            # it stands for
+            # it stands for, and over the tree arc, whose push is dominated
             last_idx = e[3]
             lab = frontiers[node][last_idx]
             ecost = lab[0]
             eover = lab[1]
             f = None
-            arcs = [a for a in out_arcs[node] if a != e[4]]
+            arcs = out_arcs[node]
         else:
             queued[node] = None
             lab = e[4]
@@ -433,16 +442,17 @@ def find_best_deviation(
                     raise SearchLimit("iterations")
                 if deadline is not None and iterations % 256 == 0 and perf_counter() > deadline:
                     raise SearchLimit("deadline")
-                if cost_cap is not None and ecost >= cost_cap:
+                if ecost >= cap:
                     outcome = "cost-capped"
                     break
                 if f_stamp[node] == serial:
                     f = frontiers[node]
+                    last_idx = len(f)
                     f.append(lab)
                 else:
                     f_stamp[node] = serial
                     frontiers[node] = f = [lab]
-                last_idx = len(f) - 1
+                    last_idx = 0
                 # take the tree extension next while the loop would, pushing one
                 # bound for the other pushes of the node left
                 if a < 0 or arc_stamp[a] == epoch:
@@ -456,9 +466,7 @@ def find_best_deviation(
                 side = (ecost + side) * shrink
                 nc = ecost + arc_cost[a]
                 key = nc + pot[w]
-                if not (key < side and (not heap or key < heap[0][0])) or (
-                    cost_cap is not None and nc >= cost_cap
-                ):
+                if not (key < side and (not heap or key < heap[0][0])) or nc >= cap:
                     break
                 no = eover + 1 if a in ref else eover
                 if f_stamp[w] == serial and no >= frontiers[w][-1][1]:
@@ -475,7 +483,7 @@ def find_best_deviation(
                     q_stamp[w] = serial
                 queued[w] = None
                 dropped[w] = least
-                heappush(heap, (side, -1, node, last_idx, a))
+                heappush(heap, (side, -1, node, last_idx))
                 lab = (nc, no, a, last_idx)
                 node = w
                 ecost = nc
@@ -558,6 +566,6 @@ def find_best_deviation(
     i = 0
     while chain[i][1] == i + 1:
         i += 1
-    suffix = tuple(step[2] for step in chain[i:])
+    suffix = tuple(map(itemgetter(2), chain[i:]))
     result = Deviation(i, suffix, found[0], found[1], chain[i][0])
     return result, QueryStats(iterations, "found")

@@ -19,7 +19,10 @@ before it on the path masked away, so the fixed prefix cannot be
 re-entered, and with the deviation arcs of the record's earlier
 children blocked, so it must find a new one. After extracting a path
 from the candidate queue the driver asks it of two records: the
-extracted path, which has no children yet, and its parent.
+extracted path, which has no children yet, and its parent. A query is
+built straight from the record's fields, which meet by construction
+what :func:`kssp.biobjective.build_query` checks; ``validate`` re-checks
+each query with it, and the finished report too.
 
 Generated deviation arcs are recorded per parent (``blocked``), which
 keeps all candidates structurally distinct. With n paths accepted, the
@@ -130,7 +133,7 @@ from numbers import Real
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
-from .biobjective import SearchLimit, Workspace, build_query, find_best_deviation
+from .biobjective import DeviationQuery, SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, reverse_distances, shortest_path
@@ -360,6 +363,7 @@ def k_shortest_paths(
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
     arc_tail = g.arc_tail
+    make_query = build_query if opts.validate else DeviationQuery  # see run
     ws: Workspace | None = None
     sweep: ReverseSweep | None = None  # the solve is guided iff it has one
 
@@ -381,7 +385,19 @@ def k_shortest_paths(
         heappush(pending, (bound, push_counter, origin_index))
 
     def run(counter: int, origin_index: int) -> None:
-        """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``."""
+        """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``.
+
+        The query is built directly: it cannot fail :func:`build_query`'s
+        check, which runs only under ``validate``. The record is a simple
+        s-t path and the reference is its ``suffix[source_pos - dev_pos:]``,
+        its arcs from the source node to t. The masked nodes are the tails
+        of the prefix arcs before the source, so the path's simplicity keeps
+        the source and every node of the reference unmasked. Each blocked
+        arc is a child's deviation arc, which leaves a path node by an arc
+        not on the path, so no reference arc is masked. The sweep is the
+        solve's own, toward t over g. ``_validate_report`` checks these
+        facts of the records.
+        """
         cap = queue_max_cap(len(records), cands, k)
         # an answer equal to the cap sorts before a last candidate pushed after the ask
         if cap is not None and cands[-1][1] > counter:
@@ -397,7 +413,7 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        query = build_query(ws, origin.source_node, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
+        query = make_query(ws, origin.source_node, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
         budget = None if label_budget is None else label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -489,7 +505,10 @@ def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
 
     Every record must be a simple s-t walk whose cost is exactly the left
     fold of its arc costs, distinct from the ones before it and no
-    cheaper, and must sit in the deviation tree as its fields claim. The
+    cheaper, and must sit in the deviation tree as its fields claim. Its
+    deviation arc must be blocked in its parent, and no arc it blocks may
+    lie on its own path: with simplicity, that is what keeps every query
+    the engine builds valid without :func:`build_query`'s check. The
     parent chain builds the path, so a record's place in the tree is
     checked before its path is built.
     """
@@ -532,12 +551,18 @@ def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
         if (rec.dev_node, rec.source_node) != ends:
             raise AssertionError(f"path {idx} names deviation and source nodes {rec.dev_node} and "
                                  f"{rec.source_node}, not {ends[0]} and {ends[1]}")
+        if parent is not None and rec.suffix[0] not in parent.blocked:
+            raise AssertionError(f"path {idx}'s deviation arc is not blocked in record {rec.parent_index}")
         prefix_fold = path_cost(g, path.arcs[: rec.source_pos])
         if rec.prefix_cost != prefix_fold:
             raise AssertionError(f"path {idx} has prefix cost {rec.prefix_cost!r}, its first "
                                  f"{rec.source_pos} arcs fold to {prefix_fold!r}")
         if len(set(rec.blocked)) != len(rec.blocked):
             raise AssertionError(f"record {idx} has duplicate blocked arcs")
+        # a query masks the blocked arcs, so none may be a reference arc
+        path_arcs = set(path.arcs)
         for a in rec.blocked:
             if g.arc_tail[a] not in node_set:
                 raise AssertionError(f"record {idx} blocks an arc off the path")
+            if a in path_arcs:
+                raise AssertionError(f"record {idx} blocks an arc of its own path")

@@ -369,10 +369,10 @@ def frozen_solves():
                 yield cost_family(base, family), 0, base.node_count - 1, k
 
 
-def road_solves():
-    """The first 3 pairs of the benchmark's 256x256 road grid (master seed 512) at k=100."""
+def road_solves(count: int = 3):
+    """The first ``count`` pairs of the benchmark's 256x256 road grid (master seed 512) at k=100."""
     ((_, g, pair_rng),) = seeded_grids(256, 256, 1, 512)
-    for s, t in sample_pairs(pair_rng, g.node_count, 3):
+    for s, t in sample_pairs(pair_rng, g.node_count, count):
         yield g, s, t, 100
 
 

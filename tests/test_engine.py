@@ -38,6 +38,8 @@ from conftest import (
     COST_FAMILIES, IntLike, cost_family, cost_free_digest, frozen_solves, make_digraph,
     report_digest, road_solves,
 )
+# the gate grids have one derivation, which perfbench/instances.py reads from that file
+from test_acceptance import GRID_K, grid_instances
 
 
 @pytest.mark.parametrize("guided", [True, False])
@@ -661,6 +663,76 @@ def test_a_record_deeper_than_the_recursion_limit_builds_its_path():
     assert rec == replace(rec, parent=None)
 
 
+def test_validate_report_needs_each_deviation_arc_blocked_in_its_parent(five_node_graph):
+    report = k_shortest_paths(five_node_graph, 0, 4, 4)
+    # path 3 leaves path 1 by arc 3, which record 1 must block
+    report.records[1].blocked.remove(3)
+    with pytest.raises(AssertionError, match="path 3's deviation arc is not blocked in record 1"):
+        _validate_report(five_node_graph, 0, 4, report)
+
+
+@pytest.mark.parametrize("guided", [True, False])
+def test_build_query_checks_each_query_only_under_validate(monkeypatch, guided):
+    calls = {"build_query": 0, "find_best_deviation": 0}
+
+    def counted(name):
+        original = getattr(kssp.engine, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kssp.engine, name, call)
+
+    counted("build_query")
+    counted("find_best_deviation")
+    g = gen_grid(20, 20, seed=3)
+    k_shortest_paths(g, 0, 399, 50, SolveOptions(guided=guided))
+    assert calls["build_query"] == 0 and calls["find_best_deviation"] > 0
+    searches = calls["find_best_deviation"]
+    k_shortest_paths(g, 0, 399, 50, SolveOptions(guided=guided, validate=True))
+    assert calls == {"build_query": searches, "find_best_deviation": 2 * searches}
+
+
+def test_validate_changes_no_record_and_no_counter(monkeypatch):
+    """``validate`` only re-checks: every query's reference and the finished report.
+
+    Gate grids 0-2 at GRID_K, 20 road pairs and ``frozen_solves()``,
+    guided, and the latter's seeded digraphs of every cost family
+    unguided too, give bit-identical records, status and counters with
+    and without it. The report check is caught, so that a report it
+    rejects is compared too: the only breach allowed is the cost order of
+    a solve that ROADMAP item 1's float folds misrank.
+    """
+    breaches = []
+
+    def caught(g, s, t, report):
+        try:
+            _validate_report(g, s, t, report)
+        except AssertionError as exc:
+            breaches.append(str(exc))
+
+    monkeypatch.setattr("kssp.engine._validate_report", caught)
+    solves = [(g, s, t, GRID_K, True) for g, s, t in grid_instances(3)]
+    solves += [(*solve, True) for solve in road_solves(20)]
+    # unguided only on the digraphs: an unguided 64x64 grid solve takes seconds
+    solves += [
+        (g, s, t, k, guided)
+        for g, s, t, k in frozen_solves()
+        for guided in (True, False)
+        if guided or g.node_count <= 10
+    ]
+    misranked = 0
+    for i, (g, s, t, k, guided) in enumerate(solves):
+        plain = k_shortest_paths(g, s, t, k, SolveOptions(guided=guided))
+        checked = k_shortest_paths(g, s, t, k, SolveOptions(guided=guided, validate=True))
+        assert report_digest(checked) == report_digest(plain), (i, guided)
+        if breaches:
+            assert "breaks cost order" in breaches.pop() and plain.costs != sorted(plain.costs), (i, guided)
+            misranked += 1
+    print(f"validate: {len(solves)} solves bit-identical, {misranked} misranked by float folds")
+
+
 def test_validate_report_catches_corruption(five_node_graph):
     report = k_shortest_paths(five_node_graph, 0, 4, 4)
     good = SolveReport(list(report.records), report.status, report.stats)
@@ -716,6 +788,8 @@ def test_validate_report_rejects_a_walk_that_repeats_a_node():
         (3, {"prefix_cost": 3.0}, r"path 3 has prefix cost 3\.0, its first 2 arcs fold to 4\.0"),
         (0, {"dev_pos": 1}, "path 0 is a root that deviates at arc 1"),
         (3, {"parent": None}, "path 3 is not linked to record 1"),
+        # arc 5 is path 0's own arc from node 2 to node 4
+        (0, {"blocked": [0, 2, 5]}, "record 0 blocks an arc of its own path"),
     ],
 )
 def test_validate_report_checks_the_deviation_tree(five_node_graph, idx, fields, message):
