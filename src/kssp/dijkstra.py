@@ -20,7 +20,7 @@ def shortest_path(
     *,
     mask: Mask | None = None,
     potential: list[float] | None = None,
-    bound: float | None = None,
+    cap: float | None = None,
     prune: list[float] | None = None,
     start: float = ZERO,
 ) -> tuple[Path | None, int]:
@@ -32,14 +32,20 @@ def shortest_path(
     distances from an unmasked graph qualify, infinity marks nodes that
     cannot reach it). When costs are not exact in float, rounding makes
     such a potential slightly inconsistent, so A* may close a node early
-    and return a path one rounding error above the cheapest. ``bound``
-    abandons any label whose lower bound meets it, so a return of None
-    then means no path cheaper than the bound, not necessarily no path
-    at all.
+    and return a path one rounding error above the cheapest.
 
     ``start`` is the cost folded in front of ``source``, such as a spur
     path's root. Labels continue that fold, so the returned cost and
-    ``bound`` refer to the whole walk from the prefix's first node.
+    ``cap`` refer to the whole walk from the prefix's first node.
+
+    ``cap`` drops each label whose key, label plus potential, exceeds
+    ``prune_limit(g, cap)``, so None means that no path costs at most
+    ``cap``, and a path a little above it may still come back. No path
+    at or below it is lost: as :meth:`ReverseSweep.deviation_bound`
+    argues, a left-folded label plus a right-folded potential exceeds a
+    completion's cost D by less than ``prune_limit(g, D)``'s slack, and
+    the limit is monotone in D. The slack is relative, so scaling every
+    cost by a power of two cuts the same labels.
 
     ``prune`` takes :func:`reverse_distances` of the same unmasked graph
     toward ``target``. The search then returns exactly the plain
@@ -84,7 +90,8 @@ def shortest_path(
         h0 = potential[source]
         if h0 == inf:
             return None, 0
-    if bound is not None and start + h0 >= bound:
+    cut = inf if cap is None else prune_limit(g, cap)
+    if start + h0 > cut:
         return None, 0
     limit = inf
     if prune is not None:
@@ -102,7 +109,7 @@ def shortest_path(
     arc_head = g.arc_head
     out_arcs = g.out_arcs
     zero = ZERO
-    # every entry keys below ``bound``: the source is checked above, and so is each push
+    # every entry keys at most ``cut``: the source is checked above, and so is each push
     while heap:
         _, u = heappop(heap)
         if u in done:
@@ -137,7 +144,7 @@ def shortest_path(
             if hv == inf:
                 continue
             fv = dv + hv
-            if bound is not None and fv >= bound:
+            if fv > cut:
                 continue
             dist[v] = dv
             via[v] = a

@@ -255,9 +255,9 @@ class _NodeIds(dict):
 
 
 def format_cost(value: float) -> str:
-    """Integral costs print as integers; everything else via repr (exact)."""
+    """Integral costs print as integers, -0 as ``-0``; everything else via repr (exact)."""
     if float(value).is_integer():
-        return str(int(value))
+        return f"{value:.0f}"
     return repr(float(value))
 
 

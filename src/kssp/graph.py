@@ -18,8 +18,8 @@ Searches that start part way along a path begin at its prefix's fold, so
 every label in every search is a left fold from s and is the cost reported.
 ``successor(x)`` is the least cost above x. Each rounding slack is argued
 where it is used: ``prune_limit`` at :func:`kssp.dijkstra.shortest_path`,
-``WALK_SHRINK`` at :func:`kssp.biobjective.find_best_deviation` and
-``astar_bound`` at :func:`kssp.oracles.yen_k_shortest`.
+for both its ``prune`` and its ``cap``, and ``WALK_SHRINK`` at
+:func:`kssp.biobjective.find_best_deviation`.
 """
 from __future__ import annotations
 
@@ -42,11 +42,6 @@ def successor(x: float) -> float:
 def prune_limit(g: Graph, h: float) -> float:
     """The largest label plus distance to the target kept under ``prune``, for a first path of cost ``h``."""
     return h + h * (2 * g.node_count + 4) * 2.0**-52
-
-
-def astar_bound(cap: float) -> float:
-    """The ``bound`` of a spur search under a potential that keeps every completion cheaper than ``cap``."""
-    return cap + 1e-9 * (1.0 + abs(cap))
 
 
 class GraphError(ValueError):
@@ -77,10 +72,9 @@ class Graph:
     where an infinite distance cannot hide a node. Below it no solver
     float overflows: a label, distance, key, bound, prune limit or cap
     rounds a sum over at most two simple paths and an arc, at most twice
-    the exact cost sum S, scaled by under ``1 + 2**-6`` in a prune limit
-    or Yen's slack. With under ``2**45`` nodes and arcs, its roundings
-    and the computed sum's move it under 1%, so it stays below
-    ``2**1021 * 1.04``.
+    the exact cost sum S, scaled by under ``1 + 2**-6`` in a prune limit.
+    With under ``2**45`` nodes and arcs, its roundings and the computed
+    sum's move it under 1%, so it stays below ``2**1021 * 1.04``.
 
     ``_scratch`` is the pool of solver scratch that
     :func:`kssp.engine.k_shortest_paths` keeps between guided solves: one

@@ -16,7 +16,7 @@ from time import perf_counter
 
 from .dijkstra import reverse_distances, shortest_path
 from .engine import ABORTED, COMPLETE, EXHAUSTED, SolveLimitExceeded, SolveStats, check_limits
-from .graph import ZERO, Graph, Mask, Path, astar_bound, check_endpoints
+from .graph import ZERO, Graph, Mask, Path, check_endpoints
 
 
 @dataclass
@@ -39,16 +39,18 @@ def yen_k_shortest(
 
     The candidate list is trimmed to the number of still missing paths;
     anything at least as expensive as its worst kept entry can never be
-    needed, because replacements only ever cost more. With
-    ``accelerated`` exact reverse distances prune the first search and
-    serve the spur searches as an A* potential, and the spur searches
-    give up early against the worst kept candidate. Neither device
-    changes the returned cost sequence. In the stats, spur searches
-    count as queries and their pop counts as iterations; a failed search
-    that ran with a cost bound counts as capped even if it would also
-    have failed without the bound. A graph failing ``Graph.folds_in_range``
-    gets the plain searches. Yen keeps no deviation tree, so the report
-    holds bare paths; a timeout, or running out of memory, raises
+    needed, because replacements only ever cost more, so once the list
+    is full each spur search takes its worst entry's cost as ``cap``.
+    That cap's slack is relative: scaling every cost by a power of two
+    changes neither the paths nor the stats. With ``accelerated`` exact
+    reverse distances prune the first search and serve the spur searches
+    as an A* potential. No device changes the returned cost sequence. In
+    the stats, spur searches count as queries and their pop counts as
+    iterations; a failed search that ran with a cap counts as capped
+    even if it would also have failed without it. A graph failing
+    ``Graph.folds_in_range`` gets the plain searches. Yen keeps no
+    deviation tree, so the report holds bare paths; a timeout, or
+    running out of memory, raises
     :class:`kssp.engine.SolveLimitExceeded` carrying the partial report.
     """
     s, t = check_endpoints(g, s, t)
@@ -107,16 +109,9 @@ def yen_k_shortest(
                     mask.delete_arc(a)
                 if deadline is not None and (j & 31) == 0 and perf_counter() > deadline:
                     raise SolveLimitExceeded("deadline", finish(ABORTED))
-                bnd = None
-                if len(cands) >= room:
-                    # Labels are left folds from s, but an A* key adds the potential, a
-                    # right fold from t, and the sum can round above every completion's
-                    # own fold; ``astar_bound`` keeps it from pruning a candidate below the cap.
-                    bnd = astar_bound(cands[-1][0])
-                spur, pops = shortest_path(
-                    g, nodes[j], t, mask=mask, potential=potential, bound=bnd, start=root_cost
-                )
-                stats.add_query(pops, spur is not None, bnd is not None)
+                cap = cands[-1][0] if len(cands) >= room else None
+                spur, pops = shortest_path(g, nodes[j], t, mask=mask, potential=potential, cap=cap, start=root_cost)
+                stats.add_query(pops, spur is not None, cap is not None)
                 if spur is None:
                     continue
                 cand_arcs = arcs[:j] + spur.arcs

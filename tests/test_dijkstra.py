@@ -1,4 +1,4 @@
-"""Scalar shortest path search: masks, bounds, A* potentials and pruning."""
+"""Scalar shortest path search: masks, caps, A* potentials and pruning."""
 from __future__ import annotations
 
 from math import inf
@@ -56,12 +56,15 @@ def test_masked_endpoints_fail_fast(five_node_graph):
     assert shortest_path(five_node_graph, 0, 4, mask=m) == (None, 0)
 
 
-def test_bound_is_exclusive(five_node_graph):
-    path, _ = shortest_path(five_node_graph, 0, 4, bound=2.0)
-    assert path is None
-    path, _ = shortest_path(five_node_graph, 0, 4, bound=2.0000001)
+@pytest.mark.parametrize("guided", [False, True])
+def test_cap_keeps_a_path_at_the_cap_and_cuts_one_above(five_node_graph, guided):
+    potential = reverse_distances(five_node_graph, 4) if guided else None
+    path, _ = shortest_path(five_node_graph, 0, 4, potential=potential, cap=2.0)
     assert path is not None
+    assert path.arcs == (1, 5)
     assert path.cost == 2.0
+    path, _ = shortest_path(five_node_graph, 0, 4, potential=potential, cap=1.99)
+    assert path is None
 
 
 def test_reverse_distances_match_forward_searches(digraph_factory):
@@ -112,14 +115,6 @@ def test_unreachable_source_potential_short_circuits():
     rev2 = reverse_distances(g2, 2)
     assert rev2[0] == inf
     assert shortest_path(g2, 0, 2, potential=rev2) == (None, 0)
-
-
-def test_bound_combines_with_potential(five_node_graph):
-    rev = reverse_distances(five_node_graph, 4)
-    path, _ = shortest_path(five_node_graph, 0, 4, potential=rev, bound=2.0)
-    assert path is None
-    path, _ = shortest_path(five_node_graph, 0, 4, potential=rev, bound=2.5)
-    assert path.cost == 2.0
 
 
 def test_pruned_first_path_equals_the_plain_one():

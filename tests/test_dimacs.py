@@ -139,6 +139,7 @@ def test_negative_zero_cost_loads_and_solves_as_zero(tmp_path, capsys):
 def test_format_cost():
     assert format_cost(3.0) == "3"
     assert format_cost(0.0) == "0"
+    assert format_cost(-0.0) == "-0"
     assert format_cost(0.25) == "0.25"
     assert format_cost(8.833108082136427) == "8.833108082136427"
 
@@ -153,11 +154,13 @@ def test_integer_file_round_trips_byte_identical():
 
 
 def test_real_costs_round_trip_exactly():
-    g = Graph(3, [(0, 1, 0.1), (1, 2, 8.833108082136427), (0, 2, 7.0)])
+    g = Graph(3, [(0, 1, 0.1), (1, 2, 8.833108082136427), (0, 2, 7.0), (1, 0, -0.0)])
     buf = io.StringIO()
     dump_dimacs(g, buf)
     h = load_dimacs(buf.getvalue())
     assert list(h.arcs()) == list(g.arcs())
+    # -0.0 == 0.0, so the sign is compared by the bits
+    assert [w.hex() for _, _, w in h.arcs()] == [w.hex() for _, _, w in g.arcs()]
 
 
 def test_dump_to_stream_matches_dumps():

@@ -1,7 +1,9 @@
 """Reference solvers: frozen example runs and cross-checks."""
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import Decimal
+from math import ldexp
 
 import pytest
 
@@ -156,6 +158,24 @@ def test_yen_modes_agree_on_a_grid():
     assert [p.arcs for p in fast.paths] == [p.arcs for p in plain.paths]
     assert fast.stats.labels_extracted < plain.stats.labels_extracted
     assert fast.stats.capped_queries > 0
+
+
+def test_accelerated_yen_cuts_the_same_searches_at_every_power_of_two_scale():
+    # the spur cap's slack is relative, so scaling every cost by 2**e scales
+    # every label, key and cap alike and leaves each cut where it was
+    base = gen_grid(20, 20, seed=3)
+    reports = {}
+    for e in (-60, 0, 60):
+        g = Graph(base.node_count, [(u, v, ldexp(w, e)) for u, v, w in base.arcs()])
+        reports[e] = yen_k_shortest(g, 0, 399, 50, accelerated=True)
+    unscaled = reports[0]
+    assert unscaled.status == COMPLETE
+    assert unscaled.stats.capped_queries > 0
+    for e, report in reports.items():
+        assert report.status == COMPLETE
+        assert report.costs == [ldexp(c, e) for c in unscaled.costs]
+        assert [p.arcs for p in report.paths] == [p.arcs for p in unscaled.paths]
+        assert replace(report.stats, wall_time_s=0.0) == replace(unscaled.stats, wall_time_s=0.0)
 
 
 def test_enumeration_five_node(five_node_graph):
