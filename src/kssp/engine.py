@@ -4,12 +4,13 @@ The first path comes from a scalar shortest-path search. Every further
 path is the cheapest deviation from an already accepted path, found by
 the biobjective search in :mod:`kssp.biobjective`. Accepted paths and
 pending candidates form a tree, and each is stored as a node of it, a
-:class:`PathRecord`: its parent, the node where it leaves the parent
-(deviation node, at some position along the path), the first node of
-its own new suffix (source node) and that suffix, which starts with the
-deviation arc. Each path is its parent's path up to the deviation node
-followed by its suffix, as Eppstein stores each path as its parent plus
-one sidetrack, so each arc is stored once, in the record that first
+:class:`PathRecord`: its parent, the position where it leaves the
+parent's path and its own new suffix, which starts with the deviation
+arc. That arc runs from the deviation node to the source node, the
+first node the record's queries search from; the graph gives both, so
+neither is stored. Each path is its parent's path up to the deviation
+node followed by its suffix, as Eppstein stores each path as its parent
+plus one sidetrack, so each arc is stored once, in the record that first
 took it, and a whole path is built only when it is read.
 
 Every query is of one kind, Roditty's second-shortest-path question
@@ -22,7 +23,8 @@ from the candidate queue the driver asks it of two records: the
 extracted path, which has no children yet, and its parent. A query is
 built straight from the record's fields, which meet by construction
 what :func:`kssp.biobjective.build_query` checks; ``validate`` re-checks
-each query with it, and the finished report too.
+each query with it, checks that no answer repeats a deviation arc or a
+candidate, and checks the finished report.
 
 Generated deviation arcs are recorded per parent (``blocked``), which
 keeps all candidates structurally distinct. With n paths accepted, the
@@ -154,7 +156,8 @@ class SolveOptions:
     ``guided`` gives every query a reverse sweep as its potential,
     settled on demand (same results, far fewer iterations);
     ``label_budget`` caps the total labels extracted across all queries;
-    ``validate`` checks the finished report against the contract.
+    ``validate`` checks each query, each candidate and the finished
+    report against the contract and raises AssertionError at a breach.
     """
 
     guided: bool = True
@@ -167,25 +170,24 @@ class SolveOptions:
 class PathRecord:
     """An accepted or queued path as a node of the deviation tree.
 
-    The path is the ``parent`` record's path up to the deviation node
-    ``dev_node``, at arc index ``dev_pos``, followed by ``suffix``, which
-    runs from the deviation arc to t. The root record has no parent,
-    ``dev_pos`` 0, s as its deviation and source node, and its whole path
-    as ``suffix``. ``parent_index`` is the parent's place in the report.
-    ``source_node`` is the head of the deviation arc, at arc index
-    ``source_pos``, which is ``dev_pos + 1`` everywhere except the root
-    record where both are 0. ``cost`` is the left-to-right cost fold of
-    the path and ``prefix_cost`` that fold of its first ``source_pos``
-    arcs, the root label cost of the record's queries. ``blocked``
-    collects the deviation arcs of its children.
+    The path is the ``parent`` record's path up to arc index ``dev_pos``
+    followed by ``suffix``, which runs from the deviation arc to t. The
+    deviation node is that arc's tail and the source node its head, at
+    arc index ``source_pos``, which is ``dev_pos + 1``; a record keeps
+    neither node, which ``g.arc_tail`` and ``g.arc_head`` of
+    ``suffix[0]`` give. The root record has no parent, ``dev_pos`` and
+    ``source_pos`` 0, s as its deviation and source node, and its whole
+    path as ``suffix``. ``parent_index`` is the parent's place in the
+    report. ``cost`` is the left-to-right cost fold of the path and
+    ``prefix_cost`` that fold of its first ``source_pos`` arcs, the root
+    label cost of the record's queries. ``blocked`` collects the
+    deviation arcs of its children.
     """
 
     # parent_index stands for the parent in repr and ==, which would otherwise walk the chain
     parent: PathRecord | None = field(repr=False, compare=False)
     parent_index: int | None
-    dev_node: int
     dev_pos: int
-    source_node: int
     suffix: tuple[int, ...]
     cost: float
     prefix_cost: float
@@ -413,7 +415,8 @@ def k_shortest_paths(
             node_stamp[arc_tail[a]] = epoch
         for a in origin.blocked:
             mask.delete_arc(a)
-        query = make_query(ws, origin.source_node, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
+        source = g.arc_head[origin.suffix[0]] if sp else s
+        query = make_query(ws, source, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
         budget = None if label_budget is None else label_budget - stats.labels_extracted
         try:
             dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
@@ -423,16 +426,12 @@ def k_shortest_paths(
         if dev is None:
             return
         dev_arc = dev.suffix[0]
-        if dev_arc in origin.blocked:
-            raise RuntimeError("deviation arc regenerated for the same parent")
-        dev_pos = sp + dev.ref_index
-        rec = PathRecord(
-            origin, origin_index, arc_tail[dev_arc], dev_pos, g.arc_head[dev_arc],
-            dev.suffix, dev.cost, dev.source_cost,
-        )
+        rec = PathRecord(origin, origin_index, sp + dev.ref_index, dev.suffix, dev.cost, dev.source_cost)
         if seen_candidates is not None:
+            if dev_arc in origin.blocked:
+                raise AssertionError("deviation arc regenerated for the same parent")
             if (arcs := rec.path.arcs) in seen_candidates:
-                raise RuntimeError("duplicate candidate generated")
+                raise AssertionError("duplicate candidate generated")
             seen_candidates.add(arcs)
         origin.blocked.append(dev_arc)
         insort(cands, (dev.cost, counter, rec))
@@ -455,7 +454,7 @@ def k_shortest_paths(
         p1, _ = shortest_path(g, s, t, prune=sweep.dist if sweep is not None else None)
         if p1 is None:
             return finish(EXHAUSTED)
-        records.append(PathRecord(None, None, s, 0, s, p1.arcs, p1.cost, ZERO))
+        records.append(PathRecord(None, None, 0, p1.arcs, p1.cost, ZERO))
         if k == 1:
             return finish(COMPLETE)
         if ws is None:
@@ -546,11 +545,6 @@ def _validate_report(g: Graph, s: int, t: int, report: SolveReport) -> None:
         if last_cost is not None and rec.cost < last_cost:
             raise AssertionError(f"path {idx} breaks cost order")
         last_cost = rec.cost
-        # the root deviates nowhere: its deviation and source node are s
-        ends = (s, s) if parent is None else (g.arc_tail[rec.suffix[0]], g.arc_head[rec.suffix[0]])
-        if (rec.dev_node, rec.source_node) != ends:
-            raise AssertionError(f"path {idx} names deviation and source nodes {rec.dev_node} and "
-                                 f"{rec.source_node}, not {ends[0]} and {ends[1]}")
         if parent is not None and rec.suffix[0] not in parent.blocked:
             raise AssertionError(f"path {idx}'s deviation arc is not blocked in record {rec.parent_index}")
         prefix_fold = path_cost(g, path.arcs[: rec.source_pos])

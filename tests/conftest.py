@@ -19,6 +19,7 @@ from typing import NamedTuple
 import pytest
 
 from kssp import biobjective
+from kssp.engine import k_shortest_paths
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
 from kssp.rng import SplitMix64
@@ -238,6 +239,25 @@ def observe_search(query, cost_cap=None, **limits):
     return result, trace
 
 
+@pytest.fixture
+def repeated_answers(monkeypatch) -> None:
+    """Make every later search of a record's ask return the record's first answer.
+
+    A record asked again after its first deviation was queued then gets
+    that deviation back, whose arc the record has already blocked: the
+    fault the engine's own checks look for under ``validate``.
+    """
+    first: dict[tuple, tuple] = {}
+
+    def repeat(query, *args, **kwargs):
+        key = (query.source, query.ref_arcs, query.prefix_cost)
+        if key not in first:
+            first[key] = biobjective.find_best_deviation(query, *args, **kwargs)
+        return first[key]
+
+    monkeypatch.setattr("kssp.engine.find_best_deviation", repeat)
+
+
 def make_digraph(seed: int, min_nodes: int = 4, max_nodes: int = 10, density: float = 0.3) -> Graph:
     """Seeded random digraph with integer costs 0..9.
 
@@ -278,53 +298,49 @@ def digraph_factory():
     return make_digraph
 
 
-def report_digest(report) -> str:
+def tree_place(g: Graph, r) -> tuple:
+    """A record's place in the deviation tree: parent, deviation node and index, source node and index.
+
+    The two nodes are the tail and head of the record's deviation arc,
+    ``suffix[0]``; the root deviates nowhere, so both of its are s.
+    """
+    arc = r.suffix[0]
+    dev_node = g.arc_tail[arc]
+    source_node = dev_node if r.parent is None else g.arc_head[arc]
+    return r.parent_index, dev_node, r.dev_pos, source_node, r.source_pos
+
+
+def report_digest(g: Graph, report) -> str:
     """sha256 over every record, the status and the stats up to ``wall_time_s``.
 
     Costs enter as float hex, so two reports share a digest only when
     they are bit-identical, down to tie order and the deviation tree.
     """
     rows = [
-        (
-            r.path.arcs,
-            r.path.cost.hex(),
-            r.prefix_cost.hex(),
-            r.parent_index,
-            r.dev_node,
-            r.dev_pos,
-            r.source_node,
-            r.source_pos,
-            tuple(r.blocked),
-        )
+        (r.path.arcs, r.path.cost.hex(), r.prefix_cost.hex(), *tree_place(g, r), tuple(r.blocked))
         for r in report.records
     ]
     return _digest(rows, report)
 
 
-def cost_free_digest(report) -> str:
+def solve_digest(g: Graph, s: int, t: int, k: int, options=None) -> str:
+    """:func:`report_digest` of ``k_shortest_paths(g, s, t, k, options)``."""
+    return report_digest(g, k_shortest_paths(g, s, t, k, options))
+
+
+def cost_free_digest(g: Graph, report) -> str:
     """sha256 like :func:`report_digest` over everything but ``cost`` and ``prefix_cost``.
 
     Exact arithmetic may change the bits of a cost but not which paths
     are found or how the search gets there, so this digest must stay
     equal across such a change while the cost-hashing ones move.
     """
-    rows = [
-        (
-            r.path.arcs,
-            r.parent_index,
-            r.dev_node,
-            r.dev_pos,
-            r.source_node,
-            r.source_pos,
-            tuple(r.blocked),
-        )
-        for r in report.records
-    ]
+    rows = [(r.path.arcs, *tree_place(g, r), tuple(r.blocked)) for r in report.records]
     return _digest(rows, report)
 
 
-def records_digest(reports) -> str:
-    """sha256 over the records and status of every report, without ``blocked`` or stats.
+def records_digest(solved) -> str:
+    """sha256 over the records and status of each ``(graph, report)`` pair, without ``blocked`` or stats.
 
     A prune rule that skips more work may change the counters and which
     deviation arcs a record has blocked, but never a path, its cost or
@@ -332,22 +348,10 @@ def records_digest(reports) -> str:
     """
     rows = [
         (
-            [
-                (
-                    r.path.arcs,
-                    r.path.cost.hex(),
-                    r.prefix_cost.hex(),
-                    r.parent_index,
-                    r.dev_node,
-                    r.dev_pos,
-                    r.source_node,
-                    r.source_pos,
-                )
-                for r in report.records
-            ],
+            [(r.path.arcs, r.path.cost.hex(), r.prefix_cost.hex(), *tree_place(g, r)) for r in report.records],
             report.status,
         )
-        for report in reports
+        for g, report in solved
     ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 

@@ -245,6 +245,11 @@ def test_solve_failed_validation_exit_code(capsys, monkeypatch):
     assert out == MINI_LINES
 
 
+def test_solve_failed_engine_check_exit_code(capsys, repeated_answers):
+    code, out, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "6", "--validate")
+    assert (code, out, err) == (4, [], "validation failed: deviation arc regenerated for the same parent\n")
+
+
 @pytest.mark.parametrize("algo", ["yen", "yen-accelerated", "brute"])
 @pytest.mark.parametrize(
     "extra",

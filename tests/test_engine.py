@@ -36,7 +36,7 @@ from kssp.oracles import enumerate_simple_paths, yen_k_shortest
 
 from conftest import (
     COST_FAMILIES, IntLike, cost_family, cost_free_digest, frozen_solves, make_digraph,
-    report_digest, road_solves,
+    report_digest, road_solves, solve_digest,
 )
 # the gate grids have one derivation, which perfbench/instances.py reads from that file
 from test_acceptance import GRID_K, grid_instances
@@ -52,14 +52,14 @@ def test_five_node_example_is_frozen(five_node_graph, guided):
     r0, r1, r2, r3 = report.records
     assert (r0.parent_index, r0.dev_pos, r0.source_pos, r0.prefix_cost) == (None, 0, 0, 0.0)
     assert r0.blocked == [0, 2]
-    assert (r1.parent_index, r1.dev_node, r1.dev_pos) == (0, 0, 0)
-    assert (r1.source_node, r1.source_pos, r1.prefix_cost) == (1, 1, 2.0)
+    assert (r1.parent_index, r1.dev_pos, r1.source_pos, r1.prefix_cost) == (0, 0, 1, 2.0)
     assert r1.blocked == [3]
-    assert (r2.parent_index, r2.dev_node, r2.dev_pos) == (0, 0, 0)
-    assert (r2.source_node, r2.source_pos, r2.prefix_cost) == (3, 1, 3.0)
+    assert (r2.parent_index, r2.dev_pos, r2.source_pos, r2.prefix_cost) == (0, 0, 1, 3.0)
     assert r2.blocked == []
-    assert (r3.parent_index, r3.dev_node, r3.dev_pos) == (1, 1, 1)
-    assert (r3.source_node, r3.source_pos, r3.prefix_cost) == (2, 2, 4.0)
+    assert (r3.parent_index, r3.dev_pos, r3.source_pos, r3.prefix_cost) == (1, 1, 2, 4.0)
+    # each deviation arc runs from the deviation node to the source node
+    g = five_node_graph
+    assert [(g.arc_tail[r.suffix[0]], g.arc_head[r.suffix[0]]) for r in (r1, r2, r3)] == [(0, 1), (0, 3), (1, 2)]
 
     st = report.stats
     assert st.queries_attempted == 5
@@ -156,7 +156,7 @@ def test_solves_keep_their_frozen_records():
     changed counters or blocked lists, and ``records_digest`` again
     shows the records unchanged.
     """
-    digests = [report_digest(k_shortest_paths(g, s, t, k)) for g, s, t, k in frozen_solves()]
+    digests = [solve_digest(g, s, t, k) for g, s, t, k in frozen_solves()]
     assert len(digests) == 5 + 300 * 3 * 2
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == FROZEN_SOLVES_DIGEST
 
@@ -168,10 +168,10 @@ FROZEN_ROAD_COST_FREE_DIGEST = "22a7a535e92ba8d409fec3c24a569460551ea83610242608
 
 def test_road_scale_solves_keep_their_frozen_records():
     """Records, status and counters stay bit-identical where queries settle the sweep on demand."""
-    reports = [k_shortest_paths(g, s, t, k) for g, s, t, k in road_solves()]
+    solved = [(g, k_shortest_paths(g, s, t, k)) for g, s, t, k in road_solves()]
     frozen_digests = ((report_digest, FROZEN_ROAD_DIGEST), (cost_free_digest, FROZEN_ROAD_COST_FREE_DIGEST))
     for digest, frozen in frozen_digests:
-        joined = " ".join(digest(r) for r in reports)
+        joined = " ".join(digest(g, r) for g, r in solved)
         assert hashlib.sha256(joined.encode()).hexdigest() == frozen, digest.__name__
 
 
@@ -199,7 +199,7 @@ def test_label_budget_is_exact_under_a_lazily_settled_sweep(monkeypatch):
     assert sweep.horizon < float("inf")
     budget = full.stats.labels_extracted
     exact = k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget))
-    assert report_digest(exact) == report_digest(full)
+    assert report_digest(g, exact) == report_digest(g, full)
     with pytest.raises(SolveLimitExceeded):
         k_shortest_paths(g, s, t, k, SolveOptions(label_budget=budget - 1))
 
@@ -217,7 +217,7 @@ def test_costs_that_overflow_to_infinity_solve_as_unguided():
     guided = k_shortest_paths(g, 0, 2, 2, SolveOptions(validate=True))
     plain = k_shortest_paths(g, 0, 2, 2, SolveOptions(guided=False, validate=True))
     assert guided.costs == [0.0, inf]
-    assert report_digest(guided) == report_digest(plain)
+    assert report_digest(g, guided) == report_digest(g, plain)
     # a reverse sweep would never reach node 0, so it would see no path at all
     g = Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
     assert k_shortest_paths(g, 0, 2, 2).costs == [inf]
@@ -303,12 +303,12 @@ def test_a_timeout_that_is_not_a_real_number_is_rejected_before_any_search(
 def test_int_like_limits_and_endpoints_solve_as_their_ints(five_node_graph):
     g = five_node_graph
     got = k_shortest_paths(g, IntLike(0), IntLike(4), IntLike(3))
-    assert report_digest(got) == report_digest(k_shortest_paths(g, 0, 4, 3))
+    assert report_digest(g, got) == solve_digest(g, 0, 4, 3)
     reports = []
     for budget in (IntLike(5), 5):
         with pytest.raises(SolveLimitExceeded) as exc:
             k_shortest_paths(g, 0, 4, 4, SolveOptions(label_budget=budget))
-        reports.append(report_digest(exc.value.report))
+        reports.append(report_digest(g, exc.value.report))
     assert reports[0] == reports[1]
 
 
@@ -332,7 +332,7 @@ def test_a_label_budget_may_be_a_bool(five_node_graph):
         with pytest.raises(SolveLimitExceeded) as exc:
             k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(label_budget=budget))
         assert exc.value.kind == "iterations"
-        reports.append(report_digest(exc.value.report))
+        reports.append(report_digest(five_node_graph, exc.value.report))
     assert reports[0] == reports[1]
 
 
@@ -360,12 +360,12 @@ def test_a_timeout_beyond_the_float_range_never_strikes(five_node_graph, timeout
         assert k_shortest_paths(five_node_graph, 0, 4, 4, options).costs == [2.0, 3.0, 4.0, 5.0]
 
 
-def solve_digest(g: Graph, s: int, t: int, k: int, options: SolveOptions) -> tuple:
+def limited_solve_digest(g: Graph, s: int, t: int, k: int, options: SolveOptions) -> tuple:
     """``report_digest`` of a solve, with the kind of limit that aborted it, if one did."""
     try:
-        return None, report_digest(k_shortest_paths(g, s, t, k, options))
+        return None, solve_digest(g, s, t, k, options)
     except SolveLimitExceeded as exc:
-        return exc.kind, report_digest(exc.report)
+        return exc.kind, report_digest(g, exc.report)
 
 
 def test_solves_on_kept_scratch_match_solves_on_a_fresh_graph():
@@ -382,8 +382,8 @@ def test_solves_on_kept_scratch_match_solves_on_a_fresh_graph():
     kinds = []
     kept = []
     for s, t, k, options in solves:
-        fresh = solve_digest(gen_grid(30, 30, seed=7), s, t, k, options)
-        assert solve_digest(g, s, t, k, options) == fresh, (s, t, k, options)
+        fresh = limited_solve_digest(gen_grid(30, 30, seed=7), s, t, k, options)
+        assert limited_solve_digest(g, s, t, k, options) == fresh, (s, t, k, options)
         kinds.append(fresh[0])
         kept.append(g._scratch[0])
     assert kinds == [None, None, None, "iterations", "deadline", None, None]
@@ -395,7 +395,7 @@ def test_solves_on_kept_scratch_match_solves_on_a_fresh_graph():
 def test_concurrent_solves_on_one_graph_match_sequential_ones(monkeypatch):
     g = gen_grid(40, 40, seed=8)
     pairs = [(5, 1590, 60), (1560, 38, 60)]
-    sequential = [report_digest(k_shortest_paths(g, s, t, k)) for s, t, k in pairs]
+    sequential = [solve_digest(g, s, t, k) for s, t, k in pairs]
     # both solves meet at their first path, so each holds a pair of its own
     meet = threading.Barrier(2, timeout=60)
     first_path = kssp.engine.shortest_path
@@ -408,7 +408,7 @@ def test_concurrent_solves_on_one_graph_match_sequential_ones(monkeypatch):
     concurrent = [None, None]
 
     def solve(i: int) -> None:
-        concurrent[i] = report_digest(k_shortest_paths(g, *pairs[i]))
+        concurrent[i] = solve_digest(g, *pairs[i])
 
     threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -460,8 +460,8 @@ def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkey
     ((ws_held, sweep_held, blank, blanks),) = held
     assert ws is ws_held and sweep is sweep_held
     assert ws._blank is blank is not None and sweep._blanks is blanks is not None
-    fresh = report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
-    assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
+    fresh = solve_digest(gen_grid(30, 30, seed=7), 31, 868, 40)
+    assert solve_digest(g, 31, 868, 40) == fresh
 
 
 def _out_of_memory(*args, **kwargs):
@@ -497,8 +497,8 @@ def test_a_memory_error_before_the_first_ask_is_a_limit_with_no_path(monkeypatch
         assert g._scratch == []
     else:  # a pair that exists goes back to the pool
         assert len(g._scratch) == 1 and g._scratch[: len(kept)] == kept
-    fresh = report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
-    assert report_digest(k_shortest_paths(g, 31, 868, 40)) == fresh
+    fresh = solve_digest(gen_grid(30, 30, seed=7), 31, 868, 40)
+    assert solve_digest(g, 31, 868, 40) == fresh
 
 
 def test_a_pair_that_cannot_be_reset_is_dropped_and_the_solve_stands(monkeypatch):
@@ -506,9 +506,9 @@ def test_a_pair_that_cannot_be_reset_is_dropped_and_the_solve_stands(monkeypatch
     k_shortest_paths(g, 0, 899, 5)
     with monkeypatch.context() as m:
         m.setattr(kssp.engine.Workspace, "forget", _out_of_memory)
-        got = report_digest(k_shortest_paths(g, 31, 868, 40))
+        got = solve_digest(g, 31, 868, 40)
     assert g._scratch == []
-    assert got == report_digest(k_shortest_paths(gen_grid(30, 30, seed=7), 31, 868, 40))
+    assert got == solve_digest(gen_grid(30, 30, seed=7), 31, 868, 40)
 
 
 def test_a_memory_error_making_an_unguided_workspace_reports_the_first_path(monkeypatch):
@@ -562,7 +562,7 @@ def test_a_copy_keeps_a_pool_of_its_own():
         assert twin._scratch == []
         assert list(twin.arcs()) == list(g.arcs())
         assert (twin.out_arcs, twin.in_arcs) == (g.out_arcs, g.in_arcs)
-        assert report_digest(k_shortest_paths(twin, 0, 99, 5)) == report_digest(k_shortest_paths(g, 0, 99, 5))
+        assert solve_digest(twin, 0, 99, 5) == solve_digest(g, 0, 99, 5)
     assert len(g._scratch) == 1
 
 
@@ -653,9 +653,11 @@ def test_a_record_deeper_than_the_recursion_limit_builds_its_path():
     # record j deviates from record j - 1 at arc index j, each with its own
     # copy of the rest of arcs 0 .. n-1, so every record's path is all of them
     n = sys.getrecursionlimit() + 100
-    rec = PathRecord(None, None, 0, 0, 0, tuple(range(n)), 1.0, 0.0)
+    rec = PathRecord(parent=None, parent_index=None, dev_pos=0, suffix=tuple(range(n)), cost=1.0, prefix_cost=0.0)
     for j in range(1, n):
-        rec = PathRecord(rec, j - 1, j, j, j + 1, tuple(range(j, n)), 1.0, 0.0)
+        rec = PathRecord(
+            parent=rec, parent_index=j - 1, dev_pos=j, suffix=tuple(range(j, n)), cost=1.0, prefix_cost=0.0
+        )
     assert rec.path == Path(tuple(range(n)), 1.0)
     assert list(rec.segments(rec.source_pos)) == [(n - 1,)] + [(j,) for j in range(n - 2, -1, -1)]
     # neither repr nor == walks the chain
@@ -694,8 +696,14 @@ def test_build_query_checks_each_query_only_under_validate(monkeypatch, guided):
     assert calls == {"build_query": searches, "find_best_deviation": 2 * searches}
 
 
+@pytest.mark.parametrize("guided", [True, False])
+def test_a_regenerated_deviation_arc_fails_validation(five_node_graph, repeated_answers, guided):
+    with pytest.raises(AssertionError, match="^deviation arc regenerated for the same parent$"):
+        k_shortest_paths(five_node_graph, 0, 4, 4, SolveOptions(guided=guided, validate=True))
+
+
 def test_validate_changes_no_record_and_no_counter(monkeypatch):
-    """``validate`` only re-checks: every query's reference and the finished report.
+    """``validate`` only re-checks: every query's reference, each answer and the finished report.
 
     Gate grids 0-2 at GRID_K, 20 road pairs and ``frozen_solves()``,
     guided, and the latter's seeded digraphs of every cost family
@@ -726,7 +734,7 @@ def test_validate_changes_no_record_and_no_counter(monkeypatch):
     for i, (g, s, t, k, guided) in enumerate(solves):
         plain = k_shortest_paths(g, s, t, k, SolveOptions(guided=guided))
         checked = k_shortest_paths(g, s, t, k, SolveOptions(guided=guided, validate=True))
-        assert report_digest(checked) == report_digest(plain), (i, guided)
+        assert report_digest(g, checked) == report_digest(g, plain), (i, guided)
         if breaches:
             assert "breaks cost order" in breaches.pop() and plain.costs != sorted(plain.costs), (i, guided)
             misranked += 1
@@ -778,12 +786,15 @@ def test_validate_report_rejects_a_walk_that_repeats_a_node():
         (1, {"parent_index": 1}, "path 1 has a later parent"),
         # path 3 is (0, 3, 5), the child of path 1 = (0, 4) at arc index 1
         (3, {"dev_pos": 0}, "path 3 deviates inside its parent's prefix"),
-        (3, {"dev_node": 0}, "path 3 names deviation and source nodes 0 and 2, not 1 and 2"),
+        # a dev_pos past the deviation arc's tail, the deviation node, breaks the walk
+        (3, {"dev_pos": 2}, "path 3 is not a walk"),
         # path 0 is (1, 5) over nodes 0, 2 and 4; arc 6 leaves node 3
         (0, {"blocked": [0, 0]}, "record 0 has duplicate blocked arcs"),
         (0, {"blocked": [6]}, "record 0 blocks an arc off the path"),
-        (3, {"source_node": 4}, "path 3 names deviation and source nodes 1 and 4, not 1 and 2"),
-        (0, {"dev_node": 2}, "path 0 names deviation and source nodes 2 and 0, not 0 and 0"),
+        # a suffix that goes on along the parent's path deviates nowhere: arc 4 is path 1's
+        (3, {"suffix": (4,), "cost": 3.0}, "path 3 duplicates an earlier path"),
+        # path 2 = (2, 6) leaves path 0 at s; a suffix from node 3 does not
+        (2, {"suffix": (6,)}, "path 2 does not run from 0 to 4"),
         # path 3 pays 2.0 for arc 0 and 2.0 for arc 3 before its source, node 2
         (3, {"prefix_cost": 3.0}, r"path 3 has prefix cost 3\.0, its first 2 arcs fold to 4\.0"),
         (0, {"dev_pos": 1}, "path 0 is a root that deviates at arc 1"),
