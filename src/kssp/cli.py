@@ -2,9 +2,10 @@
 
 Subcommands: ``gen`` writes seeded grid instances as DIMACS files,
 ``solve`` reads one DIMACS file and prints the k cheapest simple paths
-of it with any solver, then a status line: query counts, mean labels
-per found and per failed query, wall time. Node ids on the command line
-and in path output are 0-based (DIMACS file ids minus one).
+of it with any solver, then a status line: query counts, tree answers,
+mean labels per searched found and per failed query, wall time. Node
+ids on the command line and in path output are 0-based (DIMACS file ids
+minus one).
 
 Exit codes of ``solve``: 0 all k paths found, 1 aborted by a limit
 (a deadline, the label budget, or memory running out, with the paths
@@ -183,8 +184,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     _note(
         f"{count} of {k} paths, status {report.status}, "
-        f"{st.queries_attempted} queries ({st.queries_failed} failed), "
-        f"mean labels {found} per found query, {failed} per failed, "
+        f"{st.queries_attempted} queries ({st.queries_failed} failed, {st.tree_answers} answered from the tree), "
+        f"mean labels {found} per searched found query, {failed} per failed, "
         f"{st.wall_time_s:.6f}s"
     )
     return 0 if report.status == COMPLETE else 3

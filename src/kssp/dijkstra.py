@@ -12,6 +12,8 @@ from math import inf
 
 from .graph import ZERO, Graph, Mask, Path, prune_limit
 
+OPTIONS_KEPT = 1024  # nodes whose options ReverseSweep.options_of keeps at once
+
 
 def shortest_path(
     g: Graph,
@@ -170,7 +172,8 @@ class ReverseSweep:
     therefore lead to the target along a shortest path whose right fold
     is ``dist``. ``sidetrack`` memoizes :meth:`sidetrack_of` per node for
     the biobjective search, -1.0 until computed (see
-    :func:`kssp.biobjective.find_best_deviation`).
+    :func:`kssp.biobjective.find_best_deviation`), and ``options`` memoizes
+    :meth:`options_of` for the engine's tree answers.
 
     Why settled values are exact: stopping early only truncates the pop
     sequence of the sweep run to completion, and a node's distance is
@@ -195,13 +198,16 @@ class ReverseSweep:
     graph instead of allocating four node-sized lists per solve.
     """
 
-    __slots__ = ("graph", "target", "dist", "horizon", "tree", "sidetrack", "_tentative", "_heap", "_blanks")
+    __slots__ = (
+        "graph", "target", "dist", "horizon", "tree", "sidetrack", "options", "_tentative", "_heap", "_blanks"
+    )
 
     def __init__(self, g: Graph, target: int) -> None:
         self.graph = g
         self.dist = [inf] * g.node_count
         self.tree = [-1] * g.node_count
         self.sidetrack = [-1.0] * g.node_count
+        self.options: dict[int, tuple[float, int, float, int, float]] = {}
         self._tentative = [inf] * g.node_count
         self._blanks: tuple[tuple, tuple, tuple] | None = None
         self._aim(target)
@@ -228,6 +234,7 @@ class ReverseSweep:
         self._tentative[:] = unreached
         self.tree[:] = no_arc
         self.sidetrack[:] = unknown
+        self.options.clear()
         self._aim(target)
 
     def settle(self, key: float, node: int | None = None) -> None:
@@ -287,6 +294,59 @@ class ReverseSweep:
         if not blocked:
             self.sidetrack[v] = side
         return side
+
+    def options_of(self, v: int) -> tuple[float, int, float, int, float]:
+        """Compute, memoize in ``options`` and return the least three options out of settled node v.
+
+        An option is one of v's out-arcs b other than ``tree[v]``, valued
+        at ``arc_cost[b] + dist[head]``, with the horizon standing in for
+        an unsettled head, as in :meth:`sidetrack_of`. A bounce, an option
+        whose head's tree arc leads straight back to v, is valued at
+        ``arc_cost[b] + sidetrack[head]`` instead: a simple path from v
+        over b cannot go back to v, so it leaves the head over another
+        arc. Either way the value is a lower bound on the exact cost of
+        every simple path from v to the target that starts with b, up to
+        the roundings of its sums, and stays one as the sweep goes on.
+
+        The result is ``(v1, b1, v2, b2, v3)``: the least value and its
+        arc, the next and its arc, and the third value, taken in out-arc
+        order among equal values, with infinity and arc -1 where v has
+        fewer options. The memo is cleared when it holds
+        ``OPTIONS_KEPT`` nodes, so it never grows past that, and at each
+        :meth:`restart`. :func:`kssp.engine.tree_answer` reads it.
+        """
+        g = self.graph
+        arc_head = g.arc_head
+        arc_cost = g.arc_cost
+        dist = self.dist
+        tree = self.tree
+        horizon = self.horizon
+        a = tree[v]
+        v1 = v2 = v3 = inf
+        b1 = b2 = -1
+        for b in g.out_arcs[v]:
+            if b != a:
+                w = arc_head[b]
+                d = dist[w]
+                if d == inf:
+                    d = horizon
+                elif (back := tree[w]) >= 0 and arc_head[back] == v:
+                    # a simple path through b cannot take w's tree arc back to v
+                    d = self.sidetrack[w]
+                    if d < 0:
+                        d = self.sidetrack_of(w)
+                d += arc_cost[b]
+                if d < v1:
+                    v1, b1, v2, b2, v3 = d, b, v1, b1, v2
+                elif d < v2:
+                    v2, b2, v3 = d, b, v2
+                elif d < v3:
+                    v3 = d
+        memo = self.options
+        if len(memo) >= OPTIONS_KEPT:
+            memo.clear()
+        memo[v] = entry = (v1, b1, v2, b2, v3)
+        return entry
 
     def deviation_bound(
         self, arcs: Sequence[int], start: float, blocked: Sequence[int] = (), stop: float = -inf

@@ -32,11 +32,13 @@ queue keeps only its k - n cheapest candidates, as Yen's does. A
 dropped candidate has k - n candidates ahead of it, cheaper or equal
 and pushed earlier; that threshold never rises, and no path of the
 dropped candidate's subtree costs less, so none of them could be
-output. Three prune rules cut work without changing the returned
+output. Four prune rules cut work without changing the returned
 paths:
 
 - a query aborts once it provably cannot beat the last queued
   candidate while the queue holds k - n of them (cost cap);
+- a guided query the sweep's tree answers is not searched (see Tree
+  answers below);
 - a guided ask is not searched when it is made: it stays pending
   behind its bound, the least sidetrack along its reference with the
   record's blocked arcs left out
@@ -102,6 +104,60 @@ switches the queries to plain lexicographic order. Unguided solves, k=1
 and graphs failing ``Graph.folds_in_range`` build no sweep and keep the
 plain first-path search, so no guided cap is infinite.
 
+Tree answers. Almost every answer has one shape: the reference up to a
+node x_j, one sidetrack (x_j, w), then w's path in the sweep's tree. So
+a guided query is first given to :func:`tree_answer`, which reads that
+path off the tree and proves it the search's answer, and only a query
+it cannot prove is searched. Let the reference x_0 .. x_m = t follow
+``sweep.tree``, and let c_j be the left fold of the prefix cost and the
+reference arcs up to x_j, the cost a search label at x_j carries. An
+option at x_j is an out-arc b of x_j other than its tree arc, a blocked
+arc, or an arc into a masked node or into x_0 .. x_j, the U-turn to
+x_{j-1} among them; it is priced at c_j plus its value from
+:meth:`kssp.dijkstra.ReverseSweep.options_of`, a lower bound on every
+simple path from x_j that starts with b. That memo keeps the least two
+values of each node with their arcs and the third value, so the least
+usable option at x_j and a lower bound on the next one take no scan of
+its arcs; a node whose option cannot lower the least two priced so far
+is not even looked at. The candidate P* leaves at the x_j* of the least
+priced option b* = (x_j*, w) and goes on along w's tree path, which must
+avoid the masked nodes, x_0 .. x_j* and the blocked arcs, so P* is a
+simple deviation. D* is its left fold, bit for bit the cost of the
+search label that would reach t along it. P* is accepted only if
+``prune_limit(g, D*)`` is below the cost cap and each of these exceeds
+L = ``prune_limit(g, prune_limit(g, D*))``: the priced options at every
+other x_j, the next option at x_j*, and c_y + ``sidetrack[y]`` at each
+node y of w's tree path before t, with c_y the fold of P* up to y.
+
+Why an accepted P* is the search's answer. Take another simple
+deviation Q of cost D (a left fold too). It leaves the reference at some
+x_j over an arc b; as Q is simple and the query masks them, b is an
+option there. If (x_j, b) is not (x_j*, b*), D is at least the exact sum
+that option's price rounds; otherwise Q follows w's tree path up to some
+y and leaves it over another arc, and D is at least the exact sum that
+c_y + ``sidetrack[y]`` rounds. As ``deviation_bound`` argues, such a
+computed sum exceeds D by less than the slack of ``prune_limit(g, D)``
+(a bounce's price, see ``options_of``, rounds one sum more, which the
+slack covers as well); each exceeds L, and the limit is monotone, so
+D > ``prune_limit(g, D*)``. Every label of P*'s chain keys at its fold
+plus its node's distance, at most ``prune_limit(g, D*)`` by the argument
+of :func:`kssp.dijkstra.shortest_path`. The search extracts in the
+plain loop's order (see :func:`kssp.biobjective.find_best_deviation`),
+and until P*'s label at t is extracted a label of P*'s chain, or one at
+the same node with no more cost and overlap, waits in it; so every
+label extracted before keys at most ``prune_limit(g, D*)``, and costs
+no more, as potentials are nonnegative. None reaches the cap, and a
+label at t keys at its cost, so no deviation but P* reaches t first:
+the search returns P*, whose ``ref_index`` is j*, suffix b* and w's tree
+path, cost D*, overlap j* plus the reference arcs of that tree path
+(all of them after the node where it rejoins the reference) and source
+cost the fold up to w. A tree answer extracts no labels: the stats count
+it as a found query with none, in ``tree_answers``, so ``label_budget``
+counts only the labels of searches. Under ``validate`` the search
+answers each tree-answered query again, on a sweep of its own so that
+the solve's sweep stays as it is without the check, and must agree on
+every field. Unguided solves have no tree and search every query.
+
 A guided solve takes its workspace and sweep as a pair from a pool kept
 on the graph, and gives it back on every exit, aborted or failed ones
 included, so a graph asked many pairs allocates its node arrays once
@@ -135,7 +191,7 @@ from numbers import Real
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
-from .biobjective import DeviationQuery, SearchLimit, Workspace, build_query, find_best_deviation
+from .biobjective import Deviation, DeviationQuery, SearchLimit, Workspace, build_query, find_best_deviation
 # reverse_distances is not called here, but perfbench/spans.py looks this name
 # up on import; drop it once the benchmark traces ReverseSweep.settle instead
 from .dijkstra import ReverseSweep, reverse_distances, shortest_path
@@ -154,8 +210,10 @@ class SolveOptions:
     """Knobs for one solve.
 
     ``guided`` gives every query a reverse sweep as its potential,
-    settled on demand (same results, far fewer iterations);
-    ``label_budget`` caps the total labels extracted across all queries;
+    settled on demand (same results, far fewer iterations), and lets a
+    query be answered from the sweep's tree without a search;
+    ``label_budget`` caps the total labels the searches extract across
+    all queries, which tree answers leave alone, as they extract none;
     ``validate`` checks each query, each candidate and the finished
     report against the contract and raises AssertionError at a breach.
     """
@@ -220,6 +278,7 @@ class SolveStats:
     init_queries: int = 0
     queries_failed: int = 0
     capped_queries: int = 0  # includes asks dropped on their bound, with 0 labels
+    tree_answers: int = 0  # found queries answered from the sweep's tree, with 0 labels
     success_iterations: int = 0
     failed_iterations: int = 0
     labels_extracted: int = 0
@@ -243,7 +302,8 @@ class SolveStats:
 
     @property
     def mean_success_iterations(self) -> float | None:
-        n = self.queries_succeeded
+        """Mean labels per found query that was searched; a tree answer extracts none."""
+        n = self.queries_succeeded - self.tree_answers
         return self.success_iterations / n if n else None
 
     @property
@@ -332,6 +392,106 @@ def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float
     return None
 
 
+def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviation | None:
+    """The answer ``find_best_deviation(query, cost_cap)`` gives, read off the sweep's tree, or None.
+
+    None means that the candidate fails the certificate of the module
+    docstring, or that there is none: the reference leaves the tree, or
+    no usable option at the least priced node is one the memo names, or
+    the option's head is not settled. The query must be guided.
+    """
+    ref = query.ref_arcs
+    sweep = query.sweep
+    v = query.source
+    dist = sweep.dist
+    if not ref or dist[v] == inf:
+        return None
+    ws = query.workspace
+    g = ws.graph
+    arc_head = g.arc_head
+    arc_cost = g.arc_cost
+    mask = ws.mask
+    node_stamp = mask.node_stamp
+    arc_stamp = mask.arc_stamp
+    epoch = mask.epoch
+    tree = sweep.tree
+    memo = sweep.options
+    options_of = sweep.options_of
+    pos: dict[int, int] = {}  # reference node -> its index
+    c = query.prefix_cost
+    least = rest = next_least = inf
+    j_least = arc_least = -1
+    c_least = c
+    for j, a in enumerate(ref):
+        if a != tree[v]:
+            return None
+        pos[v] = j
+        options = memo.get(v) or options_of(v)
+        # no usable option is below the least, so only one below rest can count
+        if c + options[0] < rest:
+            v1, b1, v2, b2, v3 = options
+            # the least usable option and a lower bound on the next, from the memo's
+            # first arcs that are not blocked, into a masked node or back into the
+            # reference so far, as the U-turn to the node before is
+            if b1 >= 0 and arc_stamp[b1] != epoch and node_stamp[h := arc_head[b1]] != epoch and h not in pos:
+                side, arc = v1, b1
+                if b2 >= 0 and arc_stamp[b2] != epoch and node_stamp[h := arc_head[b2]] != epoch and h not in pos:
+                    after = v2
+                else:
+                    after = v3
+            elif b2 >= 0 and arc_stamp[b2] != epoch and node_stamp[h := arc_head[b2]] != epoch and h not in pos:
+                side, arc, after = v2, b2, v3
+            else:
+                side, arc, after = v3, -1, v3
+            side += c
+            if side < least:
+                if least < rest:
+                    rest = least
+                least, j_least, arc_least, c_least, next_least = side, j, arc, c, c + after
+            elif side < rest:
+                rest = side
+        c += arc_cost[a]
+        v = arc_head[a]
+    if arc_least < 0:
+        return None  # no usable option, or none the memo names
+    w = arc_head[arc_least]
+    if dist[w] == inf:
+        return None
+    # the candidate: the reference up to x_j*, its least sidetrack, then the tree path from its head
+    source_cost = c = c_least + arc_cost[arc_least]
+    suffix = [arc_least]
+    overlap = j_least
+    target = query.target
+    sidetrack = sweep.sidetrack
+    y = w
+    while y != target:
+        if node_stamp[y] == epoch:
+            return None
+        j = pos.get(y)
+        if j is not None:
+            if j <= j_least:
+                return None
+            overlap += 1  # the tree path from a later reference node is the reference
+        side = sidetrack[y]
+        if side < 0:
+            side = sweep.sidetrack_of(y)
+        side += c
+        if side < rest:
+            rest = side
+        a = tree[y]
+        if arc_stamp[a] == epoch:
+            return None
+        suffix.append(a)
+        c += arc_cost[a]
+        y = arc_head[a]
+    limit = prune_limit(g, c)
+    if cost_cap is not None and not limit < cost_cap:
+        return None
+    if min(rest, next_least) > prune_limit(g, limit):
+        return Deviation(j_least, tuple(suffix), c, overlap, source_cost)
+    return None
+
+
 def k_shortest_paths(
     g: Graph, s: int, t: int, k: int, options: SolveOptions | None = None
 ) -> SolveReport:
@@ -368,6 +528,7 @@ def k_shortest_paths(
     make_query = build_query if opts.validate else DeviationQuery  # see run
     ws: Workspace | None = None
     sweep: ReverseSweep | None = None  # the solve is guided iff it has one
+    check_sweep: ReverseSweep | None = None  # the tree answers' cross-check under validate
 
     def ask(origin_index: int) -> None:
         """Take the next push counter for record ``origin_index``'s query; defer it or drop it."""
@@ -385,6 +546,22 @@ def k_shortest_paths(
                 stats.add_query(0, False, True)  # nothing it could find would stay queued
                 return
         heappush(pending, (bound, push_counter, origin_index))
+
+    def check_tree_answer(query: DeviationQuery, cap: float | None, dev: Deviation) -> None:
+        """Raise AssertionError unless the search answers ``query`` with ``dev``.
+
+        The search runs on a sweep of its own, so the check leaves the
+        solve's sweep, and with it every later bound and tree answer, as
+        they are without ``validate``; no search's answer depends on how
+        far its sweep has settled.
+        """
+        nonlocal check_sweep
+        if check_sweep is None:
+            check_sweep = ReverseSweep(g, t)
+        query = DeviationQuery(ws, query.source, t, query.ref_arcs, query.prefix_cost, check_sweep)
+        searched, _ = find_best_deviation(query, cap)
+        if searched != dev:
+            raise AssertionError(f"tree answer {dev} differs from the search's {searched}")
 
     def run(counter: int, origin_index: int) -> None:
         """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``.
@@ -417,14 +594,21 @@ def k_shortest_paths(
             mask.delete_arc(a)
         source = g.arc_head[origin.suffix[0]] if sp else s
         query = make_query(ws, source, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
-        budget = None if label_budget is None else label_budget - stats.labels_extracted
-        try:
-            dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
-        except SearchLimit as exc:
-            raise limit(exc.kind) from exc
-        stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
-        if dev is None:
-            return
+        dev = None if sweep is None else tree_answer(query, cap)
+        if dev is not None:
+            stats.tree_answers += 1
+            stats.add_query(0, True)
+            if seen_candidates is not None:
+                check_tree_answer(query, cap, dev)
+        else:
+            budget = None if label_budget is None else label_budget - stats.labels_extracted
+            try:
+                dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
+            except SearchLimit as exc:
+                raise limit(exc.kind) from exc
+            stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
+            if dev is None:
+                return
         dev_arc = dev.suffix[0]
         rec = PathRecord(origin, origin_index, sp + dev.ref_index, dev.suffix, dev.cost, dev.source_cost)
         if seen_candidates is not None:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import pytest
 
-from kssp import biobjective
+from kssp import biobjective, engine
 from kssp.engine import k_shortest_paths
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
@@ -241,13 +241,26 @@ def observe_search(query, cost_cap=None, **limits):
 
 @pytest.fixture
 def repeated_answers(monkeypatch) -> None:
-    """Make every later search of a record's ask return the record's first answer.
+    """Make every later answer to a record's ask, from the tree or the search, the record's first.
 
     A record asked again after its first deviation was queued then gets
     that deviation back, whose arc the record has already blocked: the
-    fault the engine's own checks look for under ``validate``.
+    fault the engine's own checks look for under ``validate``. A first
+    answer from the tree is kept as the search would have returned it,
+    so that the cross-check of later tree answers under ``validate``
+    agrees with them.
     """
     first: dict[tuple, tuple] = {}
+    answer_from_tree = engine.tree_answer
+
+    def repeat_tree(query, *args):
+        key = (query.source, query.ref_arcs, query.prefix_cost)
+        if key not in first:
+            dev = answer_from_tree(query, *args)
+            if dev is None:
+                return None  # the search answers this ask first
+            first[key] = (dev, biobjective.QueryStats(0, "found"))
+        return first[key][0]
 
     def repeat(query, *args, **kwargs):
         key = (query.source, query.ref_arcs, query.prefix_cost)
@@ -255,6 +268,7 @@ def repeated_answers(monkeypatch) -> None:
             first[key] = biobjective.find_best_deviation(query, *args, **kwargs)
         return first[key]
 
+    monkeypatch.setattr("kssp.engine.tree_answer", repeat_tree)
     monkeypatch.setattr("kssp.engine.find_best_deviation", repeat)
 
 

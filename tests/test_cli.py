@@ -9,6 +9,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import kssp.engine
 from kssp.cli import main
 from kssp.dimacs import dump_dimacs, load_dimacs
 from kssp.engine import SolveLimitExceeded, SolveReport
@@ -41,8 +42,10 @@ def test_solve_graph_file(capsys):
     assert code == 0
     assert out == MINI_LINES
     assert "4 of 4 paths, status complete" in err
-    # the paper's per-query measures: 25 labels over 4 found queries, 6 in the failed one
-    assert "5 queries (1 failed), mean labels 6.25 per found query, 6.00 per failed, " in err
+    # the paper's per-query measures: one found query answered from the tree, 18 labels
+    # over the other 3, 6 in the failed one
+    assert "5 queries (1 failed, 1 answered from the tree), mean labels 6.00 per searched found query, " \
+        "6.00 per failed, " in err
 
 
 @pytest.mark.parametrize(
@@ -248,6 +251,19 @@ def test_solve_failed_validation_exit_code(capsys, monkeypatch):
 def test_solve_failed_engine_check_exit_code(capsys, repeated_answers):
     code, out, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "6", "--validate")
     assert (code, out, err) == (4, [], "validation failed: deviation arc regenerated for the same parent\n")
+
+
+def test_solve_tree_answer_mismatch_exit_code(capsys, monkeypatch):
+    answer_from_tree = kssp.engine.tree_answer
+
+    def costlier(query, cost_cap=None):
+        dev = answer_from_tree(query, cost_cap)
+        return None if dev is None else dev._replace(source_cost=dev.source_cost + 1.0)
+
+    monkeypatch.setattr(kssp.engine, "tree_answer", costlier)
+    code, out, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--validate")
+    assert (code, out) == (4, [])
+    assert err.startswith("validation failed: tree answer Deviation(") and "differs from the search's" in err
 
 
 @pytest.mark.parametrize("algo", ["yen", "yen-accelerated", "brute"])

@@ -264,6 +264,32 @@ def test_deviation_bound_leaves_blocked_arcs_out_and_may_stop_early(five_node_gr
     assert sweep.deviation_bound((1, 5), 0.0, [0], 3.0) == 4.0
 
 
+def test_options_keep_the_least_two_values_with_their_arcs_and_the_third(monkeypatch):
+    # parallel arcs from 0 to 1: the tree arc 0 and options valued 3, 2, 2 and 5
+    g = Graph(2, [(0, 1, 1.0), (0, 1, 3.0), (0, 1, 2.0), (0, 1, 2.0), (0, 1, 5.0)])
+    sweep = ReverseSweep(g, 1)
+    sweep.settle(inf)
+    assert sweep.options_of(0) == (2.0, 2, 2.0, 3, 3.0) == sweep.options[0]
+    assert sweep.options_of(1) == (inf, -1, inf, -1, inf)  # the target has no out-arc
+    # the memo never holds more than OPTIONS_KEPT nodes
+    monkeypatch.setattr("kssp.dijkstra.OPTIONS_KEPT", 1)
+    sweep.options_of(0)
+    assert list(sweep.options) == [0]
+
+
+def test_options_price_a_bounce_by_its_heads_sidetrack():
+    # arcs 0 -> 1, 1 -> 2, 1 -> 0, 0 -> 3, 3 -> 0 and 3 -> 2; node 3's tree path runs back through 0
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 1.0), (0, 3, 1.0), (3, 0, 0.5), (3, 2, 5.0)])
+    sweep = ReverseSweep(g, 2)
+    sweep.settle(inf)
+    assert (sweep.tree[0], sweep.tree[3], sweep.dist[3]) == (0, 4, 2.5)
+    # a simple path over 0 -> 3 goes on over 3 -> 2: 1 + 5, not 1 + 2.5
+    assert sweep.options_of(0) == (6.0, 3, inf, -1, inf)
+    # and one over the U-turn 1 -> 0 over 0 -> 3: 1 + 3.5, not 1 + 2
+    assert sweep.options_of(1) == (4.5, 2, inf, -1, inf)
+    assert sweep.sidetrack[0] == 3.5
+
+
 def sweep_state(sweep: ReverseSweep) -> tuple:
     """Everything a sweep holds, with floats as hex so that equal means bit-identical."""
     return (
@@ -272,6 +298,7 @@ def sweep_state(sweep: ReverseSweep) -> tuple:
         [d.hex() for d in sweep.dist],
         sweep.tree,
         [x.hex() for x in sweep.sidetrack],
+        dict(sweep.options),
         [d.hex() for d in sweep._tentative],
         sweep._heap,
     )
@@ -283,6 +310,7 @@ def test_a_restarted_sweep_runs_as_a_new_one():
     # targets after a full sweep, a partial one and one stopped at once
     for t, stops in ((870, [(0.0, 40), (inf, None)]), (17, [(25.0, None)]), (450, [(0.0, None)]), (3, [(inf, None)])):
         sweep.sidetrack_of(sweep.target)
+        sweep.options_of(sweep.target)
         sweep.restart(t)
         fresh = ReverseSweep(g, t)
         assert sweep_state(sweep) == sweep_state(fresh)
