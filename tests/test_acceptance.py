@@ -194,13 +194,13 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
 
 # report_digest of gate instances 0 and 4 at GRID_K with default options
 FROZEN_GRID_DIGESTS = {
-    0: "2ed7500ccd26a7e3a0a47f6dc87a0b19010b0f20c0e54036140d3a91612bff65",
-    4: "f0e882d8cd671f9aafdc2be370b23797457306ee3c813cd3ee5f8849086d8809",
+    0: "c0d08f27d0ec6b5240adfe6d419dfbb27ae864b93f124ddbc8cd2808868aab80",
+    4: "692ae4bf17c9460f15adf3f8932209b75025aace624724a8731bf97ebd4faaed",
 }
 # cost_free_digest of the same solves, which exact costs must leave unchanged
 FROZEN_GRID_COST_FREE_DIGESTS = {
-    0: "0eb6399a0ca3a8ba757d5cd7a450dfe7ee79348648a843078efb942f92c833b6",
-    4: "a32658a80e92f1f18064f97093a16631859fd7eb8434c361844f825b5f682559",
+    0: "3ea23b884b85543146bc2f05aa75e44057de3544b4a2965d3c91c7cf404f5559",
+    4: "f636bb4c3ef12d5a861892ac0bceafb112ef3a1c704137cc1790539a0167531f",
 }
 
 
@@ -503,7 +503,7 @@ def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
 
 
 # sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
-FROZEN_QUERY_STATS_DIGEST = "2ee5d2ffc343e90108cfe33be9714ef52903bf7f7a651b7b25d257ad61896961"
+FROZEN_QUERY_STATS_DIGEST = "bd3c86f62cc3e35a71e382808e6124afbded58e38478bb7f255c5c7ae6b38cba"
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):

@@ -68,9 +68,11 @@ def test_five_node_example_is_frozen(five_node_graph, guided):
     assert st.queries_failed == 2
     assert st.queries_succeeded == 3
     # guided, the two asks that would fail have no deviation, so their bounds
-    # are infinite and they are dropped without a search
+    # are infinite and they are dropped without a search, and the tree answers
+    # the other three
     assert st.capped_queries == (2 if guided else 0)
-    assert st.labels_extracted == (14 if guided else 20)
+    assert st.tree_answers == (3 if guided else 0)
+    assert st.labels_extracted == (0 if guided else 20)
     assert st.wall_time_s > 0.0
 
 
@@ -135,9 +137,9 @@ def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k
 
 
 # report_digest over frozen_solves(), retaken when search labels began at their prefix's cost,
-# and twice when a prune rule changed counters and blocked lists only: the trimmed queue with
-# skipped first asks, then asks deferred behind their bounds
-FROZEN_SOLVES_DIGEST = "41730e41c1193e3b6c112e6fd5ed238543d413ea0a506478e296fd129bd8a8d9"
+# twice when a prune rule changed counters and blocked lists only: the trimmed queue with
+# skipped first asks, then asks deferred behind their bounds; and when tree answers changed counters
+FROZEN_SOLVES_DIGEST = "a42b082a0bc3f547fb168d81986bae356273e7f3576f7086ea7d8028b1ea63ff"
 
 
 def test_solves_keep_their_frozen_records():
@@ -155,7 +157,9 @@ def test_solves_keep_their_frozen_records():
     It was retaken once more when asks began to wait behind their
     blocked-aware bounds: 115 solves, the 64x64 grid ones among them,
     changed counters or blocked lists, and ``records_digest`` again
-    shows the records unchanged.
+    shows the records unchanged. It was retaken when guided queries began
+    to be answered from the sweep's tree: 360 solves count tree answers
+    and fewer labels, and every record and blocked list stayed as it was.
     """
     digests = [solve_digest(g, s, t, k) for g, s, t, k in frozen_solves()]
     assert len(digests) == 5 + 300 * 3 * 2
@@ -163,8 +167,8 @@ def test_solves_keep_their_frozen_records():
 
 
 # report_digest over road_solves(), then cost_free_digest over the same solves
-FROZEN_ROAD_DIGEST = "bdf0a7948eebbe008913a57263d6eca2bcbe578f1d610a52638f34de77075ec7"
-FROZEN_ROAD_COST_FREE_DIGEST = "22a7a535e92ba8d409fec3c24a569460551ea83610242608f76e770ace5ec39c"
+FROZEN_ROAD_DIGEST = "fbf9b614ee60babccc7bf68f1b7c51005823ef45239ed9217ed9753e9be8dac9"
+FROZEN_ROAD_COST_FREE_DIGEST = "c81c46d214afaf69cce031928bb0f22d2ccb323e44faf8c6b50be81cd8f46a72"
 
 
 def test_road_scale_solves_keep_their_frozen_records():
