@@ -6,7 +6,6 @@ starts part way along a path.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from heapq import heappop, heappush
 from math import inf
 
@@ -43,8 +42,8 @@ def shortest_path(
     ``cap`` drops each label whose key, label plus potential, exceeds
     ``prune_limit(g, cap)``, so None means that no path costs at most
     ``cap``, and a path a little above it may still come back. No path
-    at or below it is lost: as :meth:`ReverseSweep.deviation_bound`
-    argues, a left-folded label plus a right-folded potential exceeds a
+    at or below it is lost: as :func:`kssp.graph.prune_limit` argues, a
+    left-folded label plus a right-folded potential exceeds a
     completion's cost D by less than ``prune_limit(g, D)``'s slack, and
     the limit is monotone in D. The slack is relative, so scaling every
     cost by a power of two cuts the same labels.
@@ -267,15 +266,14 @@ class ReverseSweep:
                     heappush(heap, (du, u))
         self.horizon = heap[0][0] if heap else inf
 
-    def sidetrack_of(self, v: int, blocked: Sequence[int] = ()) -> float:
+    def sidetrack_of(self, v: int) -> float:
         """Compute, memoize in ``sidetrack`` and return the sidetrack bound of settled node v.
 
         That is the least ``arc_cost[b] + dist[head]`` over v's out-arcs b
-        other than ``tree[v]`` and the ``blocked`` arcs, with the horizon
-        standing in for an unsettled head, and infinity if there is none.
-        As the horizon never decreases, the value stays a lower bound on
-        the same sum for the distances settled later. Only the value with
-        nothing blocked is memoized, as the search reads the memo.
+        other than ``tree[v]``, with the horizon standing in for an
+        unsettled head, and infinity if there is none. As the horizon never
+        decreases, the value stays a lower bound on the same sum for the
+        distances settled later.
         """
         g = self.graph
         arc_head = g.arc_head
@@ -284,15 +282,14 @@ class ReverseSweep:
         a = self.tree[v]
         side = inf
         for b in g.out_arcs[v]:
-            if b != a and b not in blocked:
+            if b != a:
                 d = dist[arc_head[b]]
                 if d == inf:
                     d = self.horizon
                 d += arc_cost[b]
                 if d < side:
                     side = d
-        if not blocked:
-            self.sidetrack[v] = side
+        self.sidetrack[v] = side
         return side
 
     def options_of(self, v: int) -> tuple[float, int, float, int, float]:
@@ -347,78 +344,6 @@ class ReverseSweep:
             memo.clear()
         memo[v] = entry = (v1, b1, v2, b2, v3)
         return entry
-
-    def deviation_bound(
-        self, arcs: Sequence[int], start: float, blocked: Sequence[int] = (), stop: float = -inf
-    ) -> float:
-        """Least ``c_j + sidetrack(x_j)`` over the tails x_j of the path ``arcs``.
-
-        c_j is the left fold of ``start`` and the arc costs up to x_j,
-        the cost a search label at x_j carries when the path is its
-        reference and ``start`` its prefix cost. Each ``sidetrack(x_j)``
-        is read from the memo or computed by :meth:`sidetrack_of`, as the
-        tree walk does, except at a tail that one of the ``blocked`` arcs
-        leaves: there :meth:`sidetrack_of` leaves the blocked arcs out too,
-        in O(out-degree) and without the memo. The result is -inf when an
-        arc is not its tail's ``tree`` arc or a tail is not settled, and
-        inf when ``arcs`` is empty: a path from the target has no
-        deviation. The walk also ends with -inf as soon as the least sum
-        so far falls to ``stop``, for a caller that needs to know no more
-        than that.
-
-        Why no deviation costs much less. A deviation from a path that
-        follows the tree shares it up to some x_j and leaves it over an
-        arc b other than x_j's tree arc and the ``blocked`` arcs, which a
-        query masks; other masks only remove such paths. Let E be its
-        exact cost. Its float cost D left-folds at most 2n - 2 arcs, the
-        prefix that ``start`` folds and a simple path from x_0, so D
-        is at least E shrunk by ``(1 - 2**-53)**(2n - 2)``. E is at least
-        the exact sum of c_j's terms, plus cost(b), plus the exact
-        distance from b's head. The sweep gives that head the least right
-        fold over its paths, at most ``(1 + 2**-53)**(n - 1)`` times that
-        distance, and the horizon that stands in for an unsettled head,
-        or a sidetrack memoized under an earlier horizon, is no more. So
-        the bound is at most E grown by ``(1 + 2**-53)**(2n - 1)``, and
-        exceeds D by at most ``(4n - 3) * 2**-53 * D`` plus second-order
-        terms, within the ``(4n + 8) * 2**-53 * D`` slack of
-        ``prune_limit(g, D)``. As that limit is monotone in D, a query
-        whose bound exceeds ``prune_limit(g, cap)`` finds nothing at or
-        below ``cap``; at ``cap`` infinity the limit is infinite and
-        rules nothing out. The settled distances and the horizon only
-        grow, so the bound stays a lower bound while the sweep goes on.
-        """
-        dist = self.dist
-        tree = self.tree
-        sidetrack = self.sidetrack
-        g = self.graph
-        arc_head = g.arc_head
-        arc_cost = g.arc_cost
-        if not arcs:
-            return inf
-        v = g.arc_tail[arcs[0]]
-        # the tree arcs out of a settled node lead through settled nodes only
-        if dist[v] == inf:
-            return -inf
-        blocked_tails = {g.arc_tail[b] for b in blocked} if blocked else ()
-        least = inf
-        c = start
-        for a in arcs:
-            if a != tree[v]:
-                return -inf
-            if v in blocked_tails:
-                side = self.sidetrack_of(v, blocked)
-            else:
-                side = sidetrack[v]
-                if side < 0.0:
-                    side = self.sidetrack_of(v)
-            side += c
-            if side < least:
-                if side <= stop:
-                    return -inf
-                least = side
-            c += arc_cost[a]
-            v = arc_head[a]
-        return least
 
 
 def reverse_distances(g: Graph, target: int) -> list[float]:

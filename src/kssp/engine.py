@@ -37,16 +37,15 @@ paths:
 
 - a query aborts once it provably cannot beat the last queued
   candidate while the queue holds k - n of them (cost cap);
-- a guided query the sweep's tree answers is not searched (see Tree
-  answers below);
-- a guided ask is not searched when it is made: it stays pending
-  behind its bound, the least sidetrack along its reference with the
-  record's blocked arcs left out
-  (:meth:`kssp.dijkstra.ReverseSweep.deviation_bound`), until that
-  bound could reach the queue front. An ask whose bound passes the
-  cap's prune limit when it is made is dropped and counts as a capped
-  query with no labels; an ask still pending when the run ends is not
-  counted at all;
+- a guided ask is first tried as a tree answer when it is made, and a
+  query the sweep's tree answers is not searched (see Tree answers
+  below);
+- any other guided ask is not searched when it is made: it stays
+  pending behind its bound, the least price of a usable option on the
+  tree answer's walk, until that bound could reach the queue front. An
+  ask whose bound passes the cap's prune limit when it is made is
+  dropped and counts as a capped query with no labels; an ask still
+  pending when the run ends is not counted at all;
 - the run ends early when the cheapest queued cost tier alone fills
   the remaining output slots.
 
@@ -57,22 +56,21 @@ every prune rule: once it holds k - n candidates its last entry is the
 cap, and the run stops when that cap ties with the cheapest. Pending
 asks sit in a heap of ``(bound, push counter, record index)``: each
 takes its push counter when it is made, pending asks are searched
-lowest bound first, and a candidate found is queued under its ask's
-counter. The walk that computes a bound stops as soon as it falls
-within the front's prune limit, and the ask is then keyed at -inf,
-which is still a lower bound; the partial minimum would not be.
+lowest bound first, and a candidate, whether the tree gives it when the
+ask is made or a search later, is queued under its ask's counter.
 
 Why deferring changes no output. Let F be the front's cost. Before the
 early-stop check and before each pop, the driver searches every
 pending ask whose bound B is at most ``prune_limit(g, F)``, and any
 while no candidate is queued. An ask left pending has
 ``B > prune_limit(g, F)``, while its answer D has
-``B <= prune_limit(g, D)`` (see ``deviation_bound``); as that limit is
+``B <= prune_limit(g, D)`` (see Tree answers); as that limit is
 monotone in its cost, D > F. So no pending answer ties the front, let
 alone precedes it, and each pop takes the candidate an eager driver,
-one that searches every ask when it is made, would take. At an early
-stop the queue is full and all of it costs F, so a pending answer
-would be trimmed at once. An ask's answer is the same whenever it is
+one that answers every ask when it is made, would take; a tree answer
+is queued just as that driver queues it. At an early stop the queue is
+full and all of it costs F, so a pending answer would be trimmed at
+once. An ask's answer is the same whenever it is
 searched: the record gains no blocked arc while its ask is pending, as
 only the ask's own candidate could give it one, and no search's answer
 depends on how far the sweep has settled. Its push counter keeps equal
@@ -106,16 +104,16 @@ plain first-path search, so no guided cap is infinite.
 
 Tree answers. Almost every answer has one shape: the reference up to a
 node x_j, one sidetrack (x_j, w), then w's path in the sweep's tree. So
-a guided query is first given to :func:`tree_answer`, which reads that
-path off the tree and proves it the search's answer, and only a query
-it cannot prove is searched. Let the reference x_0 .. x_m = t follow
-``sweep.tree``, and let c_j be the left fold of the prefix cost and the
-reference arcs up to x_j, the cost a search label at x_j carries. An
-option at x_j is an out-arc b of x_j other than its tree arc, a blocked
-arc, or an arc into a masked node or into x_0 .. x_j, the U-turn to
-x_{j-1} among them; it is priced at c_j plus its value from
-:meth:`kssp.dijkstra.ReverseSweep.options_of`, a lower bound on every
-simple path from x_j that starts with b. That memo keeps the least two
+a guided query is given to :func:`tree_answer` when it is asked, which
+reads that path off the tree and proves it the search's answer, and
+only a query it cannot prove is deferred and searched. Let the
+reference x_0 .. x_m = t follow ``sweep.tree``, and let c_j be the left
+fold of the prefix cost and the reference arcs up to x_j, the cost a
+search label at x_j carries. An option at x_j is an out-arc b of x_j
+other than its tree arc, a blocked arc, or an arc into a masked node or
+into x_0 .. x_j, the U-turn to x_{j-1} among them; it is priced at c_j
+plus its value from :meth:`kssp.dijkstra.ReverseSweep.options_of`, a
+lower bound on every simple path from x_j that starts with b. That memo keeps the least two
 values of each node with their arcs and the third value, so the least
 usable option at x_j and a lower bound on the next one take no scan of
 its arcs; a node whose option cannot lower the least two priced so far
@@ -135,13 +133,14 @@ x_j over an arc b; as Q is simple and the query masks them, b is an
 option there. If (x_j, b) is not (x_j*, b*), D is at least the exact sum
 that option's price rounds; otherwise Q follows w's tree path up to some
 y and leaves it over another arc, and D is at least the exact sum that
-c_y + ``sidetrack[y]`` rounds. As ``deviation_bound`` argues, such a
-computed sum exceeds D by less than the slack of ``prune_limit(g, D)``
-(a bounce's price, see ``options_of``, rounds one sum more, which the
-slack covers as well); each exceeds L, and the limit is monotone, so
-D > ``prune_limit(g, D*)``. Every label of P*'s chain keys at its fold
-plus its node's distance, at most ``prune_limit(g, D*)`` by the argument
-of :func:`kssp.dijkstra.shortest_path`. The search extracts in the
+c_y + ``sidetrack[y]`` rounds. As :func:`kssp.graph.prune_limit`
+argues, such a computed sum exceeds D by less than the slack of
+``prune_limit(g, D)`` (a bounce's price, see ``options_of``, rounds one
+sum more, which the slack covers as well); each exceeds L, and the
+limit is monotone, so D > ``prune_limit(g, D*)``. Every label of P*'s
+chain keys at its fold plus its node's distance, at most
+``prune_limit(g, D*)`` by the argument of
+:func:`kssp.dijkstra.shortest_path`. The search extracts in the
 plain loop's order (see :func:`kssp.biobjective.find_best_deviation`),
 and until P*'s label at t is extracted a label of P*'s chain, or one at
 the same node with no more cost and overlap, waits in it; so every
@@ -151,9 +150,17 @@ label at t keys at its cost, so no deviation but P* reaches t first:
 the search returns P*, whose ``ref_index`` is j*, suffix b* and w's tree
 path, cost D*, overlap j* plus the reference arcs of that tree path
 (all of them after the node where it rejoins the reference) and source
-cost the fold up to w. A tree answer extracts no labels: the stats count
-it as a found query with none, in ``tree_answers``, so ``label_budget``
-counts only the labels of searches. Under ``validate`` the search
+cost the fold up to w.
+
+The least price the walk finds is the bound B of an ask the tree does
+not answer. Every simple deviation of cost D leaves over an option whose
+price is at least B, so by the same argument ``B <= prune_limit(g, D)``.
+Where the source is not settled or the reference leaves the tree, the
+walk gives up and B is -inf; a reference from t has no deviation, and
+B is inf. The sweep's values only grow, so B stays a bound while the
+ask waits. A tree answer extracts no labels: the stats count it as a
+found query with none, in ``tree_answers``, so ``label_budget`` counts
+only the labels of searches. Under ``validate`` the search
 answers each tree-answered query again, on a sweep of its own so that
 the solve's sweep stays as it is without the check, and must agree on
 every field. Unguided solves have no tree and search every query.
@@ -392,20 +399,27 @@ def queue_max_cap(solution_count: int, candidates: list[tuple], k: int) -> float
     return None
 
 
-def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviation | None:
-    """The answer ``find_best_deviation(query, cost_cap)`` gives, read off the sweep's tree, or None.
+def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> tuple[Deviation | None, float]:
+    """The answer ``find_best_deviation(query, cost_cap)`` gives, read off the sweep's tree, or None; and a bound.
 
     None means that the candidate fails the certificate of the module
     docstring, or that there is none: the reference leaves the tree, or
     no usable option at the least priced node is one the memo names, or
-    the option's head is not settled. The query must be guided.
+    the option's head is not settled. The bound is the least price of a
+    usable option, which no deviation's cost D passes by more than
+    ``prune_limit(g, D)`` allows (see Tree answers): -inf where the source
+    is not settled or the reference leaves the tree, and inf for an empty
+    reference, as a path from the target has no deviation. The query must
+    be guided.
     """
     ref = query.ref_arcs
+    if not ref:
+        return None, inf
     sweep = query.sweep
     v = query.source
     dist = sweep.dist
-    if not ref or dist[v] == inf:
-        return None
+    if dist[v] == inf:
+        return None, -inf
     ws = query.workspace
     g = ws.graph
     arc_head = g.arc_head
@@ -424,7 +438,7 @@ def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviati
     c_least = c
     for j, a in enumerate(ref):
         if a != tree[v]:
-            return None
+            return None, -inf
         pos[v] = j
         options = memo.get(v) or options_of(v)
         # no usable option is below the least, so only one below rest can count
@@ -453,10 +467,10 @@ def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviati
         c += arc_cost[a]
         v = arc_head[a]
     if arc_least < 0:
-        return None  # no usable option, or none the memo names
+        return None, least  # no usable option, or none the memo names
     w = arc_head[arc_least]
     if dist[w] == inf:
-        return None
+        return None, least
     # the candidate: the reference up to x_j*, its least sidetrack, then the tree path from its head
     source_cost = c = c_least + arc_cost[arc_least]
     suffix = [arc_least]
@@ -466,11 +480,11 @@ def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviati
     y = w
     while y != target:
         if node_stamp[y] == epoch:
-            return None
+            return None, least
         j = pos.get(y)
         if j is not None:
             if j <= j_least:
-                return None
+                return None, least
             overlap += 1  # the tree path from a later reference node is the reference
         side = sidetrack[y]
         if side < 0:
@@ -480,16 +494,16 @@ def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> Deviati
             rest = side
         a = tree[y]
         if arc_stamp[a] == epoch:
-            return None
+            return None, least
         suffix.append(a)
         c += arc_cost[a]
         y = arc_head[a]
     limit = prune_limit(g, c)
     if cost_cap is not None and not limit < cost_cap:
-        return None
+        return None, least
     if min(rest, next_least) > prune_limit(g, limit):
-        return Deviation(j_least, tuple(suffix), c, overlap, source_cost)
-    return None
+        return Deviation(j_least, tuple(suffix), c, overlap, source_cost), least
+    return None, least
 
 
 def k_shortest_paths(
@@ -525,46 +539,13 @@ def k_shortest_paths(
     push_counter = 0
     seen_candidates: set[tuple[int, ...]] | None = set() if opts.validate else None
     arc_tail = g.arc_tail
-    make_query = build_query if opts.validate else DeviationQuery  # see run
+    make_query = build_query if opts.validate else DeviationQuery  # see masked_query
     ws: Workspace | None = None
     sweep: ReverseSweep | None = None  # the solve is guided iff it has one
     check_sweep: ReverseSweep | None = None  # the tree answers' cross-check under validate
 
-    def ask(origin_index: int) -> None:
-        """Take the next push counter for record ``origin_index``'s query; defer it or drop it."""
-        nonlocal push_counter
-        push_counter += 1
-        bound = -inf
-        if sweep is not None:
-            origin = records[origin_index]
-            ref = origin.suffix[origin.source_pos - origin.dev_pos :]
-            # an ask whose bound falls within the front's limit is searched at the next check
-            front_limit = prune_limit(g, cands[0][0]) if cands else inf
-            bound = sweep.deviation_bound(ref, origin.prefix_cost, origin.blocked, front_limit)
-            cap = queue_max_cap(len(records), cands, k)
-            if cap is not None and bound > prune_limit(g, cap):
-                stats.add_query(0, False, True)  # nothing it could find would stay queued
-                return
-        heappush(pending, (bound, push_counter, origin_index))
-
-    def check_tree_answer(query: DeviationQuery, cap: float | None, dev: Deviation) -> None:
-        """Raise AssertionError unless the search answers ``query`` with ``dev``.
-
-        The search runs on a sweep of its own, so the check leaves the
-        solve's sweep, and with it every later bound and tree answer, as
-        they are without ``validate``; no search's answer depends on how
-        far its sweep has settled.
-        """
-        nonlocal check_sweep
-        if check_sweep is None:
-            check_sweep = ReverseSweep(g, t)
-        query = DeviationQuery(ws, query.source, t, query.ref_arcs, query.prefix_cost, check_sweep)
-        searched, _ = find_best_deviation(query, cap)
-        if searched != dev:
-            raise AssertionError(f"tree answer {dev} differs from the search's {searched}")
-
-    def run(counter: int, origin_index: int) -> None:
-        """Queue record ``origin_index``'s cheapest deviation not generated before, as ``counter``.
+    def masked_query(origin_index: int) -> DeviationQuery:
+        """Mask record ``origin_index``'s prefix nodes and blocked arcs on the workspace, and build its query.
 
         The query is built directly: it cannot fail :func:`build_query`'s
         check, which runs only under ``validate``. The record is a simple
@@ -575,12 +556,9 @@ def k_shortest_paths(
         arc is a child's deviation arc, which leaves a path node by an arc
         not on the path, so no reference arc is masked. The sweep is the
         solve's own, toward t over g. ``_validate_report`` checks these
-        facts of the records.
+        facts of the records. The workspace is shared, so a deferred ask is
+        masked again when its turn comes.
         """
-        cap = queue_max_cap(len(records), cands, k)
-        # an answer equal to the cap sorts before a last candidate pushed after the ask
-        if cap is not None and cands[-1][1] > counter:
-            cap = successor(cap)
         origin = records[origin_index]
         mask = ws.mask
         mask.reset()
@@ -593,24 +571,13 @@ def k_shortest_paths(
         for a in origin.blocked:
             mask.delete_arc(a)
         source = g.arc_head[origin.suffix[0]] if sp else s
-        query = make_query(ws, source, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
-        dev = None if sweep is None else tree_answer(query, cap)
-        if dev is not None:
-            stats.tree_answers += 1
-            stats.add_query(0, True)
-            if seen_candidates is not None:
-                check_tree_answer(query, cap, dev)
-        else:
-            budget = None if label_budget is None else label_budget - stats.labels_extracted
-            try:
-                dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
-            except SearchLimit as exc:
-                raise limit(exc.kind) from exc
-            stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
-            if dev is None:
-                return
+        return make_query(ws, source, t, origin.suffix[sp - origin.dev_pos :], origin.prefix_cost, sweep)
+
+    def queue(counter: int, origin_index: int, dev: Deviation) -> None:
+        """Queue ``dev``, record ``origin_index``'s answer, as a candidate under push counter ``counter``."""
+        origin = records[origin_index]
         dev_arc = dev.suffix[0]
-        rec = PathRecord(origin, origin_index, sp + dev.ref_index, dev.suffix, dev.cost, dev.source_cost)
+        rec = PathRecord(origin, origin_index, origin.source_pos + dev.ref_index, dev.suffix, dev.cost, dev.source_cost)
         if seen_candidates is not None:
             if dev_arc in origin.blocked:
                 raise AssertionError("deviation arc regenerated for the same parent")
@@ -621,6 +588,59 @@ def k_shortest_paths(
         insort(cands, (dev.cost, counter, rec))
         # the candidates past the first k - n can never be output
         del cands[k - len(records):]
+
+    def ask(origin_index: int) -> None:
+        """Take the next push counter for record ``origin_index``'s query; tree-answer, defer or drop it."""
+        nonlocal push_counter
+        push_counter += 1
+        bound = -inf
+        if sweep is not None:
+            cap = queue_max_cap(len(records), cands, k)
+            query = masked_query(origin_index)
+            dev, bound = tree_answer(query, cap)
+            if dev is not None:
+                stats.tree_answers += 1
+                stats.add_query(0, True)
+                if seen_candidates is not None:
+                    check_tree_answer(query, cap, dev)
+                queue(push_counter, origin_index, dev)
+                return
+            if cap is not None and bound > prune_limit(g, cap):
+                stats.add_query(0, False, True)  # nothing it could find would stay queued
+                return
+        heappush(pending, (bound, push_counter, origin_index))
+
+    def check_tree_answer(query: DeviationQuery, cap: float | None, dev: Deviation) -> None:
+        """Raise AssertionError unless the search answers ``query`` with ``dev``.
+
+        The search runs on a sweep of its own, so the check leaves the
+        solve's sweep, and with it every later tree answer, as it is
+        without ``validate``; no search's answer depends on how far its
+        sweep has settled.
+        """
+        nonlocal check_sweep
+        if check_sweep is None:
+            check_sweep = ReverseSweep(g, t)
+        query = DeviationQuery(ws, query.source, t, query.ref_arcs, query.prefix_cost, check_sweep)
+        searched, _ = find_best_deviation(query, cap)
+        if searched != dev:
+            raise AssertionError(f"tree answer {dev} differs from the search's {searched}")
+
+    def run(counter: int, origin_index: int) -> None:
+        """Search record ``origin_index``'s cheapest deviation not generated before, and queue it as ``counter``."""
+        cap = queue_max_cap(len(records), cands, k)
+        # an answer equal to the cap sorts before a last candidate pushed after the ask
+        if cap is not None and cands[-1][1] > counter:
+            cap = successor(cap)
+        query = masked_query(origin_index)
+        budget = None if label_budget is None else label_budget - stats.labels_extracted
+        try:
+            dev, qstats = find_best_deviation(query, cap, deadline=deadline, iteration_budget=budget)
+        except SearchLimit as exc:
+            raise limit(exc.kind) from exc
+        stats.add_query(qstats.iterations, dev is not None, qstats.outcome == "cost-capped")
+        if dev is not None:
+            queue(counter, origin_index, dev)
 
     try:
         # k=1 and unguided solves read no potential, and settling a sweep as far

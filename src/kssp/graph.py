@@ -16,10 +16,10 @@ so any two components that compute the cost of the same arc sequence obtain
 the identical float and "equal cost" is well defined across the code base.
 Searches that start part way along a path begin at its prefix's fold, so
 every label in every search is a left fold from s and is the cost reported.
-``successor(x)`` is the least cost above x. Each rounding slack is argued
-where it is used: ``prune_limit`` at :func:`kssp.dijkstra.shortest_path`,
-for both its ``prune`` and its ``cap``, and ``WALK_SHRINK`` at
-:func:`kssp.biobjective.find_best_deviation`.
+``successor(x)`` is the least cost above x. ``prune_limit`` argues its
+slack for every lower bound cut on it, and
+:func:`kssp.dijkstra.shortest_path` for its ``prune`` mode;
+``WALK_SHRINK`` is argued at :func:`kssp.biobjective.find_best_deviation`.
 """
 from __future__ import annotations
 
@@ -40,7 +40,24 @@ def successor(x: float) -> float:
 
 
 def prune_limit(g: Graph, h: float) -> float:
-    """The largest label plus distance to the target kept under ``prune``, for a first path of cost ``h``."""
+    """The largest label plus distance to the target kept under ``prune``, for a first path of cost ``h``.
+
+    The same slack covers every lower bound the solvers cut on. Take a
+    walk of at most 2n - 2 arcs, a prefix and a simple path, with exact
+    cost E; its left fold D is at least E shrunk by
+    ``(1 - 2**-53)**(2n - 2)``. Bound it by a left fold of its first arcs
+    plus at most a right fold of the rest: an arc cost plus a reverse
+    sweep's distance, the least right fold over the head's paths, or
+    anything less, such as the sweep's horizon. The bound is at most E
+    grown by ``(1 + 2**-53)**(2n - 1)``, so it exceeds D by at most
+    ``(4n - 3) * 2**-53 * D`` plus second-order terms, within the
+    ``(4n + 8) * 2**-53 * D`` slack here; a bound that rounds one sum
+    more stays within it too. As the limit is monotone in D, a bound
+    above ``prune_limit(g, cap)`` rules out every walk at or below
+    ``cap``; at ``cap`` infinity the limit is infinite and rules out
+    nothing. The sweep's distances and horizon only grow, so a bound
+    stays one while it goes on.
+    """
     return h + h * (2 * g.node_count + 4) * 2.0**-52
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import heapq
 import importlib.util
+import math
 import os
 import resource
 import subprocess
@@ -19,6 +20,7 @@ from typing import NamedTuple
 import pytest
 
 from kssp import biobjective, engine
+from kssp.dijkstra import ReverseSweep
 from kssp.engine import k_shortest_paths
 from kssp.graph import Graph
 from kssp.gridgen import gen_grid, sample_pairs, seeded_grids
@@ -256,11 +258,11 @@ def repeated_answers(monkeypatch) -> None:
     def repeat_tree(query, *args):
         key = (query.source, query.ref_arcs, query.prefix_cost)
         if key not in first:
-            dev = answer_from_tree(query, *args)
+            dev, bound = answer_from_tree(query, *args)
             if dev is None:
-                return None  # the search answers this ask first
+                return None, bound  # the search answers this ask first
             first[key] = (dev, biobjective.QueryStats(0, "found"))
-        return first[key][0]
+        return first[key][0], -math.inf
 
     def repeat(query, *args, **kwargs):
         key = (query.source, query.ref_arcs, query.prefix_cost)
@@ -392,6 +394,41 @@ def road_solves(count: int = 3):
     ((_, g, pair_rng),) = seeded_grids(256, 256, 1, 512)
     for s, t in sample_pairs(pair_rng, g.node_count, count):
         yield g, s, t, 100
+
+
+def record_ask_labels(g: Graph, s: int, t: int, records) -> tuple[list[int], list[int]]:
+    """Labels that the search extracts on two asks of each output record, found and failed.
+
+    Each record is asked guided, with the nodes before its source masked:
+    once with nothing blocked and no cap, as when it is first output,
+    counted if the search finds a deviation; and once with its output
+    children's deviation arcs blocked, under the last record's cost as
+    the cap, counted if it finds none. Both sets depend on the records
+    alone, not on which asks a solve searched, answered from the tree or
+    dropped.
+    """
+    ws = biobjective.Workspace(g)
+    sweep = ReverseSweep(g, t)
+    children: dict[int, list[int]] = {}
+    for r in records:
+        if r.parent_index is not None:
+            children.setdefault(r.parent_index, []).append(r.suffix[0])
+    found: list[int] = []
+    failed: list[int] = []
+    for i, r in enumerate(records):
+        arcs = r.path.arcs
+        source = r.path.nodes(g)[r.source_pos]
+        for blocked, cap, kept in (((), None, found), (children.get(i, ()), records[-1].cost, failed)):
+            ws.mask.reset()
+            for a in arcs[: r.source_pos]:
+                ws.mask.delete_node(g.arc_tail[a])
+            for a in blocked:
+                ws.mask.delete_arc(a)
+            query = biobjective.build_query(ws, source, t, arcs[r.source_pos :], r.prefix_cost, sweep)
+            dev, stats = biobjective.find_best_deviation(query, cap)
+            if (dev is not None) == (kept is found):
+                kept.append(stats.iterations)
+    return found, failed
 
 
 def _load_host_kernel():

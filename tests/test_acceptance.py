@@ -31,7 +31,7 @@ from kssp.rng import SplitMix64
 
 from conftest import (
     COST_FAMILIES, cost_family, cost_free_digest, count_search, frozen_solves, make_digraph,
-    observe_search, records_digest, report_digest, road_solves,
+    observe_search, record_ask_labels, records_digest, report_digest, road_solves,
 )
 
 GRID_MASTER_SEED = 7
@@ -46,6 +46,10 @@ def grid_instances(count: int = GRID_COUNT):
     for _, g, pair_rng in seeded_grids(GRID_SIDE, GRID_SIDE, count, GRID_MASTER_SEED):
         s, t = sample_pairs(pair_rng, g.node_count, 1)[0]
         yield g, s, t
+
+
+# the gate solves' summed labels_extracted when a guided ask was answered from the tree only when its turn came
+GATE_LABELS = 198_741
 
 
 def geomean(values):
@@ -139,10 +143,14 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
     The host is shared and its speed drifts, so each solve is timed
     between two runs of a reference kernel that does not call kssp, and
     scaled to a host where that kernel takes its nominal time (see
-    ``conftest.HostClock``).
+    ``conftest.HostClock``). The label bands hold the search to asks of
+    each output record that no solve chooses (``record_ask_labels``), and
+    the solves' own labels to no more than they took when a guided ask
+    was answered from the tree only when its turn came.
     """
     success_means = []
     failed_means = []
+    labels = 0
     worst = (0.0, 0.0, 0.0)  # (scaled, raw, host factor) of the slowest best solve
     for i, (g, s, t) in enumerate(grid_instances()):
         reports = []
@@ -175,20 +183,20 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
         print(line)
         assert best[0] < 1.0, line
         worst = max(worst, best)
-        st = report.stats
-        if st.mean_success_iterations is not None:  # the tree answered every found query of grid 19
-            success_means.append(st.mean_success_iterations)
-        if st.mean_failed_iterations is not None:
-            failed_means.append(st.mean_failed_iterations)
+        labels += report.stats.labels_extracted
+        found, failed = record_ask_labels(g, s, t, report.records)
+        success_means.append(fsum(found) / len(found))
+        failed_means.append(fsum(failed) / len(failed))
 
     succ = geomean(success_means)
     fail = geomean(failed_means)
     assert 10.0 <= succ <= 60.0, f"successful-query iteration geomean {succ:.1f}"
     assert 8.0 <= fail <= 40.0, f"failed-query iteration geomean {fail:.1f}"
+    assert labels <= GATE_LABELS, labels
     print(
         f"grid benchmark: {GRID_COUNT} instances equal to reference, worst best-of-"
         f"{GRID_SOLVES} solve {worst[0]:.3f} s at nominal speed (raw {worst[1]:.3f} s, "
-        f"host factor {worst[2]:.3f}), iteration geomeans {succ:.1f}/{fail:.1f}"
+        f"host factor {worst[2]:.3f}), iteration geomeans {succ:.1f}/{fail:.1f}, {labels} labels"
     )
 
 
@@ -270,8 +278,7 @@ def test_the_queue_holds_only_candidates_that_can_still_be_output(monkeypatch):
 def ask_query(g, t, ws, sweep, ref, start, blocked, before=()):
     """The query of an ask along ``ref`` (from t if it is empty) at prefix cost ``start``, on ``ws``.
 
-    The ``blocked`` arcs and the nodes ``before`` the source are masked;
-    without the latter the query's deviations include all the engine's.
+    The ``blocked`` arcs and the nodes ``before`` the source are masked.
     """
     ws.mask.reset()
     for v in before:
@@ -281,102 +288,52 @@ def ask_query(g, t, ws, sweep, ref, start, blocked, before=()):
     return build_query(ws, g.arc_tail[ref[0]] if ref else t, t, ref, start, sweep)
 
 
+def uncapped_answer(query, own: dict):
+    """``query``'s answer with no cap, searched on a sweep of its own kept in ``own``.
+
+    The solve's sweep is left as it is, and with it every later tree answer.
+    """
+    g = query.workspace.graph
+    key = (id(g), query.target)
+    if key not in own:
+        own.clear()
+        own[key] = ReverseSweep(g, query.target)
+    return find_best_deviation(replace(query, sweep=own[key]))[0]
+
+
 def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
     """An ask's bound never passes its cheapest deviation's cost, up to rounding slack.
 
-    The bound is ``deviation_bound`` over the record's reference with its
-    blocked arcs left out, walked to the end. Every ask that guided solves
-    of gate grid 0, of 300 digraphs in every cost family, and of 60
-    digraphs with 2^53 added to the arcs out of the source answer from the
-    tree or search, first asks and re-asks alike, runs once more without
-    a cap: on the engine's
-    own mask, and with only the blocked arcs masked, as the other masks
-    only remove deviations. Where it finds a deviation of cost D, the
-    bound is at most ``prune_limit(g, D)``. An ask the engine dropped on
-    its bound, when it was made or when its turn came, finds nothing at
-    or below the cap it met, with only its blocked arcs masked.
+    The bound is the least usable-option price of the tree answer's walk
+    when the ask is made. Every ask of guided solves of gate grids 0-4, of
+    300 digraphs in every cost family, and of 60 digraphs with 2^53 added
+    to the arcs out of the source, first asks and re-asks alike, is
+    searched once more without a cap, on the engine's mask. Where it finds
+    a deviation of cost D, the bound is at most ``prune_limit(g, D)``. So
+    an ask the engine dropped, its bound above the cap's prune limit,
+    finds nothing at or below that cap.
     """
-    bound_of = ReverseSweep.deviation_bound
-    spares: list[Workspace] = []  # per solve, a workspace for the blocked-only queries
-    entries: dict[int, dict] = {}  # push counter -> the pending ask
-    current: list[dict] = []  # the ask being made, or whose turn came, until it is settled
+    own: dict = {}
+    asked: set[tuple] = set()
     counts = {"re-asks": 0, "found": 0, "dropped": 0}
 
-    def blocked_only(ask):
-        sweep, *args = ask["args"]
-        return ask_query(sweep.graph, sweep.target, spares[-1], sweep, *args)
-
-    def settle_dropped() -> None:
-        # an ask neither queued nor searched was dropped on its bound
-        if current:
-            ask = current.pop()
-            g = ask["args"][0].graph
-            assert ask["cap"] is not None and ask["bound"] > prune_limit(g, ask["cap"]), ask
-            dev, _ = find_best_deviation(blocked_only(ask))
-            assert dev is None or dev.cost > ask["cap"], (dev.cost, ask["cap"])
-            counts["dropped"] += 1
-
-    def bound(sweep, arcs, start, blocked=(), stop=-inf):
-        settle_dropped()
-        full = bound_of(sweep, arcs, start, blocked)
-        value = bound_of(sweep, arcs, start, blocked, stop)
-        assert value == full or value == -inf and full <= stop, (value, full, stop)
-        current.append({"args": (sweep, tuple(arcs), start, tuple(blocked)), "bound": full})
-        return value
-
-    def cap(solution_count, candidates, k):
-        result = queue_max_cap(solution_count, candidates, k)
-        if current and "cap" not in current[-1]:
-            current[-1]["cap"] = result
-        return result
-
-    def push(heap, entry):
-        entries[entry[1]] = current.pop()
-        heapq.heappush(heap, entry)
-
-    def pop(heap):
-        settle_dropped()
-        entry = heapq.heappop(heap)
-        ask = entries.pop(entry[1])
-        del ask["cap"]  # the cap of its turn
-        current.append(ask)
-        return entry
-
-    def check(query):
-        ask = current.pop()
-        if ask is None:  # checked by the tree answer that came first
-            return
+    def checked(query, cost_cap=None):
+        dev, bound = tree_answer(query, cost_cap)
         g = query.workspace.graph
-        for q in (query, blocked_only(ask)):
-            dev, _ = find_best_deviation(q)
-            if dev is not None:
-                assert ask["bound"] <= prune_limit(g, dev.cost), (ask["bound"], dev.cost)
-                counts["found"] += 1
-        counts["re-asks"] += bool(ask["args"][3])
+        found = uncapped_answer(query, own)
+        if found is not None:
+            assert bound <= prune_limit(g, found.cost), (bound, found.cost)
+            counts["found"] += 1
+        if dev is None and cost_cap is not None and bound > prune_limit(g, cost_cap):
+            assert found is None or found.cost > cost_cap, (found.cost, cost_cap)
+            counts["dropped"] += 1
+        ask = (query.source, query.ref_arcs, query.prefix_cost)
+        counts["re-asks"] += ask in asked
+        asked.add(ask)
+        return dev, bound
 
-    def search(query, cost_cap=None, **limits):
-        check(query)
-        return find_best_deviation(query, cost_cap, **limits)
-
-    def tree(query, cost_cap=None):
-        check(query)
-        dev = tree_answer(query, cost_cap)
-        if dev is None:
-            current.append(None)  # for the search that follows
-        return dev
-
-    def workspace(g):
-        spares.append(Workspace(g))
-        return Workspace(g)
-
-    monkeypatch.setattr("kssp.engine.Workspace", workspace)
-    monkeypatch.setattr("kssp.engine.queue_max_cap", cap)
-    monkeypatch.setattr("kssp.engine.heappush", push)
-    monkeypatch.setattr("kssp.engine.heappop", pop)
-    monkeypatch.setattr("kssp.engine.find_best_deviation", search)
-    monkeypatch.setattr("kssp.engine.tree_answer", tree)
-    monkeypatch.setattr(ReverseSweep, "deviation_bound", bound)
-    solves = [(*next(grid_instances()), GRID_K)]
+    monkeypatch.setattr("kssp.engine.tree_answer", checked)
+    solves = [(g, s, t, GRID_K) for _, (g, s, t) in zip(range(5), grid_instances())]
     for seed in range(300):
         base = make_digraph(seed)
         for family in COST_FAMILIES:
@@ -388,28 +345,26 @@ def test_no_deviation_costs_less_than_its_reference_bound(monkeypatch):
         arcs = [(u, v, c + 2.0**53 if u == 0 else c) for u, v, c in base.arcs()]
         solves.append((Graph(base.node_count, arcs), 0, base.node_count - 1, 8))
     for g, s, t, k in solves:
+        asked.clear()
         k_shortest_paths(g, s, t, k)
-        settle_dropped()
-        entries.clear()  # asks still pending at the end
     assert counts["found"] > 10_000 and counts["re-asks"] > 3_000 and counts["dropped"] > 250, counts
 
 
 def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monkeypatch):
     """A solve leaves an ask unsearched only where its answer could not be output.
 
-    Guided solves of gate grid 0, of ``frozen_solves()`` and of
+    Guided solves of the gate grids, of ``frozen_solves()`` and of
     ``road_solves()`` run with the engine's bounds, and again with each
-    ask keyed at the loosest bound the driver's argument allows:
-    ``prune_limit(g, D)`` for the cost D of its cheapest deviation with
-    only its blocked arcs masked, or infinity if it has none, which ties
-    the front's prune limit wherever an answer ties the front. Both runs
-    give the same records, and each ask still pending when a solve ends
-    runs afterwards without a cap, on its record with the blocked arcs
-    the record ended with: it finds no deviation at or below the last
-    output cost.
+    ask the tree does not answer keyed at the loosest bound the driver's
+    argument allows: ``prune_limit(g, D)`` for the cost D of its cheapest
+    deviation, or infinity if it has none, which ties the front's prune
+    limit wherever an answer ties the front. Both runs give the same
+    records, and each ask still pending when a solve ends runs afterwards
+    without a cap, on its record with the blocked arcs the record ended
+    with: it finds no deviation at or below the last output cost.
     """
     pending: dict[int, int] = {}  # push counter -> record index of each ask not yet taken up
-    spare: list[Workspace] = []
+    own: dict = {}
 
     def push(heap, entry):
         pending[entry[1]] = entry[2]
@@ -420,10 +375,12 @@ def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monk
         del pending[entry[1]]
         return entry
 
-    def loosest(sweep, arcs, start, blocked=(), stop=-inf):
-        g = sweep.graph
-        dev, _ = find_best_deviation(ask_query(g, sweep.target, spare[0], sweep, arcs, start, blocked))
-        return inf if dev is None else prune_limit(g, dev.cost)
+    def loosest(query, cost_cap=None):
+        dev, bound = tree_answer(query, cost_cap)
+        if dev is None:
+            found = uncapped_answer(query, own)
+            bound = inf if found is None else prune_limit(query.workspace.graph, found.cost)
+        return dev, bound
 
     def solve(g, s, t, k):
         pending.clear()
@@ -442,12 +399,11 @@ def test_an_ask_left_pending_finds_nothing_at_or_below_the_last_output_cost(monk
     monkeypatch.setattr("kssp.engine.heappush", push)
     monkeypatch.setattr("kssp.engine.heappop", pop)
     left = {"engine": 0, "loosest": 0}
-    for g, s, t, k in [(*next(grid_instances()), GRID_K), *frozen_solves(), *road_solves()]:
+    for g, s, t, k in [*((g, s, t, GRID_K) for g, s, t in grid_instances()), *frozen_solves(), *road_solves()]:
         report, n = solve(g, s, t, k)
         left["engine"] += n
-        spare[:] = [Workspace(g)]
         with monkeypatch.context() as m:
-            m.setattr(ReverseSweep, "deviation_bound", loosest)
+            m.setattr("kssp.engine.tree_answer", loosest)
             loose, n = solve(g, s, t, k)
         left["loosest"] += n
         assert records_digest([(g, loose)]) == records_digest([(g, report)])

@@ -43,9 +43,13 @@ def test_solve_graph_file(capsys):
     assert out == MINI_LINES
     assert "4 of 4 paths, status complete" in err
     # the paper's per-query measures: one found query answered from the tree, 18 labels
-    # over the other 3, 6 in the failed one
-    assert "5 queries (1 failed, 1 answered from the tree), mean labels 6.00 per searched found query, " \
-        "6.00 per failed, " in err
+    # over the other 3, and no failed one, as the last ask is left pending
+    assert "4 queries (0 failed, 1 answered from the tree), mean labels 6.00 per searched found query, " \
+        "- per failed, " in err
+    code, _, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "8")
+    assert code == 0
+    assert "9 queries (2 failed, 3 answered from the tree), mean labels 6.00 per searched found query, " \
+        "3.00 per failed, " in err
 
 
 @pytest.mark.parametrize(
@@ -257,8 +261,8 @@ def test_solve_tree_answer_mismatch_exit_code(capsys, monkeypatch):
     answer_from_tree = kssp.engine.tree_answer
 
     def costlier(query, cost_cap=None):
-        dev = answer_from_tree(query, cost_cap)
-        return None if dev is None else dev._replace(source_cost=dev.source_cost + 1.0)
+        dev, bound = answer_from_tree(query, cost_cap)
+        return None if dev is None else dev._replace(source_cost=dev.source_cost + 1.0), bound
 
     monkeypatch.setattr(kssp.engine, "tree_answer", costlier)
     code, out, err = run(capsys, "solve", "--graph", MINI, "-s", "0", "-t", "9", "-k", "4", "--validate")

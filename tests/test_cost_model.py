@@ -24,7 +24,6 @@ ALLOWED = [
     # the sidetrack memo's "not computed yet" sentinel and its tests
     ("dijkstra.py", "ReverseSweep.__init__", -1.0),
     ("dijkstra.py", "ReverseSweep.restart", -1.0),
-    ("dijkstra.py", "ReverseSweep.deviation_bound", 0.0),
     ("biobjective.py", "find_best_deviation", 0.0),
     # input validation of a cost and of a grid's cost bounds
     ("dimacs.py", "_parse_cost", 0.0),

@@ -391,7 +391,7 @@ def test_solves_on_kept_scratch_match_solves_on_a_fresh_graph():
         (31, 868, 40, SolveOptions()),
         (868, 31, 1, SolveOptions()),
         (450, 29, 40, SolveOptions(guided=False)),
-        (29, 870, 60, SolveOptions(label_budget=0)),  # at k=40 the tree answers every query it searches
+        (29, 870, 100, SolveOptions(label_budget=0)),  # at k=60 the tree answers every query
         (870, 29, 40, SolveOptions(timeout_s=0.0)),
         (5, 894, 60, SolveOptions(validate=True)),
         (31, 868, 40, SolveOptions()),
@@ -458,7 +458,7 @@ def test_a_second_guided_solve_allocates_no_scratch():
 
 
 def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkeypatch):
-    fresh = solve_digest(gen_grid(30, 30, seed=7), 31, 868, 40)
+    fresh = solve_digest(gen_grid(30, 30, seed=7), 868, 31, 40)
     # a guided query is first tried as a tree answer, then searched
     for name in ("tree_answer", "find_best_deviation"):
         g = gen_grid(30, 30, seed=7)
@@ -472,7 +472,7 @@ def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkey
         with monkeypatch.context() as m:
             m.setattr(kssp.engine, name, out_of_memory)
             with pytest.raises(SolveLimitExceeded) as exc:
-                k_shortest_paths(g, 31, 868, 40)
+                k_shortest_paths(g, 868, 31, 40)
         # running out of memory is a limit, whose report holds the paths accepted so far
         report = exc.value.report
         assert exc.value.kind == "memory" and report.status == ABORTED
@@ -484,7 +484,7 @@ def test_a_memory_error_in_a_query_gives_back_a_pair_with_its_blanks_made(monkey
         ((ws_held, sweep_held, blank, blanks),) = held
         assert ws is ws_held and sweep is sweep_held
         assert ws._blank is blank is not None and sweep._blanks is blanks is not None
-        assert solve_digest(g, 31, 868, 40) == fresh
+        assert solve_digest(g, 868, 31, 40) == fresh
 
 
 def _out_of_memory(*args, **kwargs):
@@ -698,7 +698,7 @@ def test_validate_report_needs_each_deviation_arc_blocked_in_its_parent(five_nod
 
 @pytest.mark.parametrize("guided", [True, False])
 def test_build_query_checks_each_query_only_under_validate(monkeypatch, guided):
-    calls = {"build_query": 0, "find_best_deviation": 0}
+    calls = {"build_query": 0, "find_best_deviation": 0, "tree_answer": 0}
 
     def counted(name):
         original = getattr(kssp.engine, name)
@@ -711,15 +711,19 @@ def test_build_query_checks_each_query_only_under_validate(monkeypatch, guided):
 
     counted("build_query")
     counted("find_best_deviation")
+    counted("tree_answer")
     g = gen_grid(20, 20, seed=3)
     tree_answers = k_shortest_paths(g, 0, 399, 50, SolveOptions(guided=guided)).stats.tree_answers
     assert calls["build_query"] == 0 and calls["find_best_deviation"] > 0
-    assert (tree_answers > 0) == guided
+    assert (tree_answers > 0) == (calls["tree_answer"] > 0) == guided
     searches = calls["find_best_deviation"]
-    # under validate the search also checks each tree answer
+    asks = calls["tree_answer"]  # every guided ask, whether answered, dropped or deferred
+    # under validate each guided ask builds its query when it is made, a searched one again
+    # when its turn comes, and the search also checks each tree answer
     k_shortest_paths(g, 0, 399, 50, SolveOptions(guided=guided, validate=True))
-    queries = searches + tree_answers
-    assert calls == {"build_query": queries, "find_best_deviation": searches + queries}
+    assert calls == {
+        "build_query": asks + searches, "find_best_deviation": 2 * searches + tree_answers, "tree_answer": 2 * asks
+    }
 
 
 def tree_answered_solves():
@@ -744,7 +748,7 @@ def test_every_tree_answer_is_the_search_answer(monkeypatch):
     answered = {"grid": 0, "road": 0, "digraph": 0}
 
     def compared(query, cost_cap=None):
-        dev = answer_from_tree(query, cost_cap)
+        dev, bound = answer_from_tree(query, cost_cap)
         if dev is not None:
             g = query.workspace.graph
             key = (id(g), query.target)
@@ -754,7 +758,7 @@ def test_every_tree_answer_is_the_search_answer(monkeypatch):
             checked = replace(query, sweep=own[key])
             assert find_best_deviation(checked, cost_cap)[0] == dev
             answered["road" if g.node_count > 10_000 else "grid" if g.node_count > 10 else "digraph"] += 1
-        return dev
+        return dev, bound
 
     monkeypatch.setattr(kssp.engine, "tree_answer", compared)
     for g, s, t, k in tree_answered_solves():
@@ -777,12 +781,13 @@ def test_a_lone_cheapest_sidetrack_is_answered_from_the_tree():
     # reference 0-1-2-3; the sidetrack 0->4 and 4's tree path 4-2-3, which takes the reference's last arc
     g = Graph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 1.5), (4, 2, 1.0)])
     query = settled_query(g, 0, 3, (0, 1, 2))
-    dev = kssp.engine.tree_answer(query)
+    dev, bound = kssp.engine.tree_answer(query)
     assert dev == Deviation(ref_index=0, suffix=(3, 4, 2), cost=3.5, overlap=1, source_cost=1.5)
+    assert bound == 3.5  # the price of the sidetrack 0->4, the only option
     assert find_best_deviation(query)[0] == dev
-    # a cap at or below the answer's prune limit leaves it to the search
-    assert kssp.engine.tree_answer(query, 3.5) is None
-    assert kssp.engine.tree_answer(query, successor(prune_limit(g, 3.5))) == dev
+    # a cap at or below the answer's prune limit leaves it to the search, behind the same bound
+    assert kssp.engine.tree_answer(query, 3.5) == (None, 3.5)
+    assert kssp.engine.tree_answer(query, successor(prune_limit(g, 3.5))) == (dev, 3.5)
 
 
 @pytest.mark.parametrize(
@@ -801,45 +806,44 @@ def test_a_lone_cheapest_sidetrack_is_answered_from_the_tree():
 )
 def test_a_query_the_tree_cannot_certify_is_left_to_the_search(g, t, ref, prefix_cost, masked):
     query = settled_query(g, g.arc_tail[ref[0]], t, ref, prefix_cost, masked)
-    assert kssp.engine.tree_answer(query) is None
+    assert kssp.engine.tree_answer(query)[0] is None
     dev, stats = find_best_deviation(query)
     assert dev is not None and stats.outcome == "found"
 
 
 def test_the_tree_answers_three_quarters_of_the_searched_queries_on_the_gate_grids(monkeypatch):
-    """Of the queries that reach the search, the tree answers 80.8% on grid 0 and 78.4% on grids 0-2.
+    """Of the queries answered or searched, the tree answers 91.4% on grid 0 and 87.9% on grids 0-2.
 
     The least option out of a reference node is mostly a bounce, an arc
     to a node whose tree arc leads straight back, such as the U-turn to
     the node before; no simple path takes it and then that tree arc.
     ``ReverseSweep.options_of`` prices a bounce by its head's sidetrack
-    instead: without that, 65.7% and 59.8%. Without skipping the arcs
-    back into the reference so far, 80.8% and 73.9%; without both, 17.8%
-    on grid 0.
+    instead: without that, 71.9% and 69.9%. Without skipping the arcs back
+    into the reference so far, 90.1% and 84.1%.
     """
-    answer_from_tree = kssp.engine.tree_answer
-    asked = 0
+    search = kssp.engine.find_best_deviation
+    searched = 0
 
-    def counted(query, cost_cap=None):
-        nonlocal asked
-        asked += 1
-        return answer_from_tree(query, cost_cap)
+    def counted(query, cost_cap=None, **limits):
+        nonlocal searched
+        searched += 1
+        return search(query, cost_cap, **limits)
 
-    monkeypatch.setattr(kssp.engine, "tree_answer", counted)
+    monkeypatch.setattr(kssp.engine, "find_best_deviation", counted)
     answered = 0
     for i, (g, s, t) in enumerate(grid_instances(3)):
         answered += k_shortest_paths(g, s, t, GRID_K).stats.tree_answers
         if i == 0:
-            assert answered >= asked * 3 / 4, (answered, asked)
-    assert answered >= asked * 3 / 4, (answered, asked)
+            assert answered >= (answered + searched) * 3 / 4, (answered, searched)
+    assert answered >= (answered + searched) * 3 / 4, (answered, searched)
 
 
 def test_a_tree_answer_the_search_does_not_give_fails_validation(five_node_graph, monkeypatch):
     answer_from_tree = kssp.engine.tree_answer
 
     def miscounted(query, cost_cap=None):
-        dev = answer_from_tree(query, cost_cap)
-        return None if dev is None else dev._replace(overlap=dev.overlap + 1)
+        dev, bound = answer_from_tree(query, cost_cap)
+        return None if dev is None else dev._replace(overlap=dev.overlap + 1), bound
 
     monkeypatch.setattr(kssp.engine, "tree_answer", miscounted)
     # the overlap goes into no record, so only the cross-check sees it
