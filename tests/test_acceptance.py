@@ -202,13 +202,13 @@ def test_grid_benchmark_matches_reference_within_bands(host_clock):
 
 # report_digest of gate instances 0 and 4 at GRID_K with default options
 FROZEN_GRID_DIGESTS = {
-    0: "c0d08f27d0ec6b5240adfe6d419dfbb27ae864b93f124ddbc8cd2808868aab80",
-    4: "692ae4bf17c9460f15adf3f8932209b75025aace624724a8731bf97ebd4faaed",
+    0: "9a38fadcf079f3cf0d46eae472ed7e7161179dc9c8b4ee0d1f957ac18ec8a785",
+    4: "af6fdee980d5bbe0d5241c5d3d8972425e3235b2048f4b3129112b666d13e127",
 }
 # cost_free_digest of the same solves, which exact costs must leave unchanged
 FROZEN_GRID_COST_FREE_DIGESTS = {
-    0: "3ea23b884b85543146bc2f05aa75e44057de3544b4a2965d3c91c7cf404f5559",
-    4: "f636bb4c3ef12d5a861892ac0bceafb112ef3a1c704137cc1790539a0167531f",
+    0: "b388e70af18a0e4a04dff40ae207797d7f2b5033646833aa30aedebd863251e1",
+    4: "53ae2ecc9ccad68b98d2151d7bb8c971c9ff4e02dd2b2de5b59159ab89b7dc54",
 }
 
 
@@ -459,7 +459,7 @@ def test_the_tree_answers_a_fifth_of_the_labels_on_a_gate_grid(monkeypatch):
 
 
 # sha256 over every query's QueryStats: gate grid 0 at GRID_K, then road_solves()
-FROZEN_QUERY_STATS_DIGEST = "bd3c86f62cc3e35a71e382808e6124afbded58e38478bb7f255c5c7ae6b38cba"
+FROZEN_QUERY_STATS_DIGEST = "0099b998d3175e91f1e4d9d0c2c41de8bc0b232624d360e12b88ffa035722c5f"
 
 
 def test_every_query_keeps_its_frozen_stats(monkeypatch):

@@ -138,8 +138,9 @@ def test_plain_first_path_needs_no_reverse_sweep(five_node_graph, monkeypatch, k
 
 # report_digest over frozen_solves(), retaken when search labels began at their prefix's cost,
 # twice when a prune rule changed counters and blocked lists only: the trimmed queue with
-# skipped first asks, then asks deferred behind their bounds; and when tree answers changed counters
-FROZEN_SOLVES_DIGEST = "a42b082a0bc3f547fb168d81986bae356273e7f3576f7086ea7d8028b1ea63ff"
+# skipped first asks, then asks deferred behind their bounds; when tree answers changed counters, and
+# when asks began to be tree-answered as they are made
+FROZEN_SOLVES_DIGEST = "d95a9832bbe123577dfec41157fa5428606e477e76f65a31050f05c681c232c5"
 
 
 def test_solves_keep_their_frozen_records():
@@ -160,6 +161,10 @@ def test_solves_keep_their_frozen_records():
     shows the records unchanged. It was retaken when guided queries began
     to be answered from the sweep's tree: 360 solves count tree answers
     and fewer labels, and every record and blocked list stayed as it was.
+    It was retaken when a guided ask began to be answered from the tree
+    when it is made: asks the deferring driver never searched now queue
+    candidates and block their arcs, so counters and blocked lists moved,
+    and ``records_digest`` shows the records unchanged.
     """
     digests = [solve_digest(g, s, t, k) for g, s, t, k in frozen_solves()]
     assert len(digests) == 5 + 300 * 3 * 2
@@ -167,8 +172,8 @@ def test_solves_keep_their_frozen_records():
 
 
 # report_digest over road_solves(), then cost_free_digest over the same solves
-FROZEN_ROAD_DIGEST = "fbf9b614ee60babccc7bf68f1b7c51005823ef45239ed9217ed9753e9be8dac9"
-FROZEN_ROAD_COST_FREE_DIGEST = "c81c46d214afaf69cce031928bb0f22d2ccb323e44faf8c6b50be81cd8f46a72"
+FROZEN_ROAD_DIGEST = "bd02bcb130899777735ce19e0fbe4e78380615e395d65f7678db5fd3d77b671e"
+FROZEN_ROAD_COST_FREE_DIGEST = "213bb17f76795f0a831bfe492d4fc184abb4247886a52345557bb433e2a1a00b"
 
 
 def test_road_scale_solves_keep_their_frozen_records():
