@@ -5,13 +5,14 @@ from math import inf
 
 import pytest
 
-from kssp.biobjective import Workspace, build_query
+from kssp.biobjective import Workspace
 from kssp.dijkstra import ReverseSweep, prune_limit, reverse_distances, shortest_path
 from kssp.engine import tree_answer
 from kssp.graph import Graph, Mask
 from kssp.gridgen import gen_grid
 
 from conftest import COST_FAMILIES, cost_family, make_digraph
+from test_acceptance import ask_query
 
 
 def test_shortest_path_on_example(five_node_graph):
@@ -231,32 +232,27 @@ def test_first_path_from_a_sweep_settled_to_the_prune_limit():
         assert shortest_path(g, s, t, prune=sweep.dist) == shortest_path(g, s, t, prune=reverse_distances(g, t))
 
 
-def walk_bound(sweep: ReverseSweep, source: int, ref, start=0.0, blocked=(), masked=()) -> tuple:
-    """``tree_answer``'s answer and bound for the query along ``ref`` from ``source`` on ``sweep``."""
-    ws = Workspace(sweep.graph)
-    ws.mask.reset()
-    for v in masked:
-        ws.mask.delete_node(v)
-    for a in blocked:
-        ws.mask.delete_arc(a)
-    return tree_answer(build_query(ws, source, sweep.target, ref, start, sweep))
+def walk_bound(sweep: ReverseSweep, ref, start=0.0, blocked=(), masked=()) -> tuple:
+    """``tree_answer``'s answer and bound for the query along ``ref`` on ``sweep``, with ``masked`` nodes."""
+    g = sweep.graph
+    return tree_answer(ask_query(g, sweep.target, Workspace(g), sweep, ref, start, blocked, masked))
 
 
 def test_the_tree_walk_bounds_a_query_by_its_least_option_price(five_node_graph):
     g = five_node_graph
     sweep = ReverseSweep(g, 4)
     sweep.settle(0.0)  # only the target
-    assert walk_bound(sweep, 0, (1, 5)) == (None, -inf)  # node 0 is not settled yet
+    assert walk_bound(sweep, (1, 5)) == (None, -inf)  # node 0 is not settled yet
     sweep.settle(inf)
     assert sweep.tree[0] == 1 and sweep.tree[2] == 5  # 0 -> 2 -> 4 costs 2
     # leaving 0 over 0 -> 1 -> 4 costs 3, over 0 -> 3 -> 4 costs 4; node 2 has no arc but its tree arc
-    dev, bound = walk_bound(sweep, 0, (1, 5))
+    dev, bound = walk_bound(sweep, (1, 5))
     assert (dev.suffix, dev.cost, bound) == ((0, 4), 3.0, 3.0)
-    assert walk_bound(sweep, 0, (1, 5), 10.0)[1] == 13.0
-    assert walk_bound(sweep, 2, (5,), 1.0) == (None, inf)
-    assert walk_bound(sweep, 4, ()) == (None, inf)  # nothing deviates from the target
+    assert walk_bound(sweep, (1, 5), 10.0)[1] == 13.0
+    assert walk_bound(sweep, (5,), 1.0) == (None, inf)
+    assert walk_bound(sweep, ()) == (None, inf)  # nothing deviates from the target
     # 0 -> 1 is not node 0's tree arc, so 0 -> 2 -> 4 would go unbounded
-    assert walk_bound(sweep, 0, (0, 4)) == (None, -inf)
+    assert walk_bound(sweep, (0, 4)) == (None, -inf)
 
 
 def test_the_tree_walk_bound_leaves_blocked_arcs_and_masked_heads_out(five_node_graph):
@@ -266,12 +262,12 @@ def test_the_tree_walk_bound_leaves_blocked_arcs_and_masked_heads_out(five_node_
     # with 0 -> 1 blocked, or node 1 masked, the least option out of 0 is 0 -> 3 -> 4;
     # with 0 -> 3 gone too nothing leaves the path 0 -> 2 -> 4
     for blocked, masked in (((0,), ()), ((), (1,))):
-        dev, bound = walk_bound(sweep, 0, (1, 5), 0.0, blocked, masked)
+        dev, bound = walk_bound(sweep, (1, 5), 0.0, blocked, masked)
         assert (dev.suffix, dev.cost, bound) == ((2, 6), 4.0, 4.0)
     for blocked, masked in (((0, 2), ()), ((), (1, 3)), ((0,), (3,))):
-        assert walk_bound(sweep, 0, (1, 5), 0.0, blocked, masked) == (None, inf)
+        assert walk_bound(sweep, (1, 5), 0.0, blocked, masked) == (None, inf)
     # a blocked arc off the path changes nothing
-    assert walk_bound(sweep, 0, (1, 5), 0.0, (3,))[1] == 3.0
+    assert walk_bound(sweep, (1, 5), 0.0, (3,))[1] == 3.0
 
 
 def test_options_keep_the_least_two_values_with_their_arcs_and_the_third(monkeypatch):
