@@ -406,11 +406,10 @@ def tree_answer(query: DeviationQuery, cost_cap: float | None = None) -> tuple[D
     docstring, or that there is none: the reference leaves the tree, or
     no usable option at the least priced node is one the memo names, or
     the option's head is not settled. The bound is the least price of a
-    usable option, which no deviation's cost D passes by more than
-    ``prune_limit(g, D)`` allows (see Tree answers): -inf where the source
-    is not settled or the reference leaves the tree, and inf for an empty
-    reference, as a path from the target has no deviation. The query must
-    be guided.
+    usable option, at most ``prune_limit(g, D)`` for every deviation of
+    cost D (see Tree answers): -inf where the source is not settled or
+    the reference leaves the tree, and inf for an empty reference, as a
+    path from the target has no deviation. The query must be guided.
     """
     ref = query.ref_arcs
     if not ref:
